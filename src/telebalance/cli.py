@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, load_scenario
@@ -45,9 +46,11 @@ def _write(path: Path, text: str) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.seed < 0:
+        print("--seed must be >= 0", file=sys.stderr)
+        return 2
     cfg = load_scenario(args.config)
     if args.seed is not None:
-        from dataclasses import replace
         cfg = replace(cfg, seed=args.seed)
     trace, metrics = run_episode(cfg)
     out = Path(args.out)
@@ -65,8 +68,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         print("--seeds must be >= 1", file=sys.stderr)
         return 2
+    if args.workers < 1:
+        print("--workers must be >= 1", file=sys.stderr)
+        return 2
     cfgs = [load_scenario(p) for p in args.scenario]
-    results = compare_scenarios(cfgs, seeds=list(range(args.seeds)))
+    results = compare_scenarios(cfgs, seeds=list(range(args.seeds)),
+                                workers=args.workers)
     out = Path(args.out)
 
     header = ("label,seeds,fall_fraction,mean_balanced_duration_s,"
@@ -114,8 +121,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds < 3:
         print("--seeds must be >= 3 for a sweep", file=sys.stderr)
         return 2
+    if args.workers < 1:
+        print("--workers must be >= 1", file=sys.stderr)
+        return 2
     base = load_scenario(args.config)
-    points = run_sweep(base, args.param, values, seeds_per_point=args.seeds)
+    points = run_sweep(base, args.param, values, seeds_per_point=args.seeds,
+                       workers=args.workers)
     out = Path(args.out)
     rows = ["value,mean_rms_tilt_rate,fall_fraction,stderr"]
     rows += [",".join((repr(p.value), repr(p.mean_rms_tilt_rate),
@@ -128,6 +139,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         print(f"no swept {args.param} value reached fall fraction 0.5")
     return 0
+
+
+_WORKERS_HELP = "episodes run in this many processes at once (default 1)"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,6 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--scenario", action="append", default=[],
                        help="config file; give at least twice")
     p_cmp.add_argument("--seeds", type=int, default=10)
+    p_cmp.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_cmp.add_argument("--out", default="out")
     p_cmp.set_defaults(func=cmd_compare)
 
@@ -156,6 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--values", required=True,
                        help="comma list, unit suffixes allowed (0ms,2ms,...)")
     p_swp.add_argument("--seeds", type=int, default=3)
+    p_swp.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_swp.add_argument("--out", default="out")
     p_swp.set_defaults(func=cmd_sweep)
     return parser

@@ -22,11 +22,11 @@ perturb the others across scenarios.
 
 from __future__ import annotations
 
+import concurrent.futures
 import heapq
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -105,6 +105,8 @@ class ScenarioConfig:
             raise ValueError("initial_tilt must be finite")
         if not 0.0 <= self.filter_alpha <= 1.0:
             raise ValueError("filter_alpha must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         self.mac.validate()
         if self.mac.variant == GALLOP:
             build_superframe(self.mac)
@@ -419,22 +421,40 @@ def compute_metrics(trace: EpisodeTrace, cfg: ScenarioConfig) -> EpisodeMetrics:
     )
 
 
+# Declared field types (postponed annotations, so strings) that a sweep may
+# set, and the type each swept value is coerced to.
+_NUMERIC_FIELDS = {"int": int, "float": float, "float | None": float}
+
+
 def _set_by_path(cfg: ScenarioConfig, path: str, value: float) -> ScenarioConfig:
+    """Copy of cfg with the numeric field at a dotted path set to value.
+
+    Paths are 'section.field' (mac.extra_delay), 'scenario.field' or a bare
+    scenario field. The value is coerced to the field's declared type; an
+    int field rejects a non-integral value.
+    """
     parts = path.split(".")
+    if len(parts) == 2 and parts[0] == "scenario":
+        parts = parts[1:]
     if len(parts) == 1:
-        name = parts[0]
-        if not hasattr(cfg, name) or not isinstance(getattr(cfg, name), (int, float)):
-            raise ValueError(f"unknown or non-numeric parameter path {path!r}")
+        section, target = None, cfg
+    elif len(parts) == 2:
+        section = parts[0]
+        target = getattr(cfg, section, None)
+    else:
+        raise ValueError(f"unknown parameter path {path!r}")
+    name = parts[-1]
+    declared = {f.name: f.type for f in fields(target)} \
+        if is_dataclass(target) else {}
+    kind = _NUMERIC_FIELDS.get(declared.get(name))
+    if kind is None:
+        raise ValueError(f"unknown or non-numeric parameter path {path!r}")
+    if kind is int and not float(value).is_integer():
+        raise ValueError(f"parameter {path!r} takes an integer, got {value!r}")
+    value = kind(value)
+    if section is None:
         return replace(cfg, **{name: value})
-    if len(parts) == 2:
-        section, name = parts
-        if not hasattr(cfg, section):
-            raise ValueError(f"unknown parameter path {path!r}")
-        sub = getattr(cfg, section)
-        if not hasattr(sub, name) or not isinstance(getattr(sub, name), (int, float)):
-            raise ValueError(f"unknown or non-numeric parameter path {path!r}")
-        return replace(cfg, **{section: replace(sub, **{name: value})})
-    raise ValueError(f"unknown parameter path {path!r}")
+    return replace(cfg, **{section: replace(target, **{name: value})})
 
 
 @dataclass(frozen=True)
@@ -445,38 +465,60 @@ class SweepPoint:
     stderr: float              # standard error of the rms mean
 
 
-def _run_batch(cfgs: list[ScenarioConfig], workers: int) -> list[EpisodeMetrics]:
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return [m for _, m in pool.map(run_episode, cfgs)]
-    return [run_episode(c)[1] for c in cfgs]
+def _run_job(job: tuple[ScenarioConfig, bool]
+             ) -> tuple[EpisodeTrace | None, EpisodeMetrics]:
+    """One batch episode; the trace comes back only when asked for, so a
+    worker process pickles no trace the caller drops."""
+    cfg, keep_trace = job
+    trace, metrics = run_episode(cfg)
+    return (trace if keep_trace else None), metrics
+
+
+def _run_batch(jobs: list[tuple[ScenarioConfig, bool]], workers: int
+               ) -> list[tuple[EpisodeTrace | None, EpisodeMetrics]]:
+    """Run (config, keep_trace) jobs; results come back in job order.
+
+    With workers > 1 and more than one job the episodes run in a process
+    pool; otherwise they run here in series, through the module's
+    run_episode. A worker's exception reaches the caller with its type.
+    """
+    if workers > 1 and len(jobs) > 1:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(workers, len(jobs))) as pool:
+            try:
+                return list(pool.map(_run_job, jobs))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    return [_run_job(job) for job in jobs]
 
 
 def run_sweep(base: ScenarioConfig, parameter_path: str, values,
               seeds_per_point: int, workers: int = 1) -> list[SweepPoint]:
     """Episode statistics across a numeric config parameter.
 
-    Each grid value is run with seeds base.seed .. base.seed+K-1; results
-    are merged by (value, seed) so sequential and concurrent execution
-    produce identical tables.
+    Each grid value is run with seeds base.seed .. base.seed+K-1. The whole
+    grid is one batch, and its results are sliced back per value in grid
+    order, so sequential and concurrent execution give identical tables.
     """
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
     if seeds_per_point < 3:
         raise ValueError("sweep needs at least 3 seeds per point")
-    _set_by_path(base, parameter_path, values[0])  # validate the path early
+    grid = [_set_by_path(base, parameter_path, v) for v in values]
+    jobs = [(replace(cfg, seed=base.seed + i), False)
+            for cfg in grid for i in range(seeds_per_point)]
+    metrics = [m for _, m in _run_batch(jobs, workers)]
 
     points = []
-    for v in values:
-        cfgs = [replace(_set_by_path(base, parameter_path, v), seed=base.seed + i)
-                for i in range(seeds_per_point)]
-        metrics = _run_batch(cfgs, workers)
-        rms = np.array([m.rms_tilt_rate for m in metrics])
+    for i, v in enumerate(values):
+        runs = metrics[i * seeds_per_point:(i + 1) * seeds_per_point]
+        rms = np.array([m.rms_tilt_rate for m in runs])
         points.append(SweepPoint(
             value=float(v),
             mean_rms_tilt_rate=float(rms.mean()),
-            fall_fraction=float(np.mean([m.fell for m in metrics])),
+            fall_fraction=float(np.mean([m.fell for m in runs])),
             stderr=float(rms.std(ddof=1) / math.sqrt(len(rms))),
         ))
     return points
@@ -510,18 +552,15 @@ def compare_scenarios(cfgs: list[ScenarioConfig], seeds,
     if not seed_list:
         raise ValueError("comparison needs at least 1 seed")
 
-    results = []
-    for cfg in cfgs:
-        runs = [replace(cfg, seed=s) for s in seed_list]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outs = list(pool.map(run_episode, runs))
-        else:
-            outs = [run_episode(c) for c in runs]
-        results.append(ScenarioResult(
-            label=cfg.label, config=cfg,
-            metrics=[m for _, m in outs], trace=outs[0][0]))
-    return results
+    # one batch of every scenario x seed; only each first seed keeps its trace
+    jobs = [(replace(cfg, seed=s), i == 0)
+            for cfg in cfgs for i, s in enumerate(seed_list)]
+    outs = _run_batch(jobs, workers)
+    n = len(seed_list)
+    return [ScenarioResult(label=cfg.label, config=cfg,
+                           metrics=[m for _, m in outs[j * n:(j + 1) * n]],
+                           trace=outs[j * n][0])
+            for j, cfg in enumerate(cfgs)]
 
 
 TRACE_COLUMNS = ("t", "tilt", "tilt_rate", "wheel_rate", "command_left",

@@ -75,6 +75,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bad value"):
             load_scenario(p)
 
+    def test_negative_config_seed_rejected(self, tmp_path):
+        cfg = write_cfg(tmp_path, GALLOP_SHORT.replace("seed = 5", "seed = -1"))
+        with pytest.raises(ConfigError, match="seed"):
+            load_scenario(cfg)
+
     def test_label_defaults_to_file_stem(self, tmp_path):
         p = write_cfg(tmp_path, GALLOP_SHORT, name="my_experiment.cfg")
         assert load_scenario(p).label == "my_experiment"
@@ -141,6 +146,13 @@ class TestCmdRun:
         assert (out / "trace.csv").exists()
         assert "fell=true" in (out / "metrics.txt").read_text()
 
+    def test_negative_seed_flag_exit_2_names_flag(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, GALLOP_SHORT)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, GALLOP_SHORT)
         blocker = tmp_path / "blocker"
@@ -182,6 +194,26 @@ class TestCmdCompare:
         assert main(["compare", "--scenario", str(a), "--scenario", str(b),
                      "--seeds", "0", "--out", str(tmp_path / "o")]) == 2
 
+    def test_zero_workers_usage_error(self, tmp_path, capsys):
+        a = write_cfg(tmp_path, GALLOP_SHORT, "a.cfg")
+        b = write_cfg(tmp_path, BLE_SHORT, "b.cfg")
+        assert main(["compare", "--scenario", str(a), "--scenario", str(b),
+                     "--workers", "0", "--out", str(tmp_path / "o")]) == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_workers_flag_writes_identical_files(self, tmp_path):
+        a = write_cfg(tmp_path, GALLOP_SHORT, "gallop_s.cfg")
+        b = write_cfg(tmp_path, BLE_SHORT, "ble_s.cfg")
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["compare", "--scenario", str(a), "--scenario", str(b),
+                         "--seeds", "3", "--workers", workers,
+                         "--out", str(out)]) == 0
+            outs.append(out)
+        for name in ("comparison.csv", "gallop_s_trace.dat", "ble_s_trace.dat"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
 
 class TestCmdSweep:
     def test_sweep_writes_table_and_threshold_line(self, tmp_path, capsys):
@@ -213,6 +245,53 @@ class TestCmdSweep:
         assert main(["sweep", str(cfg), "--param", "mac.extra_delay",
                      "--values", "0ms", "--seeds", "2",
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_int_param_takes_integral_values(self, tmp_path):
+        cfg = write_cfg(tmp_path, GALLOP_SHORT)
+        out = tmp_path / "swp"
+        assert main(["sweep", str(cfg), "--param", "mac.slots_per_superframe",
+                     "--values", "2,4", "--seeds", "3", "--out", str(out)]) == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 3
+
+    def test_non_integral_int_param_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, GALLOP_SHORT)
+        assert main(["sweep", str(cfg), "--param", "mac.slots_per_superframe",
+                     "--values", "2,2.5", "--seeds", "3",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "mac.slots_per_superframe" in capsys.readouterr().err
+
+    def test_scenario_param_path(self, tmp_path):
+        cfg = write_cfg(tmp_path, GALLOP_SHORT)
+        assert main(["sweep", str(cfg), "--param", "scenario.episode_duration",
+                     "--values", "0.5s", "--seeds", "3",
+                     "--out", str(tmp_path / "o")]) == 0
+
+    def test_workers_flag_writes_identical_table(self, tmp_path):
+        cfg = write_cfg(tmp_path, GALLOP_SHORT)
+        tables = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["sweep", str(cfg), "--param", "mac.extra_delay",
+                         "--values", "0ms,16ms", "--seeds", "3",
+                         "--workers", workers, "--out", str(out)]) == 0
+            tables.append((out / "sweep.csv").read_bytes())
+        assert tables[0] == tables[1]
+
+    def test_zero_workers_usage_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, GALLOP_SHORT)
+        assert main(["sweep", str(cfg), "--param", "mac.extra_delay",
+                     "--values", "0ms", "--workers", "0",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_worker_error_exit_2_without_traceback(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, GALLOP_SHORT)
+        assert main(["sweep", str(cfg), "--param", "mac.slot_guard",
+                     "--values", "2ms", "--seeds", "3", "--workers", "2",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "slot_guard" in err
+        assert "Traceback" not in err
 
     def test_single_value_matches_averaged_runs(self, tmp_path):
         import numpy as np

@@ -20,7 +20,8 @@ from telebalance.sim import (
     run_sweep,
     trace_to_csv,
 )
-from telebalance.wireless import GALLOP, ChannelModel, MacConfig
+from telebalance.sim import _set_by_path
+from telebalance.wireless import GALLOP, ChannelModel, InvalidConfigError, MacConfig
 
 from oracles import linear_fall_time, wip_linear_system
 
@@ -127,6 +128,10 @@ class TestRunEpisode:
         with pytest.raises(ValueError):
             run_episode(gallop_scenario(mac=bad_mac))
 
+    def test_negative_seed_rejected_before_running(self):
+        with pytest.raises(ValueError, match="seed"):
+            run_episode(gallop_scenario(seed=-1))
+
     def test_ble_episode_has_jitter_variance(self):
         _, m = run_episode(ble_scenario(episode_duration=5.0))
         assert m.latency_variance > 0.0
@@ -213,6 +218,43 @@ class TestSweep:
                         workers=4)
         assert seq == par
 
+    def test_int_field_takes_integral_values_as_int(self):
+        base = gallop_scenario(episode_duration=0.5)
+        cfg = _set_by_path(base, "mac.slots_per_superframe", 4.0)
+        assert cfg.mac.slots_per_superframe == 4
+        assert type(cfg.mac.slots_per_superframe) is int
+        pts = run_sweep(base, "mac.slots_per_superframe", [2.0, 4.0],
+                        seeds_per_point=3)
+        assert [p.value for p in pts] == [2.0, 4.0]
+
+    def test_float_field_takes_int_values_as_float(self):
+        cfg = _set_by_path(gallop_scenario(), "mac.extra_delay", 0)
+        assert type(cfg.mac.extra_delay) is float
+
+    def test_non_integral_value_for_int_field_names_the_path(self):
+        base = gallop_scenario(episode_duration=0.5)
+        with pytest.raises(ValueError, match="mac.slots_per_superframe"):
+            run_sweep(base, "mac.slots_per_superframe", [2.0, 2.5],
+                      seeds_per_point=3)
+        with pytest.raises(ValueError, match="scenario.seed"):
+            _set_by_path(base, "scenario.seed", 1.5)
+
+    def test_scenario_prefixed_path_reaches_scenario_fields(self):
+        base = gallop_scenario(episode_duration=1.0)
+        cfg = _set_by_path(base, "scenario.episode_duration", 0.5)
+        assert cfg.episode_duration == 0.5
+        assert _set_by_path(base, "scenario.seed", 3.0).seed == 3
+        assert run_sweep(base, "scenario.episode_duration", [0.5],
+                         seeds_per_point=3) \
+            == run_sweep(base, "episode_duration", [0.5], seeds_per_point=3)
+        with pytest.raises(ValueError, match="parameter path"):
+            _set_by_path(base, "scenario.label", 1.0)
+
+    def test_worker_error_reaches_caller_with_its_type(self):
+        base = gallop_scenario(episode_duration=0.5)
+        with pytest.raises(InvalidConfigError, match="slot_guard"):
+            run_sweep(base, "mac.slot_guard", [0.002], 3, workers=2)
+
     def test_failure_threshold_helper(self):
         from telebalance.sim import SweepPoint
         pts = [SweepPoint(0.0, 1.0, 0.0, 0.0), SweepPoint(1.0, 2.0, 0.5, 0.0),
@@ -247,6 +289,18 @@ class TestCompare:
         for a, b in zip(r1, r2):
             assert a.metrics == b.metrics
             assert trace_to_csv(a.trace) == trace_to_csv(b.trace)
+
+    def test_process_pool_matches_serial(self):
+        cfgs = [gallop_scenario(episode_duration=1.5),
+                ble_scenario(episode_duration=1.5)]
+        serial = compare_scenarios(cfgs, seeds=[3, 4, 5])
+        pooled = compare_scenarios(cfgs, seeds=[3, 4, 5], workers=2)
+        assert [r.label for r in pooled] == ["gallop", "ble"]
+        for a, b in zip(serial, pooled):
+            assert a.metrics == b.metrics
+            assert trace_to_csv(a.trace) == trace_to_csv(b.trace)
+        first = run_episode(replace(cfgs[1], seed=3))[0]
+        assert trace_to_csv(pooled[1].trace) == trace_to_csv(first)
 
     def test_needs_two_scenarios_and_a_seed(self):
         with pytest.raises(ValueError):
