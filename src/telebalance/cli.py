@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, load_scenario
+from .config import _ANGLE_UNITS, _DURATION_UNITS, ConfigError, load_scenario
 from .control import TuningFailureError
 from .sim import (
     compare_scenarios,
@@ -25,9 +25,10 @@ from .sim import (
 )
 from .wireless import InvalidConfigError
 
-_QUANTITY_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*(s|ms|us|rad|deg)?\s*$")
-_UNIT_FACTOR = {None: 1.0, "s": 1.0, "ms": 1e-3, "us": 1e-6,
-                "rad": 1.0, "deg": 3.141592653589793 / 180.0}
+# sweep values take the config file's unit suffixes, or none
+_UNIT_FACTOR = {None: 1.0, **_DURATION_UNITS, **_ANGLE_UNITS}
+_QUANTITY_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*("
+                          + "|".join(u for u in _UNIT_FACTOR if u) + r")?\s*$")
 
 
 def _parse_values(text: str) -> list[float]:

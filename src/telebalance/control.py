@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -76,7 +77,10 @@ DEFAULT_GAINS = ControllerGains(
 
 @dataclass(frozen=True)
 class ControllerState:
-    """Filter and integrator memory; one instance per controlled robot."""
+    """Filter and integrator memory; one instance per controlled robot.
+
+    The per-frame updates build it positionally, in this field order.
+    """
 
     tilt_estimate: float = 0.0       # rad
     integral_accum: float = 0.0      # rad s, clamped
@@ -88,8 +92,7 @@ class ControllerState:
     primed: bool = False             # False until the first frame arrives
 
 
-@dataclass(frozen=True)
-class ActuationFrame:
+class ActuationFrame(NamedTuple):
     """Feedback-channel payload: updated normalized motor commands."""
 
     motor_command_left: float   # [-1, 1]
@@ -122,7 +125,10 @@ def estimate_tilt(cstate: ControllerState, frame: SensorFrame, dt: float,
             f"frame seq {frame.seq} not newer than {cstate.last_frame_seq}")
     est = alpha * (cstate.tilt_estimate + frame.gyro_pitch_rate * dt) \
         + (1.0 - alpha) * frame.accel_tilt
-    return replace(cstate, tilt_estimate=est, last_frame_seq=frame.seq)
+    return ControllerState(est, cstate.integral_accum, frame.seq,
+                           cstate.last_update_time, cstate.last_wheel_angle,
+                           cstate.wheel_rate_estimate,
+                           cstate.encoder_counts_per_rev, cstate.primed)
 
 
 def compute_command(cstate: ControllerState, gains: ControllerGains,
@@ -161,14 +167,10 @@ def compute_command(cstate: ControllerState, gains: ControllerGains,
          + gains.kd_position * wheel_rate)
     u = min(max(u, -gains.command_limit), gains.command_limit)
 
-    new_state = replace(cstate, integral_accum=integral, last_wheel_angle=angle,
-                        wheel_rate_estimate=wheel_rate,
-                        last_update_time=arrival, primed=True)
-    actuation = ActuationFrame(
-        motor_command_left=u, motor_command_right=u,
-        seq=frame.seq, issue_time=arrival,
-    )
-    return new_state, actuation
+    new_state = ControllerState(cstate.tilt_estimate, integral,
+                                cstate.last_frame_seq, arrival, angle, wheel_rate,
+                                cstate.encoder_counts_per_rev, True)
+    return new_state, ActuationFrame(u, u, frame.seq, arrival)
 
 
 def closed_loop_matrix(params: PlantParams, gains: ControllerGains, cycle: float,

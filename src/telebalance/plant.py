@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,6 +78,9 @@ class PlantParams:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
         if self.motor_time_constant < 0 or self.viscous_friction < 0:
             raise ValueError("motor_time_constant and viscous_friction must be >= 0")
+        # (m11, m12_coeff, m22, m_b g L), cached for the RK4 hot path
+        object.__setattr__(self, "_rk4_terms", _mass_terms(self) + (
+            self.body_mass * self.gravity * self.com_distance,))
 
 
 @dataclass(frozen=True)
@@ -91,11 +95,10 @@ class PlantState:
     sim_time: float = 0.0             # s
 
     def is_finite(self) -> bool:
-        return all(
-            math.isfinite(v)
-            for v in (self.tilt, self.tilt_rate, self.wheel_angle,
-                      self.wheel_rate, self.motor_torque_actual, self.sim_time)
-        )
+        isfinite = math.isfinite
+        return (isfinite(self.tilt) and isfinite(self.tilt_rate)
+                and isfinite(self.wheel_angle) and isfinite(self.wheel_rate)
+                and isfinite(self.motor_torque_actual) and isfinite(self.sim_time))
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,7 @@ class SensorNoise:
             raise ValueError("noise standard deviations must be >= 0")
 
 
-@dataclass(frozen=True)
-class SensorFrame:
+class SensorFrame(NamedTuple):
     """Forward-channel payload: pitch-relevant IMU readings plus encoders."""
 
     gyro_pitch_rate: float  # rad/s
@@ -141,8 +143,7 @@ def _rk4_span(th: float, w: float, phi: float, v: float, tau: float,
     Stops early once |tilt| exceeds fall_threshold. Returns the state
     variables plus the number of substeps actually taken.
     """
-    m11, m12c, m22 = _mass_terms(params)
-    g_l = params.body_mass * params.gravity * params.com_distance
+    m11, m12c, m22, g_l = params._rk4_terms
     b = params.viscous_friction
     tm = params.motor_time_constant
     inv_tm = 1.0 / tm if tm > 0 else 0.0
@@ -229,14 +230,7 @@ def sample_sensors(state: PlantState, noise: SensorNoise, params: PlantParams,
     gyro = state.tilt_rate + noise.gyro_bias + noise.gyro_noise_std * n_gyro
     accel = state.tilt + noise.accel_noise_std * n_accel
     counts = math.floor(state.wheel_angle / TWO_PI * params.encoder_counts_per_rev)
-    return SensorFrame(
-        gyro_pitch_rate=gyro,
-        accel_tilt=accel,
-        encoder_left=counts,
-        encoder_right=counts,
-        sample_time=state.sim_time,
-        seq=seq,
-    )
+    return SensorFrame(gyro, accel, counts, counts, state.sim_time, seq)
 
 
 def is_fallen(state: PlantState, threshold: float = DEFAULT_FALL_THRESHOLD) -> bool:

@@ -27,12 +27,14 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .control import (
     ControllerGains,
     DEFAULT_FILTER_ALPHA,
+    DEFAULT_GAINS,
     compute_command,
     estimate_tilt,
     make_controller_state,
@@ -60,6 +62,7 @@ from .wireless import (
 
 SUBSTEP_NS = 500_000
 DEG = 180.0 / math.pi
+NAN = float("nan")
 
 # default IMU noise for scenarios; roughly a consumer-grade gyro (0.11 deg/s)
 # and accelerometer-derived tilt (0.29 deg)
@@ -139,8 +142,9 @@ def ideal_scenario(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**overrides)
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+class CycleRecord(NamedTuple):
+    """One control cycle of a trace; a tuple because every cycle builds one."""
+
     t: float                 # s, sensor sample time (true simulation time)
     tilt: float              # deg
     tilt_rate: float         # deg/s
@@ -257,10 +261,27 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
                 return True
         return False
 
+    mac = cfg.mac
+    alpha = cfg.filter_alpha
     records: dict[int, CycleRecord] = {}
-    cycles: dict[int, dict] = {}
-    counts = {"fs": 0, "fd": 0, "fl": 0, "bs": 0, "bd": 0, "bl": 0}
+    # in-flight cycles: k -> (sample_ns, tilt, tilt_rate, wheel_rate), degrees
+    cycles: dict[int, tuple[int, float, float, float]] = {}
+    fwd_sent = fwd_delivered = fwd_lost = 0
+    fbk_sent = fbk_delivered = fbk_lost = 0
     last_arrival_ns: int | None = None
+
+    def close_cycle(k: int, act, applied_ns: int | None) -> None:
+        """Record cycle k. act is None when the forward frame was lost,
+        applied_ns is None when the feedback frame was."""
+        sample_ns, tilt, tilt_rate, wheel_rate = cycles.pop(k)
+        if act is None:
+            left = right = NAN
+        else:
+            left, right = act.motor_command_left, act.motor_command_right
+        latency = NAN if applied_ns is None else (applied_ns - sample_ns) / 1e6
+        records[k] = CycleRecord(sample_ns / 1e9, tilt, tilt_rate, wheel_rate,
+                                 left, right, latency, act is None,
+                                 act is not None and applied_ns is None)
 
     def schedule_sample(k: int) -> None:
         t = max(clock.local_to_true_ns(k * cycle_ns), plant_ns)
@@ -283,31 +304,18 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             fallen = advance_plant(t_ns)
             if fallen:
                 break
-            state = PlantState(tilt=th, tilt_rate=w, wheel_angle=phi,
-                               wheel_rate=v, motor_torque_actual=tau,
-                               sim_time=t_ns / 1e9)
+            state = PlantState(th, w, phi, v, tau, t_ns / 1e9)
             frame = sample_sensors(state, cfg.noise, params, rng_noise, seq=k)
-            cycles[k] = {
-                "sample_ns": t_ns,
-                "tilt": th * DEG,
-                "tilt_rate": w * DEG,
-                "wheel_rate": v * DEG,
-            }
-            counts["fs"] += 1
-            out = transmit(cfg.mac, superframe, chan, FORWARD, t_ns,
+            cycles[k] = (t_ns, th * DEG, w * DEG, v * DEG)
+            fwd_sent += 1
+            out = transmit(mac, superframe, chan, FORWARD, t_ns,
                            rng_loss, rng_jitter)
             if out.delivered:
-                counts["fd"] += 1
+                fwd_delivered += 1
                 push(out.deliver_ns, "recv", (k, frame))
             else:
-                counts["fl"] += 1
-                c = cycles.pop(k)
-                records[k] = CycleRecord(
-                    t=c["sample_ns"] / 1e9, tilt=c["tilt"],
-                    tilt_rate=c["tilt_rate"], wheel_rate=c["wheel_rate"],
-                    command_left=float("nan"), command_right=float("nan"),
-                    cycle_latency=float("nan"),
-                    forward_dropped=True, feedback_dropped=False)
+                fwd_lost += 1
+                close_cycle(k, None, None)
             schedule_sample(k + 1)
 
         elif kind == "recv":
@@ -318,24 +326,17 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             dt = (t_ns - last_arrival_ns) / 1e9 if last_arrival_ns is not None \
                 else cycle_s
             last_arrival_ns = t_ns
-            cstate = estimate_tilt(cstate, frame, dt, cfg.filter_alpha)
+            cstate = estimate_tilt(cstate, frame, dt, alpha)
             cstate, act = compute_command(cstate, gains, frame, dt, now=t_ns / 1e9)
-            counts["bs"] += 1
-            out = transmit(cfg.mac, superframe, chan, FEEDBACK, t_ns,
+            fbk_sent += 1
+            out = transmit(mac, superframe, chan, FEEDBACK, t_ns,
                            rng_loss, rng_jitter)
             if out.delivered:
-                counts["bd"] += 1
+                fbk_delivered += 1
                 push(out.deliver_ns, "apply", (k, act))
             else:
-                counts["bl"] += 1
-                c = cycles.pop(k)
-                records[k] = CycleRecord(
-                    t=c["sample_ns"] / 1e9, tilt=c["tilt"],
-                    tilt_rate=c["tilt_rate"], wheel_rate=c["wheel_rate"],
-                    command_left=act.motor_command_left,
-                    command_right=act.motor_command_right,
-                    cycle_latency=float("nan"),
-                    forward_dropped=False, feedback_dropped=True)
+                fbk_lost += 1
+                close_cycle(k, act, None)
 
         elif kind == "apply":
             k, act = payload
@@ -344,23 +345,16 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
                 break
             if not t_ns / 1e9 > act.issue_time:
                 raise RuntimeError("actuation applied no later than issued")
-            torque = act.motor_command_left * params.motor_max_torque
-            c = cycles.pop(k)
-            records[k] = CycleRecord(
-                t=c["sample_ns"] / 1e9, tilt=c["tilt"],
-                tilt_rate=c["tilt_rate"], wheel_rate=c["wheel_rate"],
-                command_left=act.motor_command_left,
-                command_right=act.motor_command_right,
-                cycle_latency=(t_ns - c["sample_ns"]) / 1e6,
-                forward_dropped=False, feedback_dropped=False)
+            torque = act.motor_command_left * tau_max
+            close_cycle(k, act, t_ns)
 
         elif kind == "sync":
             (epoch,) = payload
             fallen = advance_plant(t_ns)
             if fallen:
                 break
-            clock.resync(t_ns, rng_sync.uniform(-cfg.mac.sync_error_bound,
-                                                cfg.mac.sync_error_bound))
+            clock.resync(t_ns, rng_sync.uniform(-mac.sync_error_bound,
+                                                mac.sync_error_bound))
             push((epoch + 1) * sync_period_ns, "sync", (epoch + 1,))
 
     if not fallen and plant_ns < end_ns:
@@ -369,9 +363,9 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     trace = EpisodeTrace(
         records=tuple(records[k] for k in sorted(records)),
         fall_time=None if fall_ns is None else fall_ns / 1e9,
-        forward_sent=counts["fs"], forward_delivered=counts["fd"],
-        forward_lost=counts["fl"], feedback_sent=counts["bs"],
-        feedback_delivered=counts["bd"], feedback_lost=counts["bl"],
+        forward_sent=fwd_sent, forward_delivered=fwd_delivered,
+        forward_lost=fwd_lost, feedback_sent=fbk_sent,
+        feedback_delivered=fbk_delivered, feedback_lost=fbk_lost,
     )
     if trace.records:
         metrics = compute_metrics(trace, cfg)
@@ -431,7 +425,8 @@ def _set_by_path(cfg: ScenarioConfig, path: str, value: float) -> ScenarioConfig
 
     Paths are 'section.field' (mac.extra_delay), 'scenario.field' or a bare
     scenario field. The value is coerced to the field's declared type; an
-    int field rejects a non-integral value.
+    int field rejects a non-integral value. Setting a gain of a scenario
+    whose gains are tuned at run time starts from the shipped defaults.
     """
     parts = path.split(".")
     if len(parts) == 2 and parts[0] == "scenario":
@@ -441,6 +436,8 @@ def _set_by_path(cfg: ScenarioConfig, path: str, value: float) -> ScenarioConfig
     elif len(parts) == 2:
         section = parts[0]
         target = getattr(cfg, section, None)
+        if section == "gains" and target is None:
+            target = DEFAULT_GAINS  # as load_scenario does for a partial [gains]
     else:
         raise ValueError(f"unknown parameter path {path!r}")
     name = parts[-1]
@@ -571,13 +568,11 @@ TRACE_COLUMNS = ("t", "tilt", "tilt_rate", "wheel_rate", "command_left",
 def trace_to_csv(trace: EpisodeTrace) -> str:
     """CSV text of the per-cycle records, header row included."""
     lines = [",".join(TRACE_COLUMNS)]
-    for r in trace.records:
-        lines.append(",".join((
-            repr(r.t), repr(r.tilt), repr(r.tilt_rate), repr(r.wheel_rate),
-            repr(r.command_left), repr(r.command_right), repr(r.cycle_latency),
-            "true" if r.forward_dropped else "false",
-            "true" if r.feedback_dropped else "false",
-        )))
+    lines += [f"{r.t!r},{r.tilt!r},{r.tilt_rate!r},{r.wheel_rate!r},"
+              f"{r.command_left!r},{r.command_right!r},{r.cycle_latency!r},"
+              f"{'true' if r.forward_dropped else 'false'},"
+              f"{'true' if r.feedback_dropped else 'false'}"
+              for r in trace.records]
     return "\n".join(lines) + "\n"
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,6 +101,9 @@ class Slot:
 
 @dataclass(frozen=True)
 class Superframe:
+    """One TDMA cycle; slots in start order, as build_superframe lays them
+    out (transmit's per-direction tables rely on that order)."""
+
     slots: tuple[Slot, ...]
 
     def __post_init__(self) -> None:
@@ -108,6 +112,11 @@ class Superframe:
                        s.direction, s.band) for s in self.slots)
         object.__setattr__(self, "_table_ns", table)
         object.__setattr__(self, "_span_ns", max(end for _, end, _, _ in table))
+        # (start_ns, end_ns, position) of each direction's slots, in start order
+        object.__setattr__(self, "_direction_ns", {
+            d: tuple((start, end, pos) for pos, (start, end, sd, _) in enumerate(table)
+                     if sd == d)
+            for d in (FORWARD, FEEDBACK)})
 
     @property
     def span(self) -> float:
@@ -221,22 +230,22 @@ class ChannelProcess:
         self.model = model
         self._state: dict[int, int] = {}
         self._last_slot: dict[int, int] = {}
+        # n-step law: P(state changes) = pi_other * (1 - (1 - s)^n)
+        self._s = model.p_good_to_bad + model.p_bad_to_good
+        self._pi_bad = model.p_good_to_bad / self._s if self._s else 0.0
 
     def _advance(self, channel: int, slot_index: int, rng: np.random.Generator) -> int:
         state = self._state.get(channel, _GOOD)
-        last = self._last_slot.get(channel, slot_index)
-        n = max(0, slot_index - last)
-        m = self.model
-        s = m.p_good_to_bad + m.p_bad_to_good
-        if s == 0.0 or n == 0:
+        n = slot_index - self._last_slot.get(channel, slot_index)
+        s = self._s
+        if s == 0.0 or n <= 0:
             p_other = 0.0
         else:
-            pi_bad = m.p_good_to_bad / s
             r_n = (1.0 - s) ** n
             if state == _GOOD:
-                p_other = pi_bad * (1.0 - r_n)
+                p_other = self._pi_bad * (1.0 - r_n)
             else:
-                p_other = (1.0 - pi_bad) * (1.0 - r_n)
+                p_other = (1.0 - self._pi_bad) * (1.0 - r_n)
         if rng.random() < p_other:
             state = _BAD if state == _GOOD else _GOOD
         self._state[channel] = state
@@ -251,8 +260,9 @@ class ChannelProcess:
         return 1.0 - (1.0 - static) * (1.0 - ge)
 
 
-@dataclass(frozen=True)
-class DeliveryOutcome:
+class DeliveryOutcome(NamedTuple):
+    """One transmit's result; a tuple because every frame builds one."""
+
     status: str                    # delivered | lost
     send_ns: int
     deliver_ns: int | None = None
@@ -286,8 +296,7 @@ def transmit(cfg: MacConfig, superframe: Superframe | None,
     extra_ns = _ns(cfg.extra_delay)
 
     if cfg.variant == IDEAL:
-        return DeliveryOutcome(status="delivered", send_ns=ready_ns,
-                               deliver_ns=ready_ns + 1 + extra_ns)
+        return DeliveryOutcome("delivered", ready_ns, ready_ns + 1 + extra_ns)
 
     if cfg.variant == BLE:
         interval_ns = _ns(cfg.ble_connection_interval)
@@ -298,49 +307,41 @@ def transmit(cfg: MacConfig, superframe: Superframe | None,
         p_loss = channel.loss_probability(ch, event, loss_rng)
         lost = loss_rng.random() < p_loss
         if lost:
-            return DeliveryOutcome(status="lost", send_ns=ready_ns,
-                                   channel_used=ch, slot_index=event)
-        return DeliveryOutcome(status="delivered", send_ns=ready_ns,
-                               deliver_ns=event * interval_ns + jitter_ns + extra_ns,
-                               channel_used=ch, slot_index=event)
+            return DeliveryOutcome("lost", ready_ns, None, ch, event)
+        return DeliveryOutcome("delivered", ready_ns,
+                               event * interval_ns + jitter_ns + extra_ns, ch, event)
 
     # gallop: next admissible slot of this direction, retry within superframe
     if superframe is None:
         raise InvalidConfigError("gallop transmission requires a superframe")
-    slots = superframe.slots_ns()
-    span = superframe.span_ns
-    guard = _ns(cfg.slot_guard)
-    n_slots = len(slots)
-    band_base = {FORWARD: cfg.forward_band, FEEDBACK: cfg.feedback_band}[direction]
-
-    if not any(d == direction for _, _, d, _ in slots):
+    slots = superframe._direction_ns[direction]
+    if not slots:
         # degenerate layout without this direction: the frame can never
         # be carried (e.g. forward-only frames starve the controller)
-        return DeliveryOutcome(status="lost", send_ns=ready_ns)
+        return DeliveryOutcome("lost", ready_ns)
 
-    sf = (ready_ns - guard) // span
-    candidates: list[tuple[int, int, int]] = []
-    while not candidates:  # the next full superframe always qualifies
-        candidates = [
-            (sf * span + start, sf * span + end, sf * n_slots + pos)
-            for pos, (start, end, d, _band) in enumerate(slots)
-            if d == direction and sf * span + start >= ready_ns - guard
-        ]
+    span = superframe._span_ns
+    sf, phase = divmod(ready_ns - _ns(cfg.slot_guard), span)
+    for first, slot in enumerate(slots):
+        if slot[0] >= phase:
+            candidates = slots[first:]
+            break
+    else:  # none left in this superframe: the next one has them all
         sf += 1
+        candidates = slots
+    base_ns = sf * span
+    base_idx = sf * len(superframe._table_ns)
+    band_ch = (cfg.forward_band if direction == FORWARD else cfg.feedback_band) \
+        * cfg.channel_count
 
-    last_ch = None
-    last_idx = None
-    for start, end, global_idx in candidates:
-        ch = band_base * cfg.channel_count + hop_channel(cfg, global_idx)
+    for _start, end, pos in candidates:
+        global_idx = base_idx + pos
+        ch = band_ch + hop_channel(cfg, global_idx)
         p_loss = channel.loss_probability(ch, global_idx, loss_rng)
-        lost = loss_rng.random() < p_loss
-        last_ch, last_idx = ch, global_idx
-        if not lost:
-            return DeliveryOutcome(status="delivered", send_ns=ready_ns,
-                                   deliver_ns=end + extra_ns,
-                                   channel_used=ch, slot_index=global_idx)
-    return DeliveryOutcome(status="lost", send_ns=ready_ns,
-                           channel_used=last_ch, slot_index=last_idx)
+        if not loss_rng.random() < p_loss:
+            return DeliveryOutcome("delivered", ready_ns, base_ns + end + extra_ns,
+                                   ch, global_idx)
+    return DeliveryOutcome("lost", ready_ns, None, ch, global_idx)
 
 
 @dataclass(frozen=True)

@@ -90,3 +90,37 @@ def linear_fall_time(A: np.ndarray, x0: np.ndarray, threshold: float,
         if abs(x[0]) > threshold:
             return t
     raise AssertionError("linear model never crossed the fall threshold")
+
+
+def gallop_slot_search(custom_slots, direction: str, ready_ns: int,
+                       guard_ns: int, band: int, channel_count: int,
+                       hop_increment: int, extra_ns: int, loss_probability, rng):
+    """Gallop delivery by brute force over slot occurrences.
+
+    custom_slots is the (direction, start_s, duration_s, band) layout. A
+    slot occurrence is admissible when it starts no earlier than
+    ready_ns - guard_ns; the frame tries the earliest admissible one of its
+    direction and every later one of that direction in the same superframe,
+    two uniforms per try (channel advance + loss). Returns (deliver_ns,
+    slot_index, channel_used), with None for what the outcome lacks.
+    """
+    slots = sorted(((round(start * 1e9), round(start * 1e9) + round(dur * 1e9), d)
+                    for d, start, dur, _ in custom_slots), key=lambda s: s[0])
+    if all(d != direction for _, _, d in slots):
+        return None, None, None
+    span = max(end for _, end, _ in slots)
+    n = len(slots)
+    earliest = ready_ns - guard_ns
+    tries = []
+    sf = math.floor(earliest / span) - 2   # safely before any admissible slot
+    while not tries:
+        tries = [(sf * n + pos, sf * span + end)
+                 for pos, (start, end, d) in enumerate(slots)
+                 if d == direction and sf * span + start >= earliest]
+        sf += 1
+    for index, end in tries:
+        channel = band * channel_count + (index * hop_increment) % channel_count
+        p = loss_probability(channel, index, rng)
+        if not rng.random() < p:
+            return end + extra_ns, index, channel
+    return None, index, channel

@@ -1,9 +1,10 @@
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from telebalance.cli import main
+from telebalance.cli import _parse_values, main
 from telebalance.config import ConfigError, load_scenario, parse_duration
 
 GALLOP_SHORT = """\
@@ -308,3 +309,39 @@ class TestCmdSweep:
         rms = [run_episode(replace(base, seed=base.seed + i))[1].rms_tilt_rate
                for i in range(3)]
         assert float(row[1]) == float(np.mean(rms))
+
+    def test_gains_param_without_gains_section_matches_gains_config(self, tmp_path):
+        from dataclasses import replace
+        from telebalance.sim import _set_by_path, run_episode, run_sweep
+
+        base = load_scenario(write_cfg(tmp_path, GALLOP_SHORT))
+        explicit = load_scenario(write_cfg(
+            tmp_path, GALLOP_SHORT + "\n[gains]\nkp_tilt = 10\n", "gains.cfg"))
+        assert base.gains is None
+        swept = _set_by_path(base, "gains.kp_tilt", 10)
+        assert swept.gains == explicit.gains
+        runs = [run_episode(replace(explicit, seed=base.seed + i))[1]
+                for i in range(3)]
+        assert [run_episode(replace(swept, seed=base.seed + i))[1]
+                for i in range(3)] == runs
+        (point,) = run_sweep(base, "gains.kp_tilt", [10], seeds_per_point=3)
+        assert point.mean_rms_tilt_rate == \
+            float(np.mean([m.rms_tilt_rate for m in runs]))
+        assert point.fall_fraction == float(np.mean([m.fell for m in runs]))
+
+    def test_gains_param_on_shipped_config_exits_0(self, config_dir, tmp_path):
+        out = tmp_path / "swp"
+        assert main(["sweep", str(config_dir / "gallop_default.cfg"),
+                     "--param", "gains.kp_tilt", "--values", "1,2",
+                     "--out", str(out)]) == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 3
+
+
+class TestParseValues:
+    def test_unit_suffixes_and_bare_numbers(self):
+        assert _parse_values("2ms, 5 us,90deg,0.5rad,1.5s,3") == [
+            2 * 1e-3, 5 * 1e-6, 90 * (3.141592653589793 / 180.0), 0.5, 1.5, 3.0]
+
+    def test_unknown_suffix_rejected(self):
+        with pytest.raises(ValueError, match="sweep value"):
+            _parse_values("2 min")

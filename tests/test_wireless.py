@@ -25,6 +25,8 @@ from telebalance.wireless import (
     transmit,
 )
 
+from oracles import gallop_slot_search
+
 LOSSLESS = ChannelModel()
 
 
@@ -177,6 +179,76 @@ class TestGallopTransmit:
                     for i in range(200)]
 
         assert run() == run()
+
+
+class CountingRng:
+    """Generator stand-in that counts the uniforms drawn from it."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self._rng.random()
+
+
+@st.composite
+def slot_layouts(draw):
+    """Valid custom layouts in whole microseconds, listed in any order;
+    one direction may have no slot at all."""
+    slots, t_us = [], 0
+    for _ in range(draw(st.integers(1, 5))):
+        t_us += draw(st.integers(0, 300))
+        dur_us = draw(st.integers(1, 1000))
+        direction = draw(st.sampled_from([FORWARD, FEEDBACK]))
+        slots.append((direction, t_us * 1e-6, dur_us * 1e-6,
+                      0 if direction == FORWARD else 1))
+        t_us += dur_us
+    return tuple(draw(st.permutations(slots)))
+
+
+# (direction, superframe, slot position, slot edge, lands at the guard, ns off)
+frame_readies = st.tuples(st.sampled_from([FORWARD, FEEDBACK]),
+                          st.integers(0, 3), st.integers(0, 4),
+                          st.sampled_from([0, 1]), st.booleans(),
+                          st.integers(-2, 2))
+
+
+class TestGallopSlotTable:
+    LOSSY = ChannelModel(default_loss=0.3, p_good_to_bad=0.2,
+                         p_bad_to_good=0.4, loss_bad=0.9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(layout=slot_layouts(),
+           guard=st.sampled_from([0.0, 1e-6, 5e-5, 1e-4, 9e-4]),
+           hop=st.sampled_from([(37, 7), (5, 2), (1, 1)]),
+           extra=st.sampled_from([0.0, 3e-3]),
+           readies=st.lists(frame_readies, min_size=1, max_size=6),
+           seed=st.integers(0, 2**16))
+    def test_transmit_matches_brute_force_slot_search(self, layout, guard, hop,
+                                                      extra, readies, seed):
+        count, increment = hop
+        cfg = gallop_cfg(custom_slots=layout, slot_guard=guard,
+                         channel_count=count, hop_increment=increment,
+                         extra_delay=extra)
+        sf = build_superframe(cfg)
+        table = sf.slots_ns()
+        guard_ns = round(guard * 1e9)
+        procs = ChannelProcess(self.LOSSY), ChannelProcess(self.LOSSY)
+        rngs = CountingRng(seed), CountingRng(seed)
+        for direction, k, pos, edge, at_guard, off in readies:
+            edge_ns = table[pos % len(table)][edge]
+            ready = max(0, k * sf.span_ns + edge_ns + off
+                        - (guard_ns if at_guard else 0))
+            out = transmit(cfg, sf, procs[0], direction, ready, rngs[0])
+            band = cfg.forward_band if direction == FORWARD else cfg.feedback_band
+            ref = gallop_slot_search(layout, direction, ready, guard_ns, band,
+                                     count, increment, round(extra * 1e9),
+                                     procs[1].loss_probability, rngs[1])
+            assert (out.deliver_ns, out.slot_index, out.channel_used) == ref
+            assert out.delivered == (ref[0] is not None)
+            assert rngs[0].draws == rngs[1].draws
 
 
 class TestBleTransmit:
