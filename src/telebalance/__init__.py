@@ -6,53 +6,6 @@ a BLE-style connection-interval baseline, or an ideal pass-through. The
 discrete-event engine measures loop stability and cycle latency.
 """
 
-from .control import (
-    ActuationFrame,
-    ControllerGains,
-    ControllerState,
-    DEFAULT_GAINS,
-    StaleFrameError,
-    TuningFailureError,
-    compute_command,
-    estimate_tilt,
-    tune_default_gains,
-)
-from .plant import (
-    PlantParams,
-    PlantState,
-    SensorFrame,
-    SensorNoise,
-    is_fallen,
-    linearized_matrices,
-    mechanical_energy,
-    sample_sensors,
-    step_dynamics,
-)
-from .sim import (
-    EpisodeMetrics,
-    EpisodeTrace,
-    ScenarioConfig,
-    ble_scenario,
-    compare_scenarios,
-    compute_metrics,
-    gallop_scenario,
-    ideal_scenario,
-    run_episode,
-    run_sweep,
-)
-from .wireless import (
-    ChannelModel,
-    ClockState,
-    DeliveryOutcome,
-    InvalidConfigError,
-    MacConfig,
-    Superframe,
-    advance_clock,
-    build_superframe,
-    hop_channel,
-    latency_distribution,
-    sync_epoch,
-    transmit,
-)
+from .sim import ble_scenario, gallop_scenario, run_episode
 
 __version__ = "0.1.0"

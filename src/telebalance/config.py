@@ -22,9 +22,10 @@ suffix, angles rad/deg; plain numbers take no suffix.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
-from .control import DEFAULT_GAINS, ControllerGains
+from .control import DEFAULT_GAINS
 from .plant import PlantParams, SensorNoise
 from .sim import ScenarioConfig
 from .wireless import ChannelModel, MacConfig
@@ -66,14 +67,6 @@ def parse_integer(text: str) -> int:
     if len(text.split()) != 1:
         raise ValueError(f"expected a bare integer, got {text!r}")
     return int(text)
-
-
-def parse_boolean(text: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ValueError(f"expected true or false, got {text!r}")
 
 
 def parse_slots(text: str) -> tuple:
@@ -234,11 +227,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         if "loss" in sections:
             kwargs["channel"] = ChannelModel(**sections["loss"])
         if "gains" in sections:
-            base = {f: getattr(DEFAULT_GAINS, f) for f in (
-                "kp_tilt", "kd_tilt", "ki_tilt", "kp_position", "kd_position",
-                "integral_limit", "command_limit")}
-            base.update(sections["gains"])
-            kwargs["gains"] = ControllerGains(**base)
+            kwargs["gains"] = replace(DEFAULT_GAINS, **sections["gains"])
         kwargs.update(sections.get("scenario", {}))
         kwargs.setdefault("label", path.stem)
         cfg = ScenarioConfig(**kwargs)

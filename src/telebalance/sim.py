@@ -7,8 +7,8 @@ so a (config, seed) pair fully determines the run. Event timestamps are
 integer nanoseconds; the plant integrates between events in 0.5 ms
 substeps under a zero-order-hold torque.
 
-Sensor sampling is scheduled on the robot's local clock, which drifts
-between sync epochs and is re-bounded at each epoch. The default
+Sensor sampling is scheduled on the robot's local clock (wireless.RobotClock),
+which drifts between sync epochs and is re-bounded at each epoch. The default
 scenarios idealize the sync (zero drift, zero bound): the sync error of
 the modeled link is three orders of magnitude below the slot grid, and a
 perfectly aligned schedule is what makes the deterministic link's cycle
@@ -41,6 +41,8 @@ from .control import (
     tune_default_gains,
 )
 from .plant import (
+    DEFAULT_FALL_THRESHOLD,
+    SUBSTEP_S,
     PlantParams,
     PlantState,
     SensorNoise,
@@ -56,21 +58,20 @@ from .wireless import (
     ChannelModel,
     ChannelProcess,
     MacConfig,
+    RobotClock,
+    _ns,
     build_superframe,
+    check_finite,
     transmit,
 )
 
-SUBSTEP_NS = 500_000
+SUBSTEP_NS = _ns(SUBSTEP_S)
 DEG = 180.0 / math.pi
 NAN = float("nan")
 
 # default IMU noise for scenarios; roughly a consumer-grade gyro (0.11 deg/s)
 # and accelerometer-derived tilt (0.29 deg)
 DEFAULT_NOISE = SensorNoise(gyro_noise_std=0.002, accel_noise_std=0.005)
-
-
-def _ns(seconds: float) -> int:
-    return round(seconds * 1e9)
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class ScenarioConfig:
     episode_duration: float = 60.0           # s
     control_cycle: float | None = None       # s, None -> derived from mac
     seed: int = 1
-    fall_threshold: float = 0.6              # rad
+    fall_threshold: float = DEFAULT_FALL_THRESHOLD  # rad
     label: str = "scenario"
 
     def resolved_cycle(self) -> float:
@@ -98,14 +99,13 @@ class ScenarioConfig:
         return 0.005
 
     def validate(self) -> None:
+        check_finite(self)
         if not self.episode_duration > 0:
             raise ValueError("episode_duration must be positive")
         if not self.resolved_cycle() > 0:
             raise ValueError("control_cycle must be positive")
         if not self.fall_threshold > 0:
             raise ValueError("fall_threshold must be positive")
-        if not math.isfinite(self.initial_tilt):
-            raise ValueError("initial_tilt must be finite")
         if not 0.0 <= self.filter_alpha <= 1.0:
             raise ValueError("filter_alpha must be in [0, 1]")
         if self.seed < 0:
@@ -152,7 +152,7 @@ class CycleRecord(NamedTuple):
     command_left: float      # normalized; nan if never computed
     command_right: float
     cycle_latency: float     # ms, sample -> actuation; nan if dropped
-    forward_dropped: bool
+    forward_dropped: bool    # lost, or delivered too late to be used
     feedback_dropped: bool
 
 
@@ -181,27 +181,6 @@ class EpisodeMetrics:
     drop_rate: float           # fraction of cycles with either direction lost
 
 
-class _RobotClock:
-    """Local sampling clock: linear drift between syncs, quantized to ns."""
-
-    def __init__(self, drift_ppm: float):
-        self.drift = drift_ppm * 1e-6
-        self.offset_s = 0.0       # offset right after the last sync
-        self.sync_ns = 0          # true time of the last sync
-        self.version = 0
-
-    def resync(self, true_ns: int, offset_s: float) -> None:
-        self.offset_s = offset_s
-        self.sync_ns = true_ns
-        self.version += 1
-
-    def local_to_true_ns(self, local_ns: int) -> int:
-        # local(t) = t + offset + drift*(t - t_sync)
-        t = (local_ns - self.offset_s * 1e9 + self.drift * self.sync_ns) \
-            / (1.0 + self.drift)
-        return round(t)
-
-
 def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     """Simulate one episode; fully determined by (cfg, cfg.seed)."""
     cfg.validate()
@@ -227,9 +206,7 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     h_sub = SUBSTEP_NS * 1e-9
     tau_max = params.motor_max_torque
 
-    clock = _RobotClock(cfg.mac.clock_drift_ppm)
-    clock.resync(0, rng_sync.uniform(-cfg.mac.sync_error_bound,
-                                     cfg.mac.sync_error_bound))
+    clock = RobotClock(cfg.mac, rng_sync)
     sync_period_ns = _ns(cfg.mac.sync_epoch_period)
 
     heap: list[tuple[int, int, str, tuple]] = []
@@ -269,6 +246,7 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     fwd_sent = fwd_delivered = fwd_lost = 0
     fbk_sent = fbk_delivered = fbk_lost = 0
     last_arrival_ns: int | None = None
+    last_sample_ns = -1
 
     def close_cycle(k: int, act, applied_ns: int | None) -> None:
         """Record cycle k. act is None when the forward frame was lost,
@@ -301,6 +279,10 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             if version != clock.version:
                 schedule_sample(k)  # sync moved the local clock; reschedule
                 continue
+            if t_ns == last_sample_ns:
+                schedule_sample(k + 1)  # a resync jumped the clock past period k
+                continue
+            last_sample_ns = t_ns
             fallen = advance_plant(t_ns)
             if fallen:
                 break
@@ -323,6 +305,11 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             fallen = advance_plant(t_ns)
             if fallen:
                 break
+            if k <= cstate.last_frame_seq or t_ns == last_arrival_ns:
+                # overtaken by a newer frame (BLE jitter), or sharing a slot
+                # with the last one after a resync: the cycle is dropped
+                close_cycle(k, None, None)
+                continue
             dt = (t_ns - last_arrival_ns) / 1e9 if last_arrival_ns is not None \
                 else cycle_s
             last_arrival_ns = t_ns
@@ -353,8 +340,7 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             fallen = advance_plant(t_ns)
             if fallen:
                 break
-            clock.resync(t_ns, rng_sync.uniform(-mac.sync_error_bound,
-                                                mac.sync_error_bound))
+            clock.sync(t_ns)
             push((epoch + 1) * sync_period_ns, "sync", (epoch + 1,))
 
     if not fallen and plant_ns < end_ns:

@@ -18,15 +18,15 @@ seconds. Three link variants:
 Channel impairments are per-channel Gilbert-Elliott chains (good/bad
 burst states) composed with an optional static per-channel loss floor.
 Chains are advanced lazily using the analytic n-step transition law, one
-uniform draw per use. Clock sync is modeled at the offset level: between
-sync epochs the local offset grows linearly with drift; a sync epoch
-resamples it uniformly within the sync error bound.
+uniform draw per use. RobotClock is the robot's local clock, the one the
+engine samples on: its offset grows linearly with drift between syncs, and
+each sync (t = 0, then every epoch) redraws it within the sync error bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -42,11 +42,19 @@ BLE_MIN_INTERVAL_S = 0.0075
 
 
 class InvalidConfigError(ValueError):
-    """Raised for MAC configurations that violate the layout rules."""
+    """Raised for link or scenario configurations that cannot run."""
 
 
 def _ns(seconds: float) -> int:
     return round(seconds * 1e9)
+
+
+def check_finite(cfg) -> None:
+    """Reject a config dataclass whose float fields hold inf or nan."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,7 @@ class MacConfig:
     custom_slots: tuple | None = None    # ((direction, start_s, duration_s, band), ...)
 
     def validate(self) -> None:
+        check_finite(self)
         if self.variant not in (GALLOP, BLE, IDEAL):
             raise InvalidConfigError(f"unknown mac variant {self.variant!r}")
         if self.slot_duration <= 0 or self.slots_per_superframe < 1:
@@ -89,6 +98,8 @@ class MacConfig:
             raise InvalidConfigError("slot_guard must be in [0, slot_duration)")
         if self.sync_epoch_period <= 0 or self.sync_error_bound < 0:
             raise InvalidConfigError("sync parameters must be positive / >= 0")
+        if not self.clock_drift_ppm > -1e6:
+            raise InvalidConfigError("clock_drift_ppm must be > -1e6")
 
 
 @dataclass(frozen=True)
@@ -154,6 +165,8 @@ def build_superframe(cfg: MacConfig) -> Superframe:
     for i, s in enumerate(slots):
         if s.direction not in (FORWARD, FEEDBACK):
             raise InvalidConfigError(f"slot {i} has unknown direction {s.direction!r}")
+        if not (math.isfinite(s.start_offset) and math.isfinite(s.duration)):
+            raise InvalidConfigError(f"slot {i} has a non-finite start or duration")
         if s.duration <= 0:
             raise InvalidConfigError(f"slot {i} has non-positive duration")
         if s.band != band_of[s.direction]:
@@ -273,14 +286,6 @@ class DeliveryOutcome(NamedTuple):
     def delivered(self) -> bool:
         return self.status == "delivered"
 
-    @property
-    def send_time(self) -> float:
-        return self.send_ns / 1e9
-
-    @property
-    def deliver_time(self) -> float | None:
-        return None if self.deliver_ns is None else self.deliver_ns / 1e9
-
 
 def transmit(cfg: MacConfig, superframe: Superframe | None,
              channel: ChannelProcess, direction: str, ready_ns: int,
@@ -344,28 +349,31 @@ def transmit(cfg: MacConfig, superframe: Superframe | None,
     return DeliveryOutcome("lost", ready_ns, None, ch, global_idx)
 
 
-@dataclass(frozen=True)
-class ClockState:
-    true_time: float = 0.0       # s
-    local_offset: float = 0.0    # s, local clock = true time + offset
-    drift_rate: float = 0.0      # ppm
-    last_sync_time: float = 0.0  # s
+class RobotClock:
+    """Local sampling clock: local(t) = t + offset + drift * (t - t_sync).
 
+    Each sync draws the offset uniformly within the sync error bound; the
+    constructor is the t = 0 sync. version counts syncs.
+    """
 
-def advance_clock(clk: ClockState, dt: float) -> ClockState:
-    """Let the local clock drift for dt seconds of true time."""
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
-    return replace(clk, true_time=clk.true_time + dt,
-                   local_offset=clk.local_offset + clk.drift_rate * 1e-6 * dt)
+    def __init__(self, mac: MacConfig, rng: np.random.Generator):
+        self.drift = mac.clock_drift_ppm * 1e-6
+        self.bound = mac.sync_error_bound
+        self.rng = rng
+        self.version = 0
+        self.sync(0)
 
+    def sync(self, true_ns: int) -> None:
+        """Network-wide resync at true time true_ns."""
+        self.offset_s = self.rng.uniform(-self.bound, self.bound)
+        self.sync_ns = true_ns
+        self.version += 1
 
-def sync_epoch(clk: ClockState, cfg: MacConfig,
-               rng: np.random.Generator) -> ClockState:
-    """Network-wide resync: offset resampled within the sync error bound."""
-    bound = cfg.sync_error_bound
-    offset = rng.uniform(-bound, bound)
-    return replace(clk, local_offset=offset, last_sync_time=clk.true_time)
+    def local_to_true_ns(self, local_ns: int) -> int:
+        """True time, in whole ns, at which the local clock reads local_ns."""
+        t = (local_ns - self.offset_s * 1e9 + self.drift * self.sync_ns) \
+            / (1.0 + self.drift)
+        return round(t)
 
 
 @dataclass(frozen=True)

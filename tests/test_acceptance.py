@@ -31,13 +31,11 @@ from telebalance.wireless import (
     GALLOP,
     ChannelModel,
     ChannelProcess,
-    ClockState,
     MacConfig,
-    advance_clock,
+    RobotClock,
     build_superframe,
     hop_channel,
     latency_distribution,
-    sync_epoch,
     transmit,
 )
 
@@ -171,17 +169,19 @@ def test_criterion_5_protocol_invariants():
         analytic = model.stationary_loss_rate()
         assert abs(lost / n_slots - analytic) / analytic < 0.01
 
-        # clock offset bound at every sampled time
+        # clock offset bound at every sampled time, read through the
+        # engine's local_to_true_ns (+1 ns for its rounding to whole ns)
         mac = MacConfig(variant=GALLOP)
-        clk = ClockState(drift_rate=mac.clock_drift_ppm)
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            clk = sync_epoch(clk, mac, rng)
-            for _ in range(10):
-                clk = advance_clock(clk, mac.sync_epoch_period / 10)
-                bound = mac.sync_error_bound + mac.clock_drift_ppm * 1e-6 \
-                    * (clk.true_time - clk.last_sync_time)
-                assert abs(clk.local_offset) <= bound + 1e-15
+        clk = RobotClock(mac, np.random.default_rng(7))
+        period_ns = round(mac.sync_epoch_period * 1e9)
+        for epoch in range(100):
+            clk.sync(epoch * period_ns)
+            for j in range(1, 11):
+                local = epoch * period_ns + j * period_ns // 10
+                true = clk.local_to_true_ns(local)
+                bound = mac.sync_error_bound * 1e9 + mac.clock_drift_ppm * 1e-6 \
+                    * (true - clk.sync_ns)
+                assert abs(local - true) <= bound + 1
 
 
 def test_criterion_6_determinism(tmp_path):

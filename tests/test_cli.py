@@ -337,6 +337,36 @@ class TestCmdSweep:
         assert len((out / "sweep.csv").read_text().splitlines()) == 3
 
 
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("variant, section, entry", [
+        ("gallop", "mac", "extra_delay = inf s"),
+        ("gallop", "mac", "extra_delay = nan s"),
+        ("gallop", "mac", "sync_epoch_period = inf s"),
+        ("gallop", "mac", "sync_error_bound = inf s"),
+        ("gallop", "mac", "clock_drift_ppm = nan"),
+        ("ble_baseline", "mac", "ble_jitter_max = inf s"),
+        ("gallop", "scenario", "control_cycle = inf s"),
+        ("gallop", "scenario", "episode_duration = inf s"),
+    ])
+    def test_config_value_exit_2_names_field(self, tmp_path, capsys,
+                                             variant, section, entry):
+        text = f"[mac]\nvariant = {variant}\n"
+        text += f"{entry}\n" if section == "mac" else f"\n[{section}]\n{entry}\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{entry.split(' = ')[0]} must be finite" in err
+        assert "Traceback" not in err
+
+    def test_sweep_value_exit_2_names_field(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, GALLOP_SHORT)
+        assert main(["sweep", str(cfg), "--param", "mac.extra_delay",
+                     "--values", "0,1e999", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "extra_delay must be finite" in err
+        assert "Traceback" not in err
+
+
 class TestParseValues:
     def test_unit_suffixes_and_bare_numbers(self):
         assert _parse_values("2ms, 5 us,90deg,0.5rad,1.5s,3") == [

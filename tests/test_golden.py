@@ -30,6 +30,8 @@ GOLDEN = {
         "89126e32086b85e945d7ebeee8d33f817b5f2da1f036e9c58c9d9e6c793355d5",
     "gallop_4slot_burst":
         "79d5392a987db174786efb6cadf4ac8a149787a52a42bced248fd618fdf54930",
+    "gallop_drifting_clock":
+        "f096b0a6c2d0655adae8c129e9cd0ff2646da73fda1957277ecb5046fca4be22",
 }
 
 
@@ -38,6 +40,13 @@ def _scenario(config_dir, case):
         cfg = load_scenario(config_dir / "gallop_default.cfg")
     elif case == "ble_default":
         cfg = load_scenario(config_dir / "ble_default.cfg")
+    elif case == "gallop_drifting_clock":
+        # 21 syncs (t = 0, then every 0.25 s); 19 of them move a pending
+        # sample, so the rescheduling path runs too
+        cfg = load_scenario(config_dir / "gallop_default.cfg")
+        cfg = replace(cfg, mac=replace(cfg.mac, clock_drift_ppm=200.0,
+                                       sync_error_bound=10e-6,
+                                       sync_epoch_period=0.25))
     elif case == "delay_sweep_12ms":
         cfg = load_scenario(config_dir / "delay_sweep.cfg")
         cfg = replace(cfg, mac=replace(cfg.mac, extra_delay=0.012))

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from telebalance.control import ControllerGains
 from telebalance.sim import (
@@ -21,7 +23,14 @@ from telebalance.sim import (
     trace_to_csv,
 )
 from telebalance.sim import _set_by_path
-from telebalance.wireless import GALLOP, ChannelModel, InvalidConfigError, MacConfig
+from telebalance.wireless import (
+    BLE,
+    GALLOP,
+    IDEAL,
+    ChannelModel,
+    InvalidConfigError,
+    MacConfig,
+)
 
 from oracles import linear_fall_time, wip_linear_system
 
@@ -136,6 +145,76 @@ class TestRunEpisode:
         _, m = run_episode(ble_scenario(episode_duration=5.0))
         assert m.latency_variance > 0.0
         assert m.latency_mean > 15.0
+
+    def test_overtaken_frame_drops_its_cycle(self):
+        # the default clock samples right at BLE event boundaries, so two
+        # samples can share an event and the later one's jitter overtake
+        trace, _ = run_episode(ble_scenario(mac=MacConfig(variant=BLE),
+                                            episode_duration=2.0))
+        assert trace.forward_lost == 0
+        assert any(r.forward_dropped for r in trace.records)
+
+    def test_clock_jump_past_a_period_skips_it(self):
+        # a sync error bound of ~2 cycles lets a resync jump the clock past
+        # whole sample periods; each is taken at most once, never twice
+        mac = MacConfig(variant=GALLOP, clock_drift_ppm=0.0,
+                        sync_error_bound=3.9e-3, sync_epoch_period=0.0625)
+        trace, _ = run_episode(gallop_scenario(mac=mac, episode_duration=1.0))
+        times = [r.t for r in trace.records]
+        assert all(a < b for a, b in zip(times, times[1:]))
+        assert len(times) < 500
+
+
+@st.composite
+def short_scenarios(draw):
+    """Random valid scenarios of at most 0.5 s on a drifting, resynced clock,
+    from crystal-grade sync up to clocks that jump by several cycles."""
+    variant = draw(st.sampled_from([GALLOP, BLE, IDEAL]))
+    drift = draw(st.one_of(st.floats(1.0, 500.0), st.floats(500.0, 5e5)))
+    mac = MacConfig(
+        variant=variant,
+        slots_per_superframe=draw(st.sampled_from([2, 3, 4])),
+        ble_connection_interval=draw(st.sampled_from([0.0075, 0.01])),
+        ble_jitter_max=draw(st.floats(0.0, 3e-3)),
+        extra_delay=draw(st.floats(0.0, 4e-3)),
+        clock_drift_ppm=drift * draw(st.sampled_from([-1.0, 1.0])),
+        sync_error_bound=draw(st.one_of(st.floats(1e-7, 1e-4),
+                                        st.floats(1e-4, 1e-2))),
+        sync_epoch_period=draw(st.floats(0.001, 0.3)),
+    )
+    channel = ChannelModel(default_loss=draw(st.floats(0.0, 0.3)),
+                           p_good_to_bad=draw(st.floats(0.0, 0.2)),
+                           p_bad_to_good=draw(st.floats(0.1, 1.0)),
+                           loss_bad=draw(st.floats(0.0, 1.0)))
+    return ScenarioConfig(mac=mac, channel=channel,
+                          initial_tilt=draw(st.floats(-0.2, 0.2)),
+                          episode_duration=draw(st.floats(0.01, 0.5)),
+                          seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def latency_floor_ns(mac: MacConfig) -> int:
+    """Least sample-to-actuation time: two hops, each no earlier than the
+    end of a slot admitted slot_guard late (gallop) or 1 ns after the
+    ready time (BLE, ideal), plus extra_delay."""
+    hop_ns = round(mac.slot_duration * 1e9) - round(mac.slot_guard * 1e9) \
+        if mac.variant == GALLOP else 1
+    return 2 * (hop_ns + round(mac.extra_delay * 1e9))
+
+
+class TestPipelineProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=short_scenarios())
+    def test_episode_invariants(self, cfg):
+        trace, _ = run_episode(cfg)
+        assert trace.forward_sent == trace.forward_delivered + trace.forward_lost
+        assert trace.feedback_sent == trace.feedback_delivered + trace.feedback_lost
+        times = [r.t for r in trace.records]
+        assert all(a < b for a, b in zip(times, times[1:]))
+        floor = latency_floor_ns(cfg.mac)
+        assert all(round(r.cycle_latency * 1e6) >= floor for r in trace.records
+                   if not math.isnan(r.cycle_latency))
+        if trace.fall_time is not None:
+            assert 0.0 <= trace.fall_time <= cfg.episode_duration
 
 
 class TestComputeMetrics:

@@ -14,14 +14,12 @@ from telebalance.wireless import (
     IDEAL,
     ChannelModel,
     ChannelProcess,
-    ClockState,
     InvalidConfigError,
     MacConfig,
-    advance_clock,
+    RobotClock,
     build_superframe,
     hop_channel,
     latency_distribution,
-    sync_epoch,
     transmit,
 )
 
@@ -73,6 +71,14 @@ class TestSuperframe:
         with pytest.raises(InvalidConfigError, match="overlap"):
             build_superframe(cfg)
 
+    @pytest.mark.parametrize("start, duration", [
+        (math.inf, 1e-3), (0.0, math.inf), (math.nan, 1e-3), (0.0, math.nan)])
+    def test_non_finite_slot_time_names_slot(self, start, duration):
+        cfg = gallop_cfg(custom_slots=(
+            (FORWARD, start, duration, 0), (FEEDBACK, 1e-3, 1e-3, 1)))
+        with pytest.raises(InvalidConfigError, match="slot 0 has a non-finite"):
+            build_superframe(cfg)
+
     def test_tdma_slots_pairwise_disjoint(self):
         for n in (1, 2, 4, 6):
             sf = build_superframe(gallop_cfg(slots_per_superframe=n))
@@ -102,6 +108,12 @@ class TestHopping:
         cfg = gallop_cfg(channel_count=count, hop_increment=inc)
         used = {hop_channel(cfg, start + i) for i in range(count)}
         assert used == set(range(count))
+
+    def test_clock_that_stops_or_runs_backwards_rejected(self):
+        for drift_ppm in (-1e6, -2e6):
+            with pytest.raises(InvalidConfigError, match="clock_drift_ppm"):
+                gallop_cfg(clock_drift_ppm=drift_ppm).validate()
+        gallop_cfg(clock_drift_ppm=-999_999.0).validate()
 
     def test_non_coprime_increment_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -330,62 +342,76 @@ class TestGilbertElliott:
             ChannelModel(per_channel_loss=((0, -0.1),))
 
 
+def offset_ns(clk, local_ns):
+    """Local minus true time at the instant the clock reads local_ns, as
+    the engine sees it through local_to_true_ns."""
+    return local_ns - clk.local_to_true_ns(local_ns)
+
+
+def offset_budget_ns(clk, cfg, local_ns):
+    """sync_error_bound + drift * (t - t_sync), plus 1 ns for the rounding
+    of local_to_true_ns to whole ns."""
+    elapsed_ns = clk.local_to_true_ns(local_ns) - clk.sync_ns
+    return cfg.sync_error_bound * 1e9 + cfg.clock_drift_ppm * 1e-6 * elapsed_ns + 1
+
+
 class TestClock:
     def test_drift_accumulates_linearly(self):
-        clk = ClockState(drift_rate=20.0)
-        clk = advance_clock(clk, 1.0)
-        assert clk.local_offset == pytest.approx(20e-6, rel=1e-9)
-        assert advance_clock(clk, 0.0) == clk
+        clk = RobotClock(gallop_cfg(clock_drift_ppm=20.0, sync_error_bound=0.0),
+                         np.random.default_rng(0))
+        assert offset_ns(clk, 0) == 0
+        assert offset_ns(clk, 1_000_020_000) == 20_000
+        assert offset_ns(clk, 2_000_040_000) == 40_000
 
     def test_sync_with_zero_bound_is_exact(self):
-        cfg = gallop_cfg(sync_error_bound=0.0)
-        clk = ClockState(local_offset=5e-5, true_time=1.0)
-        clk = sync_epoch(clk, cfg, np.random.default_rng(0))
-        assert clk.local_offset == 0.0
-        assert clk.last_sync_time == 1.0
+        clk = RobotClock(gallop_cfg(sync_error_bound=0.0), np.random.default_rng(0))
+        assert offset_ns(clk, 3_000_060_000) == 60_000  # 20 ppm for 3 s
+        version = clk.version
+        clk.sync(3_000_000_000)
+        assert offset_ns(clk, 3_000_000_000) == 0
+        assert clk.sync_ns == 3_000_000_000
+        assert clk.version == version + 1
 
     def test_sync_bounds_large_offset(self):
         cfg = gallop_cfg(sync_error_bound=1e-6)
-        clk = ClockState(local_offset=50e-6)
-        clk = sync_epoch(clk, cfg, np.random.default_rng(1))
-        assert abs(clk.local_offset) <= 1e-6
+        clk = RobotClock(cfg, np.random.default_rng(1))
+        assert abs(offset_ns(clk, 10_000_000_000)) > 50_000  # 10 s of drift
+        clk.sync(10_000_000_000)
+        assert abs(offset_ns(clk, 10_000_000_000)) <= 1_000 + 1
 
     def test_offset_bounded_by_sync_plus_drift(self):
-        # |offset(t)| <= bound + drift*(t - last_sync) at every sampled time
+        # |local - true| <= bound + drift*(t - t_sync) at every sampled time
         cfg = gallop_cfg()
-        clk = ClockState(drift_rate=cfg.clock_drift_ppm)
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            clk = sync_epoch(clk, cfg, rng)
-            for _ in range(20):
-                clk = advance_clock(clk, cfg.sync_epoch_period / 20)
-                budget = cfg.sync_error_bound + cfg.clock_drift_ppm * 1e-6 \
-                    * (clk.true_time - clk.last_sync_time)
-                assert abs(clk.local_offset) <= budget + 1e-15
+        clk = RobotClock(cfg, np.random.default_rng(3))
+        period_ns = round(cfg.sync_epoch_period * 1e9)
+        for epoch in range(100):
+            clk.sync(epoch * period_ns)
+            for j in range(1, 21):
+                local = epoch * period_ns + j * period_ns // 20
+                assert abs(offset_ns(clk, local)) <= offset_budget_ns(clk, cfg, local)
 
     def test_worst_case_pre_sync_offset(self):
         # drift for one full epoch on top of a fresh sync stays within
-        # bound + drift * period
+        # bound + drift * elapsed
         cfg = gallop_cfg()
-        rng = np.random.default_rng(4)
-        worst = 0.0
-        clk = ClockState(drift_rate=cfg.clock_drift_ppm)
-        for _ in range(100):
-            clk = sync_epoch(clk, cfg, rng)
-            clk = advance_clock(clk, cfg.sync_epoch_period)
-            worst = max(worst, abs(clk.local_offset))
-        assert worst <= cfg.sync_error_bound + 20e-6 + 1e-15
-        assert worst > 15e-6  # drift really does accumulate
+        clk = RobotClock(cfg, np.random.default_rng(4))
+        period_ns = round(cfg.sync_epoch_period * 1e9)
+        worst = 0
+        for epoch in range(100):
+            clk.sync(epoch * period_ns)
+            local = (epoch + 1) * period_ns
+            assert abs(offset_ns(clk, local)) <= offset_budget_ns(clk, cfg, local)
+            worst = max(worst, abs(offset_ns(clk, local)))
+        assert worst > 15_000  # drift really does accumulate
 
     def test_sync_offsets_are_uniform_on_bound_interval(self):
-        cfg = gallop_cfg(sync_error_bound=1e-6)
-        rng = np.random.default_rng(9)
-        clk = ClockState()
+        clk = RobotClock(gallop_cfg(sync_error_bound=1e-6, clock_drift_ppm=0.0),
+                         np.random.default_rng(9))
         draws = []
-        for _ in range(10_000):
-            clk = sync_epoch(clk, cfg, rng)
-            draws.append(clk.local_offset)
-        stat = scipy.stats.kstest(draws, scipy.stats.uniform(-1e-6, 2e-6).cdf)
+        for i in range(10_000):
+            clk.sync(i * 1_000_000)
+            draws.append(offset_ns(clk, i * 1_000_000))
+        stat = scipy.stats.kstest(draws, scipy.stats.uniform(-1_000, 2_000).cdf)
         assert stat.pvalue > 0.01
 
 
