@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .config import _ANGLE_UNITS, _DURATION_UNITS, ConfigError, load_scenario
 from .control import TuningFailureError
+from .plant import InvalidConfigError
 from .sim import (
     compare_scenarios,
     failure_threshold,
@@ -23,7 +24,6 @@ from .sim import (
     run_sweep,
     trace_to_csv,
 )
-from .wireless import InvalidConfigError
 
 # sweep values take the config file's unit suffixes, or none
 _UNIT_FACTOR = {None: 1.0, **_DURATION_UNITS, **_ANGLE_UNITS}

@@ -230,10 +230,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             kwargs["gains"] = replace(DEFAULT_GAINS, **sections["gains"])
         kwargs.update(sections.get("scenario", {}))
         kwargs.setdefault("label", path.stem)
-        cfg = ScenarioConfig(**kwargs)
-        cfg.validate()
-        return cfg
-    except ConfigError:
-        raise
+        return ScenarioConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc), path=str(path)) from exc

@@ -14,14 +14,19 @@ a requested cycle against that closed-loop map and rescales if needed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .plant import TWO_PI, PlantParams, SensorFrame, linearized_matrices
+from .plant import (
+    TWO_PI,
+    PlantParams,
+    SensorFrame,
+    check_finite,
+    linearized_matrices,
+)
 
 DEFAULT_FILTER_ALPHA = 0.98
 DEFAULT_TUNE_CYCLE = 0.005  # s
@@ -50,11 +55,9 @@ class ControllerGains:
     command_limit: float = 1.0    # command, <= 1
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not (self.integral_limit > 0 and self.command_limit > 0):
             raise ValueError("integral_limit and command_limit must be positive")
-        for name in ("kp_tilt", "kd_tilt", "ki_tilt", "kp_position", "kd_position"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
 
 
 # Shipped defaults for the default PlantParams, derived from a discrete LQR

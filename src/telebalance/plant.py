@@ -25,7 +25,7 @@ Integration is fixed-step RK4 with internal substeps of at most 0.5 ms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +38,18 @@ SUBSTEP_S = 5.0e-4
 MAX_STEP_S = 2.0e-3
 
 DEFAULT_FALL_THRESHOLD = 0.6  # rad
+
+
+class InvalidConfigError(ValueError):
+    """Raised for configurations that cannot run."""
+
+
+def check_finite(cfg) -> None:
+    """Reject a config dataclass whose float fields hold inf or nan."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +74,7 @@ class PlantParams:
     encoder_counts_per_rev: int = 1320
 
     def __post_init__(self) -> None:
+        check_finite(self)
         positive = (
             ("body_mass", self.body_mass),
             ("wheel_mass_total", self.wheel_mass_total),
@@ -108,6 +121,7 @@ class SensorNoise:
     accel_noise_std: float = 0.0  # rad
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.gyro_noise_std < 0 or self.accel_noise_std < 0:
             raise ValueError("noise standard deviations must be >= 0")
 

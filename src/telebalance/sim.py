@@ -26,7 +26,7 @@ import concurrent.futures
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +47,7 @@ from .plant import (
     PlantState,
     SensorNoise,
     _rk4_span,
+    check_finite,
     sample_sensors,
 )
 from .wireless import (
@@ -60,8 +61,6 @@ from .wireless import (
     MacConfig,
     RobotClock,
     _ns,
-    build_superframe,
-    check_finite,
     transmit,
 )
 
@@ -93,12 +92,12 @@ class ScenarioConfig:
         if self.control_cycle is not None:
             return self.control_cycle
         if self.mac.variant == GALLOP:
-            return build_superframe(self.mac).span
+            return self.mac.superframe.span
         if self.mac.variant == BLE:
             return self.mac.ble_connection_interval
         return 0.005
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_finite(self)
         if not self.episode_duration > 0:
             raise ValueError("episode_duration must be positive")
@@ -110,9 +109,6 @@ class ScenarioConfig:
             raise ValueError("filter_alpha must be in [0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        self.mac.validate()
-        if self.mac.variant == GALLOP:
-            build_superframe(self.mac)
 
 
 def _ideal_sync_mac(**overrides) -> MacConfig:
@@ -153,7 +149,7 @@ class CycleRecord(NamedTuple):
     command_right: float
     cycle_latency: float     # ms, sample -> actuation; nan if dropped
     forward_dropped: bool    # lost, or delivered too late to be used
-    feedback_dropped: bool
+    feedback_dropped: bool   # lost, or delivered after a newer command
 
 
 @dataclass
@@ -183,14 +179,12 @@ class EpisodeMetrics:
 
 def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     """Simulate one episode; fully determined by (cfg, cfg.seed)."""
-    cfg.validate()
     params = cfg.plant
     cycle_s = cfg.resolved_cycle()
     cycle_ns = _ns(cycle_s)
     end_ns = _ns(cfg.episode_duration)
     gains = cfg.gains if cfg.gains is not None \
         else tune_default_gains(params, cycle_s, cfg.filter_alpha)
-    superframe = build_superframe(cfg.mac) if cfg.mac.variant == GALLOP else None
 
     rng_noise, rng_loss, rng_jitter, rng_sync = (
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(4))
@@ -215,11 +209,11 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     def push(t_ns: int, kind: str, payload: tuple) -> None:
         heapq.heappush(heap, (t_ns, next(counter), kind, payload))
 
-    def advance_plant(t_ns: int) -> bool:
-        """Integrate up to t_ns; True if the robot fell on the way."""
+    def advance_plant(t_ns: int) -> None:
+        """Integrate up to t_ns; sets fall_ns if the robot falls on the way."""
         nonlocal th, w, phi, v, tau, plant_ns, fall_ns
         if t_ns <= plant_ns:
-            return False
+            return
         tau_cmd = min(max(torque, -tau_max), tau_max)
         n_full, rem = divmod(t_ns - plant_ns, SUBSTEP_NS)
         if n_full:
@@ -228,15 +222,13 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             plant_ns += done * SUBSTEP_NS
             if done < n_full or abs(th) > thr:
                 fall_ns = plant_ns
-                return True
+                return
         if rem:
             th, w, phi, v, tau, _ = _rk4_span(
                 th, w, phi, v, tau, tau_cmd, params, rem * 1e-9, 1, thr)
             plant_ns += rem
             if abs(th) > thr:
                 fall_ns = plant_ns
-                return True
-        return False
 
     mac = cfg.mac
     alpha = cfg.filter_alpha
@@ -247,6 +239,7 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     fbk_sent = fbk_delivered = fbk_lost = 0
     last_arrival_ns: int | None = None
     last_sample_ns = -1
+    last_applied = -1  # seq of the newest command applied
 
     def close_cycle(k: int, act, applied_ns: int | None) -> None:
         """Record cycle k. act is None when the forward frame was lost,
@@ -268,12 +261,10 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     push(sync_period_ns, "sync", (1,))
     schedule_sample(0)
 
-    fallen = False
-    while heap and not fallen:
+    while heap:
         t_ns, _, kind, payload = heapq.heappop(heap)
         if t_ns > end_ns:
             break
-
         if kind == "sample":
             k, version = payload
             if version != clock.version:
@@ -282,16 +273,17 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             if t_ns == last_sample_ns:
                 schedule_sample(k + 1)  # a resync jumped the clock past period k
                 continue
+        advance_plant(t_ns)
+        if fall_ns is not None:
+            break
+
+        if kind == "sample":
             last_sample_ns = t_ns
-            fallen = advance_plant(t_ns)
-            if fallen:
-                break
             state = PlantState(th, w, phi, v, tau, t_ns / 1e9)
             frame = sample_sensors(state, cfg.noise, params, rng_noise, seq=k)
             cycles[k] = (t_ns, th * DEG, w * DEG, v * DEG)
             fwd_sent += 1
-            out = transmit(mac, superframe, chan, FORWARD, t_ns,
-                           rng_loss, rng_jitter)
+            out = transmit(mac, chan, FORWARD, t_ns, rng_loss, rng_jitter)
             if out.delivered:
                 fwd_delivered += 1
                 push(out.deliver_ns, "recv", (k, frame))
@@ -302,9 +294,6 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
 
         elif kind == "recv":
             k, frame = payload
-            fallen = advance_plant(t_ns)
-            if fallen:
-                break
             if k <= cstate.last_frame_seq or t_ns == last_arrival_ns:
                 # overtaken by a newer frame (BLE jitter), or sharing a slot
                 # with the last one after a resync: the cycle is dropped
@@ -316,8 +305,7 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             cstate = estimate_tilt(cstate, frame, dt, alpha)
             cstate, act = compute_command(cstate, gains, frame, dt, now=t_ns / 1e9)
             fbk_sent += 1
-            out = transmit(mac, superframe, chan, FEEDBACK, t_ns,
-                           rng_loss, rng_jitter)
+            out = transmit(mac, chan, FEEDBACK, t_ns, rng_loss, rng_jitter)
             if out.delivered:
                 fbk_delivered += 1
                 push(out.deliver_ns, "apply", (k, act))
@@ -327,23 +315,23 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
 
         elif kind == "apply":
             k, act = payload
-            fallen = advance_plant(t_ns)
-            if fallen:
-                break
+            if k <= last_applied:
+                # overtaken by a newer command (BLE jitter): the torque
+                # stays, and the cycle is dropped
+                close_cycle(k, act, None)
+                continue
             if not t_ns / 1e9 > act.issue_time:
                 raise RuntimeError("actuation applied no later than issued")
+            last_applied = k
             torque = act.motor_command_left * tau_max
             close_cycle(k, act, t_ns)
 
         elif kind == "sync":
             (epoch,) = payload
-            fallen = advance_plant(t_ns)
-            if fallen:
-                break
             clock.sync(t_ns)
             push((epoch + 1) * sync_period_ns, "sync", (epoch + 1,))
 
-    if not fallen and plant_ns < end_ns:
+    if fall_ns is None:
         advance_plant(end_ns)
 
     trace = EpisodeTrace(
@@ -404,31 +392,35 @@ def compute_metrics(trace: EpisodeTrace, cfg: ScenarioConfig) -> EpisodeMetrics:
 # Declared field types (postponed annotations, so strings) that a sweep may
 # set, and the type each swept value is coerced to.
 _NUMERIC_FIELDS = {"int": int, "float": float, "float | None": float}
+# config-file section -> the ScenarioConfig field load_scenario builds from it
+_SECTION_FIELDS = {"plant": "plant", "noise": "noise", "gains": "gains",
+                   "mac": "mac", "loss": "channel"}
 
 
 def _set_by_path(cfg: ScenarioConfig, path: str, value: float) -> ScenarioConfig:
     """Copy of cfg with the numeric field at a dotted path set to value.
 
-    Paths are 'section.field' (mac.extra_delay), 'scenario.field' or a bare
-    scenario field. The value is coerced to the field's declared type; an
-    int field rejects a non-integral value. Setting a gain of a scenario
-    whose gains are tuned at run time starts from the shipped defaults.
+    Paths are the config file's 'section.key' names (mac.extra_delay,
+    loss.default_loss, scenario.seed) or a bare scenario field. The value is
+    coerced to the field's declared type; an int field rejects a
+    non-integral value, and the copy's own checks reject an invalid one.
+    Setting a gain of a scenario whose gains are tuned at run time starts
+    from the shipped defaults.
     """
     parts = path.split(".")
     if len(parts) == 2 and parts[0] == "scenario":
         parts = parts[1:]
     if len(parts) == 1:
         section, target = None, cfg
-    elif len(parts) == 2:
-        section = parts[0]
-        target = getattr(cfg, section, None)
+    elif len(parts) == 2 and parts[0] in _SECTION_FIELDS:
+        section = _SECTION_FIELDS[parts[0]]
+        target = getattr(cfg, section)
         if section == "gains" and target is None:
             target = DEFAULT_GAINS  # as load_scenario does for a partial [gains]
     else:
         raise ValueError(f"unknown parameter path {path!r}")
     name = parts[-1]
-    declared = {f.name: f.type for f in fields(target)} \
-        if is_dataclass(target) else {}
+    declared = {f.name: f.type for f in fields(target)}
     kind = _NUMERIC_FIELDS.get(declared.get(name))
     if kind is None:
         raise ValueError(f"unknown or non-numeric parameter path {path!r}")

@@ -26,10 +26,12 @@ each sync (t = 0, then every epoch) redraws it within the sync error bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+
+from .plant import InvalidConfigError, check_finite
 
 GALLOP = "gallop"
 BLE = "ble_baseline"
@@ -41,24 +43,15 @@ FEEDBACK = "feedback"
 BLE_MIN_INTERVAL_S = 0.0075
 
 
-class InvalidConfigError(ValueError):
-    """Raised for link or scenario configurations that cannot run."""
-
-
 def _ns(seconds: float) -> int:
     return round(seconds * 1e9)
 
 
-def check_finite(cfg) -> None:
-    """Reject a config dataclass whose float fields hold inf or nan."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise InvalidConfigError(f"{f.name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class MacConfig:
+    """Link parameters, checked when built; a gallop config also carries
+    its superframe, laid out once by build_superframe."""
+
     variant: str = GALLOP
     slot_duration: float = 1e-3          # s
     slots_per_superframe: int = 2        # forward, feedback, alternating
@@ -74,8 +67,10 @@ class MacConfig:
     slot_guard: float = 1e-4             # s, admission tolerance after slot start
     extra_delay: float = 0.0             # s, added to every delivery
     custom_slots: tuple | None = None    # ((direction, start_s, duration_s, band), ...)
+    superframe: Superframe | None = field(default=None, init=False, repr=False,
+                                          compare=False)  # gallop only
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_finite(self)
         if self.variant not in (GALLOP, BLE, IDEAL):
             raise InvalidConfigError(f"unknown mac variant {self.variant!r}")
@@ -100,6 +95,8 @@ class MacConfig:
             raise InvalidConfigError("sync parameters must be positive / >= 0")
         if not self.clock_drift_ppm > -1e6:
             raise InvalidConfigError("clock_drift_ppm must be > -1e6")
+        if self.variant == GALLOP:
+            object.__setattr__(self, "superframe", build_superframe(self))
 
 
 @dataclass(frozen=True)
@@ -149,7 +146,6 @@ def build_superframe(cfg: MacConfig) -> Superframe:
     alternating forward/feedback starting with forward, each on its FDD
     band. The stock 2-slot layout spans 2 ms: one full cycle.
     """
-    cfg.validate()
     if cfg.custom_slots is not None:
         slots = tuple(Slot(start_offset=float(start), duration=float(dur),
                            direction=direction, band=int(band))
@@ -206,6 +202,7 @@ class ChannelModel:
     loss_bad: float = 1.0
 
     def __post_init__(self) -> None:
+        check_finite(self)
         probs = [self.default_loss, self.p_good_to_bad, self.p_bad_to_good,
                  self.loss_good, self.loss_bad]
         probs += [p for _, p in self.per_channel_loss]
@@ -287,9 +284,8 @@ class DeliveryOutcome(NamedTuple):
         return self.status == "delivered"
 
 
-def transmit(cfg: MacConfig, superframe: Superframe | None,
-             channel: ChannelProcess, direction: str, ready_ns: int,
-             loss_rng: np.random.Generator,
+def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
+             ready_ns: int, loss_rng: np.random.Generator,
              jitter_rng: np.random.Generator | None = None) -> DeliveryOutcome:
     """Deliver one frame over the configured link; loss is an outcome.
 
@@ -317,8 +313,7 @@ def transmit(cfg: MacConfig, superframe: Superframe | None,
                                event * interval_ns + jitter_ns + extra_ns, ch, event)
 
     # gallop: next admissible slot of this direction, retry within superframe
-    if superframe is None:
-        raise InvalidConfigError("gallop transmission requires a superframe")
+    superframe = cfg.superframe
     slots = superframe._direction_ns[direction]
     if not slots:
         # degenerate layout without this direction: the frame can never
@@ -398,9 +393,7 @@ def latency_distribution(cfg: MacConfig, channel_model: ChannelModel,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    cfg.validate()
-    superframe = build_superframe(cfg) if cfg.variant == GALLOP else None
-    period_ns = superframe.span_ns if superframe is not None else \
+    period_ns = cfg.superframe.span_ns if cfg.variant == GALLOP else \
         _ns(cfg.ble_connection_interval if cfg.variant == BLE else 0.005)
     process = ChannelProcess(channel_model)
 
@@ -410,11 +403,11 @@ def latency_distribution(cfg: MacConfig, channel_model: ChannelModel,
         ready = i * period_ns
         if not aligned:
             ready += _ns(rng.uniform(0.0, period_ns / 1e9))
-        fwd = transmit(cfg, superframe, process, FORWARD, ready, rng, rng)
+        fwd = transmit(cfg, process, FORWARD, ready, rng, rng)
         if not fwd.delivered:
             n_lost += 1
             continue
-        fbk = transmit(cfg, superframe, process, FEEDBACK, fwd.deliver_ns, rng, rng)
+        fbk = transmit(cfg, process, FEEDBACK, fwd.deliver_ns, rng, rng)
         if not fbk.delivered:
             n_lost += 1
             continue

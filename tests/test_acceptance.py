@@ -68,7 +68,7 @@ def test_criterion_1_latency_anchors():
         rng, jit = np.random.default_rng(1), np.random.default_rng(2)
         interval_ns = 7_500_000
         for k in range(1000):
-            out = transmit(cfg, None, proc, FORWARD, k * interval_ns, rng, jit)
+            out = transmit(cfg, proc, FORWARD, k * interval_ns, rng, jit)
             assert out.deliver_ns - out.send_ns >= interval_ns
         sb = latency_distribution(cfg, ChannelModel(), 1000,
                                   np.random.default_rng(3), aligned=True)

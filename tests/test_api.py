@@ -1,6 +1,6 @@
 """The documented library API: every name that an import line in README.md
-takes from telebalance must import, so trimming the package's exports
-cannot break the README's examples unnoticed."""
+takes from telebalance must import, and every sweep path the README names
+must resolve, so the README's examples cannot break unnoticed."""
 
 import importlib
 import re
@@ -8,8 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from telebalance.config import SCHEMA, load_scenario
+from telebalance.sim import _set_by_path
+
 README = Path(__file__).parent.parent / "README.md"
 IMPORT_RE = re.compile(r"^\s*from (telebalance[\w.]*) import (.+)$", re.MULTILINE)
+# a config-file 'section.key' name, as --param takes it or quoted in backticks
+PARAM_RE = re.compile(r"(?:--param |`)((?:%s)\.\w+)" % "|".join(SCHEMA))
 
 
 def documented_imports() -> list[tuple[str, str]]:
@@ -27,3 +32,18 @@ def test_readme_documents_the_top_level_api():
 @pytest.mark.parametrize("module, name", documented_imports())
 def test_readme_import_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+def documented_param_paths() -> list[str]:
+    return sorted(set(PARAM_RE.findall(README.read_text(encoding="utf-8"))))
+
+
+def test_readme_documents_section_paths():
+    assert {"mac.extra_delay", "loss.default_loss", "scenario.episode_duration"} \
+        <= set(documented_param_paths())
+
+
+@pytest.mark.parametrize("path", documented_param_paths())
+def test_readme_param_path_resolves(config_dir, path):
+    cfg = load_scenario(config_dir / "gallop_default.cfg")
+    assert _set_by_path(cfg, path, 1) != cfg

@@ -294,6 +294,15 @@ class TestCmdSweep:
         assert "slot_guard" in err
         assert "Traceback" not in err
 
+    def test_worker_tuning_failure_exit_2_without_traceback(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, GALLOP_SHORT)
+        assert main(["sweep", str(cfg), "--param", "scenario.control_cycle",
+                     "--values", "200ms", "--seeds", "3", "--workers", "2",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "no searched gain set stabilizes" in err
+        assert "Traceback" not in err
+
     def test_single_value_matches_averaged_runs(self, tmp_path):
         import numpy as np
 
@@ -347,6 +356,10 @@ class TestNonFiniteValues:
         ("ble_baseline", "mac", "ble_jitter_max = inf s"),
         ("gallop", "scenario", "control_cycle = inf s"),
         ("gallop", "scenario", "episode_duration = inf s"),
+        ("gallop", "plant", "body_mass = inf"),
+        ("gallop", "noise", "gyro_noise_std = inf"),
+        ("gallop", "gains", "integral_limit = inf"),
+        ("gallop", "loss", "default_loss = nan"),
     ])
     def test_config_value_exit_2_names_field(self, tmp_path, capsys,
                                              variant, section, entry):

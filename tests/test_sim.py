@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telebalance.control import ControllerGains
+from telebalance import sim
+from telebalance.control import ControllerGains, TuningFailureError
 from telebalance.sim import (
     CycleRecord,
     EpisodeTrace,
@@ -133,8 +134,8 @@ class TestRunEpisode:
     def test_invalid_config_rejected_before_running(self):
         with pytest.raises(ValueError):
             run_episode(gallop_scenario(episode_duration=-1.0))
-        bad_mac = MacConfig(variant=GALLOP, feedback_band=0)
         with pytest.raises(ValueError):
+            bad_mac = MacConfig(variant=GALLOP, feedback_band=0)
             run_episode(gallop_scenario(mac=bad_mac))
 
     def test_negative_seed_rejected_before_running(self):
@@ -175,7 +176,7 @@ def short_scenarios(draw):
         variant=variant,
         slots_per_superframe=draw(st.sampled_from([2, 3, 4])),
         ble_connection_interval=draw(st.sampled_from([0.0075, 0.01])),
-        ble_jitter_max=draw(st.floats(0.0, 3e-3)),
+        ble_jitter_max=draw(st.floats(0.0, 0.02)),  # may pass the interval
         extra_delay=draw(st.floats(0.0, 4e-3)),
         clock_drift_ppm=drift * draw(st.sampled_from([-1.0, 1.0])),
         sync_error_bound=draw(st.one_of(st.floats(1e-7, 1e-4),
@@ -210,6 +211,10 @@ class TestPipelineProperties:
         assert trace.feedback_sent == trace.feedback_delivered + trace.feedback_lost
         times = [r.t for r in trace.records]
         assert all(a < b for a, b in zip(times, times[1:]))
+        # commands take effect in cycle order: a reordered one is dropped
+        applied = [round(r.t * 1e9) + round(r.cycle_latency * 1e6)
+                   for r in trace.records if not math.isnan(r.cycle_latency)]
+        assert all(a <= b for a, b in zip(applied, applied[1:]))
         floor = latency_floor_ns(cfg.mac)
         assert all(round(r.cycle_latency * 1e6) >= floor for r in trace.records
                    if not math.isnan(r.cycle_latency))
@@ -333,6 +338,22 @@ class TestSweep:
         base = gallop_scenario(episode_duration=0.5)
         with pytest.raises(InvalidConfigError, match="slot_guard"):
             run_sweep(base, "mac.slot_guard", [0.002], 3, workers=2)
+
+    def test_worker_tuning_failure_reaches_caller_with_its_type(self):
+        # the config is valid; gain tuning fails inside each worker
+        base = gallop_scenario(episode_duration=0.5)
+        with pytest.raises(TuningFailureError, match="200.0 ms"):
+            run_sweep(base, "scenario.control_cycle", [0.2], 3, workers=2)
+
+    def test_bad_grid_value_rejected_before_any_episode(self, monkeypatch):
+        episodes = []
+        run = sim.run_episode
+        monkeypatch.setattr(sim, "run_episode",
+                            lambda cfg: episodes.append(cfg) or run(cfg))
+        base = gallop_scenario(episode_duration=0.5)
+        with pytest.raises(InvalidConfigError, match="extra_delay must be finite"):
+            run_sweep(base, "mac.extra_delay", [0.0, math.inf], 3)
+        assert episodes == []
 
     def test_failure_threshold_helper(self):
         from telebalance.sim import SweepPoint

@@ -50,7 +50,7 @@ class TestSuperframe:
         assert len(sf.slots) == 1
         assert sf.span == pytest.approx(1e-3)
         # feedback frames starve instead of erroring
-        out = transmit(gallop_cfg(slots_per_superframe=1), sf,
+        out = transmit(gallop_cfg(slots_per_superframe=1),
                        ChannelProcess(LOSSLESS), FEEDBACK, 0,
                        np.random.default_rng(0))
         assert out.status == "lost"
@@ -60,24 +60,21 @@ class TestSuperframe:
             build_superframe(gallop_cfg(feedback_band=0))
 
     def test_custom_layout_band_violation_names_slot(self):
-        cfg = gallop_cfg(custom_slots=(
-            (FORWARD, 0.0, 1e-3, 0), (FEEDBACK, 1e-3, 1e-3, 0)))
         with pytest.raises(InvalidConfigError, match="slot 1"):
-            build_superframe(cfg)
+            gallop_cfg(custom_slots=(
+                (FORWARD, 0.0, 1e-3, 0), (FEEDBACK, 1e-3, 1e-3, 0)))
 
     def test_overlapping_slots_rejected(self):
-        cfg = gallop_cfg(custom_slots=(
-            (FORWARD, 0.0, 1e-3, 0), (FEEDBACK, 0.5e-3, 1e-3, 1)))
         with pytest.raises(InvalidConfigError, match="overlap"):
-            build_superframe(cfg)
+            gallop_cfg(custom_slots=(
+                (FORWARD, 0.0, 1e-3, 0), (FEEDBACK, 0.5e-3, 1e-3, 1)))
 
     @pytest.mark.parametrize("start, duration", [
         (math.inf, 1e-3), (0.0, math.inf), (math.nan, 1e-3), (0.0, math.nan)])
     def test_non_finite_slot_time_names_slot(self, start, duration):
-        cfg = gallop_cfg(custom_slots=(
-            (FORWARD, start, duration, 0), (FEEDBACK, 1e-3, 1e-3, 1)))
         with pytest.raises(InvalidConfigError, match="slot 0 has a non-finite"):
-            build_superframe(cfg)
+            gallop_cfg(custom_slots=(
+                (FORWARD, start, duration, 0), (FEEDBACK, 1e-3, 1e-3, 1)))
 
     def test_tdma_slots_pairwise_disjoint(self):
         for n in (1, 2, 4, 6):
@@ -112,36 +109,33 @@ class TestHopping:
     def test_clock_that_stops_or_runs_backwards_rejected(self):
         for drift_ppm in (-1e6, -2e6):
             with pytest.raises(InvalidConfigError, match="clock_drift_ppm"):
-                gallop_cfg(clock_drift_ppm=drift_ppm).validate()
-        gallop_cfg(clock_drift_ppm=-999_999.0).validate()
+                gallop_cfg(clock_drift_ppm=drift_ppm)
+        gallop_cfg(clock_drift_ppm=-999_999.0)
 
     def test_non_coprime_increment_rejected(self):
         with pytest.raises(InvalidConfigError):
-            gallop_cfg(channel_count=36, hop_increment=6).validate()
+            gallop_cfg(channel_count=36, hop_increment=6)
 
 
 class TestGallopTransmit:
     def test_zero_loss_delivers_at_slot_end(self):
         cfg = gallop_cfg()
-        sf = build_superframe(cfg)
-        out = transmit(cfg, sf, ChannelProcess(LOSSLESS), FORWARD, 0,
+        out = transmit(cfg, ChannelProcess(LOSSLESS), FORWARD, 0,
                        np.random.default_rng(0))
         assert out.delivered
         assert out.deliver_ns == 1_000_000
 
     def test_full_cycle_is_two_ms(self):
         cfg = gallop_cfg()
-        sf = build_superframe(cfg)
         proc = ChannelProcess(LOSSLESS)
         rng = np.random.default_rng(0)
-        fwd = transmit(cfg, sf, proc, FORWARD, 0, rng)
-        fbk = transmit(cfg, sf, proc, FEEDBACK, fwd.deliver_ns, rng)
+        fwd = transmit(cfg, proc, FORWARD, 0, rng)
+        fbk = transmit(cfg, proc, FEEDBACK, fwd.deliver_ns, rng)
         assert fbk.deliver_ns - 0 == 2_000_000
 
     def test_certain_loss_without_retransmission_slot(self):
         cfg = gallop_cfg()
-        sf = build_superframe(cfg)
-        out = transmit(cfg, sf, ChannelProcess(ChannelModel(default_loss=1.0)),
+        out = transmit(cfg, ChannelProcess(ChannelModel(default_loss=1.0)),
                        FORWARD, 0, np.random.default_rng(0))
         assert out.status == "lost"
 
@@ -149,9 +143,8 @@ class TestGallopTransmit:
         # 4-slot frame: forward slots at global indices 0 and 2; the first
         # hop lands on channel 0, the retry on channel 14
         cfg = gallop_cfg(slots_per_superframe=4)
-        sf = build_superframe(cfg)
         model = ChannelModel(per_channel_loss=((0, 1.0),))
-        out = transmit(cfg, sf, ChannelProcess(model), FORWARD, 0,
+        out = transmit(cfg, ChannelProcess(model), FORWARD, 0,
                        np.random.default_rng(0))
         assert out.delivered
         assert out.slot_index == 2
@@ -159,35 +152,31 @@ class TestGallopTransmit:
 
     def test_mid_frame_ready_waits_for_next_superframe(self):
         cfg = gallop_cfg()
-        sf = build_superframe(cfg)
-        out = transmit(cfg, sf, ChannelProcess(LOSSLESS), FORWARD, 1_500_000,
+        out = transmit(cfg, ChannelProcess(LOSSLESS), FORWARD, 1_500_000,
                        np.random.default_rng(0))
         assert out.deliver_ns == 3_000_000
 
     def test_guard_admits_slightly_late_frames(self):
         cfg = gallop_cfg(slot_guard=1e-4)
-        sf = build_superframe(cfg)
-        out = transmit(cfg, sf, ChannelProcess(LOSSLESS), FORWARD,
+        out = transmit(cfg, ChannelProcess(LOSSLESS), FORWARD,
                        2_000_000 + 50_000, np.random.default_rng(0))
         assert out.deliver_ns == 3_000_000  # made the slot starting at 2 ms
 
     def test_extra_delay_shifts_delivery(self):
         cfg = gallop_cfg(extra_delay=5e-3)
-        sf = build_superframe(cfg)
-        out = transmit(cfg, sf, ChannelProcess(LOSSLESS), FORWARD, 0,
+        out = transmit(cfg, ChannelProcess(LOSSLESS), FORWARD, 0,
                        np.random.default_rng(0))
         assert out.deliver_ns == 6_000_000
 
     def test_deliveries_reproducible_for_equal_seeds(self):
         cfg = gallop_cfg()
-        sf = build_superframe(cfg)
         model = ChannelModel(p_good_to_bad=0.1, p_bad_to_good=0.3,
                              loss_good=0.05, loss_bad=0.9)
 
         def run():
             proc = ChannelProcess(model)
             rng = np.random.default_rng(123)
-            return [transmit(cfg, sf, proc, FORWARD, i * 2_000_000, rng)
+            return [transmit(cfg, proc, FORWARD, i * 2_000_000, rng)
                     for i in range(200)]
 
         assert run() == run()
@@ -253,7 +242,7 @@ class TestGallopSlotTable:
             edge_ns = table[pos % len(table)][edge]
             ready = max(0, k * sf.span_ns + edge_ns + off
                         - (guard_ns if at_guard else 0))
-            out = transmit(cfg, sf, procs[0], direction, ready, rngs[0])
+            out = transmit(cfg, procs[0], direction, ready, rngs[0])
             band = cfg.forward_band if direction == FORWARD else cfg.feedback_band
             ref = gallop_slot_search(layout, direction, ready, guard_ns, band,
                                      count, increment, round(extra * 1e9),
@@ -266,7 +255,7 @@ class TestGallopSlotTable:
 class TestBleTransmit:
     def test_ready_mid_interval_hits_next_boundary(self):
         cfg = ble_cfg(ble_jitter_max=0.0)
-        out = transmit(cfg, None, ChannelProcess(LOSSLESS), FORWARD, 100_000,
+        out = transmit(cfg, ChannelProcess(LOSSLESS), FORWARD, 100_000,
                        np.random.default_rng(0), np.random.default_rng(1))
         assert out.deliver_ns == 7_500_000
 
@@ -277,16 +266,16 @@ class TestBleTransmit:
         jit = np.random.default_rng(6)
         interval = 7_500_000
         for k in range(500):
-            out = transmit(cfg, None, proc, FORWARD, k * interval, rng, jit)
+            out = transmit(cfg, proc, FORWARD, k * interval, rng, jit)
             assert out.deliver_ns - out.send_ns >= interval
 
     def test_interval_below_floor_rejected(self):
         with pytest.raises(InvalidConfigError):
-            ble_cfg(ble_connection_interval=5e-3).validate()
+            ble_cfg(ble_connection_interval=5e-3)
 
     def test_loss_drawn_once_per_event(self):
         cfg = ble_cfg()
-        out = transmit(cfg, None, ChannelProcess(ChannelModel(default_loss=1.0)),
+        out = transmit(cfg, ChannelProcess(ChannelModel(default_loss=1.0)),
                        FORWARD, 0, np.random.default_rng(0),
                        np.random.default_rng(1))
         assert out.status == "lost"
@@ -295,7 +284,7 @@ class TestBleTransmit:
 class TestIdealTransmit:
     def test_pass_through_one_nanosecond(self):
         cfg = MacConfig(variant=IDEAL)
-        out = transmit(cfg, None, ChannelProcess(LOSSLESS), FORWARD, 42,
+        out = transmit(cfg, ChannelProcess(LOSSLESS), FORWARD, 42,
                        np.random.default_rng(0))
         assert out.delivered
         assert out.deliver_ns == 43
