@@ -78,11 +78,11 @@ DEFAULT_GAINS = ControllerGains(
 )
 
 
-@dataclass(frozen=True)
-class ControllerState:
+class ControllerState(NamedTuple):
     """Filter and integrator memory; one instance per controlled robot.
 
-    The per-frame updates build it positionally, in this field order.
+    A tuple because every update builds one; the per-frame updates build
+    it positionally, in this field order.
     """
 
     tilt_estimate: float = 0.0       # rad

@@ -420,7 +420,7 @@ def _set_by_path(cfg: ScenarioConfig, path: str, value: float) -> ScenarioConfig
     else:
         raise ValueError(f"unknown parameter path {path!r}")
     name = parts[-1]
-    declared = {f.name: f.type for f in fields(target)}
+    declared = {f.name: f.type for f in fields(target) if f.init}
     kind = _NUMERIC_FIELDS.get(declared.get(name))
     if kind is None:
         raise ValueError(f"unknown or non-numeric parameter path {path!r}")

@@ -49,8 +49,9 @@ def _ns(seconds: float) -> int:
 
 @dataclass(frozen=True)
 class MacConfig:
-    """Link parameters, checked when built; a gallop config also carries
-    its superframe, laid out once by build_superframe."""
+    """Link parameters, checked when built. It also carries what transmit
+    reads on every call: the fixed delays in whole ns and, for gallop, the
+    superframe laid out once by build_superframe."""
 
     variant: str = GALLOP
     slot_duration: float = 1e-3          # s
@@ -69,6 +70,9 @@ class MacConfig:
     custom_slots: tuple | None = None    # ((direction, start_s, duration_s, band), ...)
     superframe: Superframe | None = field(default=None, init=False, repr=False,
                                           compare=False)  # gallop only
+    extra_delay_ns: int = field(default=0, init=False, repr=False, compare=False)
+    slot_guard_ns: int = field(default=0, init=False, repr=False, compare=False)
+    ble_interval_ns: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_finite(self)
@@ -97,6 +101,12 @@ class MacConfig:
             raise InvalidConfigError("clock_drift_ppm must be > -1e6")
         if self.variant == GALLOP:
             object.__setattr__(self, "superframe", build_superframe(self))
+        elif self.custom_slots is not None:
+            raise InvalidConfigError(
+                f"slots apply only to the {GALLOP} variant, not {self.variant!r}")
+        object.__setattr__(self, "extra_delay_ns", _ns(self.extra_delay))
+        object.__setattr__(self, "slot_guard_ns", _ns(self.slot_guard))
+        object.__setattr__(self, "ble_interval_ns", _ns(self.ble_connection_interval))
 
 
 @dataclass(frozen=True)
@@ -294,13 +304,13 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
     (chain advance + loss draw); BLE additionally consumes one jitter
     uniform per attempt.
     """
-    extra_ns = _ns(cfg.extra_delay)
+    extra_ns = cfg.extra_delay_ns
 
     if cfg.variant == IDEAL:
         return DeliveryOutcome("delivered", ready_ns, ready_ns + 1 + extra_ns)
 
     if cfg.variant == BLE:
-        interval_ns = _ns(cfg.ble_connection_interval)
+        interval_ns = cfg.ble_interval_ns
         event = ready_ns // interval_ns + 1  # first boundary strictly after
         jitter = jitter_rng if jitter_rng is not None else loss_rng
         jitter_ns = _ns(jitter.uniform(0.0, cfg.ble_jitter_max))
@@ -321,7 +331,7 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
         return DeliveryOutcome("lost", ready_ns)
 
     span = superframe._span_ns
-    sf, phase = divmod(ready_ns - _ns(cfg.slot_guard), span)
+    sf, phase = divmod(ready_ns - cfg.slot_guard_ns, span)
     for first, slot in enumerate(slots):
         if slot[0] >= phase:
             candidates = slots[first:]
@@ -394,7 +404,7 @@ def latency_distribution(cfg: MacConfig, channel_model: ChannelModel,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     period_ns = cfg.superframe.span_ns if cfg.variant == GALLOP else \
-        _ns(cfg.ble_connection_interval if cfg.variant == BLE else 0.005)
+        cfg.ble_interval_ns if cfg.variant == BLE else _ns(0.005)
     process = ChannelProcess(channel_model)
 
     latencies_ms: list[float] = []

@@ -3,7 +3,10 @@
 These deliberately avoid the library code paths they validate: the matrix
 exponential is a truncated Taylor series with scaling-and-squaring, the
 linearized model and the energy are re-derived here from the Lagrangian,
-and fall times come from scanning the series solution.
+and fall times come from scanning the series solution. The one exception
+is rk4_span_closure: it is the RK4 kernel in its plain form, one
+derivative function called per stage, kept so that the unrolled kernel
+the simulator runs can be required to give the same floats.
 """
 
 from __future__ import annotations
@@ -90,6 +93,45 @@ def linear_fall_time(A: np.ndarray, x0: np.ndarray, threshold: float,
         if abs(x[0]) > threshold:
             return t
     raise AssertionError("linear model never crossed the fall threshold")
+
+
+def rk4_span_closure(th, w, phi, v, tau, tau_cmd, params, h, n_steps,
+                     fall_threshold=math.inf):
+    """plant._rk4_span written with a derivative closure, same operand order."""
+    m11, m12c, m22, g_l = params._rk4_terms
+    b = params.viscous_friction
+    tm = params.motor_time_constant
+    inv_tm = 1.0 / tm if tm > 0 else 0.0
+    if tm <= 0:
+        tau = tau_cmd
+
+    def deriv(th_, w_, v_, tau_):
+        s = math.sin(th_)
+        m12 = m12c * math.cos(th_)
+        q = tau_ - b * (v_ - w_)
+        rhs_w = q + m12c * s * w_ * w_
+        rhs_t = -q + g_l * s
+        det = m11 * m22 - m12 * m12
+        return (w_, (m11 * rhs_t - m12 * rhs_w) / det, v_,
+                (m22 * rhs_w - m12 * rhs_t) / det, (tau_cmd - tau_) * inv_tm)
+
+    half, sixth = 0.5 * h, h / 6.0
+    for i in range(n_steps):
+        a1, b1, c1, d1, e1 = deriv(th, w, v, tau)
+        a2, b2, c2, d2, e2 = deriv(th + half * a1, w + half * b1,
+                                   v + half * d1, tau + half * e1)
+        a3, b3, c3, d3, e3 = deriv(th + half * a2, w + half * b2,
+                                   v + half * d2, tau + half * e2)
+        a4, b4, c4, d4, e4 = deriv(th + h * a3, w + h * b3,
+                                   v + h * d3, tau + h * e3)
+        th += sixth * (a1 + 2.0 * (a2 + a3) + a4)
+        w += sixth * (b1 + 2.0 * (b2 + b3) + b4)
+        phi += sixth * (c1 + 2.0 * (c2 + c3) + c4)
+        v += sixth * (d1 + 2.0 * (d2 + d3) + d4)
+        tau += sixth * (e1 + 2.0 * (e2 + e3) + e4)
+        if th > fall_threshold or -th > fall_threshold:
+            return th, w, phi, v, tau, i + 1
+    return th, w, phi, v, tau, n_steps
 
 
 def gallop_slot_search(custom_slots, direction: str, ready_ns: int,

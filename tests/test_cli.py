@@ -132,6 +132,17 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert "slots 0 and 1 overlap" in err
 
+    @pytest.mark.parametrize("variant", ["ble_baseline", "ideal"])
+    def test_slots_on_non_gallop_variant_exit_2(self, tmp_path, capsys, variant):
+        # wrong band and overlapping too: a layout the link would not use
+        text = BLE_SHORT.replace("ble_baseline", variant) + \
+            "slots = forward, 0 ms, 1 ms, 1; feedback, 0 ms, 1 ms, 1\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "slots" in err and variant in err
+        assert "Traceback" not in err
+
     def test_misspelled_key_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[mac]\nvariannt = gallop\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2

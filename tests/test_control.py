@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,15 +90,15 @@ class TestComputeCommand:
 
     def test_p_only_tilt_term(self, params):
         gains = ControllerGains(kp_tilt=1.0)
-        cs = replace(make_controller_state(params), tilt_estimate=0.1,
-                     last_frame_seq=0)
+        cs = make_controller_state(params)._replace(tilt_estimate=0.1,
+                                                    last_frame_seq=0)
         cs, act = compute_command(cs, gains, frame(seq=0), dt=0.002)
         assert act.motor_command_left == pytest.approx(0.1, rel=1e-12)
 
     def test_saturation_at_command_limit(self, params):
         gains = ControllerGains(kp_tilt=20.0, command_limit=1.0)
-        cs = replace(make_controller_state(params), tilt_estimate=0.1,
-                     last_frame_seq=0)
+        cs = make_controller_state(params)._replace(tilt_estimate=0.1,
+                                                    last_frame_seq=0)
         cs, act = compute_command(cs, gains, frame(seq=0), dt=0.002)
         assert act.motor_command_left == 1.0
 

@@ -32,7 +32,17 @@ GOLDEN = {
         "79d5392a987db174786efb6cadf4ac8a149787a52a42bced248fd618fdf54930",
     "gallop_drifting_clock":
         "f096b0a6c2d0655adae8c129e9cd0ff2646da73fda1957277ecb5046fca4be22",
+    "delay_sweep_16ms_fall":
+        "8e9008576d7b74dc5566513b5aa7716c2f9f4d22c22c5a08a91940a54b3f764e",
+    "gallop_sample_floor":
+        "254d9a3c2736ec5d8ecfcf3975cb0fb167553c8c4ed7b619687514ce4257df39",
 }
+
+# The 16 ms case falls. Events after the fall must not be handled, and the
+# CSV alone does not show an extra one, so its fall time and counters
+# (forward sent/delivered/lost, feedback sent/delivered/lost) are pinned too.
+FALL_TIME = 0.4085
+FALL_COUNTERS = (205, 205, 0, 196, 196, 0)
 
 
 def _scenario(config_dir, case):
@@ -50,6 +60,15 @@ def _scenario(config_dir, case):
     elif case == "delay_sweep_12ms":
         cfg = load_scenario(config_dir / "delay_sweep.cfg")
         cfg = replace(cfg, mac=replace(cfg.mac, extra_delay=0.012))
+    elif case == "delay_sweep_16ms_fall":
+        cfg = load_scenario(config_dir / "delay_sweep.cfg")
+        cfg = replace(cfg, mac=replace(cfg.mac, extra_delay=0.016), seed=1)
+    elif case == "gallop_sample_floor":
+        # a 1 us sync offset puts 2 of the sample times before the plant
+        # time an earlier event reached; schedule_sample lifts them to it
+        cfg = load_scenario(config_dir / "gallop_default.cfg")
+        cfg = replace(cfg, mac=replace(cfg.mac, sync_error_bound=1e-6,
+                                       extra_delay=0.001))
     else:
         cfg = load_scenario(config_dir / "gallop_default.cfg")
         cfg = replace(cfg, mac=replace(cfg.mac, slots_per_superframe=4),
@@ -62,3 +81,11 @@ def test_trace_digest_pinned(config_dir, case):
     trace, _ = run_episode(_scenario(config_dir, case))
     digest = hashlib.sha256(trace_to_csv(trace).encode("utf-8")).hexdigest()
     assert digest == GOLDEN[case]
+
+
+def test_falling_episode_pins_fall_time_and_counters(config_dir):
+    trace, _ = run_episode(_scenario(config_dir, "delay_sweep_16ms_fall"))
+    assert trace.fall_time == FALL_TIME
+    assert (trace.forward_sent, trace.forward_delivered, trace.forward_lost,
+            trace.feedback_sent, trace.feedback_delivered,
+            trace.feedback_lost) == FALL_COUNTERS

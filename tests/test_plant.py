@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from telebalance.plant import (
     PlantParams,
@@ -11,10 +13,17 @@ from telebalance.plant import (
     linearized_matrices,
     mechanical_energy,
     sample_sensors,
+    _rk4_span,
     step_dynamics,
 )
 
-from oracles import expm_taylor, lagrangian_energy, linear_fall_time, wip_linear_system
+from oracles import (
+    expm_taylor,
+    lagrangian_energy,
+    linear_fall_time,
+    rk4_span_closure,
+    wip_linear_system,
+)
 
 
 def run_open_loop(state, params, duration, dt=1e-3, torque=0.0):
@@ -113,6 +122,22 @@ class TestLinearizedOracle:
         s = PlantState(tilt=1e-3)
         s = run_open_loop(s, params, 1.0)
         assert abs(s.tilt) > 0.6
+
+
+class TestRk4Kernel:
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.tuples(st.floats(-0.7, 0.7), st.floats(-20.0, 20.0),
+                       st.floats(-100.0, 100.0), st.floats(-200.0, 200.0),
+                       st.floats(-0.1, 0.1)),
+           tau_cmd=st.floats(-0.1, 0.1), h=st.floats(1e-9, 5e-4),
+           n_steps=st.integers(1, 5),
+           tm=st.sampled_from([0.0, 0.01]), friction=st.sampled_from([0.0, 1e-5, 1e-3]),
+           fall_threshold=st.sampled_from([0.1, 0.6, math.inf]))
+    def test_unrolled_kernel_gives_the_closure_forms_floats(
+            self, x, tau_cmd, h, n_steps, tm, friction, fall_threshold):
+        params = PlantParams(motor_time_constant=tm, viscous_friction=friction)
+        args = (*x, tau_cmd, params, h, n_steps, fall_threshold)
+        assert _rk4_span(*args) == rk4_span_closure(*args)
 
 
 class TestEnergyAndSymmetry:
