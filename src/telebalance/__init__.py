@@ -6,6 +6,7 @@ a BLE-style connection-interval baseline, or an ideal pass-through. The
 discrete-event engine measures loop stability and cycle latency.
 """
 
-from .sim import ble_scenario, gallop_scenario, run_episode
+from .config import ble_scenario, gallop_scenario
+from .sim import run_episode
 
 __version__ = "0.1.0"

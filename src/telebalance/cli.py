@@ -8,12 +8,11 @@ Exit codes: 0 success (a fallen robot is a result, not a failure),
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import _ANGLE_UNITS, _DURATION_UNITS, ConfigError, load_scenario
+from .config import ConfigError, load_scenario, parse_sweep_values
 from .control import TuningFailureError
 from .plant import InvalidConfigError
 from .sim import (
@@ -24,22 +23,6 @@ from .sim import (
     run_sweep,
     trace_to_csv,
 )
-
-# sweep values take the config file's unit suffixes, or none
-_UNIT_FACTOR = {None: 1.0, **_DURATION_UNITS, **_ANGLE_UNITS}
-_QUANTITY_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*("
-                          + "|".join(u for u in _UNIT_FACTOR if u) + r")?\s*$")
-
-
-def _parse_values(text: str) -> list[float]:
-    values = []
-    for item in text.split(","):
-        m = _QUANTITY_RE.match(item)
-        if not m:
-            raise ValueError(f"cannot parse sweep value {item.strip()!r}")
-        values.append(float(m.group(1)) * _UNIT_FACTOR[m.group(2)])
-    return values
-
 
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -115,10 +98,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    values = _parse_values(args.values)
-    if not values:
-        print("empty --values list", file=sys.stderr)
-        return 2
+    values = parse_sweep_values(args.param, args.values)
     if args.seeds < 3:
         print("--seeds must be >= 3 for a sweep", file=sys.stderr)
         return 2
@@ -170,7 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--param", required=True,
                        help="dotted path, e.g. mac.extra_delay")
     p_swp.add_argument("--values", required=True,
-                       help="comma list, unit suffixes allowed (0ms,2ms,...)")
+                       help="comma list; a unit must fit the key (0ms,2ms,...), "
+                       "a bare number is in s or rad")
     p_swp.add_argument("--seeds", type=int, default=3)
     p_swp.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p_swp.add_argument("--out", default="out")

@@ -1,4 +1,5 @@
-"""Experiment config files: flat sectioned text with explicit units.
+"""Scenarios: what one is, how a config file writes it, and which
+'section.key' paths a sweep may set.
 
 Format example::
 
@@ -13,22 +14,98 @@ Format example::
     variant = gallop
     slot_duration = 1 ms
 
-Every key is checked against a fixed schema; unknown sections, unknown or
-duplicate keys, and missing/wrong unit suffixes are hard errors with a
-line diagnostic, never silently ignored. Durations require an s/ms/us
-suffix, angles rad/deg; plain numbers take no suffix.
+SCHEMA is the one table of keys. It gives each key's kind, and SECTIONS
+gives the ScenarioConfig field each section fills. Unknown sections,
+unknown or duplicate keys and malformed values are hard errors with a line
+diagnostic, never silently ignored. A quantity is a number, optional
+whitespace, then a unit of the key's kind: s, ms or us for a duration, rad
+or deg for an angle, none for a plain number or an integer. The config
+file requires the unit on durations and angles. A sweep value (--values)
+follows the same grammar, except that a bare number on a duration or
+angle key means s or rad.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+import re
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .control import DEFAULT_GAINS
-from .plant import PlantParams, SensorNoise
-from .sim import ScenarioConfig
-from .wireless import ChannelModel, MacConfig
+from .control import DEFAULT_FILTER_ALPHA, DEFAULT_GAINS, ControllerGains
+from .plant import DEFAULT_FALL_THRESHOLD, PlantParams, SensorNoise, check_finite
+from .wireless import BLE, GALLOP, IDEAL, ChannelModel, MacConfig, _ns
+
+# default IMU noise for scenarios; roughly a consumer-grade gyro (0.11 deg/s)
+# and accelerometer-derived tilt (0.29 deg)
+DEFAULT_NOISE = SensorNoise(gyro_noise_std=0.002, accel_noise_std=0.005)
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    plant: PlantParams = PlantParams()
+    noise: SensorNoise = DEFAULT_NOISE
+    mac: MacConfig = MacConfig()
+    channel: ChannelModel = ChannelModel()
+    gains: ControllerGains | None = None   # None -> tuned for the cycle
+    filter_alpha: float = DEFAULT_FILTER_ALPHA
+    initial_tilt: float = math.radians(2.0)  # rad
+    episode_duration: float = 60.0           # s
+    control_cycle: float | None = None       # s, None -> derived from mac
+    seed: int = 1
+    fall_threshold: float = DEFAULT_FALL_THRESHOLD  # rad
+    label: str = "scenario"
+
+    def resolved_cycle(self) -> float:
+        if self.control_cycle is not None:
+            return self.control_cycle
+        if self.mac.variant == GALLOP:
+            return self.mac.superframe.span
+        if self.mac.variant == BLE:
+            return self.mac.ble_connection_interval
+        return 0.005
+
+    def __post_init__(self) -> None:
+        check_finite(self)
+        if not self.episode_duration > 0:
+            raise ValueError("episode_duration must be positive")
+        # the engine counts cycles in whole ns; a 0 ns cycle never advances
+        if not _ns(self.resolved_cycle()) > 0:
+            raise ValueError("control_cycle must be at least 1 ns, "
+                             f"got {self.resolved_cycle()!r} s")
+        if not self.fall_threshold > 0:
+            raise ValueError("fall_threshold must be positive")
+        if not 0.0 <= self.filter_alpha <= 1.0:
+            raise ValueError("filter_alpha must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
+
+def _ideal_sync_mac(**overrides) -> MacConfig:
+    overrides.setdefault("clock_drift_ppm", 0.0)
+    overrides.setdefault("sync_error_bound", 0.0)
+    return MacConfig(**overrides)
+
+
+def gallop_scenario(**overrides) -> ScenarioConfig:
+    """Deterministic-link default scenario (idealized clock sync)."""
+    overrides.setdefault("mac", _ideal_sync_mac(variant=GALLOP))
+    overrides.setdefault("label", "gallop")
+    return ScenarioConfig(**overrides)
+
+
+def ble_scenario(**overrides) -> ScenarioConfig:
+    """Connection-interval baseline scenario (idealized clock sync)."""
+    overrides.setdefault("mac", _ideal_sync_mac(variant=BLE))
+    overrides.setdefault("label", "ble")
+    return ScenarioConfig(**overrides)
+
+
+def ideal_scenario(**overrides) -> ScenarioConfig:
+    """Pass-through link: zero latency and loss, isolates the control loop."""
+    overrides.setdefault("mac", _ideal_sync_mac(variant=IDEAL))
+    overrides.setdefault("label", "ideal")
+    return ScenarioConfig(**overrides)
 
 
 class ConfigError(ValueError):
@@ -39,34 +116,34 @@ class ConfigError(ValueError):
         super().__init__(where + message)
 
 
-_DURATION_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6}
-_ANGLE_UNITS = {"rad": 1.0, "deg": math.pi / 180.0}
+# quantity kind -> unit -> factor to the kind's base unit (s, rad)
+UNITS: dict[str, dict[str, float]] = {
+    "duration": {"s": 1.0, "ms": 1e-3, "us": 1e-6},
+    "angle": {"rad": 1.0, "deg": math.pi / 180.0},
+    "number": {},
+    "integer": {},
+}
+_QUANTITY_RE = {kind: re.compile(r"\s*(\S+?)\s*(%s)?\s*" % "|".join(units))
+                for kind, units in UNITS.items()}
 
 
-def parse_duration(text: str) -> float:
-    parts = text.split()
-    if len(parts) != 2 or parts[1] not in _DURATION_UNITS:
-        raise ValueError(f"expected '<number> s|ms|us', got {text!r}")
-    return float(parts[0]) * _DURATION_UNITS[parts[1]]
+def parse_quantity(kind: str, text: str, bare_is_base: bool = False) -> float | int:
+    """A quantity of a kind in UNITS, in the kind's base unit.
 
-
-def parse_angle(text: str) -> float:
-    parts = text.split()
-    if len(parts) != 2 or parts[1] not in _ANGLE_UNITS:
-        raise ValueError(f"expected '<number> rad|deg', got {text!r}")
-    return float(parts[0]) * _ANGLE_UNITS[parts[1]]
-
-
-def parse_number(text: str) -> float:
-    if len(text.split()) != 1:
-        raise ValueError(f"expected a bare number (no unit), got {text!r}")
-    return float(text)
-
-
-def parse_integer(text: str) -> int:
-    if len(text.split()) != 1:
-        raise ValueError(f"expected a bare integer, got {text!r}")
-    return int(text)
+    A duration or angle needs its unit unless bare_is_base, which reads a
+    bare number in s or rad. A unit of another kind is an error.
+    """
+    units = UNITS[kind]
+    m = _QUANTITY_RE[kind].fullmatch(text)
+    if m is not None and (m[2] is not None or not units or bare_is_base):
+        try:
+            if kind == "integer":
+                return int(m[1])
+            return float(m[1]) * units.get(m[2], 1.0)
+        except ValueError:
+            pass
+    expected = f"'<number> {'|'.join(units)}'" if units else f"a bare {kind}"
+    raise ValueError(f"expected {expected}, got {text!r}")
 
 
 def parse_slots(text: str) -> tuple:
@@ -78,8 +155,8 @@ def parse_slots(text: str) -> tuple:
             raise ValueError(
                 f"slot entry {entry.strip()!r} needs 'direction, start, duration, band'")
         direction, start, duration, band = fields
-        slots.append((direction, parse_duration(start), parse_duration(duration),
-                      int(band)))
+        slots.append((direction, parse_quantity("duration", start),
+                      parse_quantity("duration", duration), int(band)))
     return tuple(slots)
 
 
@@ -94,70 +171,133 @@ def parse_per_channel(text: str) -> tuple:
     return tuple(out)
 
 
-# section -> key -> (parser, target field)
-SCHEMA: dict[str, dict[str, tuple]] = {
+# kinds read by a parser of their own; every other kind is a UNITS quantity
+_PARSERS = {"text": str, "slots": parse_slots, "per_channel": parse_per_channel}
+
+# the keys whose field has another name; every other key sets its namesake
+_FIELDS = {"slots": "custom_slots", "per_channel": "per_channel_loss"}
+
+# section -> key -> kind
+SCHEMA: dict[str, dict[str, str]] = {
     "scenario": {
-        "label": (str, "label"),
-        "episode_duration": (parse_duration, "episode_duration"),
-        "control_cycle": (parse_duration, "control_cycle"),
-        "initial_tilt": (parse_angle, "initial_tilt"),
-        "fall_threshold": (parse_angle, "fall_threshold"),
-        "seed": (parse_integer, "seed"),
-        "filter_alpha": (parse_number, "filter_alpha"),
+        "label": "text",
+        "episode_duration": "duration",
+        "control_cycle": "duration",
+        "initial_tilt": "angle",
+        "fall_threshold": "angle",
+        "seed": "integer",
+        "filter_alpha": "number",
     },
     "plant": {
-        "body_mass": (parse_number, "body_mass"),
-        "wheel_mass_total": (parse_number, "wheel_mass_total"),
-        "com_distance": (parse_number, "com_distance"),
-        "wheel_radius": (parse_number, "wheel_radius"),
-        "body_inertia": (parse_number, "body_inertia"),
-        "wheel_inertia": (parse_number, "wheel_inertia"),
-        "gravity": (parse_number, "gravity"),
-        "motor_max_torque": (parse_number, "motor_max_torque"),
-        "motor_time_constant": (parse_duration, "motor_time_constant"),
-        "viscous_friction": (parse_number, "viscous_friction"),
-        "encoder_counts_per_rev": (parse_integer, "encoder_counts_per_rev"),
+        "body_mass": "number",
+        "wheel_mass_total": "number",
+        "com_distance": "number",
+        "wheel_radius": "number",
+        "body_inertia": "number",
+        "wheel_inertia": "number",
+        "gravity": "number",
+        "motor_max_torque": "number",
+        "motor_time_constant": "duration",
+        "viscous_friction": "number",
+        "encoder_counts_per_rev": "integer",
     },
     "noise": {
-        "gyro_noise_std": (parse_number, "gyro_noise_std"),
-        "gyro_bias": (parse_number, "gyro_bias"),
-        "accel_noise_std": (parse_number, "accel_noise_std"),
+        "gyro_noise_std": "number",
+        "gyro_bias": "number",
+        "accel_noise_std": "number",
     },
     "gains": {
-        "kp_tilt": (parse_number, "kp_tilt"),
-        "kd_tilt": (parse_number, "kd_tilt"),
-        "ki_tilt": (parse_number, "ki_tilt"),
-        "kp_position": (parse_number, "kp_position"),
-        "kd_position": (parse_number, "kd_position"),
-        "integral_limit": (parse_number, "integral_limit"),
-        "command_limit": (parse_number, "command_limit"),
+        "kp_tilt": "number",
+        "kd_tilt": "number",
+        "ki_tilt": "number",
+        "kp_position": "number",
+        "kd_position": "number",
+        "integral_limit": "number",
+        "command_limit": "number",
     },
     "mac": {
-        "variant": (str, "variant"),
-        "slot_duration": (parse_duration, "slot_duration"),
-        "slots_per_superframe": (parse_integer, "slots_per_superframe"),
-        "forward_band": (parse_integer, "forward_band"),
-        "feedback_band": (parse_integer, "feedback_band"),
-        "channel_count": (parse_integer, "channel_count"),
-        "hop_increment": (parse_integer, "hop_increment"),
-        "sync_epoch_period": (parse_duration, "sync_epoch_period"),
-        "sync_error_bound": (parse_duration, "sync_error_bound"),
-        "clock_drift_ppm": (parse_number, "clock_drift_ppm"),
-        "ble_connection_interval": (parse_duration, "ble_connection_interval"),
-        "ble_jitter_max": (parse_duration, "ble_jitter_max"),
-        "slot_guard": (parse_duration, "slot_guard"),
-        "extra_delay": (parse_duration, "extra_delay"),
-        "slots": (parse_slots, "custom_slots"),
+        "variant": "text",
+        "slot_duration": "duration",
+        "slots_per_superframe": "integer",
+        "forward_band": "integer",
+        "feedback_band": "integer",
+        "channel_count": "integer",
+        "hop_increment": "integer",
+        "sync_epoch_period": "duration",
+        "sync_error_bound": "duration",
+        "clock_drift_ppm": "number",
+        "ble_connection_interval": "duration",
+        "ble_jitter_max": "duration",
+        "slot_guard": "duration",
+        "extra_delay": "duration",
+        "slots": "slots",
     },
     "loss": {
-        "default_loss": (parse_number, "default_loss"),
-        "p_good_to_bad": (parse_number, "p_good_to_bad"),
-        "p_bad_to_good": (parse_number, "p_bad_to_good"),
-        "loss_good": (parse_number, "loss_good"),
-        "loss_bad": (parse_number, "loss_bad"),
-        "per_channel": (parse_per_channel, "per_channel_loss"),
+        "default_loss": "number",
+        "p_good_to_bad": "number",
+        "p_bad_to_good": "number",
+        "loss_good": "number",
+        "loss_bad": "number",
+        "per_channel": "per_channel",
     },
 }
+
+# section -> (the ScenarioConfig field it fills, the value a partial section
+# extends); [scenario] keys are ScenarioConfig's own fields
+SECTIONS: dict[str, tuple] = {
+    "scenario": (None, None),
+    "plant": ("plant", PlantParams()),
+    "noise": ("noise", SensorNoise()),
+    "gains": ("gains", DEFAULT_GAINS),
+    "mac": ("mac", MacConfig()),
+    "loss": ("channel", ChannelModel()),
+}
+
+
+def _numeric_key(path: str) -> tuple[str, str, str]:
+    """(section, key, kind) of a numeric 'section.key' path; a bare key is a
+    [scenario] key."""
+    section, key = path.split(".", 1) if "." in path else ("scenario", path)
+    kind = SCHEMA.get(section, {}).get(key)
+    if kind is None:
+        raise ValueError(f"unknown parameter path {path!r}")
+    if kind not in UNITS:
+        raise ValueError(f"non-numeric parameter path {path!r}")
+    return section, key, kind
+
+
+def parse_sweep_values(path: str, text: str) -> list[float | int]:
+    """The comma-separated --values of a sweep over the key at path."""
+    kind = _numeric_key(path)[2]
+    try:
+        return [parse_quantity(kind, item, bare_is_base=True)
+                for item in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"sweep value for {path}: {exc}") from None
+
+
+def set_by_path(cfg: ScenarioConfig, path: str, value) -> ScenarioConfig:
+    """Copy of cfg with the numeric key at a 'section.key' path set to value.
+
+    Paths are the config file's names (mac.extra_delay, loss.default_loss,
+    scenario.seed) or a bare [scenario] key. An integer key rejects a
+    non-integral value, and the copy's own checks reject an invalid one.
+    Setting a gain of a scenario whose gains are tuned at run time starts
+    from the shipped defaults, as a partial [gains] section does.
+    """
+    section, key, kind = _numeric_key(path)
+    if kind == "integer":
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"parameter {path!r} takes an integer, got {value!r}")
+        value = int(value)
+    else:
+        value = float(value)
+    field, base = SECTIONS[section]
+    if field is None:
+        return replace(cfg, **{key: value})
+    target = getattr(cfg, field)
+    return replace(cfg, **{field: replace(base if target is None else target,
+                                          **{key: value})})
 
 
 def _read_sections(path: Path) -> dict[str, dict[str, object]]:
@@ -197,9 +337,10 @@ def _read_sections(path: Path) -> dict[str, dict[str, object]]:
             raise ConfigError(f"duplicate key {key!r} in [{current}]",
                               path=str(path), line=lineno)
         seen.add((current, key))
-        parser, field = SCHEMA[current][key]
+        kind = SCHEMA[current][key]
         try:
-            sections[current][field] = parser(value)
+            sections[current][_FIELDS.get(key, key)] = _PARSERS[kind](value) \
+                if kind in _PARSERS else parse_quantity(kind, value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}",
                               path=str(path), line=lineno) from exc
@@ -217,18 +358,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     sections = _read_sections(path)
     try:
-        kwargs: dict[str, object] = {}
-        if "plant" in sections:
-            kwargs["plant"] = PlantParams(**sections["plant"])
-        if "noise" in sections:
-            kwargs["noise"] = SensorNoise(**sections["noise"])
-        if "mac" in sections:
-            kwargs["mac"] = MacConfig(**sections["mac"])
-        if "loss" in sections:
-            kwargs["channel"] = ChannelModel(**sections["loss"])
-        if "gains" in sections:
-            kwargs["gains"] = replace(DEFAULT_GAINS, **sections["gains"])
-        kwargs.update(sections.get("scenario", {}))
+        kwargs = dict(sections.pop("scenario", {}))
+        for section, values in sections.items():
+            field, base = SECTIONS[section]
+            kwargs[field] = replace(base, **values)
         kwargs.setdefault("label", path.stem)
         return ScenarioConfig(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -44,12 +44,20 @@ class InvalidConfigError(ValueError):
     """Raised for configurations that cannot run."""
 
 
+# bound on every number a config holds: far beyond any quantity of this
+# model, and small enough that durations in ns, squares and the products
+# the plant forms stay finite
+MAX_MAGNITUDE = 1e12
+
+
 def check_finite(cfg) -> None:
-    """Reject a config dataclass whose float fields hold inf or nan."""
+    """Reject a config dataclass whose int or float fields hold inf, nan or
+    a magnitude above MAX_MAGNITUDE."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise InvalidConfigError(f"{f.name} must be finite, got {value!r}")
+        if isinstance(value, (int, float)) and not abs(value) <= MAX_MAGNITUDE:
+            raise InvalidConfigError(f"{f.name} must be finite and within "
+                                     f"+/-{MAX_MAGNITUDE:g}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -287,25 +295,6 @@ def sample_sensors(state: PlantState, noise: SensorNoise, params: PlantParams,
     accel = state.tilt + noise.accel_noise_std * n_accel
     counts = math.floor(state.wheel_angle / TWO_PI * params.encoder_counts_per_rev)
     return SensorFrame(gyro, accel, counts, counts, state.sim_time, seq)
-
-
-def is_fallen(state: PlantState, threshold: float = DEFAULT_FALL_THRESHOLD) -> bool:
-    """True once |tilt| exceeds the fall threshold."""
-    if not threshold > 0:
-        raise ValueError("fall threshold must be positive")
-    return abs(state.tilt) > threshold
-
-
-def mechanical_energy(state: PlantState, params: PlantParams) -> float:
-    """Total mechanical energy (kinetic + potential) of the model."""
-    m11, m12c, m22 = _mass_terms(params)
-    m12 = m12c * math.cos(state.tilt)
-    v = state.wheel_rate
-    w = state.tilt_rate
-    kinetic = 0.5 * m11 * v * v + m12 * v * w + 0.5 * m22 * w * w
-    potential = params.body_mass * params.gravity * params.com_distance \
-        * math.cos(state.tilt)
-    return kinetic + potential
 
 
 def linearized_matrices(params: PlantParams) -> tuple[np.ndarray, np.ndarray]:

@@ -26,39 +26,23 @@ import concurrent.futures
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import ScenarioConfig, set_by_path
 from .control import (
-    ControllerGains,
-    DEFAULT_FILTER_ALPHA,
-    DEFAULT_GAINS,
     compute_command,
     estimate_tilt,
     make_controller_state,
     tune_default_gains,
 )
-from .plant import (
-    DEFAULT_FALL_THRESHOLD,
-    SUBSTEP_S,
-    PlantParams,
-    PlantState,
-    SensorNoise,
-    _rk4_span,
-    check_finite,
-    sample_sensors,
-)
+from .plant import SUBSTEP_S, PlantState, _rk4_span, sample_sensors
 from .wireless import (
-    BLE,
     FEEDBACK,
     FORWARD,
-    GALLOP,
-    IDEAL,
-    ChannelModel,
     ChannelProcess,
-    MacConfig,
     RobotClock,
     _ns,
     transmit,
@@ -67,76 +51,6 @@ from .wireless import (
 SUBSTEP_NS = _ns(SUBSTEP_S)
 DEG = 180.0 / math.pi
 NAN = float("nan")
-
-# default IMU noise for scenarios; roughly a consumer-grade gyro (0.11 deg/s)
-# and accelerometer-derived tilt (0.29 deg)
-DEFAULT_NOISE = SensorNoise(gyro_noise_std=0.002, accel_noise_std=0.005)
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    plant: PlantParams = PlantParams()
-    noise: SensorNoise = DEFAULT_NOISE
-    mac: MacConfig = MacConfig()
-    channel: ChannelModel = ChannelModel()
-    gains: ControllerGains | None = None   # None -> tuned for the cycle
-    filter_alpha: float = DEFAULT_FILTER_ALPHA
-    initial_tilt: float = math.radians(2.0)  # rad
-    episode_duration: float = 60.0           # s
-    control_cycle: float | None = None       # s, None -> derived from mac
-    seed: int = 1
-    fall_threshold: float = DEFAULT_FALL_THRESHOLD  # rad
-    label: str = "scenario"
-
-    def resolved_cycle(self) -> float:
-        if self.control_cycle is not None:
-            return self.control_cycle
-        if self.mac.variant == GALLOP:
-            return self.mac.superframe.span
-        if self.mac.variant == BLE:
-            return self.mac.ble_connection_interval
-        return 0.005
-
-    def __post_init__(self) -> None:
-        check_finite(self)
-        if not self.episode_duration > 0:
-            raise ValueError("episode_duration must be positive")
-        if not self.resolved_cycle() > 0:
-            raise ValueError("control_cycle must be positive")
-        if not self.fall_threshold > 0:
-            raise ValueError("fall_threshold must be positive")
-        if not 0.0 <= self.filter_alpha <= 1.0:
-            raise ValueError("filter_alpha must be in [0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-
-
-def _ideal_sync_mac(**overrides) -> MacConfig:
-    overrides.setdefault("clock_drift_ppm", 0.0)
-    overrides.setdefault("sync_error_bound", 0.0)
-    return MacConfig(**overrides)
-
-
-def gallop_scenario(**overrides) -> ScenarioConfig:
-    """Deterministic-link default scenario (idealized clock sync)."""
-    overrides.setdefault("mac", _ideal_sync_mac(variant=GALLOP))
-    overrides.setdefault("label", "gallop")
-    return ScenarioConfig(**overrides)
-
-
-def ble_scenario(**overrides) -> ScenarioConfig:
-    """Connection-interval baseline scenario (idealized clock sync)."""
-    overrides.setdefault("mac", _ideal_sync_mac(variant=BLE))
-    overrides.setdefault("label", "ble")
-    return ScenarioConfig(**overrides)
-
-
-def ideal_scenario(**overrides) -> ScenarioConfig:
-    """Pass-through link: zero latency and loss, isolates the control loop."""
-    overrides.setdefault("mac", _ideal_sync_mac(variant=IDEAL))
-    overrides.setdefault("label", "ideal")
-    return ScenarioConfig(**overrides)
-
 
 class CycleRecord(NamedTuple):
     """One control cycle of a trace; a tuple because every cycle builds one."""
@@ -389,49 +303,6 @@ def compute_metrics(trace: EpisodeTrace, cfg: ScenarioConfig) -> EpisodeMetrics:
     )
 
 
-# Declared field types (postponed annotations, so strings) that a sweep may
-# set, and the type each swept value is coerced to.
-_NUMERIC_FIELDS = {"int": int, "float": float, "float | None": float}
-# config-file section -> the ScenarioConfig field load_scenario builds from it
-_SECTION_FIELDS = {"plant": "plant", "noise": "noise", "gains": "gains",
-                   "mac": "mac", "loss": "channel"}
-
-
-def _set_by_path(cfg: ScenarioConfig, path: str, value: float) -> ScenarioConfig:
-    """Copy of cfg with the numeric field at a dotted path set to value.
-
-    Paths are the config file's 'section.key' names (mac.extra_delay,
-    loss.default_loss, scenario.seed) or a bare scenario field. The value is
-    coerced to the field's declared type; an int field rejects a
-    non-integral value, and the copy's own checks reject an invalid one.
-    Setting a gain of a scenario whose gains are tuned at run time starts
-    from the shipped defaults.
-    """
-    parts = path.split(".")
-    if len(parts) == 2 and parts[0] == "scenario":
-        parts = parts[1:]
-    if len(parts) == 1:
-        section, target = None, cfg
-    elif len(parts) == 2 and parts[0] in _SECTION_FIELDS:
-        section = _SECTION_FIELDS[parts[0]]
-        target = getattr(cfg, section)
-        if section == "gains" and target is None:
-            target = DEFAULT_GAINS  # as load_scenario does for a partial [gains]
-    else:
-        raise ValueError(f"unknown parameter path {path!r}")
-    name = parts[-1]
-    declared = {f.name: f.type for f in fields(target) if f.init}
-    kind = _NUMERIC_FIELDS.get(declared.get(name))
-    if kind is None:
-        raise ValueError(f"unknown or non-numeric parameter path {path!r}")
-    if kind is int and not float(value).is_integer():
-        raise ValueError(f"parameter {path!r} takes an integer, got {value!r}")
-    value = kind(value)
-    if section is None:
-        return replace(cfg, **{name: value})
-    return replace(cfg, **{section: replace(target, **{name: value})})
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     value: float
@@ -481,7 +352,7 @@ def run_sweep(base: ScenarioConfig, parameter_path: str, values,
         raise ValueError("sweep needs at least one value")
     if seeds_per_point < 3:
         raise ValueError("sweep needs at least 3 seeds per point")
-    grid = [_set_by_path(base, parameter_path, v) for v in values]
+    grid = [set_by_path(base, parameter_path, v) for v in values]
     jobs = [(replace(cfg, seed=base.seed + i), False)
             for cfg in grid for i in range(seeds_per_point)]
     metrics = [m for _, m in _run_batch(jobs, workers)]

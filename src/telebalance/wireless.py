@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .plant import InvalidConfigError, check_finite
+from .plant import MAX_MAGNITUDE, InvalidConfigError, check_finite
 
 GALLOP = "gallop"
 BLE = "ble_baseline"
@@ -41,6 +41,9 @@ FORWARD = "forward"
 FEEDBACK = "feedback"
 
 BLE_MIN_INTERVAL_S = 0.0075
+# build_superframe lays out every slot, and transmit scans a direction's
+# slots for each frame
+MAX_SLOTS = 1000
 
 
 def _ns(seconds: float) -> int:
@@ -78,8 +81,12 @@ class MacConfig:
         check_finite(self)
         if self.variant not in (GALLOP, BLE, IDEAL):
             raise InvalidConfigError(f"unknown mac variant {self.variant!r}")
-        if self.slot_duration <= 0 or self.slots_per_superframe < 1:
-            raise InvalidConfigError("superframe needs >= 1 slot of positive duration")
+        # event times are whole ns: a shorter slot or sync period is 0 ns long
+        if _ns(self.slot_duration) <= 0:
+            raise InvalidConfigError("slot_duration must be at least 1 ns")
+        if not 1 <= self.slots_per_superframe <= MAX_SLOTS:
+            raise InvalidConfigError(
+                f"slots_per_superframe must be in [1, {MAX_SLOTS}]")
         if self.forward_band == self.feedback_band:
             raise InvalidConfigError(
                 "forward and feedback bands must be disjoint (FDD)")
@@ -95,8 +102,10 @@ class MacConfig:
             raise InvalidConfigError("ble_jitter_max and extra_delay must be >= 0")
         if not 0 <= self.slot_guard < self.slot_duration:
             raise InvalidConfigError("slot_guard must be in [0, slot_duration)")
-        if self.sync_epoch_period <= 0 or self.sync_error_bound < 0:
-            raise InvalidConfigError("sync parameters must be positive / >= 0")
+        if _ns(self.sync_epoch_period) <= 0:
+            raise InvalidConfigError("sync_epoch_period must be at least 1 ns")
+        if self.sync_error_bound < 0:
+            raise InvalidConfigError("sync_error_bound must be >= 0")
         if not self.clock_drift_ppm > -1e6:
             raise InvalidConfigError("clock_drift_ppm must be > -1e6")
         if self.variant == GALLOP:
@@ -171,10 +180,13 @@ def build_superframe(cfg: MacConfig) -> Superframe:
     for i, s in enumerate(slots):
         if s.direction not in (FORWARD, FEEDBACK):
             raise InvalidConfigError(f"slot {i} has unknown direction {s.direction!r}")
-        if not (math.isfinite(s.start_offset) and math.isfinite(s.duration)):
-            raise InvalidConfigError(f"slot {i} has a non-finite start or duration")
-        if s.duration <= 0:
-            raise InvalidConfigError(f"slot {i} has non-positive duration")
+        if not (abs(s.start_offset) <= MAX_MAGNITUDE
+                and abs(s.duration) <= MAX_MAGNITUDE):
+            raise InvalidConfigError(
+                f"slot {i} has a non-finite start or duration, or one beyond "
+                f"+/-{MAX_MAGNITUDE:g} s")
+        if _ns(s.duration) <= 0:
+            raise InvalidConfigError(f"slot {i} duration must be at least 1 ns")
         if s.band != band_of[s.direction]:
             raise InvalidConfigError(
                 f"slot {i} ({s.direction}) assigned band {s.band}, expected "

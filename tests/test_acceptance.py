@@ -15,12 +15,11 @@ import numpy as np
 import pytest
 
 from telebalance.cli import main
+from telebalance.config import ble_scenario, gallop_scenario
 from telebalance.plant import PlantParams, PlantState, step_dynamics
 from telebalance.sim import (
-    ble_scenario,
     compare_scenarios,
     failure_threshold,
-    gallop_scenario,
     run_episode,
     run_sweep,
     trace_to_csv,

@@ -8,8 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from telebalance.config import SCHEMA, load_scenario
-from telebalance.sim import _set_by_path
+from telebalance.config import SCHEMA, load_scenario, set_by_path
 
 README = Path(__file__).parent.parent / "README.md"
 IMPORT_RE = re.compile(r"^\s*from (telebalance[\w.]*) import (.+)$", re.MULTILINE)
@@ -46,4 +45,4 @@ def test_readme_documents_section_paths():
 @pytest.mark.parametrize("path", documented_param_paths())
 def test_readme_param_path_resolves(config_dir, path):
     cfg = load_scenario(config_dir / "gallop_default.cfg")
-    assert _set_by_path(cfg, path, 1) != cfg
+    assert set_by_path(cfg, path, 1) != cfg

@@ -4,8 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from telebalance.cli import _parse_values, main
-from telebalance.config import ConfigError, load_scenario, parse_duration
+from telebalance.cli import main
+from telebalance.config import (
+    ConfigError,
+    load_scenario,
+    parse_quantity,
+    parse_sweep_values,
+)
 
 GALLOP_SHORT = """\
 [scenario]
@@ -39,13 +44,16 @@ def write_cfg(tmp_path: Path, text: str, name: str = "scenario.cfg") -> Path:
 
 class TestConfigParsing:
     def test_duration_suffix_required(self):
-        assert parse_duration("2 ms") == pytest.approx(0.002)
-        assert parse_duration("1 s") == 1.0
-        assert parse_duration("250 us") == pytest.approx(250e-6)
+        assert parse_quantity("duration", "2 ms") == pytest.approx(0.002)
+        assert parse_quantity("duration", "1 s") == 1.0
+        assert parse_quantity("duration", "250 us") == pytest.approx(250e-6)
+        assert parse_quantity("duration", "2ms") == parse_quantity("duration", "2 ms")
         with pytest.raises(ValueError):
-            parse_duration("2")
+            parse_quantity("duration", "2")
         with pytest.raises(ValueError):
-            parse_duration("2 minutes")
+            parse_quantity("duration", "2 minutes")
+        with pytest.raises(ValueError):
+            parse_quantity("duration", "2 deg")
 
     def test_load_shipped_configs(self, config_dir):
         for name in ("gallop_default.cfg", "ble_default.cfg", "delay_sweep.cfg"):
@@ -245,6 +253,19 @@ class TestCmdSweep:
                      "--values", "zz", "--seeds", "3",
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("param, values", [
+        ("mac.extra_delay", "2deg"),
+        ("scenario.initial_tilt", "5ms"),
+        ("loss.default_loss", "1ms"),
+    ])
+    def test_unit_of_wrong_kind_exit_2(self, tmp_path, capsys, param, values):
+        cfg = write_cfg(tmp_path, GALLOP_SHORT)
+        assert main(["sweep", str(cfg), "--param", param, "--values", values,
+                     "--seeds", "3", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert param in err and values in err
+        assert "Traceback" not in err
+
     def test_unresolvable_param_usage_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, GALLOP_SHORT)
         assert main(["sweep", str(cfg), "--param", "mac.nonsense",
@@ -332,13 +353,14 @@ class TestCmdSweep:
 
     def test_gains_param_without_gains_section_matches_gains_config(self, tmp_path):
         from dataclasses import replace
-        from telebalance.sim import _set_by_path, run_episode, run_sweep
+        from telebalance.config import set_by_path
+        from telebalance.sim import run_episode, run_sweep
 
         base = load_scenario(write_cfg(tmp_path, GALLOP_SHORT))
         explicit = load_scenario(write_cfg(
             tmp_path, GALLOP_SHORT + "\n[gains]\nkp_tilt = 10\n", "gains.cfg"))
         assert base.gains is None
-        swept = _set_by_path(base, "gains.kp_tilt", 10)
+        swept = set_by_path(base, "gains.kp_tilt", 10)
         assert swept.gains == explicit.gains
         runs = [run_episode(replace(explicit, seed=base.seed + i))[1]
                 for i in range(3)]
@@ -371,6 +393,10 @@ class TestNonFiniteValues:
         ("gallop", "noise", "gyro_noise_std = inf"),
         ("gallop", "gains", "integral_limit = inf"),
         ("gallop", "loss", "default_loss = nan"),
+        ("gallop", "mac", "extra_delay = 1e300 s"),
+        ("gallop", "mac", "sync_epoch_period = 1e300 s"),
+        ("gallop", "scenario", "episode_duration = 1e300 s"),
+        ("gallop", "plant", "wheel_radius = 1e300"),
     ])
     def test_config_value_exit_2_names_field(self, tmp_path, capsys,
                                              variant, section, entry):
@@ -390,12 +416,34 @@ class TestNonFiniteValues:
         assert "extra_delay must be finite" in err
         assert "Traceback" not in err
 
+    def test_oversize_sweep_value_exit_2_names_field(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, GALLOP_SHORT)
+        assert main(["sweep", str(cfg), "--param", "mac.extra_delay",
+                     "--values", "0,1e300s", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "extra_delay must be finite" in err
+        assert "Traceback" not in err
+
+    def test_sub_ns_control_cycle_exit_2_names_field(self, tmp_path, capsys):
+        # 1e-12 s is positive but rounds to a 0 ns cycle, which never advances
+        cfg = write_cfg(tmp_path, GALLOP_SHORT.replace(
+            "seed = 5", "seed = 5\ncontrol_cycle = 1e-12 s"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "control_cycle must be at least 1 ns" in err
+        assert "Traceback" not in err
+
 
 class TestParseValues:
     def test_unit_suffixes_and_bare_numbers(self):
-        assert _parse_values("2ms, 5 us,90deg,0.5rad,1.5s,3") == [
-            2 * 1e-3, 5 * 1e-6, 90 * (3.141592653589793 / 180.0), 0.5, 1.5, 3.0]
+        # one list per kind; a bare number is in the kind's base unit
+        assert parse_sweep_values("mac.extra_delay", "2ms, 5 us,1.5s,3") == [
+            2 * 1e-3, 5 * 1e-6, 1.5, 3.0]
+        assert parse_sweep_values("scenario.initial_tilt", "90deg,0.5rad,3") == [
+            90 * (3.141592653589793 / 180.0), 0.5, 3.0]
+        assert parse_sweep_values("loss.default_loss", "0.5, 3") == [0.5, 3.0]
+        assert parse_sweep_values("mac.slots_per_superframe", "2, 4") == [2, 4]
 
     def test_unknown_suffix_rejected(self):
         with pytest.raises(ValueError, match="sweep value"):
-            _parse_values("2 min")
+            parse_sweep_values("mac.extra_delay", "2 min")

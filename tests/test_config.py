@@ -1,0 +1,106 @@
+"""The config schema: it covers every numeric field of the scenario
+dataclasses, and no text, from a config file or a sweep's --values, gets
+past the parser as anything but a value or a config error."""
+
+from dataclasses import fields
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from telebalance.config import (
+    SCHEMA,
+    SECTIONS,
+    UNITS,
+    ConfigError,
+    ScenarioConfig,
+    load_scenario,
+    parse_sweep_values,
+)
+
+NUMERIC_ANNOTATIONS = ("int", "float", "float | None")
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_numeric_fields_are_the_numeric_schema_keys(section):
+    base = SECTIONS[section][1]
+    cls = ScenarioConfig if base is None else type(base)
+    numeric = {f.name for f in fields(cls)
+               if f.init and f.type in NUMERIC_ANNOTATIONS}
+    assert numeric
+    assert numeric == {k for k, kind in SCHEMA[section].items() if kind in UNITS}
+
+
+EXTREME = st.sampled_from(["1e300", "-1e300", "1e-300", "-1e-300", "nan",
+                           "inf", "-inf", "0", "-1", "1e999"])
+NUMBER = st.one_of(EXTREME, st.floats().map(repr), st.integers().map(str))
+ANY_UNIT = st.sampled_from(["", " "] + [u for units in UNITS.values() for u in units])
+
+
+@st.composite
+def quantity(draw, kind: str | None = None) -> str:
+    """A number with a unit of the kind, or any unit when kind is None."""
+    units = UNITS.get(kind) if kind else None
+    unit = draw(st.sampled_from(sorted(units)) if units else ANY_UNIT)
+    return f"{draw(NUMBER)} {unit}".strip()
+
+
+@st.composite
+def value_text(draw, kind: str) -> str:
+    if kind == "text":
+        return draw(st.sampled_from(["gallop", "ble_baseline", "ideal", "x"]))
+    if kind == "slots":
+        entries = draw(st.lists(st.tuples(
+            st.sampled_from(["forward", "feedback"]), quantity("duration"),
+            quantity("duration"), NUMBER), min_size=1, max_size=3))
+        return "; ".join(", ".join(e) for e in entries)
+    if kind == "per_channel":
+        entries = draw(st.lists(st.tuples(NUMBER, NUMBER), min_size=1, max_size=3))
+        return ", ".join(f"{ch}:{p}" for ch, p in entries)
+    return draw(quantity(kind))
+
+
+KEYS = [(section, key) for section, keys in SCHEMA.items() for key in keys]
+
+
+@st.composite
+def config_text(draw) -> str:
+    """A few keys, so that one bad value is often the only one and reaches
+    the checks behind the others."""
+    chosen = draw(st.lists(st.sampled_from(KEYS), unique=True, min_size=1,
+                           max_size=3))
+    lines = []
+    for section in SCHEMA:
+        keys = [key for s, key in chosen if s == section]
+        if keys:
+            lines.append(f"[{section}]")
+            lines += [f"{key} = {draw(value_text(SCHEMA[section][key]))}"
+                      for key in keys]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=config_text())
+def test_load_scenario_returns_a_config_or_raises_config_error(
+        tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_text(text, encoding="utf-8")
+    try:
+        assert isinstance(load_scenario(path), ScenarioConfig)
+    except ConfigError:
+        pass
+
+
+SWEEP_PATHS = [f"{section}.{key}" for section, key in KEYS] \
+    + ["episode_duration", "mac", "mac.nonsense", ""]
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(SWEEP_PATHS),
+       items=st.lists(st.one_of(quantity(), st.text(max_size=8)), max_size=4))
+def test_parse_sweep_values_returns_values_or_raises_value_error(path, items):
+    try:
+        values = parse_sweep_values(path, ",".join(items))
+    except ValueError:
+        return
+    assert values and all(isinstance(v, (int, float)) for v in values)

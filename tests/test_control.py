@@ -22,7 +22,6 @@ from telebalance.plant import (
     PlantState,
     SensorFrame,
     SensorNoise,
-    is_fallen,
     sample_sensors,
     step_dynamics,
 )
@@ -196,7 +195,6 @@ class TestTuning:
             torque = act.motor_command_left * params.motor_max_torque
             for _ in range(10):
                 state = step_dynamics(state, params, torque, cycle / 10)
-            assert not is_fallen(state)
             assert abs(state.tilt) < math.radians(4.0)
             t = (k + 1) * cycle
             if abs(state.tilt) >= math.radians(0.2):

@@ -9,9 +9,7 @@ from telebalance.plant import (
     PlantParams,
     PlantState,
     SensorNoise,
-    is_fallen,
     linearized_matrices,
-    mechanical_energy,
     sample_sensors,
     _rk4_span,
     step_dynamics,
@@ -112,7 +110,7 @@ class TestLinearizedOracle:
             t_ref = linear_fall_time(A, [tilt0, 0, 0, 0], 0.6)
             s = PlantState(tilt=tilt0)
             t = 0.0
-            while not is_fallen(s, 0.6):
+            while abs(s.tilt) <= 0.6:
                 s = step_dynamics(s, params, 0.0, 5e-4)
                 t += 5e-4
                 assert t < 5.0, "never fell"
@@ -149,11 +147,6 @@ class TestEnergyAndSymmetry:
             s = step_dynamics(s, params, 0.0, 1e-3)
             e = lagrangian_energy(s.tilt, s.tilt_rate, s.wheel_rate, params)
             assert abs(e - e0) / e0 < 1e-6
-
-    def test_module_energy_matches_lagrangian(self, params):
-        s = PlantState(tilt=0.3, tilt_rate=-2.0, wheel_angle=1.0, wheel_rate=4.0)
-        assert mechanical_energy(s, params) == pytest.approx(
-            lagrangian_energy(0.3, -2.0, 4.0, params), rel=1e-12)
 
     def test_trajectory_is_odd_symmetric(self, params):
         sp = PlantState(tilt=0.05, tilt_rate=-0.2, wheel_angle=0.4, wheel_rate=1.0)
@@ -223,14 +216,3 @@ class TestSensors:
         f = sample_sensors(s, SensorNoise(), params, np.random.default_rng(0))
         assert f.sample_time == 1.25
 
-
-class TestIsFallen:
-    def test_thresholds(self):
-        assert is_fallen(PlantState(tilt=0.8), 0.6)
-        assert not is_fallen(PlantState(tilt=0.0), 0.6)
-        assert is_fallen(PlantState(tilt=-0.61), 0.6)
-        assert not is_fallen(PlantState(tilt=0.6), 0.6)  # strict inequality
-
-    def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            is_fallen(PlantState(), 0.0)

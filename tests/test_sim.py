@@ -7,23 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from telebalance import sim
+from telebalance.config import (
+    ScenarioConfig,
+    ble_scenario,
+    gallop_scenario,
+    ideal_scenario,
+    set_by_path,
+)
 from telebalance.control import ControllerGains, TuningFailureError
 from telebalance.sim import (
     CycleRecord,
     EpisodeTrace,
-    ScenarioConfig,
-    ble_scenario,
     compare_scenarios,
     compute_metrics,
     failure_threshold,
-    gallop_scenario,
-    ideal_scenario,
     metrics_to_text,
     run_episode,
     run_sweep,
     trace_to_csv,
 )
-from telebalance.sim import _set_by_path
 from telebalance.wireless import (
     BLE,
     GALLOP,
@@ -304,7 +306,7 @@ class TestSweep:
 
     def test_int_field_takes_integral_values_as_int(self):
         base = gallop_scenario(episode_duration=0.5)
-        cfg = _set_by_path(base, "mac.slots_per_superframe", 4.0)
+        cfg = set_by_path(base, "mac.slots_per_superframe", 4.0)
         assert cfg.mac.slots_per_superframe == 4
         assert type(cfg.mac.slots_per_superframe) is int
         pts = run_sweep(base, "mac.slots_per_superframe", [2.0, 4.0],
@@ -312,7 +314,7 @@ class TestSweep:
         assert [p.value for p in pts] == [2.0, 4.0]
 
     def test_float_field_takes_int_values_as_float(self):
-        cfg = _set_by_path(gallop_scenario(), "mac.extra_delay", 0)
+        cfg = set_by_path(gallop_scenario(), "mac.extra_delay", 0)
         assert type(cfg.mac.extra_delay) is float
 
     def test_non_integral_value_for_int_field_names_the_path(self):
@@ -321,18 +323,18 @@ class TestSweep:
             run_sweep(base, "mac.slots_per_superframe", [2.0, 2.5],
                       seeds_per_point=3)
         with pytest.raises(ValueError, match="scenario.seed"):
-            _set_by_path(base, "scenario.seed", 1.5)
+            set_by_path(base, "scenario.seed", 1.5)
 
     def test_scenario_prefixed_path_reaches_scenario_fields(self):
         base = gallop_scenario(episode_duration=1.0)
-        cfg = _set_by_path(base, "scenario.episode_duration", 0.5)
+        cfg = set_by_path(base, "scenario.episode_duration", 0.5)
         assert cfg.episode_duration == 0.5
-        assert _set_by_path(base, "scenario.seed", 3.0).seed == 3
+        assert set_by_path(base, "scenario.seed", 3.0).seed == 3
         assert run_sweep(base, "scenario.episode_duration", [0.5],
                          seeds_per_point=3) \
             == run_sweep(base, "episode_duration", [0.5], seeds_per_point=3)
         with pytest.raises(ValueError, match="parameter path"):
-            _set_by_path(base, "scenario.label", 1.0)
+            set_by_path(base, "scenario.label", 1.0)
 
     def test_worker_error_reaches_caller_with_its_type(self):
         base = gallop_scenario(episode_duration=0.5)

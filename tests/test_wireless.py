@@ -12,6 +12,7 @@ from telebalance.wireless import (
     FORWARD,
     GALLOP,
     IDEAL,
+    MAX_SLOTS,
     ChannelModel,
     ChannelProcess,
     InvalidConfigError,
@@ -75,6 +76,16 @@ class TestSuperframe:
         with pytest.raises(InvalidConfigError, match="slot 0 has a non-finite"):
             gallop_cfg(custom_slots=(
                 (FORWARD, start, duration, 0), (FEEDBACK, 1e-3, 1e-3, 1)))
+
+    @pytest.mark.parametrize("key, value", [
+        ("slot_duration", 1e-12), ("sync_epoch_period", 1e-12),
+        ("slots_per_superframe", MAX_SLOTS + 1)])
+    def test_period_below_1_ns_or_slot_count_above_bound_names_key(
+            self, key, value):
+        # a 0 ns slot or sync period never advances the event clock, and
+        # build_superframe lays out every slot
+        with pytest.raises(InvalidConfigError, match=f"{key} must be"):
+            gallop_cfg(**{key: value})
 
     def test_tdma_slots_pairwise_disjoint(self):
         for n in (1, 2, 4, 6):
