@@ -12,9 +12,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, load_scenario, parse_sweep_values
+from .config import load_scenario, parse_sweep_values
 from .control import TuningFailureError
-from .plant import InvalidConfigError
 from .sim import (
     compare_scenarios,
     failure_threshold,
@@ -164,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidConfigError, TuningFailureError, ValueError) as exc:
+    except (ValueError, TuningFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

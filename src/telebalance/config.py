@@ -60,7 +60,7 @@ class ScenarioConfig:
         if self.control_cycle is not None:
             return self.control_cycle
         if self.mac.variant == GALLOP:
-            return self.mac.superframe.span
+            return self.mac.superframe.span_ns / 1e9
         if self.mac.variant == BLE:
             return self.mac.ble_connection_interval
         return 0.005
@@ -242,16 +242,22 @@ SCHEMA: dict[str, dict[str, str]] = {
     },
 }
 
-# section -> (the ScenarioConfig field it fills, the value a partial section
-# extends); [scenario] keys are ScenarioConfig's own fields
-SECTIONS: dict[str, tuple] = {
-    "scenario": (None, None),
-    "plant": ("plant", PlantParams()),
-    "noise": ("noise", SensorNoise()),
-    "gains": ("gains", DEFAULT_GAINS),
-    "mac": ("mac", MacConfig()),
-    "loss": ("channel", ChannelModel()),
+# section -> the ScenarioConfig field it fills; [scenario] keys are
+# ScenarioConfig's own fields
+SECTIONS: dict[str, str | None] = {
+    "scenario": None,
+    "plant": "plant",
+    "noise": "noise",
+    "gains": "gains",
+    "mac": "mac",
+    "loss": "channel",
 }
+
+
+def _extend(value, keys: dict):
+    """value with keys set, or DEFAULT_GAINS with them where value is None
+    (gains tuned at run time): what a partial section or a sweep path sets."""
+    return replace(DEFAULT_GAINS if value is None else value, **keys)
 
 
 def _numeric_key(path: str) -> tuple[str, str, str]:
@@ -292,12 +298,10 @@ def set_by_path(cfg: ScenarioConfig, path: str, value) -> ScenarioConfig:
         value = int(value)
     else:
         value = float(value)
-    field, base = SECTIONS[section]
+    field = SECTIONS[section]
     if field is None:
         return replace(cfg, **{key: value})
-    target = getattr(cfg, field)
-    return replace(cfg, **{field: replace(base if target is None else target,
-                                          **{key: value})})
+    return replace(cfg, **{field: _extend(getattr(cfg, field), {key: value})})
 
 
 def _read_sections(path: Path) -> dict[str, dict[str, object]]:
@@ -360,8 +364,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     try:
         kwargs = dict(sections.pop("scenario", {}))
         for section, values in sections.items():
-            field, base = SECTIONS[section]
-            kwargs[field] = replace(base, **values)
+            # a dataclass keeps a field's default as its class attribute
+            field = SECTIONS[section]
+            kwargs[field] = _extend(getattr(ScenarioConfig, field), values)
         kwargs.setdefault("label", path.stem)
         return ScenarioConfig(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -106,8 +106,9 @@ class MacConfig:
             raise InvalidConfigError("sync_epoch_period must be at least 1 ns")
         if self.sync_error_bound < 0:
             raise InvalidConfigError("sync_error_bound must be >= 0")
-        if not self.clock_drift_ppm > -1e6:
-            raise InvalidConfigError("clock_drift_ppm must be > -1e6")
+        # a stopped or reversed clock never samples, a racing one every few ns
+        if not -1e6 < self.clock_drift_ppm < 1e6:
+            raise InvalidConfigError("clock_drift_ppm must be in (-1e6, 1e6)")
         if self.variant == GALLOP:
             object.__setattr__(self, "superframe", build_superframe(self))
         elif self.custom_slots is not None:
@@ -118,87 +119,69 @@ class MacConfig:
         object.__setattr__(self, "ble_interval_ns", _ns(self.ble_connection_interval))
 
 
-@dataclass(frozen=True)
-class Slot:
-    start_offset: float  # s, within the superframe
-    duration: float      # s
+class Slot(NamedTuple):
+    """One slot of the superframe, in whole ns from the superframe start."""
+
+    start_ns: int
+    end_ns: int
     direction: str       # forward | feedback
     band: int
 
 
-@dataclass(frozen=True)
-class Superframe:
-    """One TDMA cycle; slots in start order, as build_superframe lays them
-    out (transmit's per-direction tables rely on that order)."""
+class Superframe(NamedTuple):
+    """One TDMA cycle in whole ns, as build_superframe lays it out."""
 
-    slots: tuple[Slot, ...]
-
-    def __post_init__(self) -> None:
-        # (start_ns, end_ns, direction, band) per slot; cached for transmit
-        table = tuple((_ns(s.start_offset), _ns(s.start_offset) + _ns(s.duration),
-                       s.direction, s.band) for s in self.slots)
-        object.__setattr__(self, "_table_ns", table)
-        object.__setattr__(self, "_span_ns", max(end for _, end, _, _ in table))
-        # (start_ns, end_ns, position) of each direction's slots, in start order
-        object.__setattr__(self, "_direction_ns", {
-            d: tuple((start, end, pos) for pos, (start, end, sd, _) in enumerate(table)
-                     if sd == d)
-            for d in (FORWARD, FEEDBACK)})
-
-    @property
-    def span(self) -> float:
-        return self._span_ns / 1e9
-
-    @property
-    def span_ns(self) -> int:
-        return self._span_ns
-
-    def slots_ns(self) -> tuple[tuple[int, int, str, int], ...]:
-        """(start_ns, end_ns, direction, band) per slot, in start order."""
-        return self._table_ns
+    slots: tuple[Slot, ...]  # in start order
+    span_ns: int             # the latest slot end
+    # direction -> (start_ns, end_ns, position in slots) of its slots, in
+    # start order: the table transmit scans
+    by_direction: dict[str, tuple[tuple[int, int, int], ...]]
 
 
 def build_superframe(cfg: MacConfig) -> Superframe:
-    """TDMA layout for one communication cycle.
+    """TDMA layout for one communication cycle, checked and laid out in ns.
 
     Default: slots_per_superframe back-to-back slots of slot_duration,
     alternating forward/feedback starting with forward, each on its FDD
     band. The stock 2-slot layout spans 2 ms: one full cycle.
     """
     if cfg.custom_slots is not None:
-        slots = tuple(Slot(start_offset=float(start), duration=float(dur),
-                           direction=direction, band=int(band))
-                      for direction, start, dur, band in cfg.custom_slots)
+        layout = [(direction, float(start), float(dur), int(band))
+                  for direction, start, dur, band in cfg.custom_slots]
     else:
-        slots = tuple(
-            Slot(start_offset=i * cfg.slot_duration, duration=cfg.slot_duration,
-                 direction=FORWARD if i % 2 == 0 else FEEDBACK,
-                 band=cfg.forward_band if i % 2 == 0 else cfg.feedback_band)
-            for i in range(cfg.slots_per_superframe))
+        layout = [(FORWARD, i * cfg.slot_duration, cfg.slot_duration, cfg.forward_band)
+                  if i % 2 == 0 else
+                  (FEEDBACK, i * cfg.slot_duration, cfg.slot_duration, cfg.feedback_band)
+                  for i in range(cfg.slots_per_superframe)]
 
     band_of = {FORWARD: cfg.forward_band, FEEDBACK: cfg.feedback_band}
-    for i, s in enumerate(slots):
-        if s.direction not in (FORWARD, FEEDBACK):
-            raise InvalidConfigError(f"slot {i} has unknown direction {s.direction!r}")
-        if not (abs(s.start_offset) <= MAX_MAGNITUDE
-                and abs(s.duration) <= MAX_MAGNITUDE):
+    slots = []
+    for i, (direction, start, dur, band) in enumerate(layout):
+        if direction not in (FORWARD, FEEDBACK):
+            raise InvalidConfigError(f"slot {i} has unknown direction {direction!r}")
+        if not (abs(start) <= MAX_MAGNITUDE and abs(dur) <= MAX_MAGNITUDE):
             raise InvalidConfigError(
                 f"slot {i} has a non-finite start or duration, or one beyond "
                 f"+/-{MAX_MAGNITUDE:g} s")
-        if _ns(s.duration) <= 0:
+        if _ns(dur) <= 0:
             raise InvalidConfigError(f"slot {i} duration must be at least 1 ns")
-        if s.band != band_of[s.direction]:
+        if band != band_of[direction]:
             raise InvalidConfigError(
-                f"slot {i} ({s.direction}) assigned band {s.band}, expected "
-                f"{band_of[s.direction]} (FDD violation)")
-    ordered = sorted(range(len(slots)), key=lambda i: slots[i].start_offset)
+                f"slot {i} ({direction}) assigned band {band}, expected "
+                f"{band_of[direction]} (FDD violation)")
+        slots.append(Slot(_ns(start), _ns(start) + _ns(dur), direction, band))
+    # by the seconds given: starts that round to one ns keep their order
+    ordered = sorted(range(len(slots)), key=lambda i: layout[i][1])
     for a, b in zip(ordered, ordered[1:]):
-        end_a = _ns(slots[a].start_offset) + _ns(slots[a].duration)
-        if end_a > _ns(slots[b].start_offset):
+        if slots[a].end_ns > slots[b].start_ns:
             raise InvalidConfigError(
-                f"slots {a} and {b} overlap in time "
-                f"({slots[a]} vs {slots[b]})")
-    return Superframe(slots=tuple(slots[i] for i in ordered))
+                f"slots {a} and {b} overlap in time ({slots[a]} vs {slots[b]})")
+    table = tuple(slots[i] for i in ordered)
+    return Superframe(
+        table, max(s.end_ns for s in table),
+        {d: tuple((s.start_ns, s.end_ns, pos) for pos, s in enumerate(table)
+                  if s.direction == d)
+         for d in (FORWARD, FEEDBACK)})
 
 
 def hop_channel(cfg: MacConfig, slot_global_index: int) -> int:
@@ -336,13 +319,13 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
 
     # gallop: next admissible slot of this direction, retry within superframe
     superframe = cfg.superframe
-    slots = superframe._direction_ns[direction]
+    slots = superframe.by_direction[direction]
     if not slots:
         # degenerate layout without this direction: the frame can never
         # be carried (e.g. forward-only frames starve the controller)
         return DeliveryOutcome("lost", ready_ns)
 
-    span = superframe._span_ns
+    span = superframe.span_ns
     sf, phase = divmod(ready_ns - cfg.slot_guard_ns, span)
     for first, slot in enumerate(slots):
         if slot[0] >= phase:
@@ -352,7 +335,7 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
         sf += 1
         candidates = slots
     base_ns = sf * span
-    base_idx = sf * len(superframe._table_ns)
+    base_idx = sf * len(superframe.slots)
     band_ch = (cfg.forward_band if direction == FORWARD else cfg.feedback_band) \
         * cfg.channel_count
 
@@ -391,60 +374,3 @@ class RobotClock:
         t = (local_ns - self.offset_s * 1e9 + self.drift * self.sync_ns) \
             / (1.0 + self.drift)
         return round(t)
-
-
-@dataclass(frozen=True)
-class LatencySummary:
-    min: float       # s
-    mean: float      # s
-    variance: float  # s^2
-    p99: float       # s
-    n_delivered: int
-    n_lost: int
-
-
-def latency_distribution(cfg: MacConfig, channel_model: ChannelModel,
-                         n_samples: int, rng: np.random.Generator,
-                         aligned: bool = False) -> LatencySummary:
-    """Monte-Carlo summary of full-cycle (forward + feedback) latency.
-
-    One sample = one sensor-to-actuation exchange. Ready times are placed
-    one per communication period; `aligned` pins them to period starts
-    (the scheduled-sampling operating point), otherwise the phase within
-    each period is uniform. Lost cycles are counted, not averaged.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    period_ns = cfg.superframe.span_ns if cfg.variant == GALLOP else \
-        cfg.ble_interval_ns if cfg.variant == BLE else _ns(0.005)
-    process = ChannelProcess(channel_model)
-
-    latencies_ms: list[float] = []
-    n_lost = 0
-    for i in range(n_samples):
-        ready = i * period_ns
-        if not aligned:
-            ready += _ns(rng.uniform(0.0, period_ns / 1e9))
-        fwd = transmit(cfg, process, FORWARD, ready, rng, rng)
-        if not fwd.delivered:
-            n_lost += 1
-            continue
-        fbk = transmit(cfg, process, FEEDBACK, fwd.deliver_ns, rng, rng)
-        if not fbk.delivered:
-            n_lost += 1
-            continue
-        latencies_ms.append((fbk.deliver_ns - ready) / 1e6)
-
-    if not latencies_ms:
-        nan = float("nan")
-        return LatencySummary(nan, nan, nan, nan, 0, n_lost)
-    arr = np.array(latencies_ms)
-    mean_ms = float(arr.mean())
-    return LatencySummary(
-        min=float(arr.min()) / 1e3,
-        mean=mean_ms / 1e3,
-        variance=float(np.mean((arr - mean_ms) ** 2)) / 1e6,
-        p99=float(np.percentile(arr, 99)) / 1e3,
-        n_delivered=len(latencies_ms),
-        n_lost=n_lost,
-    )

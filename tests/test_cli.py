@@ -4,12 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from telebalance import cli
 from telebalance.cli import main
 from telebalance.config import (
+    DEFAULT_NOISE,
     ConfigError,
     load_scenario,
     parse_quantity,
     parse_sweep_values,
+    set_by_path,
 )
 
 GALLOP_SHORT = """\
@@ -99,6 +102,14 @@ class TestConfigParsing:
         assert cfg.gains.kp_tilt == 10.0
         assert cfg.gains.kd_tilt == 1.5  # untouched shipped value
 
+    def test_partial_noise_extends_scenario_default_as_a_sweep_does(self, tmp_path):
+        partial = load_scenario(write_cfg(
+            tmp_path, GALLOP_SHORT + "\n[noise]\ngyro_noise_std = 0.01\n"))
+        swept = set_by_path(load_scenario(write_cfg(tmp_path, GALLOP_SHORT, "b.cfg")),
+                            "noise.gyro_noise_std", 0.01)
+        assert partial.noise == swept.noise
+        assert partial.noise.accel_noise_std == DEFAULT_NOISE.accel_noise_std
+
     def test_custom_slot_layout_parses(self, tmp_path):
         text = GALLOP_SHORT + \
             "slots = forward, 0 ms, 1 ms, 0; feedback, 1 ms, 1 ms, 1\n"
@@ -149,6 +160,18 @@ class TestCmdRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "slots" in err and variant in err
+        assert "Traceback" not in err
+
+    def test_clock_a_million_times_fast_exit_2(self, tmp_path, capsys, monkeypatch):
+        # rejected as the config loads: an episode at this drift would not finish
+        def no_episode(cfg):
+            raise AssertionError("episode started")
+        monkeypatch.setattr(cli, "run_episode", no_episode)
+        cfg = write_cfg(tmp_path, GALLOP_SHORT.replace(
+            "clock_drift_ppm = 0", "clock_drift_ppm = 1e11"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "clock_drift_ppm must be in (-1e6, 1e6)" in err
         assert "Traceback" not in err
 
     def test_misspelled_key_exit_2(self, tmp_path, capsys):

@@ -17,14 +17,18 @@ from telebalance.config import (
     load_scenario,
     parse_sweep_values,
 )
+from telebalance.control import DEFAULT_GAINS
 
 NUMERIC_ANNOTATIONS = ("int", "float", "float | None")
 
 
 @pytest.mark.parametrize("section", SECTIONS)
 def test_numeric_fields_are_the_numeric_schema_keys(section):
-    base = SECTIONS[section][1]
-    cls = ScenarioConfig if base is None else type(base)
+    # the class of the value a section extends: ScenarioConfig's default
+    # for the field it fills, or the shipped gains
+    field = SECTIONS[section]
+    default = ScenarioConfig() if field is None else getattr(ScenarioConfig, field)
+    cls = type(DEFAULT_GAINS if default is None else default)
     numeric = {f.name for f in fields(cls)
                if f.init and f.type in NUMERIC_ANNOTATIONS}
     assert numeric

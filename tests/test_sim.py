@@ -168,6 +168,40 @@ class TestRunEpisode:
         assert len(times) < 500
 
 
+def dropped_runs(trace: EpisodeTrace) -> list[int]:
+    """Lengths of the runs of consecutive cycles with either direction dropped."""
+    runs, length = [], 0
+    for r in trace.records:
+        if r.forward_dropped or r.feedback_dropped:
+            length += 1
+        elif length:
+            runs.append(length)
+            length = 0
+    return runs + [length] if length else runs
+
+
+class TestHoppingDecorrelatesBursts:
+    def test_37_channels_shorten_runs_of_dropped_cycles_at_equal_drop_rate(self):
+        # Gilbert-Elliott bursts of ~10 slots; on one channel per band a
+        # burst drops consecutive cycles, hopping over 37 spreads it out
+        burst = ChannelModel(p_good_to_bad=0.01, p_bad_to_good=0.1, loss_bad=0.9)
+        stats = {}
+        for count in (1, 37):
+            mac = MacConfig(variant=GALLOP, channel_count=count,
+                            clock_drift_ppm=0.0, sync_error_bound=0.0)
+            runs, cycles = [], 0
+            for seed in (0, 1, 2):
+                trace, _ = run_episode(gallop_scenario(
+                    mac=mac, channel=burst, episode_duration=10.0, seed=seed))
+                runs += dropped_runs(trace)
+                cycles += len(trace.records)
+            stats[count] = (sum(runs) / cycles, np.mean(runs), max(runs))
+        (rate_1, mean_1, max_1), (rate_37, mean_37, max_37) = stats[1], stats[37]
+        assert abs(rate_1 - rate_37) <= 0.2 * rate_37
+        assert mean_37 < mean_1
+        assert max_37 < max_1
+
+
 @st.composite
 def short_scenarios(draw):
     """Random valid scenarios of at most 0.5 s on a drifting, resynced clock,
