@@ -88,7 +88,6 @@ class ControllerState(NamedTuple):
     tilt_estimate: float = 0.0       # rad
     integral_accum: float = 0.0      # rad s, clamped
     last_frame_seq: int = -1
-    last_update_time: float = 0.0    # s, arrival time of the last frame
     last_wheel_angle: float = 0.0    # rad, reconstructed from encoders
     wheel_rate_estimate: float = 0.0  # rad/s, smoothed encoder difference
     encoder_counts_per_rev: int = 1320
@@ -129,27 +128,24 @@ def estimate_tilt(cstate: ControllerState, frame: SensorFrame, dt: float,
     est = alpha * (cstate.tilt_estimate + frame.gyro_pitch_rate * dt) \
         + (1.0 - alpha) * frame.accel_tilt
     return ControllerState(est, cstate.integral_accum, frame.seq,
-                           cstate.last_update_time, cstate.last_wheel_angle,
-                           cstate.wheel_rate_estimate,
+                           cstate.last_wheel_angle, cstate.wheel_rate_estimate,
                            cstate.encoder_counts_per_rev, cstate.primed)
 
 
 def compute_command(cstate: ControllerState, gains: ControllerGains,
                     frame: SensorFrame, dt: float,
-                    now: float | None = None) -> tuple[ControllerState, ActuationFrame]:
+                    now: float) -> tuple[ControllerState, ActuationFrame]:
     """PID-like command from the current frame; estimate_tilt must have run.
 
     Both wheels receive the same command in the planar model. The integral
     accumulates the tilt estimate with an anti-windup clamp. `now` is the
-    controller-side arrival time stamped on the actuation frame; when
-    omitted it is reconstructed from the previous update plus dt.
+    controller-side arrival time (s) stamped on the actuation frame.
     """
     if frame.seq != cstate.last_frame_seq:
         raise StaleFrameError(
             f"frame seq {frame.seq} was not the last estimated ({cstate.last_frame_seq})")
     if not dt > 0:
         raise ValueError("dt must be positive")
-    arrival = now if now is not None else cstate.last_update_time + dt
 
     angle = _wheel_angle(frame, cstate.encoder_counts_per_rev)
     if cstate.primed:
@@ -171,9 +167,9 @@ def compute_command(cstate: ControllerState, gains: ControllerGains,
     u = min(max(u, -gains.command_limit), gains.command_limit)
 
     new_state = ControllerState(cstate.tilt_estimate, integral,
-                                cstate.last_frame_seq, arrival, angle, wheel_rate,
+                                cstate.last_frame_seq, angle, wheel_rate,
                                 cstate.encoder_counts_per_rev, True)
-    return new_state, ActuationFrame(u, u, frame.seq, arrival)
+    return new_state, ActuationFrame(u, u, frame.seq, now)
 
 
 def closed_loop_matrix(params: PlantParams, gains: ControllerGains, cycle: float,

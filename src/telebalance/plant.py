@@ -19,7 +19,10 @@ Equations of motion come from the Lagrangian of the two-body system:
 with M11 = (m_b + m_w) r^2 + I_w, M12 = m_b r L cos(tilt),
 M22 = m_b L^2 + I_b, and Q_w = -Q_t = tau - b * (wheel_rate - tilt_rate)
 the net axle torque on the wheel (equal and opposite on the body).
-Integration is fixed-step RK4 with internal substeps of at most 0.5 ms.
+Integration is fixed-step RK4 (_rk4_span): the engine advances the plant
+to each event in whole 0.5 ms substeps plus one remainder substep up to
+the event time, and holds the five state variables (the four above plus
+the lagged motor torque) as raw floats.
 """
 
 from __future__ import annotations
@@ -32,10 +35,8 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# internal RK4 substep cap, independent of the caller's step size
+# RK4 substep the engine integrates with; a shorter remainder reaches each event
 SUBSTEP_S = 5.0e-4
-# largest step a single step_dynamics call accepts
-MAX_STEP_S = 2.0e-3
 
 DEFAULT_FALL_THRESHOLD = 0.6  # rad
 
@@ -104,24 +105,6 @@ class PlantParams:
             self.body_mass * self.gravity * self.com_distance,))
 
 
-class PlantState(NamedTuple):
-    """Mechanical state plus the lagged actual motor torque; a tuple
-    because the engine builds one per sample."""
-
-    tilt: float = 0.0                 # rad, 0 = upright
-    tilt_rate: float = 0.0            # rad/s
-    wheel_angle: float = 0.0          # rad
-    wheel_rate: float = 0.0           # rad/s
-    motor_torque_actual: float = 0.0  # N m
-    sim_time: float = 0.0             # s
-
-    def is_finite(self) -> bool:
-        isfinite = math.isfinite
-        return (isfinite(self.tilt) and isfinite(self.tilt_rate)
-                and isfinite(self.wheel_angle) and isfinite(self.wheel_rate)
-                and isfinite(self.motor_torque_actual) and isfinite(self.sim_time))
-
-
 @dataclass(frozen=True)
 class SensorNoise:
     gyro_noise_std: float = 0.0   # rad/s
@@ -141,7 +124,6 @@ class SensorFrame(NamedTuple):
     accel_tilt: float       # rad, tilt inferred from the gravity vector
     encoder_left: int       # counts
     encoder_right: int      # counts
-    sample_time: float      # s
     seq: int
 
 
@@ -248,53 +230,23 @@ def _rk4_span(th: float, w: float, phi: float, v: float, tau: float,
     return th, w, phi, v, tau, done
 
 
-def step_dynamics(state: PlantState, params: PlantParams,
-                  torque_command: float, dt: float) -> PlantState:
-    """Advance the plant by dt seconds under a constant torque command.
-
-    RK4 with internal substeps of at most 0.5 ms; the actual torque relaxes
-    toward the clamped command with the motor time constant. dt must be in
-    (0, 2 ms].
-    """
-    if not state.is_finite():
-        raise ValueError("plant state contains non-finite values")
-    if not math.isfinite(torque_command):
-        raise ValueError("torque command must be finite")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if dt > MAX_STEP_S * (1 + 1e-9):
-        raise ValueError(f"dt must be <= {MAX_STEP_S} s, got {dt}")
-
-    tau_max = params.motor_max_torque
-    tau_cmd = min(max(torque_command, -tau_max), tau_max)
-    n_sub = max(1, math.ceil(dt / SUBSTEP_S - 1e-12))
-
-    th, w, phi, v, tau, _ = _rk4_span(
-        state.tilt, state.tilt_rate, state.wheel_angle, state.wheel_rate,
-        state.motor_torque_actual, tau_cmd, params, dt / n_sub, n_sub)
-
-    return PlantState(
-        tilt=th, tilt_rate=w, wheel_angle=phi, wheel_rate=v,
-        motor_torque_actual=tau,
-        sim_time=state.sim_time + dt,
-    )
-
-
-def sample_sensors(state: PlantState, noise: SensorNoise, params: PlantParams,
+def sample_sensors(tilt: float, tilt_rate: float, wheel_angle: float,
+                   noise: SensorNoise, params: PlantParams,
                    rng: np.random.Generator, seq: int = 0) -> SensorFrame:
     """Read the IMU and encoders; the caller supplies the frame counter.
 
     Draws exactly two normals per call (gyro first, then accelerometer) so
     the noise stream stays aligned across runs.
     """
-    if not state.is_finite():
+    isfinite = math.isfinite
+    if not (isfinite(tilt) and isfinite(tilt_rate) and isfinite(wheel_angle)):
         raise ValueError("plant state contains non-finite values")
     n_gyro = rng.normal()
     n_accel = rng.normal()
-    gyro = state.tilt_rate + noise.gyro_bias + noise.gyro_noise_std * n_gyro
-    accel = state.tilt + noise.accel_noise_std * n_accel
-    counts = math.floor(state.wheel_angle / TWO_PI * params.encoder_counts_per_rev)
-    return SensorFrame(gyro, accel, counts, counts, state.sim_time, seq)
+    gyro = tilt_rate + noise.gyro_bias + noise.gyro_noise_std * n_gyro
+    accel = tilt + noise.accel_noise_std * n_accel
+    counts = math.floor(wheel_angle / TWO_PI * params.encoder_counts_per_rev)
+    return SensorFrame(gyro, accel, counts, counts, seq)
 
 
 def linearized_matrices(params: PlantParams) -> tuple[np.ndarray, np.ndarray]:

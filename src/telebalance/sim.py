@@ -4,8 +4,8 @@ controller -> feedback link -> plant, with stability and latency metrics.
 One episode is a strictly sequential event loop over a single heap of
 (time_ns, insertion_seq) ordered events; ties resolve by insertion order,
 so a (config, seed) pair fully determines the run. Event timestamps are
-integer nanoseconds; the plant integrates between events in 0.5 ms
-substeps under a zero-order-hold torque.
+integer nanoseconds; the plant integrates up to each event in whole 0.5 ms
+substeps plus one remainder substep, under a zero-order-hold torque.
 
 Sensor sampling is scheduled on the robot's local clock (wireless.RobotClock),
 which drifts between sync epochs and is re-bounded at each epoch. The default
@@ -38,7 +38,7 @@ from .control import (
     make_controller_state,
     tune_default_gains,
 )
-from .plant import SUBSTEP_S, PlantState, _rk4_span, sample_sensors
+from .plant import SUBSTEP_S, _rk4_span, sample_sensors
 from .wireless import (
     FEEDBACK,
     FORWARD,
@@ -187,14 +187,15 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             if t_ns == last_sample_ns:
                 schedule_sample(k + 1)  # a resync jumped the clock past period k
                 continue
+            if t_ns == end_ns:
+                continue  # its cycle could not close within the episode
         advance_plant(t_ns)
         if fall_ns is not None:
             break
 
         if kind == "sample":
             last_sample_ns = t_ns
-            state = PlantState(th, w, phi, v, tau, t_ns / 1e9)
-            frame = sample_sensors(state, cfg.noise, params, rng_noise, seq=k)
+            frame = sample_sensors(th, w, phi, cfg.noise, params, rng_noise, seq=k)
             cycles[k] = (t_ns, th * DEG, w * DEG, v * DEG)
             fwd_sent += 1
             out = transmit(mac, chan, FORWARD, t_ns, rng_loss, rng_jitter)
@@ -255,26 +256,20 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
         forward_lost=fwd_lost, feedback_sent=fbk_sent,
         feedback_delivered=fbk_delivered, feedback_lost=fbk_lost,
     )
-    if trace.records:
-        metrics = compute_metrics(trace, cfg)
-    else:
-        nan = float("nan")
-        metrics = EpisodeMetrics(
-            balanced_duration=trace.fall_time if trace.fall_time is not None
-            else cfg.episode_duration,
-            fell=trace.fall_time is not None,
-            rms_tilt_rate=nan, max_abs_tilt=abs(cfg.initial_tilt) * DEG,
-            latency_mean=nan, latency_variance=nan, latency_p99=nan,
-            drop_rate=0.0)
-    return trace, metrics
+    return trace, compute_metrics(trace, cfg)
 
 
 def compute_metrics(trace: EpisodeTrace, cfg: ScenarioConfig) -> EpisodeMetrics:
-    """Aggregate one episode's trace; rms is over the balanced portion."""
-    if not trace.records:
-        raise ValueError("cannot compute metrics from an empty trace")
+    """Aggregate one episode's trace; rms is over the balanced portion.
+
+    An empty trace (a fall before the first sample) reports the initial
+    tilt as its peak, nan rms and latencies, and no drops.
+    """
     fell = trace.fall_time is not None
     balanced = trace.fall_time if fell else cfg.episode_duration
+    if not trace.records:
+        return EpisodeMetrics(balanced, fell, NAN, abs(cfg.initial_tilt) * DEG,
+                              NAN, NAN, NAN, 0.0)
 
     rates = np.array([r.tilt_rate for r in trace.records if r.t <= balanced])
     tilts = np.array([abs(r.tilt) for r in trace.records])

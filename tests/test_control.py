@@ -17,19 +17,21 @@ from telebalance.control import (
     spectral_radius,
     tune_default_gains,
 )
+from telebalance.config import ideal_scenario
 from telebalance.plant import (
+    SUBSTEP_S,
     PlantParams,
-    PlantState,
     SensorFrame,
     SensorNoise,
+    _rk4_span,
     sample_sensors,
-    step_dynamics,
 )
+from telebalance.sim import run_episode
 
 
-def frame(gyro=0.0, accel=0.0, enc=0, t=0.0, seq=0):
+def frame(gyro=0.0, accel=0.0, enc=0, seq=0):
     return SensorFrame(gyro_pitch_rate=gyro, accel_tilt=accel, encoder_left=enc,
-                       encoder_right=enc, sample_time=t, seq=seq)
+                       encoder_right=enc, seq=seq)
 
 
 class TestEstimateTilt:
@@ -61,29 +63,28 @@ class TestEstimateTilt:
             estimate_tilt(cs, frame(), dt=0.0)
 
     def test_tracks_true_tilt_on_noiseless_trajectory(self, params):
-        # closed loop against plant ground truth: estimate within 5 mrad after 1 s
-        state = PlantState(tilt=math.radians(2))
+        # closed loop against plant ground truth: estimate within 5 mrad after
+        # 1 s; the plant takes the engine's RK4 substeps under each command
+        th, w, phi, v, tau = math.radians(2), 0.0, 0.0, 0.0, 0.0
         cs = make_controller_state(params)
         rng = np.random.default_rng(0)
-        gains = DEFAULT_GAINS
         cycle = 0.005
-        torque = 0.0
         for k in range(400):
-            f = sample_sensors(state, SensorNoise(), params, rng, seq=k)
+            f = sample_sensors(th, w, phi, SensorNoise(), params, rng, seq=k)
             cs = estimate_tilt(cs, f, cycle)
-            cs, act = compute_command(cs, gains, f, cycle, now=k * cycle)
+            cs, act = compute_command(cs, DEFAULT_GAINS, f, cycle, now=k * cycle)
             torque = act.motor_command_left * params.motor_max_torque
-            for _ in range(10):
-                state = step_dynamics(state, params, torque, cycle / 10)
+            th, w, phi, v, tau, _ = _rk4_span(th, w, phi, v, tau, torque, params,
+                                              SUBSTEP_S, round(cycle / SUBSTEP_S))
             if k * cycle > 1.0:
-                assert abs(cs.tilt_estimate - state.tilt) < 0.005
+                assert abs(cs.tilt_estimate - th) < 0.005
 
 
 class TestComputeCommand:
     def test_all_zero_gives_zero_command(self, params):
         cs = make_controller_state(params)
         cs = estimate_tilt(cs, frame(), dt=0.002)
-        cs, act = compute_command(cs, ControllerGains(), frame(), dt=0.002)
+        cs, act = compute_command(cs, ControllerGains(), frame(), dt=0.002, now=0.0)
         assert act.motor_command_left == 0.0
         assert act.motor_command_right == 0.0
 
@@ -91,20 +92,20 @@ class TestComputeCommand:
         gains = ControllerGains(kp_tilt=1.0)
         cs = make_controller_state(params)._replace(tilt_estimate=0.1,
                                                     last_frame_seq=0)
-        cs, act = compute_command(cs, gains, frame(seq=0), dt=0.002)
+        cs, act = compute_command(cs, gains, frame(seq=0), dt=0.002, now=0.0)
         assert act.motor_command_left == pytest.approx(0.1, rel=1e-12)
 
     def test_saturation_at_command_limit(self, params):
         gains = ControllerGains(kp_tilt=20.0, command_limit=1.0)
         cs = make_controller_state(params)._replace(tilt_estimate=0.1,
                                                     last_frame_seq=0)
-        cs, act = compute_command(cs, gains, frame(seq=0), dt=0.002)
+        cs, act = compute_command(cs, gains, frame(seq=0), dt=0.002, now=0.0)
         assert act.motor_command_left == 1.0
 
     def test_requires_estimate_for_this_frame(self, params):
         cs = make_controller_state(params)  # last_frame_seq == -1
         with pytest.raises(StaleFrameError):
-            compute_command(cs, DEFAULT_GAINS, frame(seq=0), dt=0.002)
+            compute_command(cs, DEFAULT_GAINS, frame(seq=0), dt=0.002, now=0.0)
 
     def test_seq_echoed_and_both_wheels_equal(self, params):
         cs = make_controller_state(params)
@@ -122,9 +123,9 @@ class TestComputeCommand:
             rng = np.random.default_rng(11)
             for k in range(50):
                 f = frame(gyro=rng.normal(), accel=rng.normal() * 0.1,
-                          enc=int(rng.integers(-500, 500)), t=k * 0.002, seq=k)
+                          enc=int(rng.integers(-500, 500)), seq=k)
                 cs2 = estimate_tilt(cs, f, 0.002)
-                cs, act = compute_command(cs2, DEFAULT_GAINS, f, 0.002)
+                cs, act = compute_command(cs2, DEFAULT_GAINS, f, 0.002, now=k * 0.002)
                 out.append(act.motor_command_left)
             return out
 
@@ -140,7 +141,7 @@ class TestComputeCommand:
         cs = make_controller_state(params)
         f = frame(gyro=gyro, accel=accel, enc=enc, seq=seq)
         cs = estimate_tilt(cs, f, dt=0.002, alpha=0.5)
-        cs, act = compute_command(cs, gains, f, dt=0.002)
+        cs, act = compute_command(cs, gains, f, dt=0.002, now=0.0)
         assert -1.0 <= act.motor_command_left <= 1.0
         assert -1.0 <= act.motor_command_right <= 1.0
 
@@ -153,7 +154,7 @@ class TestComputeCommand:
         for k, tilt in enumerate(tilts):
             f = frame(accel=tilt, seq=k)
             cs = estimate_tilt(cs, f, dt=0.01, alpha=0.0)
-            cs, _ = compute_command(cs, gains, f, dt=0.01)
+            cs, _ = compute_command(cs, gains, f, dt=0.01, now=k * 0.01)
             assert abs(cs.integral_accum) <= 0.3
 
 
@@ -180,25 +181,18 @@ class TestTuning:
         with pytest.raises(ValueError):
             tune_default_gains(params, 0.0)
 
-    def test_shipped_gains_converge_in_time_domain(self, params):
-        # 2 deg initial tilt, noiseless and delay-free at the tuning cycle:
-        # |tilt| < 0.2 deg within 3 s and never near the fall threshold
-        state = PlantState(tilt=math.radians(2))
-        cs = make_controller_state(params)
-        rng = np.random.default_rng(0)
-        cycle = 0.005
+    def test_shipped_gains_converge_in_time_domain(self):
+        # 2 deg initial tilt, noiseless, on the ideal link at the tuning
+        # cycle: |tilt| < 0.2 deg within 3 s and never near the fall threshold
+        trace, m = run_episode(ideal_scenario(noise=SensorNoise(),
+                                              episode_duration=4.0))
+        assert not m.fell
+        assert len(trace.records) == 800
+        assert m.max_abs_tilt < 4.0
         converged_at = None
-        for k in range(round(4.0 / cycle)):
-            f = sample_sensors(state, SensorNoise(), params, rng, seq=k)
-            cs = estimate_tilt(cs, f, cycle)
-            cs, act = compute_command(cs, DEFAULT_GAINS, f, cycle)
-            torque = act.motor_command_left * params.motor_max_torque
-            for _ in range(10):
-                state = step_dynamics(state, params, torque, cycle / 10)
-            assert abs(state.tilt) < math.radians(4.0)
-            t = (k + 1) * cycle
-            if abs(state.tilt) >= math.radians(0.2):
+        for r in trace.records:
+            if abs(r.tilt) >= 0.2:
                 converged_at = None
             elif converged_at is None:
-                converged_at = t
+                converged_at = r.t
         assert converged_at is not None and converged_at <= 3.0

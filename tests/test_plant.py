@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from telebalance.config import ideal_scenario
+from telebalance.control import ControllerGains
 from telebalance.plant import (
+    SUBSTEP_S,
     PlantParams,
-    PlantState,
     SensorNoise,
     linearized_matrices,
     sample_sensors,
     _rk4_span,
-    step_dynamics,
 )
+from telebalance.sim import run_episode
 
 from oracles import (
     expm_taylor,
@@ -23,40 +25,41 @@ from oracles import (
     wip_linear_system,
 )
 
+# rad; a fall threshold the open-loop plant never reaches in these episodes
+OUT_OF_REACH = 1e3
 
-def run_open_loop(state, params, duration, dt=1e-3, torque=0.0):
-    n = round(duration / dt)
-    for _ in range(n):
-        state = step_dynamics(state, params, torque, dt)
-    return state
+
+def open_loop_episode(initial_tilt, duration, plant=PlantParams(),
+                      fall_threshold=OUT_OF_REACH):
+    """The engine's plant under zero torque: zero gains on the ideal link.
+
+    Records come every 5 ms; between them the engine integrates whole
+    0.5 ms substeps plus remainders up to the 1 ns link events.
+    """
+    return run_episode(ideal_scenario(
+        plant=plant, gains=ControllerGains(), initial_tilt=initial_tilt,
+        episode_duration=duration, fall_threshold=fall_threshold))
+
+
+def recorded_state(r):
+    """(tilt, tilt_rate, wheel_rate) of a record, back in rad and rad/s."""
+    return math.radians(r.tilt), math.radians(r.tilt_rate), math.radians(r.wheel_rate)
 
 
 class TestFixedPointAndValidation:
-    def test_upright_rest_is_fixed_point(self, params):
-        s0 = PlantState(tilt=0.0, tilt_rate=0.0, wheel_angle=1.3, wheel_rate=0.0)
-        for dt in (1e-4, 1e-3, 2e-3):
-            s1 = step_dynamics(s0, params, 0.0, dt)
-            assert s1.tilt == 0.0
-            assert s1.tilt_rate == 0.0
-            assert s1.wheel_angle == 1.3
-            assert s1.wheel_rate == 0.0
-            assert s1.sim_time == pytest.approx(s0.sim_time + dt)
-
-    def test_rejects_bad_dt(self, params):
-        s = PlantState()
-        with pytest.raises(ValueError):
-            step_dynamics(s, params, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            step_dynamics(s, params, 0.0, -1e-3)
-        with pytest.raises(ValueError):
-            step_dynamics(s, params, 0.0, 3e-3)
+    def test_upright_rest_is_fixed_point(self):
+        trace, m = open_loop_episode(0.0, 1.0)
+        assert not m.fell
+        assert len(trace.records) == 200
+        assert all(r.tilt == 0.0 and r.tilt_rate == 0.0 and r.wheel_rate == 0.0
+                   for r in trace.records)
 
     def test_rejects_non_finite_state(self, params):
-        s = PlantState(tilt=float("nan"))
-        with pytest.raises(ValueError):
-            step_dynamics(s, params, 0.0, 1e-3)
-        with pytest.raises(ValueError):
-            step_dynamics(PlantState(), params, float("inf"), 1e-3)
+        rng = np.random.default_rng(0)
+        for state in ((math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                      (0.0, 0.0, -math.inf)):
+            with pytest.raises(ValueError, match="non-finite"):
+                sample_sensors(*state, SensorNoise(), params, rng)
 
     def test_params_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -73,15 +76,15 @@ class TestLinearizedOracle:
         assert np.allclose(B, B_ref, rtol=1e-12, atol=1e-12)
 
     def test_small_tilt_trajectory_matches_matrix_exponential(self, params):
-        # 100 steps of 1 ms from 0.01 rad, zero torque, vs exp(A t) x0
+        # 100 ms from 0.01 rad, zero torque, vs exp(A t) x0 at each record
         A, _ = wip_linear_system(params)
         x0 = np.array([0.01, 0.0, 0.0, 0.0])
-        s = PlantState(tilt=0.01)
+        trace, _ = open_loop_episode(0.01, 0.1)
+        assert len(trace.records) == 20
         worst = 0.0
-        for k in range(1, 101):
-            s = step_dynamics(s, params, 0.0, 1e-3)
-            x_lin = expm_taylor(A * (k * 1e-3)) @ x0
-            worst = max(worst, abs(s.tilt - x_lin[0]) / abs(x_lin[0]))
+        for r in trace.records:
+            x_lin = expm_taylor(A * r.t) @ x0
+            worst = max(worst, abs(recorded_state(r)[0] - x_lin[0]) / abs(x_lin[0]))
         assert worst < 1e-4
 
     def test_one_step_error_shrinks_at_least_quadratically(self, params):
@@ -93,12 +96,9 @@ class TestLinearizedOracle:
 
         def one_step_error(scale):
             x0 = scale * direction
-            s = PlantState(tilt=x0[0], tilt_rate=x0[1],
-                           wheel_angle=x0[2], wheel_rate=x0[3])
-            s1 = step_dynamics(s, params, 0.0, 1e-3)
-            x_lin = expm_taylor(A * 1e-3) @ x0
-            x_nl = np.array([s1.tilt, s1.tilt_rate, s1.wheel_angle, s1.wheel_rate])
-            return float(np.linalg.norm(x_nl - x_lin))
+            th, w, phi, v, _, _ = _rk4_span(*x0, 0.0, 0.0, params, SUBSTEP_S, 2)
+            x_lin = expm_taylor(A * 2 * SUBSTEP_S) @ x0
+            return float(np.linalg.norm(np.array([th, w, phi, v]) - x_lin))
 
         err_small = one_step_error(0.01)
         err_big = one_step_error(0.02)
@@ -108,18 +108,13 @@ class TestLinearizedOracle:
         A, _ = wip_linear_system(params)
         for tilt0 in (0.01, math.radians(2.0)):
             t_ref = linear_fall_time(A, [tilt0, 0, 0, 0], 0.6)
-            s = PlantState(tilt=tilt0)
-            t = 0.0
-            while abs(s.tilt) <= 0.6:
-                s = step_dynamics(s, params, 0.0, 5e-4)
-                t += 5e-4
-                assert t < 5.0, "never fell"
-            assert abs(t - t_ref) / t_ref < 0.05
+            trace, m = open_loop_episode(tilt0, 5.0, fall_threshold=0.6)
+            assert m.fell, "never fell"
+            assert abs(trace.fall_time - t_ref) / t_ref < 0.05
 
-    def test_uncontrolled_tilt_eventually_diverges(self, params):
-        s = PlantState(tilt=1e-3)
-        s = run_open_loop(s, params, 1.0)
-        assert abs(s.tilt) > 0.6
+    def test_uncontrolled_tilt_eventually_diverges(self):
+        _, m = open_loop_episode(1e-3, 1.0, fall_threshold=0.6)
+        assert m.fell
 
 
 class TestRk4Kernel:
@@ -141,55 +136,69 @@ class TestRk4Kernel:
 class TestEnergyAndSymmetry:
     def test_energy_conserved_without_friction_and_torque(self):
         params = PlantParams(viscous_friction=0.0)
-        s = PlantState(tilt=0.02)
-        e0 = lagrangian_energy(s.tilt, s.tilt_rate, s.wheel_rate, params)
-        for _ in range(1000):
-            s = step_dynamics(s, params, 0.0, 1e-3)
-            e = lagrangian_energy(s.tilt, s.tilt_rate, s.wheel_rate, params)
+        trace, _ = open_loop_episode(0.02, 1.0, plant=params)
+        assert len(trace.records) == 200
+        e0 = lagrangian_energy(0.02, 0.0, 0.0, params)
+        for r in trace.records:
+            e = lagrangian_energy(*recorded_state(r), params)
             assert abs(e - e0) / e0 < 1e-6
 
-    def test_trajectory_is_odd_symmetric(self, params):
-        sp = PlantState(tilt=0.05, tilt_rate=-0.2, wheel_angle=0.4, wheel_rate=1.0)
-        sn = PlantState(tilt=-0.05, tilt_rate=0.2, wheel_angle=-0.4, wheel_rate=-1.0)
-        for k in range(200):
-            torque = 0.05 * math.sin(0.03 * k)
-            sp = step_dynamics(sp, params, torque, 1e-3)
-            sn = step_dynamics(sn, params, -torque, 1e-3)
-            assert sn.tilt == -sp.tilt
-            assert sn.tilt_rate == -sp.tilt_rate
-            assert sn.wheel_angle == -sp.wheel_angle
-            assert sn.wheel_rate == -sp.wheel_rate
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.tuples(st.floats(-0.5, 0.5), st.floats(-5.0, 5.0),
+                       st.floats(-10.0, 10.0), st.floats(-50.0, 50.0),
+                       st.floats(-0.1, 0.1)),
+           tau_cmd=st.floats(-0.1, 0.1), n_steps=st.integers(1, 400))
+    def test_trajectory_is_odd_symmetric(self, x, tau_cmd, n_steps):
+        params = PlantParams()
+        pos = _rk4_span(*x, tau_cmd, params, SUBSTEP_S, n_steps)
+        neg = _rk4_span(*(-c for c in x), -tau_cmd, params, SUBSTEP_S, n_steps)
+        assert neg[:5] == tuple(-c for c in pos[:5])
+        assert neg[5] == pos[5] == n_steps
 
 
 class TestMotor:
     def test_torque_relaxes_toward_clamped_command(self, params):
-        s = PlantState()
-        s = step_dynamics(s, params, 10.0, 2e-3)  # way beyond the 0.1 clamp
-        assert s.motor_torque_actual <= params.motor_max_torque
-        # first-order lag: tau(t) = tau_max * (1 - exp(-t/tm))
-        expected = params.motor_max_torque * (1 - math.exp(-2e-3 / 0.01))
-        assert s.motor_torque_actual == pytest.approx(expected, rel=1e-6)
+        # first-order lag toward the limit: tau(t) = tau_max * (1 - exp(-t/tm))
+        tau_max = params.motor_max_torque
+        *_, tau, _ = _rk4_span(0.0, 0.0, 0.0, 0.0, 0.0, tau_max, params,
+                               SUBSTEP_S, 4)
+        expected = tau_max * (1 - math.exp(-4 * SUBSTEP_S / 0.01))
+        assert tau == pytest.approx(expected, rel=1e-6)
+
+    def test_engine_clamps_commands_beyond_the_motor_limit(self):
+        # saturating gains that push the robot over: a command limit of 10
+        # asks for ten times the motor's torque, and the engine clamps it,
+        # so the plant moves exactly as under a command limit of 1
+        def episode(command_limit):
+            gains = ControllerGains(kp_tilt=-1e5, command_limit=command_limit)
+            return run_episode(ideal_scenario(gains=gains, noise=SensorNoise(),
+                                              episode_duration=1.0))[0]
+
+        clamped, at_limit = episode(10.0), episode(1.0)
+        assert {r.command_left for r in clamped.records} == {-10.0}
+        assert clamped.fall_time == at_limit.fall_time is not None
+        assert [recorded_state(r) for r in clamped.records] \
+            == [recorded_state(r) for r in at_limit.records]
 
     def test_zero_time_constant_is_instant(self):
         params = PlantParams(motor_time_constant=0.0)
-        s = step_dynamics(PlantState(), params, 0.03, 1e-3)
-        assert s.motor_torque_actual == 0.03
+        *_, tau, _ = _rk4_span(0.0, 0.0, 0.0, 0.0, 0.0, 0.03, params, SUBSTEP_S, 2)
+        assert tau == 0.03
 
 
 class TestSensors:
     def test_noiseless_sensors_are_exact(self, params):
-        s = PlantState(tilt=0.1, tilt_rate=0.2)
-        f = sample_sensors(s, SensorNoise(), params, np.random.default_rng(0))
+        f = sample_sensors(0.1, 0.2, 0.0, SensorNoise(), params,
+                           np.random.default_rng(0))
         assert f.gyro_pitch_rate == 0.2
         assert f.accel_tilt == 0.1
 
     def test_encoder_quantization(self, params):
-        s = PlantState(wheel_angle=math.pi)
-        f = sample_sensors(s, SensorNoise(), params, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        f = sample_sensors(0.0, 0.0, math.pi, SensorNoise(), params, rng)
         assert f.encoder_left == 660
         assert f.encoder_right == 660
-        s = PlantState(wheel_angle=-0.001)
-        f = sample_sensors(s, SensorNoise(), params, np.random.default_rng(0))
+        f = sample_sensors(0.0, 0.0, -0.001, SensorNoise(), params, rng)
         assert f.encoder_left == -1  # floor, not truncation
 
     def test_golden_trace_seed_42(self, params):
@@ -197,22 +206,14 @@ class TestSensors:
         rng = np.random.default_rng(42)
         noise = SensorNoise(gyro_noise_std=0.01, accel_noise_std=0.002,
                             gyro_bias=0.001)
-        s = PlantState(tilt=0.05, tilt_rate=-0.3, wheel_angle=2.0,
-                       wheel_rate=1.5, sim_time=0.25)
         golden = [
             (-0.2959528292024557, 0.04792003178751901, 420),
             (-0.2914954880419354, 0.05188112943278243, 420),
             (-0.31851035188653837, 0.04739564098627537, 420),
         ]
         for seq, (gyro, accel, enc) in enumerate(golden):
-            f = sample_sensors(s, noise, params, rng, seq=seq)
+            f = sample_sensors(0.05, -0.3, 2.0, noise, params, rng, seq=seq)
             assert f.gyro_pitch_rate == gyro
             assert f.accel_tilt == accel
             assert f.encoder_left == enc
             assert f.seq == seq
-
-    def test_sample_time_comes_from_state(self, params):
-        s = PlantState(sim_time=1.25)
-        f = sample_sensors(s, SensorNoise(), params, np.random.default_rng(0))
-        assert f.sample_time == 1.25
-

@@ -167,6 +167,18 @@ class TestRunEpisode:
         assert all(a < b for a, b in zip(times, times[1:]))
         assert len(times) < 500
 
+    def test_no_sample_at_the_episode_end(self):
+        # a sample at end_ns could close only if its frame were lost, so
+        # the record count would hang on the last frame's luck
+        burst = ChannelModel(p_good_to_bad=0.01, p_bad_to_good=0.1, loss_bad=0.9)
+        mac = MacConfig(variant=GALLOP, channel_count=1,
+                        clock_drift_ppm=0.0, sync_error_bound=0.0)
+        for seed in range(4):
+            trace, _ = run_episode(gallop_scenario(
+                mac=mac, channel=burst, episode_duration=10.0, seed=seed))
+            assert len(trace.records) == trace.forward_sent == 5000
+            assert trace.records[-1].t < 10.0
+
 
 def dropped_runs(trace: EpisodeTrace) -> list[int]:
     """Lengths of the runs of consecutive cycles with either direction dropped."""
@@ -293,9 +305,20 @@ class TestComputeMetrics:
         m = compute_metrics(trace, cfg)
         assert m.drop_rate == 0.25
 
-    def test_empty_trace_is_an_error(self):
-        with pytest.raises(ValueError):
-            compute_metrics(self._trace([]), gallop_scenario())
+    def test_empty_trace_reports_initial_tilt_and_no_drops(self):
+        # falls in the first substep, before the sample at 0 is taken
+        cfg = gallop_scenario(initial_tilt=0.6)
+        trace, m = run_episode(cfg)
+        assert trace.records == ()
+        assert (m.balanced_duration, m.fell) == (0.0005, True)
+        assert m.max_abs_tilt == math.degrees(0.6)
+        assert all(math.isnan(x) for x in (m.rms_tilt_rate, m.latency_mean,
+                                            m.latency_variance, m.latency_p99))
+        assert m.drop_rate == 0.0
+        assert metrics_to_text(compute_metrics(trace, cfg)) == metrics_to_text(m)
+
+        m = compute_metrics(self._trace([]), cfg)
+        assert (m.balanced_duration, m.fell) == (cfg.episode_duration, False)
 
     def test_fall_truncates_balanced_duration(self):
         cfg = gallop_scenario(episode_duration=10.0)
