@@ -52,12 +52,17 @@ class ControllerGains:
     kp_position: float = 0.0    # command/rad of wheel angle
     kd_position: float = 0.0    # command/(rad/s)
     integral_limit: float = 0.5   # command
-    command_limit: float = 1.0    # command, <= 1
+    command_limit: float = 1.0    # command, in (0, 1]
 
     def __post_init__(self) -> None:
         check_finite(self)
-        if not (self.integral_limit > 0 and self.command_limit > 0):
-            raise ValueError("integral_limit and command_limit must be positive")
+        if not self.integral_limit > 0:
+            raise ValueError(
+                f"integral_limit must be positive, got {self.integral_limit!r}")
+        # at most 1, so a command never asks for more than the motor's torque
+        if not 0 < self.command_limit <= 1:
+            raise ValueError(
+                f"command_limit must be in (0, 1], got {self.command_limit!r}")
 
 
 # Shipped defaults for the default PlantParams, derived from a discrete LQR

@@ -33,6 +33,7 @@ import numpy as np
 
 from .config import ScenarioConfig, set_by_path
 from .control import (
+    ControllerGains,
     compute_command,
     estimate_tilt,
     make_controller_state,
@@ -91,14 +92,21 @@ class EpisodeMetrics:
     drop_rate: float           # fraction of cycles with either direction lost
 
 
+def _resolve_gains(cfg: ScenarioConfig) -> ControllerGains:
+    """The gains an episode of cfg runs: its own, or else the shipped
+    defaults tuned for its control cycle (TuningFailureError if none fit)."""
+    if cfg.gains is not None:
+        return cfg.gains
+    return tune_default_gains(cfg.plant, cfg.resolved_cycle(), cfg.filter_alpha)
+
+
 def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     """Simulate one episode; fully determined by (cfg, cfg.seed)."""
     params = cfg.plant
     cycle_s = cfg.resolved_cycle()
     cycle_ns = _ns(cycle_s)
     end_ns = _ns(cfg.episode_duration)
-    gains = cfg.gains if cfg.gains is not None \
-        else tune_default_gains(params, cycle_s, cfg.filter_alpha)
+    gains = _resolve_gains(cfg)
 
     rng_noise, rng_loss, rng_jitter, rng_sync = (
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(4))
@@ -128,18 +136,17 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
         nonlocal th, w, phi, v, tau, plant_ns, fall_ns
         if t_ns <= plant_ns:
             return
-        tau_cmd = min(max(torque, -tau_max), tau_max)
         n_full, rem = divmod(t_ns - plant_ns, SUBSTEP_NS)
         if n_full:
             th, w, phi, v, tau, done = _rk4_span(
-                th, w, phi, v, tau, tau_cmd, params, h_sub, n_full, thr)
+                th, w, phi, v, tau, torque, params, h_sub, n_full, thr)
             plant_ns += done * SUBSTEP_NS
             if done < n_full or abs(th) > thr:
                 fall_ns = plant_ns
                 return
         if rem:
             th, w, phi, v, tau, _ = _rk4_span(
-                th, w, phi, v, tau, tau_cmd, params, rem * 1e-9, 1, thr)
+                th, w, phi, v, tau, torque, params, rem * 1e-9, 1, thr)
             plant_ns += rem
             if abs(th) > thr:
                 fall_ns = plant_ns
@@ -319,10 +326,18 @@ def _run_batch(jobs: list[tuple[ScenarioConfig, bool]], workers: int
                ) -> list[tuple[EpisodeTrace | None, EpisodeMetrics]]:
     """Run (config, keep_trace) jobs; results come back in job order.
 
-    With workers > 1 and more than one job the episodes run in a process
-    pool; otherwise they run here in series, through the module's
+    The gains of every job without its own are tuned here first, so a grid
+    that cannot be tuned raises TuningFailureError before any episode runs,
+    and the episodes do no linear algebra. That matters in a pool: the
+    tuner's eigenvalue call wakes OpenBLAS's worker thread, which then
+    busy-waits for about 0.13 s of CPU, taking the core another worker
+    needs. With workers > 1 and more than one job the episodes run in a
+    process pool; otherwise they run here in series, through the module's
     run_episode. A worker's exception reaches the caller with its type.
     """
+    jobs = [(cfg if cfg.gains is not None
+             else replace(cfg, gains=_resolve_gains(cfg)), keep_trace)
+            for cfg, keep_trace in jobs]
     if workers > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(workers, len(jobs))) as pool:

@@ -248,6 +248,11 @@ class ChannelProcess:
         # n-step law: P(state changes) = pi_other * (1 - (1 - s)^n)
         self._s = model.p_good_to_bad + model.p_bad_to_good
         self._pi_bad = model.p_good_to_bad / self._s if self._s else 0.0
+        # no draw can lose a frame: every loss probability it could meet is 0
+        self.lossless = not (
+            model.default_loss or model.loss_good
+            or any(p for _, p in model.per_channel_loss)
+            or (model.p_good_to_bad and model.loss_bad))
 
     def _advance(self, channel: int, slot_index: int, rng: np.random.Generator) -> int:
         state = self._state.get(channel, _GOOD)
@@ -295,9 +300,11 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
     """Deliver one frame over the configured link; loss is an outcome.
 
     ready_ns is the time the frame is handed to the radio, in integer ns.
-    Every slot/event attempt consumes exactly two uniforms from loss_rng
-    (chain advance + loss draw); BLE additionally consumes one jitter
-    uniform per attempt.
+    Each BLE event consumes one jitter uniform (from loss_rng when
+    jitter_rng is None), then two from loss_rng: chain advance, loss draw.
+    Each gallop slot attempt consumes those same two from loss_rng, unless
+    the channel is lossless, in which case it draws nothing and the frame
+    goes in the first admissible slot. The ideal link draws nothing.
     """
     extra_ns = cfg.extra_delay_ns
 
@@ -342,8 +349,9 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
     for _start, end, pos in candidates:
         global_idx = base_idx + pos
         ch = band_ch + hop_channel(cfg, global_idx)
-        p_loss = channel.loss_probability(ch, global_idx, loss_rng)
-        if not loss_rng.random() < p_loss:
+        # the chain is advanced before the loss draw: left operand first
+        if channel.lossless or \
+                channel.loss_probability(ch, global_idx, loss_rng) <= loss_rng.random():
             return DeliveryOutcome("delivered", ready_ns, base_ns + end + extra_ns,
                                    ch, global_idx)
     return DeliveryOutcome("lost", ready_ns, None, ch, global_idx)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from telebalance.cli import main
 from telebalance.config import ideal_scenario
 from telebalance.control import ControllerGains
 from telebalance.plant import (
@@ -165,20 +166,19 @@ class TestMotor:
         expected = tau_max * (1 - math.exp(-4 * SUBSTEP_S / 0.01))
         assert tau == pytest.approx(expected, rel=1e-6)
 
-    def test_engine_clamps_commands_beyond_the_motor_limit(self):
-        # saturating gains that push the robot over: a command limit of 10
-        # asks for ten times the motor's torque, and the engine clamps it,
-        # so the plant moves exactly as under a command limit of 1
-        def episode(command_limit):
-            gains = ControllerGains(kp_tilt=-1e5, command_limit=command_limit)
-            return run_episode(ideal_scenario(gains=gains, noise=SensorNoise(),
-                                              episode_duration=1.0))[0]
-
-        clamped, at_limit = episode(10.0), episode(1.0)
-        assert {r.command_left for r in clamped.records} == {-10.0}
-        assert clamped.fall_time == at_limit.fall_time is not None
-        assert [recorded_state(r) for r in clamped.records] \
-            == [recorded_state(r) for r in at_limit.records]
+    def test_command_limit_beyond_the_motor_limit_rejected(self, tmp_path,
+                                                          capsys):
+        # a command is a fraction of the motor's torque, so a limit above 1
+        # would ask for torque the motor cannot give; the config is refused
+        with pytest.raises(ValueError, match="command_limit"):
+            ControllerGains(command_limit=10.0)
+        cfg = tmp_path / "limit.cfg"
+        cfg.write_text("[gains]\ncommand_limit = 10\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "command_limit must be in (0, 1]" in err
+        assert "Traceback" not in err
+        assert ControllerGains(command_limit=1.0).command_limit == 1.0
 
     def test_zero_time_constant_is_instant(self):
         params = PlantParams(motor_time_constant=0.0)

@@ -14,7 +14,11 @@ from telebalance.config import (
     ideal_scenario,
     set_by_path,
 )
-from telebalance.control import ControllerGains, TuningFailureError
+from telebalance.control import (
+    ControllerGains,
+    TuningFailureError,
+    tune_default_gains,
+)
 from telebalance.sim import (
     CycleRecord,
     EpisodeTrace,
@@ -399,7 +403,8 @@ class TestSweep:
             run_sweep(base, "mac.slot_guard", [0.002], 3, workers=2)
 
     def test_worker_tuning_failure_reaches_caller_with_its_type(self):
-        # the config is valid; gain tuning fails inside each worker
+        # the config is valid; gain tuning fails in the caller, before the
+        # pool would start
         base = gallop_scenario(episode_duration=0.5)
         with pytest.raises(TuningFailureError, match="200.0 ms"):
             run_sweep(base, "scenario.control_cycle", [0.2], 3, workers=2)
@@ -412,6 +417,33 @@ class TestSweep:
         base = gallop_scenario(episode_duration=0.5)
         with pytest.raises(InvalidConfigError, match="extra_delay must be finite"):
             run_sweep(base, "mac.extra_delay", [0.0, math.inf], 3)
+        assert episodes == []
+
+    def test_caller_tunes_every_job_before_dispatch(self, monkeypatch):
+        # workers never tune: each job reaches _run_job with the gains the
+        # episode would have tuned for its own cycle
+        jobs = []
+        run_job = sim._run_job
+        monkeypatch.setattr(sim, "_run_job",
+                            lambda job: jobs.append(job) or run_job(job))
+        base = gallop_scenario(episode_duration=0.2)
+        cycles = [0.005, 0.01]
+        run_sweep(base, "scenario.control_cycle", cycles, 3)
+        assert len(jobs) == 6
+        for (cfg, _), cycle in zip(jobs, [c for c in cycles for _ in range(3)]):
+            assert cfg.gains == tune_default_gains(base.plant, cycle,
+                                                   base.filter_alpha)
+            assert replace(cfg, gains=None) == replace(
+                base, control_cycle=cycle, seed=cfg.seed)
+
+    def test_untunable_grid_rejected_before_any_episode(self, monkeypatch):
+        episodes = []
+        run = sim.run_episode
+        monkeypatch.setattr(sim, "run_episode",
+                            lambda cfg: episodes.append(cfg) or run(cfg))
+        base = gallop_scenario(episode_duration=0.5)
+        with pytest.raises(TuningFailureError, match="200.0 ms"):
+            run_sweep(base, "scenario.control_cycle", [0.005, 0.2], 3)
         assert episodes == []
 
     def test_failure_threshold_helper(self):
@@ -448,6 +480,25 @@ class TestCompare:
         for a, b in zip(r1, r2):
             assert a.metrics == b.metrics
             assert trace_to_csv(a.trace) == trace_to_csv(b.trace)
+
+    def test_explicit_gains_reach_the_episode_unchanged(self, monkeypatch):
+        jobs = []
+        run_job = sim._run_job
+        monkeypatch.setattr(sim, "_run_job",
+                            lambda job: jobs.append(job) or run_job(job))
+        gains = ControllerGains(kp_tilt=18.0, kd_tilt=1.4)
+        cfgs = [gallop_scenario(episode_duration=0.2, gains=gains),
+                ble_scenario(episode_duration=0.2)]
+        results = compare_scenarios(cfgs, seeds=[3, 4])
+        assert [cfg for cfg, _ in jobs[:2]] == \
+            [replace(cfgs[0], seed=s) for s in (3, 4)]
+        assert all(cfg.gains is gains for cfg, _ in jobs[:2])
+        tuned = tune_default_gains(cfgs[1].plant, cfgs[1].resolved_cycle(),
+                                   cfgs[1].filter_alpha)
+        assert [cfg for cfg, _ in jobs[2:]] == \
+            [replace(cfgs[1], seed=s, gains=tuned) for s in (3, 4)]
+        # each result still carries the caller's own config
+        assert [r.config for r in results] == cfgs
 
     def test_process_pool_matches_serial(self):
         cfgs = [gallop_scenario(episode_duration=1.5),

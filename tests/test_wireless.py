@@ -245,9 +245,11 @@ class TestGallopSlotTable:
            hop=st.sampled_from([(37, 7), (5, 2), (1, 1)]),
            extra=st.sampled_from([0.0, 3e-3]),
            readies=st.lists(frame_readies, min_size=1, max_size=6),
-           seed=st.integers(0, 2**16))
+           seed=st.integers(0, 2**16),
+           model=st.sampled_from([LOSSY, LOSSLESS]))
     def test_transmit_matches_brute_force_slot_search(self, layout, guard, hop,
-                                                      extra, readies, seed):
+                                                      extra, readies, seed,
+                                                      model):
         count, increment = hop
         cfg = gallop_cfg(custom_slots=layout, slot_guard=guard,
                          channel_count=count, hop_increment=increment,
@@ -255,7 +257,7 @@ class TestGallopSlotTable:
         sf = build_superframe(cfg)
         table = sf.slots
         guard_ns = round(guard * 1e9)
-        procs = ChannelProcess(self.LOSSY), ChannelProcess(self.LOSSY)
+        procs = ChannelProcess(model), ChannelProcess(model)
         rngs = CountingRng(seed), CountingRng(seed)
         for direction, k, pos, edge, at_guard, off in readies:
             edge_ns = table[pos % len(table)][edge]
@@ -268,7 +270,20 @@ class TestGallopSlotTable:
                                      procs[1].loss_probability, rngs[1])
             assert (out.deliver_ns, out.slot_index, out.channel_used) == ref
             assert out.delivered == (ref[0] is not None)
-            assert rngs[0].draws == rngs[1].draws
+            # a lossless channel delivers in the reference's slot undrawn
+            assert rngs[0].draws == (0 if model is LOSSLESS else rngs[1].draws)
+
+    @pytest.mark.parametrize("model, lossless", [
+        (LOSSLESS, True),
+        (ChannelModel(p_good_to_bad=0.3, loss_bad=0.0), True),
+        (ChannelModel(per_channel_loss=((3, 0.0),)), True),
+        (ChannelModel(per_channel_loss=((3, 0.1),)), False),
+        (ChannelModel(default_loss=0.1), False),
+        (ChannelModel(loss_good=0.1), False),
+        (ChannelModel(p_good_to_bad=0.01), False),
+    ])
+    def test_lossless_when_no_draw_can_lose(self, model, lossless):
+        assert ChannelProcess(model).lossless is lossless
 
 
 class TestBleTransmit:
