@@ -327,11 +327,8 @@ def _run_batch(jobs: list[tuple[ScenarioConfig, bool]], workers: int
     """Run (config, keep_trace) jobs; results come back in job order.
 
     The gains of every job without its own are tuned here first, so a grid
-    that cannot be tuned raises TuningFailureError before any episode runs,
-    and the episodes do no linear algebra. That matters in a pool: the
-    tuner's eigenvalue call wakes OpenBLAS's worker thread, which then
-    busy-waits for about 0.13 s of CPU, taking the core another worker
-    needs. With workers > 1 and more than one job the episodes run in a
+    that cannot be tuned raises TuningFailureError before any episode runs.
+    With workers > 1 and more than one job the episodes run in a
     process pool; otherwise they run here in series, through the module's
     run_episode. A worker's exception reaches the caller with its type.
     """

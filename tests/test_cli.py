@@ -1,9 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import telebalance
 from telebalance import cli
 from telebalance.cli import main
 from telebalance.config import (
@@ -43,6 +47,13 @@ def write_cfg(tmp_path: Path, text: str, name: str = "scenario.cfg") -> Path:
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return p
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's telebalance."""
+    env = {**os.environ, "PYTHONPATH": str(Path(telebalance.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 class TestConfigParsing:
@@ -173,6 +184,18 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert "clock_drift_ppm must be in (-1e6, 1e6)" in err
         assert "Traceback" not in err
+
+    def test_overflowing_cycle_exit_2_with_one_stderr_line(self, tmp_path):
+        # a 100 s cycle overflows the tuner's matrix exponential; numpy's
+        # RuntimeWarnings would be further stderr lines
+        cfg = write_cfg(tmp_path, "[scenario]\ncontrol_cycle = 100 s\n\n"
+                                  "[mac]\nvariant = ideal\n")
+        proc = run_python("-m", "telebalance.cli", "run", str(cfg),
+                          "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert "Warning" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: no searched gain set stabilizes a 100000.0 ms cycle"]
 
     def test_misspelled_key_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[mac]\nvariannt = gallop\n")
@@ -470,3 +493,13 @@ class TestParseValues:
     def test_unknown_suffix_rejected(self):
         with pytest.raises(ValueError, match="sweep value"):
             parse_sweep_values("mac.extra_delay", "2 min")
+
+
+def test_cli_and_tuning_leave_scipy_unimported():
+    proc = run_python("-c", "import sys, telebalance.cli\n"
+                      "from telebalance.control import tune_default_gains\n"
+                      "from telebalance.plant import PlantParams\n"
+                      "tune_default_gains(PlantParams(), 0.002)\n"
+                      "print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

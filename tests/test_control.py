@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import expm_taylor
 from telebalance.control import (
     DEFAULT_GAINS,
     ControllerGains,
     StaleFrameError,
     TuningFailureError,
+    _zoh,
     closed_loop_matrix,
     compute_command,
     estimate_tilt,
@@ -24,9 +27,25 @@ from telebalance.plant import (
     SensorFrame,
     SensorNoise,
     _rk4_span,
+    linearized_matrices,
     sample_sensors,
 )
 from telebalance.sim import run_episode
+
+# the cycles and plants over which the ZOH and the tuner are checked
+GRID_CYCLES_MS = (0.5, 1, 2, 3, 4, 5, 7.5, 10, 12.5, 15, 20, 25, 30)
+GRID_PLANTS = {
+    "default": PlantParams(),
+    "no_motor_lag": PlantParams(motor_time_constant=0.0),
+    "heavy": PlantParams(body_mass=0.6, com_distance=0.08),
+}
+# the DEFAULT_GAINS scale tune_default_gains picked at each of those cycles
+# while closed_loop_matrix still called scipy.linalg.expm
+SCIPY_EXPM_SCALES = {
+    "default": (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.75, 0.5, 0.5, 0.35, 0.35, 0.25),
+    "no_motor_lag": (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.75, 0.5, 0.5, 0.35, 0.25, 0.25, 0.15),
+    "heavy": (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.75, 0.5, 0.5, 0.35, 0.35, 0.25, 0.25),
+}
 
 
 def frame(gyro=0.0, accel=0.0, enc=0, seq=0):
@@ -181,6 +200,12 @@ class TestTuning:
         with pytest.raises(ValueError):
             tune_default_gains(params, 0.0)
 
+    @pytest.mark.parametrize("plant", sorted(GRID_PLANTS))
+    def test_picks_the_scales_scipy_expm_picked(self, plant):
+        for ms, scale in zip(GRID_CYCLES_MS, SCIPY_EXPM_SCALES[plant]):
+            gains = tune_default_gains(GRID_PLANTS[plant], ms * 1e-3)
+            assert gains.kp_tilt == DEFAULT_GAINS.kp_tilt * scale, ms
+
     def test_shipped_gains_converge_in_time_domain(self):
         # 2 deg initial tilt, noiseless, on the ideal link at the tuning
         # cycle: |tilt| < 0.2 deg within 3 s and never near the fall threshold
@@ -196,3 +221,44 @@ class TestTuning:
             elif converged_at is None:
                 converged_at = r.t
         assert converged_at is not None and converged_at <= 3.0
+
+
+def motor_loop(params):
+    """Linearized plant plus first-order motor lag; input the command."""
+    A4, B4 = linearized_matrices(params)
+    tm = params.motor_time_constant
+    if tm == 0:
+        return A4, B4 * params.motor_max_torque
+    Ac = np.zeros((5, 5))
+    Ac[:4, :4] = A4
+    Ac[:4, 4] = B4[:, 0]
+    Ac[4, 4] = -1.0 / tm
+    Bc = np.zeros((5, 1))
+    Bc[4, 0] = params.motor_max_torque / tm
+    return Ac, Bc
+
+
+class TestZoh:
+    @pytest.mark.parametrize("plant", sorted(GRID_PLANTS))
+    def test_matches_taylor_oracle_and_scipy_expm(self, plant):
+        Ac, Bc = motor_loop(GRID_PLANTS[plant])
+        n = Ac.shape[0]
+        for ms in GRID_CYCLES_MS:
+            h = ms * 1e-3
+            blk = np.zeros((n + 1, n + 1))
+            blk[:n, :n] = Ac * h
+            blk[:n, n] = Bc[:, 0] * h
+            Ad, Bd = _zoh(Ac, Bc, h)
+            got = np.column_stack([Ad, Bd])
+            for ref in (expm_taylor(blk)[:n], scipy.linalg.expm(blk)[:n]):
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), ms
+
+    @pytest.mark.parametrize("wh", [0.1, 0.5, 1.0, 3.0, 10.0, 40.0])
+    def test_undamped_oscillator_is_exact(self, wh):
+        # spectral radius equal to the norm: unlike the plants above, a
+        # too-weak scaling or a wrong Pade coefficient shows here
+        Ac = np.array([[0.0, wh], [-wh, 0.0]])
+        Ad, Bd = _zoh(Ac, np.array([[0.0], [wh]]), 1.0)
+        c, s = math.cos(wh), math.sin(wh)
+        np.testing.assert_allclose(Ad, [[c, s], [-s, c]], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(Bd, [1.0 - c, s], rtol=0, atol=1e-12)
