@@ -160,7 +160,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return exc.code
     try:
         return args.func(args)
     except (ValueError, TuningFailureError) as exc:

@@ -40,6 +40,9 @@ from .wireless import BLE, GALLOP, IDEAL, ChannelModel, MacConfig, _ns
 # and accelerometer-derived tilt (0.29 deg)
 DEFAULT_NOISE = SensorNoise(gyro_noise_std=0.002, accel_noise_std=0.005)
 
+# the engine keeps one record per cycle: 10**6 cycles is about 300 MB
+MAX_CYCLES = 10**6
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -73,6 +76,10 @@ class ScenarioConfig:
         if not _ns(self.resolved_cycle()) > 0:
             raise ValueError("control_cycle must be at least 1 ns, "
                              f"got {self.resolved_cycle()!r} s")
+        cycles = self.episode_duration / self.resolved_cycle()
+        if cycles > MAX_CYCLES:
+            raise ValueError(f"episode_duration / control_cycle must be at most "
+                             f"{MAX_CYCLES} cycles, got {cycles:.6g}")
         if not self.fall_threshold > 0:
             raise ValueError("fall_threshold must be positive")
         if not 0.0 <= self.filter_alpha <= 1.0:

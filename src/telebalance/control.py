@@ -85,7 +85,7 @@ class ControllerState(NamedTuple):
     """Filter and integrator memory; one instance per controlled robot.
 
     A tuple because every update builds one; the per-frame updates build
-    it positionally, in this field order.
+    it, and ActuationFrame, by tuple.__new__ in field order (no Python __new__).
     """
 
     tilt_estimate: float = 0.0       # rad
@@ -130,9 +130,9 @@ def estimate_tilt(cstate: ControllerState, frame: SensorFrame, dt: float,
             f"frame seq {frame.seq} not newer than {cstate.last_frame_seq}")
     est = alpha * (cstate.tilt_estimate + frame.gyro_pitch_rate * dt) \
         + (1.0 - alpha) * frame.accel_tilt
-    return ControllerState(est, cstate.integral_accum, frame.seq,
-                           cstate.last_wheel_angle, cstate.wheel_rate_estimate,
-                           cstate.encoder_counts_per_rev, cstate.primed)
+    return tuple.__new__(ControllerState, (
+        est, cstate.integral_accum, frame.seq, cstate.last_wheel_angle,
+        cstate.wheel_rate_estimate, cstate.encoder_counts_per_rev, cstate.primed))
 
 
 def compute_command(cstate: ControllerState, gains: ControllerGains,
@@ -169,10 +169,10 @@ def compute_command(cstate: ControllerState, gains: ControllerGains,
          + gains.kd_position * wheel_rate)
     u = min(max(u, -gains.command_limit), gains.command_limit)
 
-    new_state = ControllerState(cstate.tilt_estimate, integral,
-                                cstate.last_frame_seq, angle, wheel_rate,
-                                cstate.encoder_counts_per_rev, True)
-    return new_state, ActuationFrame(u, u, frame.seq, now)
+    new_state = tuple.__new__(ControllerState, (
+        cstate.tilt_estimate, integral, cstate.last_frame_seq, angle,
+        wheel_rate, cstate.encoder_counts_per_rev, True))
+    return new_state, tuple.__new__(ActuationFrame, (u, u, frame.seq, now))
 
 
 # diagonal Pade(6) coefficients of exp: (12-k)! 6! / (12! k! (6-k)!)

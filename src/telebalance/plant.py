@@ -100,6 +100,11 @@ class PlantParams:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
         if self.motor_time_constant < 0 or self.viscous_friction < 0:
             raise ValueError("motor_time_constant and viscous_friction must be >= 0")
+        # explicit RK4 at SUBSTEP_S cannot follow a lag far shorter than that
+        if 0 < self.motor_time_constant < SUBSTEP_S:
+            raise ValueError(
+                f"motor_time_constant must be 0 (an instant motor) or at least "
+                f"{SUBSTEP_S * 1e3:g} ms, got {self.motor_time_constant!r} s")
         # (m11, m12_coeff, m22, m_b g L), cached for the RK4 hot path
         object.__setattr__(self, "_rk4_terms", _mass_terms(self) + (
             self.body_mass * self.gravity * self.com_distance,))
@@ -118,7 +123,8 @@ class SensorNoise:
 
 
 class SensorFrame(NamedTuple):
-    """Forward-channel payload: pitch-relevant IMU readings plus encoders."""
+    """Forward-channel payload: pitch-relevant IMU readings plus encoders;
+    built per sample by tuple.__new__, which skips the Python-level __new__."""
 
     gyro_pitch_rate: float  # rad/s
     accel_tilt: float       # rad, tilt inferred from the gravity vector
@@ -246,7 +252,7 @@ def sample_sensors(tilt: float, tilt_rate: float, wheel_angle: float,
     gyro = tilt_rate + noise.gyro_bias + noise.gyro_noise_std * n_gyro
     accel = tilt + noise.accel_noise_std * n_accel
     counts = math.floor(wheel_angle / TWO_PI * params.encoder_counts_per_rev)
-    return SensorFrame(gyro, accel, counts, counts, seq)
+    return tuple.__new__(SensorFrame, (gyro, accel, counts, counts, seq))
 
 
 def linearized_matrices(params: PlantParams) -> tuple[np.ndarray, np.ndarray]:

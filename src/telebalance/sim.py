@@ -17,17 +17,18 @@ config and feed straight into sampling (and therefore loop) jitter.
 
 Master seed is split into independent streams for sensor noise, channel
 loss, delivery jitter, and sync draws, so changing one subsystem does not
-perturb the others across scenarios.
+perturb the others across scenarios. Each is drawn in blocks, with the
+values and order of one scalar draw at a time (BlockStream).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from heapq import heappop, heappush
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,33 @@ from .wireless import (
 SUBSTEP_NS = _ns(SUBSTEP_S)
 DEG = 180.0 / math.pi
 NAN = float("nan")
+
+# draws a stream fetches from numpy at a time
+STREAM_BLOCK = 1024
+
+
+class BlockStream:
+    """A Generator's normal(), random() and uniform(low, high), drawn from
+    numpy a block at a time. A block of n holds what n scalar calls return,
+    in order, and numpy's uniform is low + (high - low) * random(). A stream
+    serves normals or doubles, never both: a block drawn ahead would
+    reorder them."""
+
+    def __init__(self, rng: np.random.Generator, block: int = STREAM_BLOCK):
+        self._kind: str | None = None
+        self.normal = self._draws("normal", rng.normal, block).__next__
+        self.random = self._draws("double", rng.random, block).__next__
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * self.random()
+
+    def _draws(self, kind: str, draw, block: int) -> Iterator[float]:
+        if self._kind not in (None, kind):
+            raise ValueError(f"a stream of {self._kind}s cannot serve a {kind}")
+        self._kind = kind
+        while True:
+            yield from draw(size=block).tolist()
+
 
 class CycleRecord(NamedTuple):
     """One control cycle of a trace; a tuple because every cycle builds one."""
@@ -109,7 +137,8 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     gains = _resolve_gains(cfg)
 
     rng_noise, rng_loss, rng_jitter, rng_sync = (
-        np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(4))
+        BlockStream(np.random.default_rng(s))
+        for s in np.random.SeedSequence(cfg.seed).spawn(4))
     chan = ChannelProcess(cfg.channel)
 
     # plant state kept as raw floats between events (hot integration path)
@@ -123,19 +152,17 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     tau_max = params.motor_max_torque
 
     clock = RobotClock(cfg.mac, rng_sync)
+    local_to_true_ns = clock.local_to_true_ns
     sync_period_ns = _ns(cfg.mac.sync_epoch_period)
 
+    # events (t_ns, insertion seq, kind, payload); a sample's time is its
+    # period on the local clock, no earlier than the plant time
     heap: list[tuple[int, int, str, tuple]] = []
-    counter = itertools.count()
-
-    def push(t_ns: int, kind: str, payload: tuple) -> None:
-        heapq.heappush(heap, (t_ns, next(counter), kind, payload))
+    next_seq = itertools.count().__next__
 
     def advance_plant(t_ns: int) -> None:
-        """Integrate up to t_ns; sets fall_ns if the robot falls on the way."""
+        """Integrate up to t_ns > plant_ns; sets fall_ns on a fall on the way."""
         nonlocal th, w, phi, v, tau, plant_ns, fall_ns
-        if t_ns <= plant_ns:
-            return
         n_full, rem = divmod(t_ns - plant_ns, SUBSTEP_NS)
         if n_full:
             th, w, phi, v, tau, done = _rk4_span(
@@ -153,9 +180,10 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
 
     mac = cfg.mac
     alpha = cfg.filter_alpha
-    records: dict[int, CycleRecord] = {}
-    # in-flight cycles: k -> (sample_ns, tilt, tilt_rate, wheel_rate), degrees
-    cycles: dict[int, tuple[int, float, float, float]] = {}
+    # one slot per sample taken, in sample order; None until its cycle closes
+    records: list[CycleRecord | None] = []
+    # in-flight cycles: k -> (slot, sample_ns, tilt, tilt_rate, wheel_rate), degrees
+    cycles: dict[int, tuple[int, int, float, float, float]] = {}
     fwd_sent = fwd_delivered = fwd_lost = 0
     fbk_sent = fbk_delivered = fbk_lost = 0
     last_arrival_ns: int | None = None
@@ -165,54 +193,56 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     def close_cycle(k: int, act, applied_ns: int | None) -> None:
         """Record cycle k. act is None when the forward frame was lost,
         applied_ns is None when the feedback frame was."""
-        sample_ns, tilt, tilt_rate, wheel_rate = cycles.pop(k)
+        slot, sample_ns, tilt, tilt_rate, wheel_rate = cycles.pop(k)
         if act is None:
             left = right = NAN
         else:
             left, right = act.motor_command_left, act.motor_command_right
         latency = NAN if applied_ns is None else (applied_ns - sample_ns) / 1e6
-        records[k] = CycleRecord(sample_ns / 1e9, tilt, tilt_rate, wheel_rate,
-                                 left, right, latency, act is None,
-                                 act is not None and applied_ns is None)
+        records[slot] = tuple.__new__(CycleRecord, (
+            sample_ns / 1e9, tilt, tilt_rate, wheel_rate, left, right, latency,
+            act is None, act is not None and applied_ns is None))
 
-    def schedule_sample(k: int) -> None:
-        t = max(clock.local_to_true_ns(k * cycle_ns), plant_ns)
-        push(t, "sample", (k, clock.version))
-
-    push(sync_period_ns, "sync", (1,))
-    schedule_sample(0)
+    heappush(heap, (sync_period_ns, next_seq(), "sync", (1,)))
+    heappush(heap, (max(local_to_true_ns(0), 0), next_seq(), "sample",
+                    (0, clock.version)))
 
     while heap:
-        t_ns, _, kind, payload = heapq.heappop(heap)
+        t_ns, _, kind, payload = heappop(heap)
         if t_ns > end_ns:
             break
         if kind == "sample":
             k, version = payload
-            if version != clock.version:
-                schedule_sample(k)  # sync moved the local clock; reschedule
-                continue
-            if t_ns == last_sample_ns:
-                schedule_sample(k + 1)  # a resync jumped the clock past period k
+            if version != clock.version or t_ns == last_sample_ns:
+                # a sync moved the local clock: sample period k anew; or a
+                # resync jumped the clock past period k: go on to k + 1
+                k += version == clock.version
+                heappush(heap, (max(local_to_true_ns(k * cycle_ns), plant_ns),
+                                next_seq(), "sample", (k, clock.version)))
                 continue
             if t_ns == end_ns:
                 continue  # its cycle could not close within the episode
-        advance_plant(t_ns)
-        if fall_ns is not None:
-            break
+        if t_ns > plant_ns:
+            advance_plant(t_ns)
+            if fall_ns is not None:
+                break
 
         if kind == "sample":
             last_sample_ns = t_ns
             frame = sample_sensors(th, w, phi, cfg.noise, params, rng_noise, seq=k)
-            cycles[k] = (t_ns, th * DEG, w * DEG, v * DEG)
+            cycles[k] = (len(records), t_ns, th * DEG, w * DEG, v * DEG)
+            records.append(None)
             fwd_sent += 1
             out = transmit(mac, chan, FORWARD, t_ns, rng_loss, rng_jitter)
             if out.delivered:
                 fwd_delivered += 1
-                push(out.deliver_ns, "recv", (k, frame))
+                heappush(heap, (out.deliver_ns, next_seq(), "recv", (k, frame)))
             else:
                 fwd_lost += 1
                 close_cycle(k, None, None)
-            schedule_sample(k + 1)
+            t = local_to_true_ns((k + 1) * cycle_ns)
+            heappush(heap, (t if t > plant_ns else plant_ns, next_seq(),
+                            "sample", (k + 1, clock.version)))
 
         elif kind == "recv":
             k, frame = payload
@@ -230,7 +260,7 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             out = transmit(mac, chan, FEEDBACK, t_ns, rng_loss, rng_jitter)
             if out.delivered:
                 fbk_delivered += 1
-                push(out.deliver_ns, "apply", (k, act))
+                heappush(heap, (out.deliver_ns, next_seq(), "apply", (k, act)))
             else:
                 fbk_lost += 1
                 close_cycle(k, act, None)
@@ -251,13 +281,14 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
         elif kind == "sync":
             (epoch,) = payload
             clock.sync(t_ns)
-            push((epoch + 1) * sync_period_ns, "sync", (epoch + 1,))
+            heappush(heap, ((epoch + 1) * sync_period_ns, next_seq(), "sync",
+                            (epoch + 1,)))
 
-    if fall_ns is None:
+    if fall_ns is None and end_ns > plant_ns:
         advance_plant(end_ns)
 
     trace = EpisodeTrace(
-        records=tuple(records[k] for k in sorted(records)),
+        records=tuple(r for r in records if r is not None),
         fall_time=None if fall_ns is None else fall_ns / 1e9,
         forward_sent=fwd_sent, forward_delivered=fwd_delivered,
         forward_lost=fwd_lost, feedback_sent=fbk_sent,

@@ -281,7 +281,8 @@ class ChannelProcess:
 
 
 class DeliveryOutcome(NamedTuple):
-    """One transmit's result; a tuple because every frame builds one."""
+    """One transmit's result; a tuple because every frame builds one, by
+    tuple.__new__ with all five fields (no Python-level __new__)."""
 
     status: str                    # delivered | lost
     send_ns: int
@@ -309,7 +310,8 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
     extra_ns = cfg.extra_delay_ns
 
     if cfg.variant == IDEAL:
-        return DeliveryOutcome("delivered", ready_ns, ready_ns + 1 + extra_ns)
+        return tuple.__new__(DeliveryOutcome, (
+            "delivered", ready_ns, ready_ns + 1 + extra_ns, None, None))
 
     if cfg.variant == BLE:
         interval_ns = cfg.ble_interval_ns
@@ -320,9 +322,10 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
         p_loss = channel.loss_probability(ch, event, loss_rng)
         lost = loss_rng.random() < p_loss
         if lost:
-            return DeliveryOutcome("lost", ready_ns, None, ch, event)
-        return DeliveryOutcome("delivered", ready_ns,
-                               event * interval_ns + jitter_ns + extra_ns, ch, event)
+            return tuple.__new__(DeliveryOutcome, ("lost", ready_ns, None, ch, event))
+        return tuple.__new__(DeliveryOutcome, (
+            "delivered", ready_ns, event * interval_ns + jitter_ns + extra_ns,
+            ch, event))
 
     # gallop: next admissible slot of this direction, retry within superframe
     superframe = cfg.superframe
@@ -352,9 +355,9 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
         # the chain is advanced before the loss draw: left operand first
         if channel.lossless or \
                 channel.loss_probability(ch, global_idx, loss_rng) <= loss_rng.random():
-            return DeliveryOutcome("delivered", ready_ns, base_ns + end + extra_ns,
-                                   ch, global_idx)
-    return DeliveryOutcome("lost", ready_ns, None, ch, global_idx)
+            return tuple.__new__(DeliveryOutcome, (
+                "delivered", ready_ns, base_ns + end + extra_ns, ch, global_idx))
+    return tuple.__new__(DeliveryOutcome, ("lost", ready_ns, None, ch, global_idx))
 
 
 class RobotClock:

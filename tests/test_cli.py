@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import telebalance
-from telebalance import cli
+from telebalance import cli, sim
 from telebalance.cli import main
 from telebalance.config import (
     DEFAULT_NOISE,
@@ -183,6 +185,36 @@ class TestCmdRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "clock_drift_ppm must be in (-1e6, 1e6)" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("lag", ["1e-9 s", "1e-300 s"])
+    def test_motor_lag_below_the_substep_exit_2_names_key(self, tmp_path, capsys,
+                                                          lag):
+        # RK4 at 0.5 ms cannot follow these lags: 1e-9 s fell at 0.5 ms, and
+        # 1e-300 s left the plant state non-finite
+        cfg = write_cfg(tmp_path, f"[plant]\nmotor_time_constant = {lag}\n\n"
+                                  "[mac]\nvariant = ideal\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "motor_time_constant must be 0 (an instant motor)" in err
+        assert "Traceback" not in err
+
+    def test_billion_cycle_episode_exit_2_before_any_episode(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # before the bound, this config reached 1.9 GB of records in 2 minutes
+        def no_episode(cfg):
+            raise AssertionError("episode started")
+        monkeypatch.setattr(cli, "run_episode", no_episode)
+        monkeypatch.setattr(sim, "run_episode", no_episode)
+        cfg = write_cfg(tmp_path, "[scenario]\nepisode_duration = 1 s\n"
+                                  "control_cycle = 1e-9 s\n\n[mac]\nvariant = ideal\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        ok = write_cfg(tmp_path, GALLOP_SHORT, "ok.cfg")
+        assert main(["sweep", str(ok), "--param", "scenario.control_cycle",
+                     "--values", "2ms,1e-9", "--out", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("episode_duration / control_cycle must be at most "
+                         "1000000 cycles") == 2
         assert "Traceback" not in err
 
     def test_overflowing_cycle_exit_2_with_one_stderr_line(self, tmp_path):
@@ -503,3 +535,69 @@ def test_cli_and_tuning_leave_scipy_unimported():
                       "print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+# argv fuzz: short episodes (0.2 s) and at most 2 workers keep it to seconds
+FUZZ_CONFIGS = {
+    "gallop.cfg": GALLOP_SHORT.replace("= 1 s", "= 0.2 s"),
+    "ble.cfg": BLE_SHORT.replace("= 1 s", "= 0.2 s"),
+    "bad.cfg": "[mac]\nvariant = nonsense\n",
+}
+# what a malformed argv puts in place of one token: bad numbers, bad
+# paths and a bad key
+FUZZ_BAD = ["-1", "0", "x", "1e999", "nan", "", "0.5ms", "1e-9", "missing.cfg",
+            "a_file/out", "mac.nonsense"]
+
+
+@st.composite
+def cli_argv(draw, base: Path) -> list[str]:
+    """A valid subcommand line, or one with a token replaced by a bad one
+    or a stray token inserted."""
+    configs = st.sampled_from([str(base / name) for name in FUZZ_CONFIGS])
+    command = draw(st.sampled_from(["run", "compare", "sweep"]))
+    argv = [command]
+    if command == "run":
+        argv += [draw(configs), "--seed", draw(st.sampled_from(["0", "3"]))]
+    elif command == "compare":
+        for _ in range(draw(st.integers(2, 3))):
+            argv += ["--scenario", draw(configs)]
+        argv += ["--seeds", draw(st.sampled_from(["1", "2"])),
+                 "--workers", draw(st.sampled_from(["1", "2"]))]
+    else:
+        values = st.lists(st.sampled_from(["0", "1e-3", "0.02", "2"]),
+                          min_size=1, max_size=2)
+        argv += [draw(configs), "--param", draw(st.sampled_from(
+            ["mac.extra_delay", "loss.default_loss", "scenario.initial_tilt",
+             "mac.slots_per_superframe", "plant.motor_time_constant",
+             "gains.kp_tilt"])),
+            "--values", ",".join(draw(values)), "--seeds", "3",
+            "--workers", draw(st.sampled_from(["1", "2"]))]
+    argv += ["--out", str(base / "out")]
+    fault = draw(st.sampled_from([None, None, "replace", "insert"]))
+    if fault == "replace":
+        bad = draw(st.sampled_from(FUZZ_BAD))
+        argv[draw(st.integers(0, len(argv) - 1))] = \
+            str(base / bad) if bad.endswith(("cfg", "out")) else bad
+    elif fault == "insert":
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.text(max_size=6)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_base(tmp_path_factory):
+    """The fuzz's directory, also the working one: a bad token taken as
+    --out is a relative path, and lands here."""
+    base = tmp_path_factory.mktemp("argv")
+    for name, text in FUZZ_CONFIGS.items():
+        write_cfg(base, text, name)
+    (base / "a_file").write_text("not a directory\n", encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(base)
+        yield base
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_returns_an_exit_code_and_never_raises(argv_base, data):
+    argv = data.draw(cli_argv(argv_base), label="argv")
+    assert main(argv) in (0, 1, 2)

@@ -18,6 +18,7 @@ from telebalance.config import (
     parse_sweep_values,
 )
 from telebalance.control import DEFAULT_GAINS
+from telebalance.wireless import MacConfig
 
 NUMERIC_ANNOTATIONS = ("int", "float", "float | None")
 
@@ -108,3 +109,12 @@ def test_parse_sweep_values_returns_values_or_raises_value_error(path, items):
     except ValueError:
         return
     assert values and all(isinstance(v, (int, float)) for v in values)
+
+
+def test_a_billion_cycles_rejected_at_construction_naming_both_keys():
+    # one record per cycle: this episode would hold 1e9 of them
+    with pytest.raises(ValueError,
+                       match=r"episode_duration / control_cycle must be at most "
+                             r"1000000 cycles, got 1e\+09"):
+        ScenarioConfig(episode_duration=1.0, control_cycle=1e-9,
+                       mac=MacConfig(variant="ideal"))

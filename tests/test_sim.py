@@ -183,6 +183,47 @@ class TestRunEpisode:
             assert len(trace.records) == trace.forward_sent == 5000
             assert trace.records[-1].t < 10.0
 
+    @pytest.mark.parametrize("make, key", [(ble_scenario, "ble_jitter_max"),
+                                           (gallop_scenario, "sync_error_bound")])
+    def test_negative_zero_bound_runs_as_zero(self, make, key):
+        # the config accepts -0.0 (not < 0); numpy's scalar uniform refused
+        # its -0.0 range with "high - low < 0", which named no key
+        traces = [trace_to_csv(run_episode(make(
+            mac=replace(make().mac, **{key: bound}), episode_duration=0.5))[0])
+            for bound in (0.0, -0.0)]
+        assert traces[0] == traces[1]
+
+
+class TestBlockStream:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**63), block=st.integers(1, 7),
+           kind=st.sampled_from(["normal", "random", "uniform"]),
+           bounds=st.lists(st.tuples(st.floats(-1e12, 1e12), st.floats(0.0, 1e12)),
+                           min_size=1, max_size=30))
+    def test_blocks_give_the_scalar_calls_values_in_order(self, seed, block, kind,
+                                                          bounds):
+        # more draws than a block holds: the values cross block boundaries
+        stream = sim.BlockStream(np.random.default_rng(seed), block)
+        scalar = np.random.default_rng(seed)
+        for low, width in bounds:
+            high = low + width  # numpy wants high - low >= 0, and not -0.0
+            if kind == "uniform":
+                got, want = stream.uniform(low, high), scalar.uniform(low, high)
+            else:
+                got, want = getattr(stream, kind)(), getattr(scalar, kind)()
+            assert repr(got) == repr(want)  # same float, sign of zero included
+
+    @pytest.mark.parametrize("first, other", [
+        ("normal", "random"), ("normal", "uniform"),
+        ("random", "normal"), ("uniform", "normal")])
+    def test_a_stream_serves_one_kind(self, first, other):
+        stream = sim.BlockStream(np.random.default_rng(0), 4)
+        draws = {"normal": stream.normal, "random": stream.random,
+                 "uniform": lambda: stream.uniform(-1.0, 1.0)}
+        draws[first]()
+        with pytest.raises(ValueError, match="cannot serve"):
+            draws[other]()
+
 
 def dropped_runs(trace: EpisodeTrace) -> list[int]:
     """Lengths of the runs of consecutive cycles with either direction dropped."""
