@@ -15,6 +15,7 @@ from pathlib import Path
 from .config import load_scenario, parse_sweep_values
 from .control import TuningFailureError
 from .sim import (
+    METRIC_NAMES,
     compare_scenarios,
     failure_threshold,
     metrics_to_text,
@@ -59,21 +60,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
                                 workers=args.workers)
     out = Path(args.out)
 
-    header = ("label,seeds,fall_fraction,mean_balanced_duration_s,"
-              "mean_rms_tilt_rate_deg_s,mean_max_abs_tilt_deg,"
-              "mean_latency_mean_ms,mean_latency_variance_ms2,"
-              "mean_latency_p99_ms,mean_drop_rate")
-    rows = [header]
-    for r in results:
-        fall = sum(m.fell for m in r.metrics) / len(r.metrics)
-        rows.append(",".join((
-            r.label, str(len(r.metrics)), repr(fall),
-            repr(r.mean("balanced_duration")), repr(r.mean("rms_tilt_rate")),
-            repr(r.mean("max_abs_tilt")), repr(r.mean("latency_mean")),
-            repr(r.mean("latency_variance")), repr(r.mean("latency_p99")),
-            repr(r.mean("drop_rate")),
-        )))
-    _write(out / "comparison.csv", "\n".join(rows) + "\n")
+    # the fall fraction first, then the mean of every other metric
+    means = [field for field in METRIC_NAMES if field != "fell"]
+    rows = [["label", "seeds", "fall_fraction",
+             *(f"mean_{METRIC_NAMES[field]}" for field in means)]]
+    rows += [[r.label, str(len(r.metrics)),
+              *(repr(r.mean(field)) for field in ("fell", *means))]
+             for r in results]
+    _write(out / "comparison.csv", "".join(",".join(row) + "\n" for row in rows))
 
     for r in results:
         data = "".join(f"{rec.t!r} {rec.tilt_rate!r}\n" for rec in r.trace.records)

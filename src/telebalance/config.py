@@ -86,6 +86,11 @@ class ScenarioConfig:
             raise ValueError("filter_alpha must be in [0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        # compare names a file in --out, a CSV field and a quoted gnuplot
+        # string after the label
+        if not self.label or re.search(r"[/\\,'\"\x00-\x1f\x7f-\x9f]", self.label):
+            raise ValueError("label must be non-empty, without / \\ , ' \" or "
+                             f"control characters, got {self.label!r}")
 
 
 def _ideal_sync_mac(**overrides) -> MacConfig:

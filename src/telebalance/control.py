@@ -2,9 +2,10 @@
 
 The controller runs once per received sensor frame. A complementary
 filter fuses integrated gyro rate with the accelerometer tilt; the
-command law is PD on tilt, I on tilt with anti-windup, and PD on wheel
-position reconstructed from the encoders (station keeping). Commands are
-normalized to [-1, 1]; the plant scales them by its maximum motor torque.
+command law is PD on tilt, I on tilt with anti-windup, and PD on the
+wheel angle the frame carries, already quantized to encoder counts
+(station keeping). The planar robot takes one command for both wheels,
+normalized to [-1, 1]; the plant scales it by its maximum motor torque.
 
 Default gains were derived once for the default plant at a 5 ms control
 cycle (discrete LQR seed, then checked against the discretized linear
@@ -20,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .plant import (
-    TWO_PI,
     PlantParams,
     SensorFrame,
     check_finite,
@@ -91,28 +91,17 @@ class ControllerState(NamedTuple):
     tilt_estimate: float = 0.0       # rad
     integral_accum: float = 0.0      # rad s, clamped
     last_frame_seq: int = -1
-    last_wheel_angle: float = 0.0    # rad, reconstructed from encoders
-    wheel_rate_estimate: float = 0.0  # rad/s, smoothed encoder difference
-    encoder_counts_per_rev: int = 1320
+    last_wheel_angle: float = 0.0    # rad, from the last frame
+    wheel_rate_estimate: float = 0.0  # rad/s, smoothed angle difference
     primed: bool = False             # False until the first frame arrives
 
 
 class ActuationFrame(NamedTuple):
-    """Feedback-channel payload: updated normalized motor commands."""
+    """Feedback-channel payload: the normalized command for both wheels."""
 
-    motor_command_left: float   # [-1, 1]
-    motor_command_right: float  # [-1, 1]
-    seq: int                    # echoes the sensor frame it answers
-    issue_time: float           # s
-
-
-def make_controller_state(params: PlantParams) -> ControllerState:
-    return ControllerState(encoder_counts_per_rev=params.encoder_counts_per_rev)
-
-
-def _wheel_angle(frame: SensorFrame, counts_per_rev: int) -> float:
-    counts = 0.5 * (frame.encoder_left + frame.encoder_right)
-    return counts / counts_per_rev * TWO_PI
+    motor_command: float  # [-1, 1]
+    seq: int              # echoes the sensor frame it answers
+    issue_time: float     # s
 
 
 def estimate_tilt(cstate: ControllerState, frame: SensorFrame, dt: float,
@@ -132,7 +121,7 @@ def estimate_tilt(cstate: ControllerState, frame: SensorFrame, dt: float,
         + (1.0 - alpha) * frame.accel_tilt
     return tuple.__new__(ControllerState, (
         est, cstate.integral_accum, frame.seq, cstate.last_wheel_angle,
-        cstate.wheel_rate_estimate, cstate.encoder_counts_per_rev, cstate.primed))
+        cstate.wheel_rate_estimate, cstate.primed))
 
 
 def compute_command(cstate: ControllerState, gains: ControllerGains,
@@ -140,7 +129,7 @@ def compute_command(cstate: ControllerState, gains: ControllerGains,
                     now: float) -> tuple[ControllerState, ActuationFrame]:
     """PID-like command from the current frame; estimate_tilt must have run.
 
-    Both wheels receive the same command in the planar model. The integral
+    The one command drives both wheels of the planar model. The integral
     accumulates the tilt estimate with an anti-windup clamp. `now` is the
     controller-side arrival time (s) stamped on the actuation frame.
     """
@@ -150,7 +139,7 @@ def compute_command(cstate: ControllerState, gains: ControllerGains,
     if not dt > 0:
         raise ValueError("dt must be positive")
 
-    angle = _wheel_angle(frame, cstate.encoder_counts_per_rev)
+    angle = frame.wheel_angle
     if cstate.primed:
         raw_rate = (angle - cstate.last_wheel_angle) / dt
         wheel_rate = WHEEL_RATE_SMOOTHING * cstate.wheel_rate_estimate \
@@ -171,8 +160,8 @@ def compute_command(cstate: ControllerState, gains: ControllerGains,
 
     new_state = tuple.__new__(ControllerState, (
         cstate.tilt_estimate, integral, cstate.last_frame_seq, angle,
-        wheel_rate, cstate.encoder_counts_per_rev, True))
-    return new_state, tuple.__new__(ActuationFrame, (u, u, frame.seq, now))
+        wheel_rate, True))
+    return new_state, tuple.__new__(ActuationFrame, (u, frame.seq, now))
 
 
 # diagonal Pade(6) coefficients of exp: (12-k)! 6! / (12! k! (6-k)!)

@@ -22,7 +22,8 @@ the net axle torque on the wheel (equal and opposite on the body).
 Integration is fixed-step RK4 (_rk4_span): the engine advances the plant
 to each event in whole 0.5 ms substeps plus one remainder substep up to
 the event time, and holds the five state variables (the four above plus
-the lagged motor torque) as raw floats.
+the lagged motor torque) as raw floats. sample_sensors reads a noisy IMU
+and the one wheel angle, floored to whole encoder counts.
 """
 
 from __future__ import annotations
@@ -123,13 +124,12 @@ class SensorNoise:
 
 
 class SensorFrame(NamedTuple):
-    """Forward-channel payload: pitch-relevant IMU readings plus encoders;
-    built per sample by tuple.__new__, which skips the Python-level __new__."""
+    """Forward-channel payload: pitch-relevant IMU readings and the wheel
+    angle; built per sample by tuple.__new__ (no Python-level __new__)."""
 
     gyro_pitch_rate: float  # rad/s
     accel_tilt: float       # rad, tilt inferred from the gravity vector
-    encoder_left: int       # counts
-    encoder_right: int      # counts
+    wheel_angle: float      # rad, quantized down to whole encoder counts
     seq: int
 
 
@@ -239,7 +239,7 @@ def _rk4_span(th: float, w: float, phi: float, v: float, tau: float,
 def sample_sensors(tilt: float, tilt_rate: float, wheel_angle: float,
                    noise: SensorNoise, params: PlantParams,
                    rng: np.random.Generator, seq: int = 0) -> SensorFrame:
-    """Read the IMU and encoders; the caller supplies the frame counter.
+    """Read the IMU and the encoder; the caller supplies the frame counter.
 
     Draws exactly two normals per call (gyro first, then accelerometer) so
     the noise stream stays aligned across runs.
@@ -251,8 +251,9 @@ def sample_sensors(tilt: float, tilt_rate: float, wheel_angle: float,
     n_accel = rng.normal()
     gyro = tilt_rate + noise.gyro_bias + noise.gyro_noise_std * n_gyro
     accel = tilt + noise.accel_noise_std * n_accel
-    counts = math.floor(wheel_angle / TWO_PI * params.encoder_counts_per_rev)
-    return tuple.__new__(SensorFrame, (gyro, accel, counts, counts, seq))
+    cpr = params.encoder_counts_per_rev
+    angle = math.floor(wheel_angle / TWO_PI * cpr) / cpr * TWO_PI
+    return tuple.__new__(SensorFrame, (gyro, accel, angle, seq))
 
 
 def linearized_matrices(params: PlantParams) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import concurrent.futures
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from heapq import heappop, heappush
 from typing import Iterator, NamedTuple
 
@@ -35,9 +35,9 @@ import numpy as np
 from .config import ScenarioConfig, set_by_path
 from .control import (
     ControllerGains,
+    ControllerState,
     compute_command,
     estimate_tilt,
-    make_controller_state,
     tune_default_gains,
 )
 from .plant import SUBSTEP_S, _rk4_span, sample_sensors
@@ -88,8 +88,7 @@ class CycleRecord(NamedTuple):
     tilt: float              # deg
     tilt_rate: float         # deg/s
     wheel_rate: float        # deg/s
-    command_left: float      # normalized; nan if never computed
-    command_right: float
+    command: float           # normalized, both wheels; nan if never computed
     cycle_latency: float     # ms, sample -> actuation; nan if dropped
     forward_dropped: bool    # lost, or delivered too late to be used
     feedback_dropped: bool   # lost, or delivered after a newer command
@@ -143,7 +142,7 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
 
     # plant state kept as raw floats between events (hot integration path)
     th, w, phi, v, tau = cfg.initial_tilt, 0.0, 0.0, 0.0, 0.0
-    cstate = make_controller_state(params)
+    cstate = ControllerState()
     torque = 0.0
     plant_ns = 0
     fall_ns: int | None = None
@@ -155,7 +154,8 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     local_to_true_ns = clock.local_to_true_ns
     sync_period_ns = _ns(cfg.mac.sync_epoch_period)
 
-    # events (t_ns, insertion seq, kind, payload); a sample's time is its
+    # events (t_ns, insertion seq, kind, payload); a recv's payload is its
+    # SensorFrame, an apply's its ActuationFrame. A sample's time is its
     # period on the local clock, no earlier than the plant time
     heap: list[tuple[int, int, str, tuple]] = []
     next_seq = itertools.count().__next__
@@ -194,13 +194,10 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
         """Record cycle k. act is None when the forward frame was lost,
         applied_ns is None when the feedback frame was."""
         slot, sample_ns, tilt, tilt_rate, wheel_rate = cycles.pop(k)
-        if act is None:
-            left = right = NAN
-        else:
-            left, right = act.motor_command_left, act.motor_command_right
         latency = NAN if applied_ns is None else (applied_ns - sample_ns) / 1e6
         records[slot] = tuple.__new__(CycleRecord, (
-            sample_ns / 1e9, tilt, tilt_rate, wheel_rate, left, right, latency,
+            sample_ns / 1e9, tilt, tilt_rate, wheel_rate,
+            NAN if act is None else act.motor_command, latency,
             act is None, act is not None and applied_ns is None))
 
     heappush(heap, (sync_period_ns, next_seq(), "sync", (1,)))
@@ -233,10 +230,10 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             cycles[k] = (len(records), t_ns, th * DEG, w * DEG, v * DEG)
             records.append(None)
             fwd_sent += 1
-            out = transmit(mac, chan, FORWARD, t_ns, rng_loss, rng_jitter)
-            if out.delivered:
+            deliver_ns = transmit(mac, chan, FORWARD, t_ns, rng_loss, rng_jitter)[0]
+            if deliver_ns is not None:
                 fwd_delivered += 1
-                heappush(heap, (out.deliver_ns, next_seq(), "recv", (k, frame)))
+                heappush(heap, (deliver_ns, next_seq(), "recv", frame))
             else:
                 fwd_lost += 1
                 close_cycle(k, None, None)
@@ -245,7 +242,8 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
                             "sample", (k + 1, clock.version)))
 
         elif kind == "recv":
-            k, frame = payload
+            frame = payload
+            k = frame.seq
             if k <= cstate.last_frame_seq or t_ns == last_arrival_ns:
                 # overtaken by a newer frame (BLE jitter), or sharing a slot
                 # with the last one after a resync: the cycle is dropped
@@ -257,16 +255,17 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             cstate = estimate_tilt(cstate, frame, dt, alpha)
             cstate, act = compute_command(cstate, gains, frame, dt, now=t_ns / 1e9)
             fbk_sent += 1
-            out = transmit(mac, chan, FEEDBACK, t_ns, rng_loss, rng_jitter)
-            if out.delivered:
+            deliver_ns = transmit(mac, chan, FEEDBACK, t_ns, rng_loss, rng_jitter)[0]
+            if deliver_ns is not None:
                 fbk_delivered += 1
-                heappush(heap, (out.deliver_ns, next_seq(), "apply", (k, act)))
+                heappush(heap, (deliver_ns, next_seq(), "apply", act))
             else:
                 fbk_lost += 1
                 close_cycle(k, act, None)
 
         elif kind == "apply":
-            k, act = payload
+            act = payload
+            k = act.seq
             if k <= last_applied:
                 # overtaken by a newer command (BLE jitter): the torque
                 # stays, and the cycle is dropped
@@ -275,7 +274,7 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             if not t_ns / 1e9 > act.issue_time:
                 raise RuntimeError("actuation applied no later than issued")
             last_applied = k
-            torque = act.motor_command_left * tau_max
+            torque = act.motor_command * tau_max
             close_cycle(k, act, t_ns)
 
         elif kind == "sync":
@@ -432,6 +431,10 @@ def compare_scenarios(cfgs: list[ScenarioConfig], seeds,
     """Run each scenario over a common seed list; metrics stay per-seed."""
     if len(cfgs) < 2:
         raise ValueError("comparison needs at least 2 scenarios")
+    labels = [cfg.label for cfg in cfgs]
+    if len(set(labels)) < len(labels):
+        # each label names its scenario's row and trace file
+        raise ValueError(f"scenario labels must differ, got {labels}")
     seed_list = list(range(seeds)) if isinstance(seeds, int) else list(seeds)
     if not seed_list:
         raise ValueError("comparison needs at least 1 seed")
@@ -447,6 +450,7 @@ def compare_scenarios(cfgs: list[ScenarioConfig], seeds,
             for j, cfg in enumerate(cfgs)]
 
 
+# the planar robot has one command: both command columns carry it
 TRACE_COLUMNS = ("t", "tilt", "tilt_rate", "wheel_rate", "command_left",
                  "command_right", "cycle_latency", "forward_dropped",
                  "feedback_dropped")
@@ -456,24 +460,24 @@ def trace_to_csv(trace: EpisodeTrace) -> str:
     """CSV text of the per-cycle records, header row included."""
     lines = [",".join(TRACE_COLUMNS)]
     lines += [f"{r.t!r},{r.tilt!r},{r.tilt_rate!r},{r.wheel_rate!r},"
-              f"{r.command_left!r},{r.command_right!r},{r.cycle_latency!r},"
+              f"{r.command!r},{r.command!r},{r.cycle_latency!r},"
               f"{'true' if r.forward_dropped else 'false'},"
               f"{'true' if r.feedback_dropped else 'false'}"
               for r in trace.records]
     return "\n".join(lines) + "\n"
 
 
+# EpisodeMetrics field -> its name, with its unit, in metrics.txt; a
+# comparison averages each over the seeds as mean_<name>, and fell as
+# fall_fraction
+METRIC_NAMES = dict(zip((f.name for f in fields(EpisodeMetrics)), (
+    "balanced_duration_s", "fell", "rms_tilt_rate_deg_s", "max_abs_tilt_deg",
+    "latency_mean_ms", "latency_variance_ms2", "latency_p99_ms", "drop_rate")))
+
+
 def metrics_to_text(metrics: EpisodeMetrics) -> str:
     """key=value record of one episode's metrics."""
-    pairs = (
-        ("balanced_duration_s", metrics.balanced_duration),
-        ("fell", "true" if metrics.fell else "false"),
-        ("rms_tilt_rate_deg_s", metrics.rms_tilt_rate),
-        ("max_abs_tilt_deg", metrics.max_abs_tilt),
-        ("latency_mean_ms", metrics.latency_mean),
-        ("latency_variance_ms2", metrics.latency_variance),
-        ("latency_p99_ms", metrics.latency_p99),
-        ("drop_rate", metrics.drop_rate),
-    )
-    return "".join(f"{k}={v if isinstance(v, str) else repr(v)}\n"
-                   for k, v in pairs)
+    values = {field: repr(getattr(metrics, field)) for field in METRIC_NAMES}
+    values["fell"] = "true" if metrics.fell else "false"
+    return "".join(f"{name}={values[field]}\n"
+                   for field, name in METRIC_NAMES.items())

@@ -18,9 +18,10 @@ seconds. Three link variants:
 Channel impairments are per-channel Gilbert-Elliott chains (good/bad
 burst states) composed with an optional static per-channel loss floor.
 Chains are advanced lazily using the analytic n-step transition law, one
-uniform draw per use. RobotClock is the robot's local clock, the one the
-engine samples on: its offset grows linearly with drift between syncs, and
-each sync (t = 0, then every epoch) redraws it within the sync error bound.
+uniform draw per use; a channel that cannot lose a frame is never drawn on.
+RobotClock is the robot's local clock, the one the engine samples on: its
+offset grows linearly with drift between syncs, and each sync (t = 0, then
+every epoch) redraws it within the sync error bound.
 """
 
 from __future__ import annotations
@@ -281,18 +282,17 @@ class ChannelProcess:
 
 
 class DeliveryOutcome(NamedTuple):
-    """One transmit's result; a tuple because every frame builds one, by
-    tuple.__new__ with all five fields (no Python-level __new__)."""
+    """One transmit's result, built by tuple.__new__ for every frame. A
+    field that does not apply is None: deliver_ns exactly when the frame is
+    lost, channel_used and slot_index when no slot was tried (ideal link)."""
 
-    status: str                    # delivered | lost
-    send_ns: int
-    deliver_ns: int | None = None
+    deliver_ns: int | None
     channel_used: int | None = None
     slot_index: int | None = None
 
     @property
     def delivered(self) -> bool:
-        return self.status == "delivered"
+        return self.deliver_ns is not None
 
 
 def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
@@ -301,31 +301,27 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
     """Deliver one frame over the configured link; loss is an outcome.
 
     ready_ns is the time the frame is handed to the radio, in integer ns.
-    Each BLE event consumes one jitter uniform (from loss_rng when
-    jitter_rng is None), then two from loss_rng: chain advance, loss draw.
-    Each gallop slot attempt consumes those same two from loss_rng, unless
-    the channel is lossless, in which case it draws nothing and the frame
-    goes in the first admissible slot. The ideal link draws nothing.
+    A BLE event draws one uniform from jitter_rng, which the BLE link
+    requires. On a lossy channel each BLE event and each gallop slot
+    attempt then draws two uniforms from loss_rng: chain advance, loss
+    draw. A lossless channel, and the ideal link, draw nothing from it.
     """
     extra_ns = cfg.extra_delay_ns
 
     if cfg.variant == IDEAL:
-        return tuple.__new__(DeliveryOutcome, (
-            "delivered", ready_ns, ready_ns + 1 + extra_ns, None, None))
+        return tuple.__new__(DeliveryOutcome, (ready_ns + 1 + extra_ns, None, None))
 
     if cfg.variant == BLE:
         interval_ns = cfg.ble_interval_ns
         event = ready_ns // interval_ns + 1  # first boundary strictly after
-        jitter = jitter_rng if jitter_rng is not None else loss_rng
-        jitter_ns = _ns(jitter.uniform(0.0, cfg.ble_jitter_max))
+        jitter_ns = _ns(jitter_rng.uniform(0.0, cfg.ble_jitter_max))
         ch = hop_channel(cfg, event)
-        p_loss = channel.loss_probability(ch, event, loss_rng)
-        lost = loss_rng.random() < p_loss
-        if lost:
-            return tuple.__new__(DeliveryOutcome, ("lost", ready_ns, None, ch, event))
-        return tuple.__new__(DeliveryOutcome, (
-            "delivered", ready_ns, event * interval_ns + jitter_ns + extra_ns,
-            ch, event))
+        # the chain is advanced before the loss draw: left operand first
+        if channel.lossless or \
+                channel.loss_probability(ch, event, loss_rng) <= loss_rng.random():
+            return tuple.__new__(DeliveryOutcome, (
+                event * interval_ns + jitter_ns + extra_ns, ch, event))
+        return tuple.__new__(DeliveryOutcome, (None, ch, event))
 
     # gallop: next admissible slot of this direction, retry within superframe
     superframe = cfg.superframe
@@ -333,7 +329,7 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
     if not slots:
         # degenerate layout without this direction: the frame can never
         # be carried (e.g. forward-only frames starve the controller)
-        return DeliveryOutcome("lost", ready_ns)
+        return DeliveryOutcome(None)
 
     span = superframe.span_ns
     sf, phase = divmod(ready_ns - cfg.slot_guard_ns, span)
@@ -352,12 +348,11 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
     for _start, end, pos in candidates:
         global_idx = base_idx + pos
         ch = band_ch + hop_channel(cfg, global_idx)
-        # the chain is advanced before the loss draw: left operand first
         if channel.lossless or \
                 channel.loss_probability(ch, global_idx, loss_rng) <= loss_rng.random():
             return tuple.__new__(DeliveryOutcome, (
-                "delivered", ready_ns, base_ns + end + extra_ns, ch, global_idx))
-    return tuple.__new__(DeliveryOutcome, ("lost", ready_ns, None, ch, global_idx))
+                base_ns + end + extra_ns, ch, global_idx))
+    return tuple.__new__(DeliveryOutcome, (None, ch, global_idx))
 
 
 class RobotClock:

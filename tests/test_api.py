@@ -1,19 +1,25 @@
 """The documented library API: every name that an import line in README.md
 takes from telebalance must import, and every sweep path the README names
 must resolve, so the README's examples cannot break unnoticed. The names
-the benchmark's layer tracer wraps must stay module globals of the engine."""
+the benchmark's layer tracer wraps must stay module globals of the engine,
+and what the benchmark reads of an episode must stay readable."""
 
 import ast
 import importlib
+import importlib.util
 import re
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from telebalance import sim
 from telebalance.config import SCHEMA, load_scenario, set_by_path
 
 README = Path(__file__).parent.parent / "README.md"
-SPANS = Path(__file__).parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 IMPORT_RE = re.compile(r"^\s*from (telebalance[\w.]*) import (.+)$", re.MULTILINE)
 # a config-file 'section.key' name, as --param takes it or quoted in backticks
 PARAM_RE = re.compile(r"(?:--param |`)((?:%s)\.\w+)" % "|".join(SCHEMA))
@@ -62,3 +68,29 @@ def test_every_traced_seam_is_an_engine_global():
     sim = importlib.import_module("telebalance.sim")
     for name in seams[0]:
         assert callable(getattr(sim, name, None)), name
+
+
+def import_perfbench(name: str, monkeypatch):
+    """A perfbench module, imported from its file under its own name, as
+    the benchmark has it; it leaves sys.modules when the test ends."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("config", ["gallop_default.cfg", "ble_default.cfg"])
+def test_benchmark_reads_every_seam_of_an_episode(config_dir, monkeypatch, config):
+    # a seam whose value the tracer cannot read (a renamed
+    # DeliveryOutcome.delivered, say) drops its layer's metrics silently
+    import_perfbench("program", monkeypatch)  # workloads imports it
+    spans = import_perfbench("spans", monkeypatch)
+    workloads = import_perfbench("workloads", monkeypatch)
+    cfg = replace(load_scenario(config_dir / config), episode_duration=1.0)
+    with spans.LayerTracer(sim) as tracer:
+        trace, _ = sim.run_episode(cfg)
+        sim.trace_to_csv(trace)
+    assert [name for name in spans.SEAMS if not tracer.calls[name]] == []
+    assert tracer.unreadable == set()
+    assert workloads.episode_problems(cfg, trace) == []

@@ -312,6 +312,32 @@ class TestCmdCompare:
         for name in ("comparison.csv", "gallop_s_trace.dat", "ble_s_trace.dat"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    # a label names a file in --out, a comparison.csv field and a quoted
+    # string in plot.gp: these would escape --out, split the row or end
+    # the string early
+    @pytest.mark.parametrize("label", [
+        "../escaped", "sub/dir", "back\\slash", "x,y", "it's", 'say "hi"',
+        "tab\there", ""])
+    def test_label_that_breaks_an_artifact_exit_2_names_key(self, tmp_path,
+                                                            capsys, label):
+        a = write_cfg(tmp_path, GALLOP_SHORT.replace(
+            "[scenario]\n", f"[scenario]\nlabel = {label}\n"), "a.cfg")
+        b = write_cfg(tmp_path, BLE_SHORT, "b.cfg")
+        assert main(["compare", "--scenario", str(a), "--scenario", str(b),
+                     "--seeds", "1", "--out", str(tmp_path / "o" / "out")]) == 2
+        assert "label" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.cfg", "b.cfg"]
+
+    def test_duplicate_labels_exit_2_names_key(self, tmp_path, capsys,
+                                               config_dir):
+        # both would write gallop_trace.dat, the second over the first
+        cfg = str(config_dir / "gallop_default.cfg")
+        out = tmp_path / "out"
+        assert main(["compare", "--scenario", cfg, "--scenario", cfg,
+                     "--seeds", "1", "--out", str(out)]) == 2
+        assert "label" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCmdSweep:
     def test_sweep_writes_table_and_threshold_line(self, tmp_path, capsys):

@@ -15,14 +15,15 @@ from telebalance.control import (
     _zoh,
     closed_loop_matrix,
     compute_command,
+    ControllerState,
     estimate_tilt,
-    make_controller_state,
     spectral_radius,
     tune_default_gains,
 )
 from telebalance.config import ideal_scenario
 from telebalance.plant import (
     SUBSTEP_S,
+    TWO_PI,
     PlantParams,
     SensorFrame,
     SensorNoise,
@@ -49,23 +50,25 @@ SCIPY_EXPM_SCALES = {
 
 
 def frame(gyro=0.0, accel=0.0, enc=0, seq=0):
-    return SensorFrame(gyro_pitch_rate=gyro, accel_tilt=accel, encoder_left=enc,
-                       encoder_right=enc, seq=seq)
+    """A frame whose wheel angle reads enc counts, as sample_sensors gives it."""
+    angle = enc / PlantParams().encoder_counts_per_rev * TWO_PI
+    return SensorFrame(gyro_pitch_rate=gyro, accel_tilt=accel, wheel_angle=angle,
+                       seq=seq)
 
 
 class TestEstimateTilt:
-    def test_alpha_zero_is_pure_accelerometer(self, params):
-        cs = make_controller_state(params)
+    def test_alpha_zero_is_pure_accelerometer(self):
+        cs = ControllerState()
         cs = estimate_tilt(cs, frame(gyro=99.0, accel=0.07), dt=0.002, alpha=0.0)
         assert cs.tilt_estimate == 0.07
 
-    def test_alpha_one_is_pure_gyro_integration(self, params):
-        cs = make_controller_state(params)
+    def test_alpha_one_is_pure_gyro_integration(self):
+        cs = ControllerState()
         cs = estimate_tilt(cs, frame(gyro=0.2, accel=123.0), dt=0.005, alpha=1.0)
         assert cs.tilt_estimate == pytest.approx(0.001, rel=1e-12)
 
-    def test_stale_frame_rejected_and_state_unchanged(self, params):
-        cs = make_controller_state(params)
+    def test_stale_frame_rejected_and_state_unchanged(self):
+        cs = ControllerState()
         cs = estimate_tilt(cs, frame(accel=0.1, seq=5), dt=0.002)
         before = cs
         with pytest.raises(StaleFrameError):
@@ -74,8 +77,8 @@ class TestEstimateTilt:
             estimate_tilt(cs, frame(accel=0.5, seq=4), dt=0.002)
         assert cs == before
 
-    def test_alpha_and_dt_validated(self, params):
-        cs = make_controller_state(params)
+    def test_alpha_and_dt_validated(self):
+        cs = ControllerState()
         with pytest.raises(ValueError):
             estimate_tilt(cs, frame(), dt=0.002, alpha=1.5)
         with pytest.raises(ValueError):
@@ -85,14 +88,14 @@ class TestEstimateTilt:
         # closed loop against plant ground truth: estimate within 5 mrad after
         # 1 s; the plant takes the engine's RK4 substeps under each command
         th, w, phi, v, tau = math.radians(2), 0.0, 0.0, 0.0, 0.0
-        cs = make_controller_state(params)
+        cs = ControllerState()
         rng = np.random.default_rng(0)
         cycle = 0.005
         for k in range(400):
             f = sample_sensors(th, w, phi, SensorNoise(), params, rng, seq=k)
             cs = estimate_tilt(cs, f, cycle)
             cs, act = compute_command(cs, DEFAULT_GAINS, f, cycle, now=k * cycle)
-            torque = act.motor_command_left * params.motor_max_torque
+            torque = act.motor_command * params.motor_max_torque
             th, w, phi, v, tau, _ = _rk4_span(th, w, phi, v, tau, torque, params,
                                               SUBSTEP_S, round(cycle / SUBSTEP_S))
             if k * cycle > 1.0:
@@ -100,44 +103,42 @@ class TestEstimateTilt:
 
 
 class TestComputeCommand:
-    def test_all_zero_gives_zero_command(self, params):
-        cs = make_controller_state(params)
+    def test_all_zero_gives_zero_command(self):
+        cs = ControllerState()
         cs = estimate_tilt(cs, frame(), dt=0.002)
         cs, act = compute_command(cs, ControllerGains(), frame(), dt=0.002, now=0.0)
-        assert act.motor_command_left == 0.0
-        assert act.motor_command_right == 0.0
+        assert act.motor_command == 0.0
 
-    def test_p_only_tilt_term(self, params):
+    def test_p_only_tilt_term(self):
         gains = ControllerGains(kp_tilt=1.0)
-        cs = make_controller_state(params)._replace(tilt_estimate=0.1,
-                                                    last_frame_seq=0)
+        cs = ControllerState(tilt_estimate=0.1, last_frame_seq=0)
         cs, act = compute_command(cs, gains, frame(seq=0), dt=0.002, now=0.0)
-        assert act.motor_command_left == pytest.approx(0.1, rel=1e-12)
+        assert act.motor_command == pytest.approx(0.1, rel=1e-12)
 
-    def test_saturation_at_command_limit(self, params):
+    def test_saturation_at_command_limit(self):
         gains = ControllerGains(kp_tilt=20.0, command_limit=1.0)
-        cs = make_controller_state(params)._replace(tilt_estimate=0.1,
-                                                    last_frame_seq=0)
+        cs = ControllerState(tilt_estimate=0.1, last_frame_seq=0)
         cs, act = compute_command(cs, gains, frame(seq=0), dt=0.002, now=0.0)
-        assert act.motor_command_left == 1.0
+        assert act.motor_command == 1.0
 
-    def test_requires_estimate_for_this_frame(self, params):
-        cs = make_controller_state(params)  # last_frame_seq == -1
+    def test_requires_estimate_for_this_frame(self):
+        cs = ControllerState()  # last_frame_seq == -1
         with pytest.raises(StaleFrameError):
             compute_command(cs, DEFAULT_GAINS, frame(seq=0), dt=0.002, now=0.0)
 
-    def test_seq_echoed_and_both_wheels_equal(self, params):
-        cs = make_controller_state(params)
+    def test_seq_echoed_and_both_wheels_equal(self):
+        cs = ControllerState()
         f = frame(accel=0.05, seq=3)
         cs = estimate_tilt(cs, f, dt=0.002)
         cs, act = compute_command(cs, DEFAULT_GAINS, f, dt=0.002, now=1.5)
         assert act.seq == 3
         assert act.issue_time == 1.5
-        assert act.motor_command_left == act.motor_command_right
+        # one command, which the planar model applies to both wheels
+        assert act._fields == ("motor_command", "seq", "issue_time")
 
-    def test_identical_frame_sequences_give_identical_commands(self, params):
+    def test_identical_frame_sequences_give_identical_commands(self):
         def run():
-            cs = make_controller_state(params)
+            cs = ControllerState()
             out = []
             rng = np.random.default_rng(11)
             for k in range(50):
@@ -145,7 +146,7 @@ class TestComputeCommand:
                           enc=int(rng.integers(-500, 500)), seq=k)
                 cs2 = estimate_tilt(cs, f, 0.002)
                 cs, act = compute_command(cs2, DEFAULT_GAINS, f, 0.002, now=k * 0.002)
-                out.append(act.motor_command_left)
+                out.append(act.motor_command)
             return out
 
         assert run() == run()
@@ -157,19 +158,18 @@ class TestComputeCommand:
         params = PlantParams()
         gains = ControllerGains(kp_tilt=50.0, kd_tilt=5.0, ki_tilt=3.0,
                                 kp_position=2.0, kd_position=1.0)
-        cs = make_controller_state(params)
+        cs = ControllerState()
         f = frame(gyro=gyro, accel=accel, enc=enc, seq=seq)
         cs = estimate_tilt(cs, f, dt=0.002, alpha=0.5)
         cs, act = compute_command(cs, gains, f, dt=0.002, now=0.0)
-        assert -1.0 <= act.motor_command_left <= 1.0
-        assert -1.0 <= act.motor_command_right <= 1.0
+        assert -1.0 <= act.motor_command <= 1.0
 
     @settings(max_examples=100, deadline=None)
     @given(tilts=st.lists(st.floats(-10, 10), min_size=1, max_size=80))
     def test_integral_never_exceeds_limit(self, tilts):
         params = PlantParams()
         gains = ControllerGains(ki_tilt=4.0, integral_limit=0.3)
-        cs = make_controller_state(params)
+        cs = ControllerState()
         for k, tilt in enumerate(tilts):
             f = frame(accel=tilt, seq=k)
             cs = estimate_tilt(cs, f, dt=0.01, alpha=0.0)

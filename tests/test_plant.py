@@ -10,6 +10,7 @@ from telebalance.config import ideal_scenario
 from telebalance.control import ControllerGains
 from telebalance.plant import (
     SUBSTEP_S,
+    TWO_PI,
     PlantParams,
     SensorNoise,
     linearized_matrices,
@@ -196,10 +197,9 @@ class TestSensors:
     def test_encoder_quantization(self, params):
         rng = np.random.default_rng(0)
         f = sample_sensors(0.0, 0.0, math.pi, SensorNoise(), params, rng)
-        assert f.encoder_left == 660
-        assert f.encoder_right == 660
+        assert f.wheel_angle == 660 / 1320 * TWO_PI
         f = sample_sensors(0.0, 0.0, -0.001, SensorNoise(), params, rng)
-        assert f.encoder_left == -1  # floor, not truncation
+        assert f.wheel_angle == -1 / 1320 * TWO_PI  # floor, not truncation
 
     def test_golden_trace_seed_42(self, params):
         # frozen from the first verified run; must stay bit-identical
@@ -215,5 +215,5 @@ class TestSensors:
             f = sample_sensors(0.05, -0.3, 2.0, noise, params, rng, seq=seq)
             assert f.gyro_pitch_rate == gyro
             assert f.accel_tilt == accel
-            assert f.encoder_left == enc
+            assert f.wheel_angle == enc / 1320 * TWO_PI
             assert f.seq == seq

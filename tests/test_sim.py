@@ -104,7 +104,7 @@ class TestRunEpisode:
         trace, _ = run_episode(cfg)
         fwd_drops = [r for r in trace.records if r.forward_dropped]
         assert fwd_drops
-        assert all(math.isnan(r.command_left) for r in fwd_drops)
+        assert all(math.isnan(r.command) for r in fwd_drops)
         assert all(math.isnan(r.cycle_latency) for r in fwd_drops)
 
     def test_seed_determinism_and_sensitivity(self):
@@ -321,8 +321,7 @@ class TestComputeMetrics:
 
     def _record(self, t, rate=1.0, lat=2.0, fwd=False, fbk=False, tilt=0.5):
         return CycleRecord(t=t, tilt=tilt, tilt_rate=rate, wheel_rate=0.0,
-                           command_left=0.1, command_right=0.1,
-                           cycle_latency=lat, forward_dropped=fwd,
+                           command=0.1, cycle_latency=lat, forward_dropped=fwd,
                            feedback_dropped=fbk)
 
     def test_constant_rate_rms(self):
@@ -570,6 +569,8 @@ class TestSerialization:
                             "feedback_dropped")
         assert len(lines) == 1 + len(trace.records)
         assert text.endswith("\n")
+        # both command columns carry the one planar command
+        assert all(row.split(",")[4] == row.split(",")[5] for row in lines[1:])
 
     def test_metrics_text_round_trippable(self):
         _, m = run_episode(gallop_scenario(episode_duration=0.5))

@@ -53,7 +53,7 @@ class TestSuperframe:
         out = transmit(gallop_cfg(slots_per_superframe=1),
                        ChannelProcess(LOSSLESS), FEEDBACK, 0,
                        np.random.default_rng(0))
-        assert out.status == "lost"
+        assert not out.delivered
 
     def test_same_band_is_fdd_violation(self):
         with pytest.raises(InvalidConfigError):
@@ -156,7 +156,7 @@ class TestGallopTransmit:
         cfg = gallop_cfg()
         out = transmit(cfg, ChannelProcess(ChannelModel(default_loss=1.0)),
                        FORWARD, 0, np.random.default_rng(0))
-        assert out.status == "lost"
+        assert not out.delivered
 
     def test_retransmission_slot_recovers_single_channel_loss(self):
         # 4-slot frame: forward slots at global indices 0 and 2; the first
@@ -301,18 +301,30 @@ class TestBleTransmit:
         interval = 7_500_000
         for k in range(500):
             out = transmit(cfg, proc, FORWARD, k * interval, rng, jit)
-            assert out.deliver_ns - out.send_ns >= interval
+            assert out.deliver_ns - k * interval >= interval
 
     def test_interval_below_floor_rejected(self):
         with pytest.raises(InvalidConfigError):
             ble_cfg(ble_connection_interval=5e-3)
+
+    @pytest.mark.parametrize("model, draws_per_event", [
+        (LOSSLESS, 0), (TestGallopSlotTable.LOSSY, 2)])
+    def test_loss_draws_only_on_a_lossy_channel(self, model, draws_per_event):
+        # chain advance, then loss draw; a lossless channel draws nothing,
+        # as on gallop
+        cfg = ble_cfg()
+        proc, rng = ChannelProcess(model), CountingRng(0)
+        jit = np.random.default_rng(1)
+        for k in range(50):
+            transmit(cfg, proc, FORWARD, k * 7_500_000, rng, jit)
+        assert rng.draws == 50 * draws_per_event
 
     def test_loss_drawn_once_per_event(self):
         cfg = ble_cfg()
         out = transmit(cfg, ChannelProcess(ChannelModel(default_loss=1.0)),
                        FORWARD, 0, np.random.default_rng(0),
                        np.random.default_rng(1))
-        assert out.status == "lost"
+        assert not out.delivered
 
 
 class TestIdealTransmit:
