@@ -13,7 +13,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import load_scenario, parse_sweep_values
-from .control import TuningFailureError
 from .sim import (
     METRIC_NAMES,
     compare_scenarios,
@@ -160,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (ValueError, TuningFailureError) as exc:
+    except ValueError as exc:  # a config or usage error, a tuning failure too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -38,7 +38,7 @@ class StaleFrameError(ValueError):
     """Raised when a sensor frame does not advance the sequence counter."""
 
 
-class TuningFailureError(RuntimeError):
+class TuningFailureError(ValueError):
     """Raised when no searched gain set stabilizes the requested cycle."""
 
 

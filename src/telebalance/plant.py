@@ -42,10 +42,6 @@ SUBSTEP_S = 5.0e-4
 DEFAULT_FALL_THRESHOLD = 0.6  # rad
 
 
-class InvalidConfigError(ValueError):
-    """Raised for configurations that cannot run."""
-
-
 # bound on every number a config holds: far beyond any quantity of this
 # model, and small enough that durations in ns, squares and the products
 # the plant forms stay finite
@@ -58,8 +54,8 @@ def check_finite(cfg) -> None:
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if isinstance(value, (int, float)) and not abs(value) <= MAX_MAGNITUDE:
-            raise InvalidConfigError(f"{f.name} must be finite and within "
-                                     f"+/-{MAX_MAGNITUDE:g}, got {value!r}")
+            raise ValueError(f"{f.name} must be finite and within "
+                             f"+/-{MAX_MAGNITUDE:g}, got {value!r}")
 
 
 @dataclass(frozen=True)

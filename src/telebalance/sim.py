@@ -5,7 +5,10 @@ One episode is a strictly sequential event loop over a single heap of
 (time_ns, insertion_seq) ordered events; ties resolve by insertion order,
 so a (config, seed) pair fully determines the run. Event timestamps are
 integer nanoseconds; the plant integrates up to each event in whole 0.5 ms
-substeps plus one remainder substep, under a zero-order-hold torque.
+substeps plus one remainder substep, under a zero-order-hold torque. The
+cycle table holds each cycle from its sample on: the sample while its
+frames are in flight, its CycleRecord once it closes. The trace is the
+closed records, in sample order.
 
 Sensor sampling is scheduled on the robot's local clock (wireless.RobotClock),
 which drifts between sync epochs and is re-bounded at each epoch. The default
@@ -161,29 +164,24 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     next_seq = itertools.count().__next__
 
     def advance_plant(t_ns: int) -> None:
-        """Integrate up to t_ns > plant_ns; sets fall_ns on a fall on the way."""
+        """Integrate up to t_ns > plant_ns: whole substeps, then one remainder
+        substep. A fall, where the kernel stops early, sets fall_ns."""
         nonlocal th, w, phi, v, tau, plant_ns, fall_ns
         n_full, rem = divmod(t_ns - plant_ns, SUBSTEP_NS)
-        if n_full:
-            th, w, phi, v, tau, done = _rk4_span(
-                th, w, phi, v, tau, torque, params, h_sub, n_full, thr)
-            plant_ns += done * SUBSTEP_NS
-            if done < n_full or abs(th) > thr:
-                fall_ns = plant_ns
-                return
-        if rem:
-            th, w, phi, v, tau, _ = _rk4_span(
-                th, w, phi, v, tau, torque, params, rem * 1e-9, 1, thr)
-            plant_ns += rem
-            if abs(th) > thr:
-                fall_ns = plant_ns
+        for n, step_ns, h in ((n_full, SUBSTEP_NS, h_sub), (rem and 1, rem, rem * 1e-9)):
+            if n:
+                th, w, phi, v, tau, done = _rk4_span(
+                    th, w, phi, v, tau, torque, params, h, n, thr)
+                plant_ns += done * step_ns
+                if abs(th) > thr:
+                    fall_ns = plant_ns
+                    return
 
     mac = cfg.mac
     alpha = cfg.filter_alpha
-    # one slot per sample taken, in sample order; None until its cycle closes
-    records: list[CycleRecord | None] = []
-    # in-flight cycles: k -> (slot, sample_ns, tilt, tilt_rate, wheel_rate), degrees
-    cycles: dict[int, tuple[int, int, float, float, float]] = {}
+    # the cycle table, in sample order: k -> (sample_ns, tilt, tilt_rate,
+    # wheel_rate) in degrees while cycle k is in flight, its CycleRecord after
+    records: dict[int, tuple] = {}
     fwd_sent = fwd_delivered = fwd_lost = 0
     fbk_sent = fbk_delivered = fbk_lost = 0
     last_arrival_ns: int | None = None
@@ -193,9 +191,9 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     def close_cycle(k: int, act, applied_ns: int | None) -> None:
         """Record cycle k. act is None when the forward frame was lost,
         applied_ns is None when the feedback frame was."""
-        slot, sample_ns, tilt, tilt_rate, wheel_rate = cycles.pop(k)
+        sample_ns, tilt, tilt_rate, wheel_rate = records[k]
         latency = NAN if applied_ns is None else (applied_ns - sample_ns) / 1e6
-        records[slot] = tuple.__new__(CycleRecord, (
+        records[k] = tuple.__new__(CycleRecord, (
             sample_ns / 1e9, tilt, tilt_rate, wheel_rate,
             NAN if act is None else act.motor_command, latency,
             act is None, act is not None and applied_ns is None))
@@ -227,8 +225,7 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
         if kind == "sample":
             last_sample_ns = t_ns
             frame = sample_sensors(th, w, phi, cfg.noise, params, rng_noise, seq=k)
-            cycles[k] = (len(records), t_ns, th * DEG, w * DEG, v * DEG)
-            records.append(None)
+            records[k] = (t_ns, th * DEG, w * DEG, v * DEG)
             fwd_sent += 1
             deliver_ns = transmit(mac, chan, FORWARD, t_ns, rng_loss, rng_jitter)[0]
             if deliver_ns is not None:
@@ -287,7 +284,7 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
         advance_plant(end_ns)
 
     trace = EpisodeTrace(
-        records=tuple(r for r in records if r is not None),
+        records=tuple(r for r in records.values() if type(r) is CycleRecord),
         fall_time=None if fall_ns is None else fall_ns / 1e9,
         forward_sent=fwd_sent, forward_delivered=fwd_delivered,
         forward_lost=fwd_lost, feedback_sent=fbk_sent,

@@ -17,8 +17,10 @@ seconds. Three link variants:
 
 Channel impairments are per-channel Gilbert-Elliott chains (good/bad
 burst states) composed with an optional static per-channel loss floor.
-Chains are advanced lazily using the analytic n-step transition law, one
-uniform draw per use; a channel that cannot lose a frame is never drawn on.
+ChannelProcess.lost is the one loss decision, for a BLE event and a gallop
+slot alike: it advances the chain lazily by the analytic n-step transition
+law (one uniform draw), then draws the loss; a channel that cannot lose a
+frame is never drawn on.
 RobotClock is the robot's local clock, the one the engine samples on: its
 offset grows linearly with drift between syncs, and each sync (t = 0, then
 every epoch) redraws it within the sync error bound.
@@ -32,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .plant import MAX_MAGNITUDE, InvalidConfigError, check_finite
+from .plant import MAX_MAGNITUDE, check_finite
 
 GALLOP = "gallop"
 BLE = "ble_baseline"
@@ -81,39 +83,37 @@ class MacConfig:
     def __post_init__(self) -> None:
         check_finite(self)
         if self.variant not in (GALLOP, BLE, IDEAL):
-            raise InvalidConfigError(f"unknown mac variant {self.variant!r}")
+            raise ValueError(f"unknown mac variant {self.variant!r}")
         # event times are whole ns: a shorter slot or sync period is 0 ns long
         if _ns(self.slot_duration) <= 0:
-            raise InvalidConfigError("slot_duration must be at least 1 ns")
+            raise ValueError("slot_duration must be at least 1 ns")
         if not 1 <= self.slots_per_superframe <= MAX_SLOTS:
-            raise InvalidConfigError(
-                f"slots_per_superframe must be in [1, {MAX_SLOTS}]")
+            raise ValueError(f"slots_per_superframe must be in [1, {MAX_SLOTS}]")
         if self.forward_band == self.feedback_band:
-            raise InvalidConfigError(
-                "forward and feedback bands must be disjoint (FDD)")
+            raise ValueError("forward and feedback bands must be disjoint (FDD)")
         if self.channel_count < 1 or self.hop_increment < 1:
-            raise InvalidConfigError("channel_count and hop_increment must be >= 1")
+            raise ValueError("channel_count and hop_increment must be >= 1")
         if math.gcd(self.hop_increment, self.channel_count) != 1:
-            raise InvalidConfigError(
+            raise ValueError(
                 f"hop_increment {self.hop_increment} shares a factor with "
                 f"channel_count {self.channel_count}")
         if self.ble_connection_interval < BLE_MIN_INTERVAL_S:
-            raise InvalidConfigError("ble_connection_interval must be >= 7.5 ms")
+            raise ValueError("ble_connection_interval must be >= 7.5 ms")
         if self.ble_jitter_max < 0 or self.extra_delay < 0:
-            raise InvalidConfigError("ble_jitter_max and extra_delay must be >= 0")
+            raise ValueError("ble_jitter_max and extra_delay must be >= 0")
         if not 0 <= self.slot_guard < self.slot_duration:
-            raise InvalidConfigError("slot_guard must be in [0, slot_duration)")
+            raise ValueError("slot_guard must be in [0, slot_duration)")
         if _ns(self.sync_epoch_period) <= 0:
-            raise InvalidConfigError("sync_epoch_period must be at least 1 ns")
+            raise ValueError("sync_epoch_period must be at least 1 ns")
         if self.sync_error_bound < 0:
-            raise InvalidConfigError("sync_error_bound must be >= 0")
+            raise ValueError("sync_error_bound must be >= 0")
         # a stopped or reversed clock never samples, a racing one every few ns
         if not -1e6 < self.clock_drift_ppm < 1e6:
-            raise InvalidConfigError("clock_drift_ppm must be in (-1e6, 1e6)")
+            raise ValueError("clock_drift_ppm must be in (-1e6, 1e6)")
         if self.variant == GALLOP:
             object.__setattr__(self, "superframe", build_superframe(self))
         elif self.custom_slots is not None:
-            raise InvalidConfigError(
+            raise ValueError(
                 f"slots apply only to the {GALLOP} variant, not {self.variant!r}")
         object.__setattr__(self, "extra_delay_ns", _ns(self.extra_delay))
         object.__setattr__(self, "slot_guard_ns", _ns(self.slot_guard))
@@ -159,15 +159,15 @@ def build_superframe(cfg: MacConfig) -> Superframe:
     slots = []
     for i, (direction, start, dur, band) in enumerate(layout):
         if direction not in (FORWARD, FEEDBACK):
-            raise InvalidConfigError(f"slot {i} has unknown direction {direction!r}")
+            raise ValueError(f"slot {i} has unknown direction {direction!r}")
         if not (abs(start) <= MAX_MAGNITUDE and abs(dur) <= MAX_MAGNITUDE):
-            raise InvalidConfigError(
+            raise ValueError(
                 f"slot {i} has a non-finite start or duration, or one beyond "
                 f"+/-{MAX_MAGNITUDE:g} s")
         if _ns(dur) <= 0:
-            raise InvalidConfigError(f"slot {i} duration must be at least 1 ns")
+            raise ValueError(f"slot {i} duration must be at least 1 ns")
         if band != band_of[direction]:
-            raise InvalidConfigError(
+            raise ValueError(
                 f"slot {i} ({direction}) assigned band {band}, expected "
                 f"{band_of[direction]} (FDD violation)")
         slots.append(Slot(_ns(start), _ns(start) + _ns(dur), direction, band))
@@ -175,7 +175,7 @@ def build_superframe(cfg: MacConfig) -> Superframe:
     ordered = sorted(range(len(slots)), key=lambda i: layout[i][1])
     for a, b in zip(ordered, ordered[1:]):
         if slots[a].end_ns > slots[b].start_ns:
-            raise InvalidConfigError(
+            raise ValueError(
                 f"slots {a} and {b} overlap in time ({slots[a]} vs {slots[b]})")
     table = tuple(slots[i] for i in ordered)
     return Superframe(
@@ -214,12 +214,10 @@ class ChannelModel:
         probs += [p for _, p in self.per_channel_loss]
         if any(not 0.0 <= p <= 1.0 for p in probs):
             raise ValueError("all channel probabilities must be in [0, 1]")
-
-    def static_loss(self, channel: int) -> float:
-        for ch, p in self.per_channel_loss:
-            if ch == channel:
-                return p
-        return self.default_loss
+        channels = [ch for ch, _ in self.per_channel_loss]
+        for i, ch in enumerate(channels):
+            if ch in channels[:i]:
+                raise ValueError(f"per_channel_loss lists channel {ch} twice")
 
     def stationary_loss_rate(self) -> float:
         """Long-run Gilbert-Elliott loss rate (ignores the static floor)."""
@@ -228,9 +226,6 @@ class ChannelModel:
             return self.loss_good  # chain frozen in its initial (good) state
         pi_bad = self.p_good_to_bad / s
         return (1.0 - pi_bad) * self.loss_good + pi_bad * self.loss_bad
-
-
-_GOOD, _BAD = 0, 1
 
 
 class ChannelProcess:
@@ -244,41 +239,40 @@ class ChannelProcess:
 
     def __init__(self, model: ChannelModel):
         self.model = model
-        self._state: dict[int, int] = {}
-        self._last_slot: dict[int, int] = {}
+        # channel -> (in the bad state, slot index of its last use)
+        self._chain: dict[int, tuple[bool, int]] = {}
+        # channel -> its static loss floor; default_loss for any other
+        self._static = dict(model.per_channel_loss)
         # n-step law: P(state changes) = pi_other * (1 - (1 - s)^n)
         self._s = model.p_good_to_bad + model.p_bad_to_good
         self._pi_bad = model.p_good_to_bad / self._s if self._s else 0.0
         # no draw can lose a frame: every loss probability it could meet is 0
         self.lossless = not (
             model.default_loss or model.loss_good
-            or any(p for _, p in model.per_channel_loss)
+            or any(self._static.values())
             or (model.p_good_to_bad and model.loss_bad))
-
-    def _advance(self, channel: int, slot_index: int, rng: np.random.Generator) -> int:
-        state = self._state.get(channel, _GOOD)
-        n = slot_index - self._last_slot.get(channel, slot_index)
-        s = self._s
-        if s == 0.0 or n <= 0:
-            p_other = 0.0
-        else:
-            r_n = (1.0 - s) ** n
-            if state == _GOOD:
-                p_other = self._pi_bad * (1.0 - r_n)
-            else:
-                p_other = (1.0 - self._pi_bad) * (1.0 - r_n)
-        if rng.random() < p_other:
-            state = _BAD if state == _GOOD else _GOOD
-        self._state[channel] = state
-        self._last_slot[channel] = slot_index
-        return state
 
     def loss_probability(self, channel: int, slot_index: int,
                          rng: np.random.Generator) -> float:
-        state = self._advance(channel, slot_index, rng)
-        ge = self.model.loss_good if state == _GOOD else self.model.loss_bad
-        static = self.model.static_loss(channel)
+        """Advance the channel's chain to slot_index, drawing one uniform,
+        and give the loss probability of a frame there."""
+        bad, last_slot = self._chain.get(channel, (False, slot_index))
+        n = slot_index - last_slot
+        s = self._s
+        pi_other = 1.0 - self._pi_bad if bad else self._pi_bad
+        p_other = pi_other * (1.0 - (1.0 - s) ** n) if s and n > 0 else 0.0
+        if rng.random() < p_other:
+            bad = not bad
+        self._chain[channel] = (bad, slot_index)
+        ge = self.model.loss_bad if bad else self.model.loss_good
+        static = self._static.get(channel, self.model.default_loss)
         return 1.0 - (1.0 - static) * (1.0 - ge)
+
+    def lost(self, channel: int, slot_index: int, rng: np.random.Generator) -> bool:
+        """Whether a frame on channel in slot slot_index is lost: a lossless
+        process draws nothing, any other the chain advance, then the loss."""
+        return not self.lossless and \
+            self.loss_probability(channel, slot_index, rng) > rng.random()
 
 
 class DeliveryOutcome(NamedTuple):
@@ -316,12 +310,10 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
         event = ready_ns // interval_ns + 1  # first boundary strictly after
         jitter_ns = _ns(jitter_rng.uniform(0.0, cfg.ble_jitter_max))
         ch = hop_channel(cfg, event)
-        # the chain is advanced before the loss draw: left operand first
-        if channel.lossless or \
-                channel.loss_probability(ch, event, loss_rng) <= loss_rng.random():
-            return tuple.__new__(DeliveryOutcome, (
-                event * interval_ns + jitter_ns + extra_ns, ch, event))
-        return tuple.__new__(DeliveryOutcome, (None, ch, event))
+        if channel.lost(ch, event, loss_rng):
+            return tuple.__new__(DeliveryOutcome, (None, ch, event))
+        return tuple.__new__(DeliveryOutcome, (
+            event * interval_ns + jitter_ns + extra_ns, ch, event))
 
     # gallop: next admissible slot of this direction, retry within superframe
     superframe = cfg.superframe
@@ -348,8 +340,7 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
     for _start, end, pos in candidates:
         global_idx = base_idx + pos
         ch = band_ch + hop_channel(cfg, global_idx)
-        if channel.lossless or \
-                channel.loss_probability(ch, global_idx, loss_rng) <= loss_rng.random():
+        if not channel.lost(ch, global_idx, loss_rng):
             return tuple.__new__(DeliveryOutcome, (
                 base_ns + end + extra_ns, ch, global_idx))
     return tuple.__new__(DeliveryOutcome, (None, ch, global_idx))

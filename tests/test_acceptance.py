@@ -82,7 +82,7 @@ def test_criterion_2_qualitative_link_comparison():
         results = compare_scenarios(
             [gallop_scenario(episode_duration=60.0),
              ble_scenario(episode_duration=60.0)],
-            seeds=list(range(10)))
+            seeds=list(range(10)), workers=2)  # pooled == serial, byte for byte
         by_label = {r.label: r for r in results}
         gallop, ble = by_label["gallop"], by_label["ble"]
 

@@ -175,6 +175,16 @@ class TestCmdRun:
         assert "slots" in err and variant in err
         assert "Traceback" not in err
 
+    def test_channel_listed_twice_exit_2_names_it(self, tmp_path, capsys):
+        # one floor per channel: neither entry may win silently
+        cfg = write_cfg(tmp_path, GALLOP_SHORT + "\n[loss]\nper_channel = 3:0.1, 3:0.5\n")
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "per_channel_loss lists channel 3 twice" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_clock_a_million_times_fast_exit_2(self, tmp_path, capsys, monkeypatch):
         # rejected as the config loads: an episode at this drift would not finish
         def no_episode(cfg):

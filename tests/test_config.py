@@ -14,6 +14,8 @@ from telebalance.config import (
     UNITS,
     ConfigError,
     ScenarioConfig,
+    ble_scenario,
+    gallop_scenario,
     load_scenario,
     parse_sweep_values,
 )
@@ -118,3 +120,10 @@ def test_a_billion_cycles_rejected_at_construction_naming_both_keys():
                              r"1000000 cycles, got 1e\+09"):
         ScenarioConfig(episode_duration=1.0, control_cycle=1e-9,
                        mac=MacConfig(variant="ideal"))
+
+
+@pytest.mark.parametrize("make, name", [(gallop_scenario, "gallop_default.cfg"),
+                                        (ble_scenario, "ble_default.cfg")])
+def test_library_scenario_is_the_shipped_file(config_dir, make, name):
+    # the tests run the library scenarios, the README and the CLI the files
+    assert make() == load_scenario(config_dir / name)

@@ -19,6 +19,7 @@ from telebalance.control import (
     TuningFailureError,
     tune_default_gains,
 )
+from telebalance.plant import SensorNoise
 from telebalance.sim import (
     CycleRecord,
     EpisodeTrace,
@@ -35,7 +36,6 @@ from telebalance.wireless import (
     GALLOP,
     IDEAL,
     ChannelModel,
-    InvalidConfigError,
     MacConfig,
 )
 
@@ -160,6 +160,41 @@ class TestRunEpisode:
                                             episode_duration=2.0))
         assert trace.forward_lost == 0
         assert any(r.forward_dropped for r in trace.records)
+
+    def test_overtaken_command_drops_its_cycle(self):
+        # a BLE jitter beyond the connection interval lets a newer command
+        # arrive first; the older one is dropped, though it was delivered
+        mac = replace(ble_scenario().mac, ble_jitter_max=0.02)
+        trace, _ = run_episode(ble_scenario(mac=mac, episode_duration=5.0))
+        assert trace.feedback_lost == 0
+        overtaken = [r for r in trace.records if r.feedback_dropped]
+        assert len(overtaken) == 9
+        assert all(math.isnan(r.cycle_latency) and not math.isnan(r.command)
+                   for r in overtaken)
+
+    def test_fall_caught_in_a_remainder_substep(self):
+        # on the ideal link the command lands 2 ns after each 5 ms sample,
+        # so the span up to the next sample ends in a 0.5 ms - 2 ns
+        # remainder: only a fall caught there lands on the cycle grid
+        cfg = ideal_scenario(gains=ControllerGains(), noise=SensorNoise(),
+                             control_cycle=0.005, initial_tilt=0.055,
+                             episode_duration=2.0)
+        trace, m = run_episode(cfg)
+        assert trace.fall_time == 0.275
+        assert round(trace.fall_time * 1e9) % 5_000_000 == 0
+        assert len(trace.records) == 55  # the sample at the fall is not taken
+        assert m.balanced_duration == 0.275
+
+    def test_every_cycle_dropped(self):
+        trace, m = run_episode(gallop_scenario(
+            channel=ChannelModel(default_loss=1.0), episode_duration=2.0))
+        assert trace.records
+        assert trace.forward_lost == trace.forward_sent == len(trace.records)
+        assert trace.feedback_sent == 0
+        assert m.drop_rate == 1.0
+        assert all(math.isnan(x) for x in (m.latency_mean, m.latency_variance,
+                                            m.latency_p99))
+        assert math.isfinite(m.rms_tilt_rate)
 
     def test_clock_jump_past_a_period_skips_it(self):
         # a sync error bound of ~2 cycles lets a resync jump the clock past
@@ -439,7 +474,7 @@ class TestSweep:
 
     def test_worker_error_reaches_caller_with_its_type(self):
         base = gallop_scenario(episode_duration=0.5)
-        with pytest.raises(InvalidConfigError, match="slot_guard"):
+        with pytest.raises(ValueError, match="slot_guard"):
             run_sweep(base, "mac.slot_guard", [0.002], 3, workers=2)
 
     def test_worker_tuning_failure_reaches_caller_with_its_type(self):
@@ -455,7 +490,7 @@ class TestSweep:
         monkeypatch.setattr(sim, "run_episode",
                             lambda cfg: episodes.append(cfg) or run(cfg))
         base = gallop_scenario(episode_duration=0.5)
-        with pytest.raises(InvalidConfigError, match="extra_delay must be finite"):
+        with pytest.raises(ValueError, match="extra_delay must be finite"):
             run_sweep(base, "mac.extra_delay", [0.0, math.inf], 3)
         assert episodes == []
 

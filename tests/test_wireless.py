@@ -15,7 +15,6 @@ from telebalance.wireless import (
     MAX_SLOTS,
     ChannelModel,
     ChannelProcess,
-    InvalidConfigError,
     MacConfig,
     RobotClock,
     build_superframe,
@@ -56,23 +55,23 @@ class TestSuperframe:
         assert not out.delivered
 
     def test_same_band_is_fdd_violation(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ValueError, match=r"bands must be disjoint \(FDD\)"):
             build_superframe(gallop_cfg(feedback_band=0))
 
     def test_custom_layout_band_violation_names_slot(self):
-        with pytest.raises(InvalidConfigError, match="slot 1"):
+        with pytest.raises(ValueError, match="slot 1"):
             gallop_cfg(custom_slots=(
                 (FORWARD, 0.0, 1e-3, 0), (FEEDBACK, 1e-3, 1e-3, 0)))
 
     def test_overlapping_slots_rejected(self):
-        with pytest.raises(InvalidConfigError, match="overlap"):
+        with pytest.raises(ValueError, match="overlap"):
             gallop_cfg(custom_slots=(
                 (FORWARD, 0.0, 1e-3, 0), (FEEDBACK, 0.5e-3, 1e-3, 1)))
 
     @pytest.mark.parametrize("start, duration", [
         (math.inf, 1e-3), (0.0, math.inf), (math.nan, 1e-3), (0.0, math.nan)])
     def test_non_finite_slot_time_names_slot(self, start, duration):
-        with pytest.raises(InvalidConfigError, match="slot 0 has a non-finite"):
+        with pytest.raises(ValueError, match="slot 0 has a non-finite"):
             gallop_cfg(custom_slots=(
                 (FORWARD, start, duration, 0), (FEEDBACK, 1e-3, 1e-3, 1)))
 
@@ -83,7 +82,7 @@ class TestSuperframe:
             self, key, value):
         # a 0 ns slot or sync period never advances the event clock, and
         # build_superframe lays out every slot
-        with pytest.raises(InvalidConfigError, match=f"{key} must be"):
+        with pytest.raises(ValueError, match=f"{key} must be"):
             gallop_cfg(**{key: value})
 
     def test_tdma_slots_pairwise_disjoint(self):
@@ -118,7 +117,7 @@ class TestHopping:
 
     def test_clock_that_stops_or_runs_backwards_rejected(self):
         for drift_ppm in (-1e6, -2e6):
-            with pytest.raises(InvalidConfigError, match="clock_drift_ppm"):
+            with pytest.raises(ValueError, match="clock_drift_ppm"):
                 gallop_cfg(clock_drift_ppm=drift_ppm)
         gallop_cfg(clock_drift_ppm=-999_999.0)
 
@@ -126,13 +125,14 @@ class TestHopping:
         # such a clock samples every few ns of true time: a short run would
         # not finish
         for drift_ppm in (1e6, 1e11):
-            with pytest.raises(InvalidConfigError,
+            with pytest.raises(ValueError,
                                match=r"clock_drift_ppm must be in \(-1e6, 1e6\)"):
                 gallop_cfg(clock_drift_ppm=drift_ppm)
         gallop_cfg(clock_drift_ppm=999_999.0)
 
     def test_non_coprime_increment_rejected(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ValueError, match="hop_increment 6 shares a factor "
+                                             "with channel_count 36"):
             gallop_cfg(channel_count=36, hop_increment=6)
 
 
@@ -304,7 +304,8 @@ class TestBleTransmit:
             assert out.deliver_ns - k * interval >= interval
 
     def test_interval_below_floor_rejected(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ValueError,
+                           match="ble_connection_interval must be >= 7.5 ms"):
             ble_cfg(ble_connection_interval=5e-3)
 
     @pytest.mark.parametrize("model, draws_per_event", [
@@ -375,6 +376,12 @@ class TestGilbertElliott:
             ChannelModel(default_loss=1.5)
         with pytest.raises(ValueError):
             ChannelModel(per_channel_loss=((0, -0.1),))
+
+    def test_channel_listed_twice_rejected_naming_it(self):
+        # one floor per channel: neither entry may silently win
+        with pytest.raises(ValueError, match="per_channel_loss lists channel 3 twice"):
+            ChannelModel(per_channel_loss=((3, 0.1), (5, 0.2), (3, 0.5)))
+        ChannelModel(per_channel_loss=((3, 0.1), (5, 0.5)))
 
 
 def offset_ns(clk, local_ns):
