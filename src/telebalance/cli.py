@@ -29,9 +29,6 @@ def _write(path: Path, text: str) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.seed is not None and args.seed < 0:
-        print("--seed must be >= 0", file=sys.stderr)
-        return 2
     cfg = load_scenario(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -47,12 +44,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     if len(args.scenario) < 2:
         print("compare needs at least two --scenario files", file=sys.stderr)
-        return 2
-    if args.seeds < 1:
-        print("--seeds must be >= 1", file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
         return 2
     cfgs = [load_scenario(p) for p in args.scenario]
     results = compare_scenarios(cfgs, seeds=list(range(args.seeds)),
@@ -91,12 +82,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     values = parse_sweep_values(args.param, args.values)
-    if args.seeds < 3:
-        print("--seeds must be >= 3 for a sweep", file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
     base = load_scenario(args.config)
     points = run_sweep(base, args.param, values, seeds_per_point=args.seeds,
                        workers=args.workers)
@@ -114,6 +99,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """argparse type: an int no less than low; argparse names the flag."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
+
+
 _WORKERS_HELP = "episodes run in this many processes at once (default 1)"
 
 
@@ -125,15 +120,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one episode from a config file")
     p_run.add_argument("config")
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=_at_least(0), default=None)
     p_run.add_argument("--out", default="out")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run several scenarios over shared seeds")
     p_cmp.add_argument("--scenario", action="append", default=[],
                        help="config file; give at least twice")
-    p_cmp.add_argument("--seeds", type=int, default=10)
-    p_cmp.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
+    p_cmp.add_argument("--seeds", type=_at_least(1), default=10)
+    p_cmp.add_argument("--workers", type=_at_least(1), default=1, help=_WORKERS_HELP)
     p_cmp.add_argument("--out", default="out")
     p_cmp.set_defaults(func=cmd_compare)
 
@@ -144,8 +139,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--values", required=True,
                        help="comma list; a unit must fit the key (0ms,2ms,...), "
                        "a bare number is in s or rad")
-    p_swp.add_argument("--seeds", type=int, default=3)
-    p_swp.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
+    p_swp.add_argument("--seeds", type=_at_least(3), default=3)
+    p_swp.add_argument("--workers", type=_at_least(1), default=1, help=_WORKERS_HELP)
     p_swp.add_argument("--out", default="out")
     p_swp.set_defaults(func=cmd_sweep)
     return parser

@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .plant import (
+    MAX_MAGNITUDE,
     PlantParams,
     SensorFrame,
     check_finite,
@@ -66,10 +67,10 @@ class ControllerGains:
 # Shipped defaults for the default PlantParams, derived from a discrete LQR
 # on the 5 ms zero-delay linearized loop and verified by eigenvalue check
 # (see tune_default_gains). ki_tilt is zero: a tilt integrator combined
-# with wheel-position feedback adds a neutral closed-loop mode (any wheel
-# offset canceled by an integral offset), which the strict stability check
-# rejects; the integral path stays available for configurations that
-# accept that mode.
+# with wheel-position feedback adds a neutral mode (any wheel offset
+# canceled by an integral offset) whose radius is 1 up to rounding, so the
+# strict check passes or rejects it by rounding noise, cycle by cycle; the
+# integral path stays available for configurations that accept that mode.
 DEFAULT_GAINS = ControllerGains(
     kp_tilt=20.0,
     kd_tilt=1.5,
@@ -194,14 +195,20 @@ def _zoh(Ac: np.ndarray, Bc: np.ndarray,
     return E[:n, :n], E[:n, n]
 
 
+# ControllerState fields carried across cycles: closed_loop_matrix's last states
+_LOOP_MEMORY = ("tilt_estimate", "integral_accum", "last_wheel_angle",
+                "wheel_rate_estimate")
+
+
 def closed_loop_matrix(params: PlantParams, gains: ControllerGains, cycle: float,
                        alpha: float = DEFAULT_FILTER_ALPHA) -> np.ndarray:
     """One-cycle transition matrix of the linearized zero-delay loop.
 
-    State: [tilt, tilt_rate, wheel_angle, wheel_rate, motor_torque,
-            tilt_estimate, integral, prev_wheel_angle, wheel_rate_estimate].
-    Sensors are noiseless and unquantized, clamps inactive; sampling,
-    control, and zero-order-hold actuation all happen each `cycle`.
+    State: [tilt, tilt_rate, wheel_angle, wheel_rate, motor_torque], then
+    the controller memory, named as in _LOOP_MEMORY. The controller block
+    is estimate_tilt and compute_command themselves, run once per state
+    direction. Sensors are noiseless and unquantized, clamps inactive;
+    sampling, control, and zero-order-hold actuation all happen each `cycle`.
     """
     if not cycle > 0:
         raise ValueError("cycle must be positive")
@@ -224,34 +231,27 @@ def closed_loop_matrix(params: PlantParams, gains: ControllerGains, cycle: float
     n = Ac.shape[0]
     Ad, Bd = _zoh(Ac, Bc, cycle)
 
-    dt = cycle
-    beta = WHEEL_RATE_SMOOTHING
-    m = n + 4  # + tilt_estimate, integral, prev_wheel_angle, wheel_rate_estimate
-    i_e, i_i, i_p, i_w = n, n + 1, n + 2, n + 3
-
-    def unit(i):
-        v = np.zeros(m)
-        v[i] = 1.0
-        return v
-
-    # controller update rows as linear maps of the pre-update state
-    e_row = alpha * unit(i_e) + alpha * dt * unit(1) + (1.0 - alpha) * unit(0)
-    i_row = unit(i_i) + dt * e_row
-    w_row = beta * unit(i_w) + (1.0 - beta) / dt * (unit(2) - unit(i_p))
-    u_row = (gains.kp_tilt * e_row + gains.kd_tilt * unit(1)
-             + gains.ki_tilt * i_row + gains.kp_position * unit(2)
-             + gains.kd_position * w_row)
-
-    M = np.zeros((m, m))
-    M[:n, :n] = Ad
-    M[:n, :] += np.outer(Bd, u_row)
-    M[i_e, :] = e_row
-    M[i_i, :] = i_row
-    M[i_p, :] = unit(2)
-    M[i_w, :] = w_row
+    # column j: a controller update, then a held plant cycle, from direction j;
+    # the probe engages no clamp, and as a power of two divides out exactly
+    probe = 2.0 ** -80
+    unclamped = replace(gains, integral_limit=MAX_MAGNITUDE, command_limit=1.0)
+    m = n + len(_LOOP_MEMORY)
+    M = np.empty((m, m))
+    for j in range(m):
+        x = [probe if i == j else 0.0 for i in range(m)]
+        cstate = ControllerState(**dict(zip(_LOOP_MEMORY, x[n:])),
+                                 last_frame_seq=0, primed=True)
+        frame = SensorFrame(gyro_pitch_rate=x[1], accel_tilt=x[0],
+                            wheel_angle=x[2], seq=1)
+        cstate = estimate_tilt(cstate, frame, cycle, alpha)
+        cstate, command = compute_command(cstate, unclamped, frame, cycle, 0.0)
+        M[:n, j] = Ad @ x[:n] + Bd * command.motor_command
+        M[n:, j] = [getattr(cstate, name) for name in _LOOP_MEMORY]
+    M /= probe
     if gains.ki_tilt == 0.0:
         # the accumulator is then decoupled bookkeeping with a unit
         # eigenvalue; drop it so the radius reflects the actual loop
+        i_i = n + _LOOP_MEMORY.index("integral_accum")
         M = np.delete(np.delete(M, i_i, axis=0), i_i, axis=1)
     return M
 

@@ -232,8 +232,8 @@ class ChannelProcess:
     """Per-channel Gilbert-Elliott phase, advanced lazily per slot clock.
 
     Each channel's chain starts in the good state on first use and is
-    brought forward by the elapsed number of slots with the analytic
-    n-step transition probability (one uniform per use). One process
+    brought forward by lost(), the one use, over the elapsed number of
+    slots with the analytic n-step transition probability. One process
     instance is owned by exactly one link.
     """
 
@@ -252,10 +252,12 @@ class ChannelProcess:
             or any(self._static.values())
             or (model.p_good_to_bad and model.loss_bad))
 
-    def loss_probability(self, channel: int, slot_index: int,
-                         rng: np.random.Generator) -> float:
-        """Advance the channel's chain to slot_index, drawing one uniform,
-        and give the loss probability of a frame there."""
+    def lost(self, channel: int, slot_index: int, rng: np.random.Generator) -> bool:
+        """Whether a frame on channel in slot slot_index is lost. A lossless
+        process draws nothing; any other advances the channel's chain to
+        slot_index (one uniform), then draws the loss (one more)."""
+        if self.lossless:
+            return False
         bad, last_slot = self._chain.get(channel, (False, slot_index))
         n = slot_index - last_slot
         s = self._s
@@ -266,13 +268,7 @@ class ChannelProcess:
         self._chain[channel] = (bad, slot_index)
         ge = self.model.loss_bad if bad else self.model.loss_good
         static = self._static.get(channel, self.model.default_loss)
-        return 1.0 - (1.0 - static) * (1.0 - ge)
-
-    def lost(self, channel: int, slot_index: int, rng: np.random.Generator) -> bool:
-        """Whether a frame on channel in slot slot_index is lost: a lossless
-        process draws nothing, any other the chain advance, then the loss."""
-        return not self.lossless and \
-            self.loss_probability(channel, slot_index, rng) > rng.random()
+        return 1.0 - (1.0 - static) * (1.0 - ge) > rng.random()
 
 
 class DeliveryOutcome(NamedTuple):

@@ -3,10 +3,13 @@
 These deliberately avoid the library code paths they validate: the matrix
 exponential is a truncated Taylor series with scaling-and-squaring, the
 linearized model and the energy are re-derived here from the Lagrangian,
-and fall times come from scanning the series solution. The one exception
-is rk4_span_closure: it is the RK4 kernel in its plain form, one
-derivative function called per stage, kept so that the unrolled kernel
-the simulator runs can be required to give the same floats.
+and fall times come from scanning the series solution. Two exceptions
+restate a library computation in a plainer form: rk4_span_closure is the
+RK4 kernel with one derivative function called per stage, so that the
+unrolled kernel the simulator runs can be required to give the same
+floats; loop_matrix_rows writes the controller's update out as row
+algebra, so that the loop model built by running the controller can be
+required to match it.
 """
 
 from __future__ import annotations
@@ -134,17 +137,54 @@ def rk4_span_closure(th, w, phi, v, tau, tau_cmd, params, h, n_steps,
     return th, w, phi, v, tau, n_steps
 
 
+def loop_matrix_rows(Ad: np.ndarray, Bd: np.ndarray, gains, cycle: float,
+                     alpha: float, beta: float) -> np.ndarray:
+    """control.closed_loop_matrix from the plant's ZOH blocks (Ad, Bd),
+    with the controller update written as linear maps of the pre-update
+    state [plant..., tilt_estimate, integral, prev_wheel_angle,
+    wheel_rate_estimate]; beta is the wheel-rate smoothing. Clamps are
+    left out, and the integral state is dropped when ki_tilt is 0."""
+    n = Ad.shape[0]
+    m = n + 4
+    i_e, i_i, i_p, i_w = n, n + 1, n + 2, n + 3
+    dt = cycle
+
+    def unit(i):
+        v = np.zeros(m)
+        v[i] = 1.0
+        return v
+
+    e_row = alpha * unit(i_e) + alpha * dt * unit(1) + (1.0 - alpha) * unit(0)
+    i_row = unit(i_i) + dt * e_row
+    w_row = beta * unit(i_w) + (1.0 - beta) / dt * (unit(2) - unit(i_p))
+    u_row = (gains.kp_tilt * e_row + gains.kd_tilt * unit(1)
+             + gains.ki_tilt * i_row + gains.kp_position * unit(2)
+             + gains.kd_position * w_row)
+
+    M = np.zeros((m, m))
+    M[:n, :n] = Ad
+    M[:n, :] += np.outer(Bd, u_row)
+    M[i_e, :] = e_row
+    M[i_i, :] = i_row
+    M[i_p, :] = unit(2)
+    M[i_w, :] = w_row
+    if gains.ki_tilt == 0.0:
+        M = np.delete(np.delete(M, i_i, axis=0), i_i, axis=1)
+    return M
+
+
 def gallop_slot_search(custom_slots, direction: str, ready_ns: int,
                        guard_ns: int, band: int, channel_count: int,
-                       hop_increment: int, extra_ns: int, loss_probability, rng):
+                       hop_increment: int, extra_ns: int, lost, rng):
     """Gallop delivery by brute force over slot occurrences.
 
     custom_slots is the (direction, start_s, duration_s, band) layout. A
     slot occurrence is admissible when it starts no earlier than
     ready_ns - guard_ns; the frame tries the earliest admissible one of its
     direction and every later one of that direction in the same superframe,
-    two uniforms per try (channel advance + loss). Returns (deliver_ns,
-    slot_index, channel_used), with None for what the outcome lacks.
+    with one lost(channel, slot_index, rng) call per try. Returns
+    (deliver_ns, slot_index, channel_used), with None for what the outcome
+    lacks.
     """
     slots = sorted(((round(start * 1e9), round(start * 1e9) + round(dur * 1e9), d)
                     for d, start, dur, _ in custom_slots), key=lambda s: s[0])
@@ -162,7 +202,6 @@ def gallop_slot_search(custom_slots, direction: str, ready_ns: int,
         sf += 1
     for index, end in tries:
         channel = band * channel_count + (index * hop_increment) % channel_count
-        p = loss_probability(channel, index, rng)
-        if not rng.random() < p:
+        if not lost(channel, index, rng):
             return end + extra_ns, index, channel
     return None, index, channel

@@ -169,7 +169,7 @@ def test_criterion_5_protocol_invariants():
         n_slots = 1_000_000
         lost = 0
         for i in range(n_slots):
-            if rng.random() < proc.loss_probability(0, i, rng):
+            if proc.lost(0, i, rng):
                 lost += 1
         analytic = model.stationary_loss_rate()
         assert abs(lost / n_slots - analytic) / analytic < 0.01

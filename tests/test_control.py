@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import expm_taylor
+from oracles import expm_taylor, loop_matrix_rows
 from telebalance.control import (
+    DEFAULT_FILTER_ALPHA,
     DEFAULT_GAINS,
+    WHEEL_RATE_SMOOTHING,
     ControllerGains,
     StaleFrameError,
     TuningFailureError,
@@ -262,3 +265,46 @@ class TestZoh:
         c, s = math.cos(wh), math.sin(wh)
         np.testing.assert_allclose(Ad, [[c, s], [-s, c]], rtol=0, atol=1e-12)
         np.testing.assert_allclose(Bd, [1.0 - c, s], rtol=0, atol=1e-12)
+
+
+def scaled(gains, scale, **fields):
+    """gains with every loop gain times scale, then fields set."""
+    return replace(gains, kp_tilt=gains.kp_tilt * scale,
+                   kd_tilt=gains.kd_tilt * scale, ki_tilt=gains.ki_tilt * scale,
+                   kp_position=gains.kp_position * scale,
+                   kd_position=gains.kd_position * scale, **fields)
+
+
+class TestClosedLoopMatrix:
+    """The loop model runs the controller; the same law written as row
+    algebra (oracles.loop_matrix_rows) is its reference, to rounding."""
+
+    @staticmethod
+    def assert_matches_rows(params, gains, cycle):
+        Ad, Bd = _zoh(*motor_loop(params), cycle)
+        ref = loop_matrix_rows(Ad, Bd, gains, cycle, DEFAULT_FILTER_ALPHA,
+                               WHEEL_RATE_SMOOTHING)
+        got = closed_loop_matrix(params, gains, cycle)
+        assert got.shape == ref.shape
+        # row by row, relative to the row's largest entry
+        err = np.abs(got - ref).max(axis=1) / np.abs(ref).max(axis=1)
+        assert err.max() <= 1e-13, (cycle, gains)
+
+    @pytest.mark.parametrize("plant", sorted(GRID_PLANTS))
+    @pytest.mark.parametrize("ki_tilt", [0.0, 0.5])
+    def test_matches_row_algebra_on_grid(self, plant, ki_tilt):
+        gains = replace(DEFAULT_GAINS, ki_tilt=ki_tilt)
+        for ms in GRID_CYCLES_MS:
+            self.assert_matches_rows(GRID_PLANTS[plant], gains, ms * 1e-3)
+
+    @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
+    @pytest.mark.parametrize("cycle", [1e-9, 1e-6, 0.03])
+    @pytest.mark.parametrize("limit", [None, 1e-12])
+    def test_matches_row_algebra_at_extremes(self, params, scale, cycle, limit):
+        # the model leaves the clamps out whatever the gains' limits are
+        limits = {} if limit is None else {"integral_limit": limit,
+                                           "command_limit": limit}
+        for ki_tilt in (0.0, 0.5):
+            gains = scaled(replace(DEFAULT_GAINS, ki_tilt=ki_tilt), scale,
+                           **limits)
+            self.assert_matches_rows(params, gains, cycle)
