@@ -86,6 +86,14 @@ class ScenarioConfig:
             raise ValueError("filter_alpha must be in [0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        # a loss floor on a channel the link never uses could not take effect
+        mac, n = self.mac, self.mac.channel_count
+        bands = (mac.forward_band, mac.feedback_band) if mac.variant == GALLOP else (0,)
+        for ch, _ in self.channel.per_channel_loss:
+            if mac.variant != IDEAL and not any(b * n <= ch < b * n + n for b in bands):
+                used = " and ".join(f"{b * n}-{b * n + n - 1}" for b in bands)
+                raise ValueError(f"per_channel_loss channel {ch} is never used: "
+                                 f"{mac.variant} uses channels {used}")
         # compare names a file in --out, a CSV field and a quoted gnuplot
         # string after the label
         if not self.label or re.search(r"[/\\,'\"\x00-\x1f\x7f-\x9f]", self.label):

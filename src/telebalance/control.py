@@ -148,20 +148,22 @@ def compute_command(cstate: ControllerState, gains: ControllerGains,
     else:
         wheel_rate = 0.0
 
+    # each clamp passes a nan and a -0.0 through, as min(max(x, -lim), lim) does
+    tilt = cstate.tilt_estimate
     lim = gains.integral_limit
-    integral = cstate.integral_accum + cstate.tilt_estimate * dt
-    integral = min(max(integral, -lim), lim)
+    integral = cstate.integral_accum + tilt * dt
+    integral = -lim if integral < -lim else lim if integral > lim else integral
 
-    u = (gains.kp_tilt * cstate.tilt_estimate
+    u = (gains.kp_tilt * tilt
          + gains.kd_tilt * frame.gyro_pitch_rate
          + gains.ki_tilt * integral
          + gains.kp_position * angle
          + gains.kd_position * wheel_rate)
-    u = min(max(u, -gains.command_limit), gains.command_limit)
+    lim = gains.command_limit
+    u = -lim if u < -lim else lim if u > lim else u
 
     new_state = tuple.__new__(ControllerState, (
-        cstate.tilt_estimate, integral, cstate.last_frame_seq, angle,
-        wheel_rate, True))
+        tilt, integral, cstate.last_frame_seq, angle, wheel_rate, True))
     return new_state, tuple.__new__(ActuationFrame, (u, frame.seq, now))
 
 

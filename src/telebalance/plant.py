@@ -81,18 +81,10 @@ class PlantParams:
 
     def __post_init__(self) -> None:
         check_finite(self)
-        positive = (
-            ("body_mass", self.body_mass),
-            ("wheel_mass_total", self.wheel_mass_total),
-            ("com_distance", self.com_distance),
-            ("wheel_radius", self.wheel_radius),
-            ("body_inertia", self.body_inertia),
-            ("wheel_inertia", self.wheel_inertia),
-            ("gravity", self.gravity),
-            ("motor_max_torque", self.motor_max_torque),
-            ("encoder_counts_per_rev", self.encoder_counts_per_rev),
-        )
-        for name, value in positive:
+        for name in ("body_mass", "wheel_mass_total", "com_distance", "wheel_radius",
+                     "body_inertia", "wheel_inertia", "gravity", "motor_max_torque",
+                     "encoder_counts_per_rev"):
+            value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
         if self.motor_time_constant < 0 or self.viscous_friction < 0:
@@ -173,7 +165,7 @@ def _rk4_span(th: float, w: float, phi: float, v: float, tau: float,
         m12 = m12c * cos(th)
         q = tau - b * (v - w)
         rhs_w = q + m12c * s * w * w
-        rhs_t = -q + g_l * s
+        rhs_t = g_l * s - q
         det = m11_m22 - m12 * m12
         b1 = (m11 * rhs_t - m12 * rhs_w) / det
         d1 = (m22 * rhs_w - m12 * rhs_t) / det
@@ -187,7 +179,7 @@ def _rk4_span(th: float, w: float, phi: float, v: float, tau: float,
         m12 = m12c * cos(th2)
         q = tau2 - b * (v2 - w2)
         rhs_w = q + m12c * s * w2 * w2
-        rhs_t = -q + g_l * s
+        rhs_t = g_l * s - q
         det = m11_m22 - m12 * m12
         b2 = (m11 * rhs_t - m12 * rhs_w) / det
         d2 = (m22 * rhs_w - m12 * rhs_t) / det
@@ -201,7 +193,7 @@ def _rk4_span(th: float, w: float, phi: float, v: float, tau: float,
         m12 = m12c * cos(th3)
         q = tau3 - b * (v3 - w3)
         rhs_w = q + m12c * s * w3 * w3
-        rhs_t = -q + g_l * s
+        rhs_t = g_l * s - q
         det = m11_m22 - m12 * m12
         b3 = (m11 * rhs_t - m12 * rhs_w) / det
         d3 = (m22 * rhs_w - m12 * rhs_t) / det
@@ -215,7 +207,7 @@ def _rk4_span(th: float, w: float, phi: float, v: float, tau: float,
         m12 = m12c * cos(th4)
         q = tau4 - b * (v4 - w4)
         rhs_w = q + m12c * s * w4 * w4
-        rhs_t = -q + g_l * s
+        rhs_t = g_l * s - q
         det = m11_m22 - m12 * m12
         b4 = (m11 * rhs_t - m12 * rhs_w) / det
         d4 = (m22 * rhs_w - m12 * rhs_t) / det

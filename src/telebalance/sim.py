@@ -3,12 +3,13 @@ controller -> feedback link -> plant, with stability and latency metrics.
 
 One episode is a strictly sequential event loop over a single heap of
 (time_ns, insertion_seq) ordered events; ties resolve by insertion order,
-so a (config, seed) pair fully determines the run. Event timestamps are
-integer nanoseconds; the plant integrates up to each event in whole 0.5 ms
-substeps plus one remainder substep, under a zero-order-hold torque. The
-cycle table holds each cycle from its sample on: the sample while its
-frames are in flight, its CycleRecord once it closes. The trace is the
-closed records, in sample order.
+and the episode's end comes last at its time, so a (config, seed) pair
+fully determines the run. Event timestamps are integer nanoseconds; the
+plant integrates up to each event in whole 0.5 ms substeps plus one
+remainder substep, under a zero-order-hold torque. The cycle table holds
+each cycle from its sample on: the sample while its frames are in flight,
+its CycleRecord once it closes. The trace is the closed records, in
+sample order.
 
 Sensor sampling is scheduled on the robot's local clock (wireless.RobotClock),
 which drifts between sync epochs and is re-bounded at each epoch. The default
@@ -159,23 +160,10 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
 
     # events (t_ns, insertion seq, kind, payload); a recv's payload is its
     # SensorFrame, an apply's its ActuationFrame. A sample's time is its
-    # period on the local clock, no earlier than the plant time
-    heap: list[tuple[int, int, str, tuple]] = []
+    # period on the local clock, no earlier than the plant time. The end
+    # event's seq, inf, sorts it after every other event at end_ns
+    heap: list[tuple[int, float, str, tuple]] = []
     next_seq = itertools.count().__next__
-
-    def advance_plant(t_ns: int) -> None:
-        """Integrate up to t_ns > plant_ns: whole substeps, then one remainder
-        substep. A fall, where the kernel stops early, sets fall_ns."""
-        nonlocal th, w, phi, v, tau, plant_ns, fall_ns
-        n_full, rem = divmod(t_ns - plant_ns, SUBSTEP_NS)
-        for n, step_ns, h in ((n_full, SUBSTEP_NS, h_sub), (rem and 1, rem, rem * 1e-9)):
-            if n:
-                th, w, phi, v, tau, done = _rk4_span(
-                    th, w, phi, v, tau, torque, params, h, n, thr)
-                plant_ns += done * step_ns
-                if abs(th) > thr:
-                    fall_ns = plant_ns
-                    return
 
     mac = cfg.mac
     alpha = cfg.filter_alpha
@@ -201,11 +189,10 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     heappush(heap, (sync_period_ns, next_seq(), "sync", (1,)))
     heappush(heap, (max(local_to_true_ns(0), 0), next_seq(), "sample",
                     (0, clock.version)))
+    heappush(heap, (end_ns, math.inf, "end", ()))
 
-    while heap:
+    while True:
         t_ns, _, kind, payload = heappop(heap)
-        if t_ns > end_ns:
-            break
         if kind == "sample":
             k, version = payload
             if version != clock.version or t_ns == last_sample_ns:
@@ -218,8 +205,18 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             if t_ns == end_ns:
                 continue  # its cycle could not close within the episode
         if t_ns > plant_ns:
-            advance_plant(t_ns)
-            if fall_ns is not None:
+            # whole substeps, then a remainder substep unless they fell
+            n_full, rem = divmod(t_ns - plant_ns, SUBSTEP_NS)
+            if n_full:
+                th, w, phi, v, tau, done = _rk4_span(
+                    th, w, phi, v, tau, torque, params, h_sub, n_full, thr)
+                plant_ns += done * SUBSTEP_NS
+            if rem and not (n_full and abs(th) > thr):
+                th, w, phi, v, tau, _ = _rk4_span(
+                    th, w, phi, v, tau, torque, params, rem * 1e-9, 1, thr)
+                plant_ns += rem
+            if abs(th) > thr:
+                fall_ns = plant_ns
                 break
 
         if kind == "sample":
@@ -250,7 +247,7 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
                 else cycle_s
             last_arrival_ns = t_ns
             cstate = estimate_tilt(cstate, frame, dt, alpha)
-            cstate, act = compute_command(cstate, gains, frame, dt, now=t_ns / 1e9)
+            cstate, act = compute_command(cstate, gains, frame, dt, t_ns / 1e9)
             fbk_sent += 1
             deliver_ns = transmit(mac, chan, FEEDBACK, t_ns, rng_loss, rng_jitter)[0]
             if deliver_ns is not None:
@@ -280,8 +277,8 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             heappush(heap, ((epoch + 1) * sync_period_ns, next_seq(), "sync",
                             (epoch + 1,)))
 
-    if fall_ns is None and end_ns > plant_ns:
-        advance_plant(end_ns)
+        else:  # end: the plant has reached end_ns
+            break
 
     trace = EpisodeTrace(
         records=tuple(r for r in records.values() if type(r) is CycleRecord),
@@ -455,13 +452,13 @@ TRACE_COLUMNS = ("t", "tilt", "tilt_rate", "wheel_rate", "command_left",
 
 def trace_to_csv(trace: EpisodeTrace) -> str:
     """CSV text of the per-cycle records, header row included."""
-    lines = [",".join(TRACE_COLUMNS)]
-    lines += [f"{r.t!r},{r.tilt!r},{r.tilt_rate!r},{r.wheel_rate!r},"
-              f"{r.command!r},{r.command!r},{r.cycle_latency!r},"
-              f"{'true' if r.forward_dropped else 'false'},"
-              f"{'true' if r.feedback_dropped else 'false'}"
-              for r in trace.records]
-    return "\n".join(lines) + "\n"
+    lines = [",".join(TRACE_COLUMNS) + "\n"]
+    lines += [f"{t!r},{tilt!r},{tilt_rate!r},{wheel_rate!r},{cmd},{cmd},"
+              f"{latency!r},{'true' if fwd else 'false'},"
+              f"{'true' if fbk else 'false'}\n"
+              for t, tilt, tilt_rate, wheel_rate, command, latency, fwd, fbk
+              in trace.records for cmd in [repr(command)]]
+    return "".join(lines)
 
 
 # EpisodeMetrics field -> its name, with its unit, in metrics.txt; a

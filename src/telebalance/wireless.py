@@ -321,22 +321,21 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
 
     span = superframe.span_ns
     sf, phase = divmod(ready_ns - cfg.slot_guard_ns, span)
-    for first, slot in enumerate(slots):
-        if slot[0] >= phase:
-            candidates = slots[first:]
-            break
-    else:  # none left in this superframe: the next one has them all
+    if phase > slots[-1][0]:
+        # none left in this superframe: the next one has them all
         sf += 1
-        candidates = slots
+        phase = slots[0][0]
     base_ns = sf * span
     base_idx = sf * len(superframe.slots)
-    band_ch = (cfg.forward_band if direction == FORWARD else cfg.feedback_band) \
-        * cfg.channel_count
+    count = cfg.channel_count
+    band_ch = (cfg.forward_band if direction == FORWARD else cfg.feedback_band) * count
 
-    for _start, end, pos in candidates:
+    for start, end, pos in slots:
+        if start < phase:
+            continue
         global_idx = base_idx + pos
-        ch = band_ch + hop_channel(cfg, global_idx)
-        if not channel.lost(ch, global_idx, loss_rng):
+        ch = band_ch + global_idx * cfg.hop_increment % count  # hop_channel(cfg, global_idx)
+        if channel.lossless or not channel.lost(ch, global_idx, loss_rng):
             return tuple.__new__(DeliveryOutcome, (
                 base_ns + end + extra_ns, ch, global_idx))
     return tuple.__new__(DeliveryOutcome, (None, ch, global_idx))

@@ -94,3 +94,27 @@ def test_benchmark_reads_every_seam_of_an_episode(config_dir, monkeypatch, confi
     assert [name for name in spans.SEAMS if not tracer.calls[name]] == []
     assert tracer.unreadable == set()
     assert workloads.episode_problems(cfg, trace) == []
+
+
+# per seam: calls in one traced 1 s episode, then substeps and closed cycles
+LAYER_COUNTS = {
+    "gallop_default.cfg": ({"_rk4_span": 1000, "transmit": 1000,
+                            "sample_sensors": 500, "estimate_tilt": 500,
+                            "compute_command": 500}, 2000, 500),
+    "ble_default.cfg": ({"_rk4_span": 681, "transmit": 267,
+                         "sample_sensors": 134, "estimate_tilt": 133,
+                         "compute_command": 133}, 2232, 132),
+}
+
+
+@pytest.mark.parametrize("config", sorted(LAYER_COUNTS))
+def test_traced_layer_counts_of_an_episode(config_dir, monkeypatch, config):
+    # the benchmark's per-layer counts compare two versions of the engine
+    # only while the engine makes the same calls
+    spans = import_perfbench("spans", monkeypatch)
+    cfg = replace(load_scenario(config_dir / config), episode_duration=1.0)
+    with spans.LayerTracer(sim) as tracer:
+        sim.run_episode(cfg)
+    calls, substeps, cycles = LAYER_COUNTS[config]
+    assert {name: tracer.calls[name] for name in calls} == calls
+    assert (tracer.substeps, tracer.cycles) == (substeps, cycles)

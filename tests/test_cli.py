@@ -185,6 +185,19 @@ class TestCmdRun:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, used", [
+        (GALLOP_SHORT, "gallop uses channels 0-36 and 37-73"),
+        (BLE_SHORT, "ble_baseline uses channels 0-36")])
+    def test_loss_floor_on_an_unused_channel_exit_2_names_the_range(
+            self, tmp_path, capsys, text, used):
+        cfg = write_cfg(tmp_path, text + "\n[loss]\nper_channel = 3:0.1, 500:1.0\n")
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"per_channel_loss channel 500 is never used: {used}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_clock_a_million_times_fast_exit_2(self, tmp_path, capsys, monkeypatch):
         # rejected as the config loads: an episode at this drift would not finish
         def no_episode(cfg):

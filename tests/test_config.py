@@ -16,11 +16,12 @@ from telebalance.config import (
     ScenarioConfig,
     ble_scenario,
     gallop_scenario,
+    ideal_scenario,
     load_scenario,
     parse_sweep_values,
 )
 from telebalance.control import DEFAULT_GAINS
-from telebalance.wireless import MacConfig
+from telebalance.wireless import ChannelModel, MacConfig
 
 NUMERIC_ANNOTATIONS = ("int", "float", "float | None")
 
@@ -120,6 +121,35 @@ def test_a_billion_cycles_rejected_at_construction_naming_both_keys():
                              r"1000000 cycles, got 1e\+09"):
         ScenarioConfig(episode_duration=1.0, control_cycle=1e-9,
                        mac=MacConfig(variant="ideal"))
+
+
+@pytest.mark.parametrize("make, channel, used", [
+    (gallop_scenario, 500, "gallop uses channels 0-36 and 37-73"),
+    (gallop_scenario, -1, "gallop uses channels 0-36 and 37-73"),
+    (ble_scenario, 40, "ble_baseline uses channels 0-36"),
+    (ble_scenario, 37, "ble_baseline uses channels 0-36")])
+def test_loss_floor_on_a_channel_the_link_never_uses_rejected(make, channel, used):
+    # the floor could not take effect: no frame is ever sent on that channel
+    with pytest.raises(ValueError, match=f"per_channel_loss channel {channel} "
+                                         f"is never used: {used}"):
+        make(channel=ChannelModel(per_channel_loss=((3, 0.1), (channel, 0.5))))
+
+
+@pytest.mark.parametrize("make, channel", [
+    (gallop_scenario, 0), (gallop_scenario, 40), (gallop_scenario, 73),
+    (ble_scenario, 0), (ble_scenario, 36), (ideal_scenario, 500)])
+def test_loss_floor_on_a_channel_the_link_uses_accepted(make, channel):
+    # the ideal link reads no [loss] key, like any key a variant does not read
+    floors = ((channel, 0.5),)
+    assert make(channel=ChannelModel(per_channel_loss=floors)).channel.per_channel_loss \
+        == floors
+
+
+def test_loss_floor_follows_the_gallop_bands():
+    mac = MacConfig(forward_band=2, feedback_band=5, channel_count=5, hop_increment=2)
+    gallop_scenario(mac=mac, channel=ChannelModel(per_channel_loss=((10, 0.5), (29, 0.5))))
+    with pytest.raises(ValueError, match="gallop uses channels 10-14 and 25-29"):
+        gallop_scenario(mac=mac, channel=ChannelModel(per_channel_loss=((15, 0.5),)))
 
 
 @pytest.mark.parametrize("make, name", [(gallop_scenario, "gallop_default.cfg"),

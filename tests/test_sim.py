@@ -137,6 +137,15 @@ class TestRunEpisode:
         assert m.balanced_duration <= 0.001
         assert trace_to_csv(trace).count("\n") == 1  # header only
 
+    @pytest.mark.parametrize("make, fall_time", [
+        (gallop_scenario, 0.0005), (ble_scenario, 0.0005),
+        # the ideal link's first span is the 1 ns up to the frame's arrival:
+        # one remainder substep, with no whole substep before it
+        (ideal_scenario, 1e-09)])
+    def test_tilt_past_the_threshold_falls_in_the_first_span(self, make, fall_time):
+        trace, _ = run_episode(make(initial_tilt=0.7, episode_duration=1.0))
+        assert trace.fall_time == fall_time
+
     def test_invalid_config_rejected_before_running(self):
         with pytest.raises(ValueError):
             run_episode(gallop_scenario(episode_duration=-1.0))
@@ -606,6 +615,26 @@ class TestSerialization:
         assert text.endswith("\n")
         # both command columns carry the one planar command
         assert all(row.split(",")[4] == row.split(",")[5] for row in lines[1:])
+
+    def test_trace_csv_text(self):
+        nan = float("nan")
+        trace = EpisodeTrace(records=(
+            CycleRecord(0.0, -0.0, 1e-05, 1e+16, nan, nan, True, False),
+            CycleRecord(0.002, 2.5, -3.25, 0.0, -0.0, nan, False, True),
+            CycleRecord(0.004, 0.1, -1e-05, -1e+16, 1e-05, 1e+16, False, False),
+            CycleRecord(0.006, 1.0, 0.5, 2.0, 1.0, 2.0, True, True)))
+        assert trace_to_csv(trace) == (
+            "t,tilt,tilt_rate,wheel_rate,command_left,command_right,"
+            "cycle_latency,forward_dropped,feedback_dropped\n"
+            "0.0,-0.0,1e-05,1e+16,nan,nan,nan,true,false\n"
+            "0.002,2.5,-3.25,0.0,-0.0,-0.0,nan,false,true\n"
+            "0.004,0.1,-1e-05,-1e+16,1e-05,1e-05,1e+16,false,false\n"
+            "0.006,1.0,0.5,2.0,1.0,1.0,2.0,true,true\n")
+
+    def test_empty_trace_csv_is_the_header_line(self):
+        assert trace_to_csv(EpisodeTrace(records=())) == (
+            "t,tilt,tilt_rate,wheel_rate,command_left,command_right,"
+            "cycle_latency,forward_dropped,feedback_dropped\n")
 
     def test_metrics_text_round_trippable(self):
         _, m = run_episode(gallop_scenario(episode_duration=0.5))
