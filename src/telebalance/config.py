@@ -14,8 +14,8 @@ Format example::
     variant = gallop
     slot_duration = 1 ms
 
-SCHEMA is the one table of keys. It gives each key's kind, and SECTIONS
-gives the ScenarioConfig field each section fills. Unknown sections,
+SECTIONS gives the ScenarioConfig field each section fills; SCHEMA reads
+each key and its kind off that field's dataclass. Unknown sections,
 unknown or duplicate keys and malformed values are hard errors with a line
 diagnostic, never silently ignored. A quantity is a number, optional
 whitespace, then a unit of the key's kind: s, ms or us for a duration, rad
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .control import DEFAULT_FILTER_ALPHA, DEFAULT_GAINS, ControllerGains
@@ -62,11 +62,7 @@ class ScenarioConfig:
     def resolved_cycle(self) -> float:
         if self.control_cycle is not None:
             return self.control_cycle
-        if self.mac.variant == GALLOP:
-            return self.mac.superframe.span_ns / 1e9
-        if self.mac.variant == BLE:
-            return self.mac.ble_connection_interval
-        return 0.005
+        return self.mac.nominal_cycle
 
     def __post_init__(self) -> None:
         check_finite(self)
@@ -87,13 +83,12 @@ class ScenarioConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         # a loss floor on a channel the link never uses could not take effect
-        mac, n = self.mac, self.mac.channel_count
-        bands = (mac.forward_band, mac.feedback_band) if mac.variant == GALLOP else (0,)
+        n, bases = self.mac.channel_count, dict.fromkeys(self.mac.channel_base.values())
         for ch, _ in self.channel.per_channel_loss:
-            if mac.variant != IDEAL and not any(b * n <= ch < b * n + n for b in bands):
-                used = " and ".join(f"{b * n}-{b * n + n - 1}" for b in bands)
+            if bases and not any(b <= ch < b + n for b in bases):
+                used = " and ".join(f"{b}-{b + n - 1}" for b in bases)
                 raise ValueError(f"per_channel_loss channel {ch} is never used: "
-                                 f"{mac.variant} uses channels {used}")
+                                 f"{self.mac.variant} uses channels {used}")
         # compare names a file in --out, a CSV field and a quoted gnuplot
         # string after the label
         if not self.label or re.search(r"[/\\,'\"\x00-\x1f\x7f-\x9f]", self.label):
@@ -196,82 +191,40 @@ _PARSERS = {"text": str, "slots": parse_slots, "per_channel": parse_per_channel}
 
 # the keys whose field has another name; every other key sets its namesake
 _FIELDS = {"slots": "custom_slots", "per_channel": "per_channel_loss"}
-
-# section -> key -> kind
-SCHEMA: dict[str, dict[str, str]] = {
-    "scenario": {
-        "label": "text",
-        "episode_duration": "duration",
-        "control_cycle": "duration",
-        "initial_tilt": "angle",
-        "fall_threshold": "angle",
-        "seed": "integer",
-        "filter_alpha": "number",
-    },
-    "plant": {
-        "body_mass": "number",
-        "wheel_mass_total": "number",
-        "com_distance": "number",
-        "wheel_radius": "number",
-        "body_inertia": "number",
-        "wheel_inertia": "number",
-        "gravity": "number",
-        "motor_max_torque": "number",
-        "motor_time_constant": "duration",
-        "viscous_friction": "number",
-        "encoder_counts_per_rev": "integer",
-    },
-    "noise": {
-        "gyro_noise_std": "number",
-        "gyro_bias": "number",
-        "accel_noise_std": "number",
-    },
-    "gains": {
-        "kp_tilt": "number",
-        "kd_tilt": "number",
-        "ki_tilt": "number",
-        "kp_position": "number",
-        "kd_position": "number",
-        "integral_limit": "number",
-        "command_limit": "number",
-    },
-    "mac": {
-        "variant": "text",
-        "slot_duration": "duration",
-        "slots_per_superframe": "integer",
-        "forward_band": "integer",
-        "feedback_band": "integer",
-        "channel_count": "integer",
-        "hop_increment": "integer",
-        "sync_epoch_period": "duration",
-        "sync_error_bound": "duration",
-        "clock_drift_ppm": "number",
-        "ble_connection_interval": "duration",
-        "ble_jitter_max": "duration",
-        "slot_guard": "duration",
-        "extra_delay": "duration",
-        "slots": "slots",
-    },
-    "loss": {
-        "default_loss": "number",
-        "p_good_to_bad": "number",
-        "p_bad_to_good": "number",
-        "loss_good": "number",
-        "loss_bad": "number",
-        "per_channel": "per_channel",
-    },
-}
+_KEYS = {field: key for key, field in _FIELDS.items()}
 
 # section -> the ScenarioConfig field it fills; [scenario] keys are
 # ScenarioConfig's own fields
-SECTIONS: dict[str, str | None] = {
-    "scenario": None,
-    "plant": "plant",
-    "noise": "noise",
-    "gains": "gains",
-    "mac": "mac",
-    "loss": "channel",
-}
+SECTIONS: dict[str, str | None] = {"scenario": None, "plant": "plant", "noise": "noise",
+                                   "gains": "gains", "mac": "mac", "loss": "channel"}
+
+
+# the kinds a field's annotation cannot give; any other field's kind is
+# its annotation's (int an integer, float a number, str text), and an
+# annotation outside _ANNOTATION_KINDS fails the import
+_KINDS = dict.fromkeys(
+    ("episode_duration", "control_cycle", "motor_time_constant", "slot_duration",
+     "sync_epoch_period", "sync_error_bound", "ble_connection_interval",
+     "ble_jitter_max", "slot_guard", "extra_delay"), "duration") | {
+    "initial_tilt": "angle", "fall_threshold": "angle",
+    "custom_slots": "slots", "per_channel_loss": "per_channel"}
+_ANNOTATION_KINDS = {"int": "integer", "float": "number", "str": "text"}
+
+
+def _section_fields(field: str | None) -> list:
+    """The fields a section's keys set: ScenarioConfig's own for
+    [scenario], else the init fields of the value _extend extends."""
+    if field is None:
+        return [f for f in fields(ScenarioConfig) if f.name not in SECTIONS.values()]
+    default = getattr(ScenarioConfig, field)
+    return [f for f in fields(DEFAULT_GAINS if default is None else default) if f.init]
+
+
+# section -> key -> kind, from the fields each section sets
+SCHEMA: dict[str, dict[str, str]] = {
+    section: {_KEYS.get(f.name, f.name): _KINDS.get(f.name) or _ANNOTATION_KINDS[f.type]
+              for f in _section_fields(field)}
+    for section, field in SECTIONS.items()}
 
 
 def _extend(value, keys: dict):

@@ -28,6 +28,7 @@ values and order of one scalar draw at a time (BlockStream).
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
@@ -123,12 +124,13 @@ class EpisodeMetrics:
     drop_rate: float           # fraction of cycles with either direction lost
 
 
-def _resolve_gains(cfg: ScenarioConfig) -> ControllerGains:
+def _resolve_gains(cfg: ScenarioConfig, tune=None) -> ControllerGains:
     """The gains an episode of cfg runs: its own, or else the shipped
-    defaults tuned for its control cycle (TuningFailureError if none fit)."""
+    defaults tuned for its control cycle by tune, tune_default_gains unless
+    given (TuningFailureError if none fit)."""
     if cfg.gains is not None:
         return cfg.gains
-    return tune_default_gains(cfg.plant, cfg.resolved_cycle(), cfg.filter_alpha)
+    return (tune or tune_default_gains)(cfg.plant, cfg.resolved_cycle(), cfg.filter_alpha)
 
 
 def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
@@ -350,14 +352,16 @@ def _run_batch(jobs: list[tuple[ScenarioConfig, bool]], workers: int
                ) -> list[tuple[EpisodeTrace | None, EpisodeMetrics]]:
     """Run (config, keep_trace) jobs; results come back in job order.
 
-    The gains of every job without its own are tuned here first, so a grid
-    that cannot be tuned raises TuningFailureError before any episode runs.
+    The gains of every job without its own are tuned here first, once per
+    distinct (plant, cycle, filter_alpha), so a grid that cannot be tuned
+    raises TuningFailureError before any episode runs.
     With workers > 1 and more than one job the episodes run in a
     process pool; otherwise they run here in series, through the module's
     run_episode. A worker's exception reaches the caller with its type.
     """
+    tune = functools.cache(tune_default_gains)
     jobs = [(cfg if cfg.gains is not None
-             else replace(cfg, gains=_resolve_gains(cfg)), keep_trace)
+             else replace(cfg, gains=_resolve_gains(cfg, tune)), keep_trace)
             for cfg, keep_trace in jobs]
     if workers > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(

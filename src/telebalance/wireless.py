@@ -55,9 +55,10 @@ def _ns(seconds: float) -> int:
 
 @dataclass(frozen=True)
 class MacConfig:
-    """Link parameters, checked when built. It also carries what transmit
-    reads on every call: the fixed delays in whole ns and, for gallop, the
-    superframe laid out once by build_superframe."""
+    """Link parameters, checked when built. It also lays out the link's
+    rules once: the nominal cycle a scenario runs at unless it sets its own,
+    each direction's channel base, the fixed delays in whole ns and, for
+    gallop, the superframe from build_superframe."""
 
     variant: str = GALLOP
     slot_duration: float = 1e-3          # s
@@ -76,6 +77,10 @@ class MacConfig:
     custom_slots: tuple | None = None    # ((direction, start_s, duration_s, band), ...)
     superframe: Superframe | None = field(default=None, init=False, repr=False,
                                           compare=False)  # gallop only
+    nominal_cycle: float = field(default=0.0, init=False, repr=False,
+                                 compare=False)  # s
+    channel_base: dict[str, int] = field(default_factory=dict, init=False,
+                                         repr=False, compare=False)
     extra_delay_ns: int = field(default=0, init=False, repr=False, compare=False)
     slot_guard_ns: int = field(default=0, init=False, repr=False, compare=False)
     ble_interval_ns: int = field(default=0, init=False, repr=False, compare=False)
@@ -110,14 +115,27 @@ class MacConfig:
         # a stopped or reversed clock never samples, a racing one every few ns
         if not -1e6 < self.clock_drift_ppm < 1e6:
             raise ValueError("clock_drift_ppm must be in (-1e6, 1e6)")
+        # cycle: the superframe span, the connection interval, or 5 ms;
+        # base: each direction's first channel, none on the ideal link
+        superframe, base = None, {}
         if self.variant == GALLOP:
-            object.__setattr__(self, "superframe", build_superframe(self))
+            superframe = build_superframe(self)
+            cycle = superframe.span_ns / 1e9
+            base = {FORWARD: self.forward_band * self.channel_count,
+                    FEEDBACK: self.feedback_band * self.channel_count}
         elif self.custom_slots is not None:
             raise ValueError(
                 f"slots apply only to the {GALLOP} variant, not {self.variant!r}")
-        object.__setattr__(self, "extra_delay_ns", _ns(self.extra_delay))
-        object.__setattr__(self, "slot_guard_ns", _ns(self.slot_guard))
-        object.__setattr__(self, "ble_interval_ns", _ns(self.ble_connection_interval))
+        elif self.variant == BLE:
+            cycle, base = self.ble_connection_interval, {FORWARD: 0, FEEDBACK: 0}
+        else:
+            cycle = 0.005
+        for name, value in (("superframe", superframe), ("nominal_cycle", cycle),
+                            ("channel_base", base),
+                            ("extra_delay_ns", _ns(self.extra_delay)),
+                            ("slot_guard_ns", _ns(self.slot_guard)),
+                            ("ble_interval_ns", _ns(self.ble_connection_interval))):
+            object.__setattr__(self, name, value)
 
 
 class Slot(NamedTuple):
@@ -126,7 +144,6 @@ class Slot(NamedTuple):
     start_ns: int
     end_ns: int
     direction: str       # forward | feedback
-    band: int
 
 
 class Superframe(NamedTuple):
@@ -164,13 +181,17 @@ def build_superframe(cfg: MacConfig) -> Superframe:
             raise ValueError(
                 f"slot {i} has a non-finite start or duration, or one beyond "
                 f"+/-{MAX_MAGNITUDE:g} s")
-        if _ns(dur) <= 0:
-            raise ValueError(f"slot {i} duration must be at least 1 ns")
+        if start < 0:
+            raise ValueError(f"slot {i} starts before the superframe, at {start!r} s")
+        # a frame admitted slot_guard late must still end after it was ready
+        if _ns(dur) <= _ns(cfg.slot_guard):
+            raise ValueError(f"slot {i} duration must exceed slot_guard "
+                             f"({cfg.slot_guard!r} s), got {dur!r} s")
         if band != band_of[direction]:
             raise ValueError(
                 f"slot {i} ({direction}) assigned band {band}, expected "
                 f"{band_of[direction]} (FDD violation)")
-        slots.append(Slot(_ns(start), _ns(start) + _ns(dur), direction, band))
+        slots.append(Slot(_ns(start), _ns(start) + _ns(dur), direction))
     # by the seconds given: starts that round to one ns keep their order
     ordered = sorted(range(len(slots)), key=lambda i: layout[i][1])
     for a, b in zip(ordered, ordered[1:]):
@@ -183,11 +204,6 @@ def build_superframe(cfg: MacConfig) -> Superframe:
         {d: tuple((s.start_ns, s.end_ns, pos) for pos, s in enumerate(table)
                   if s.direction == d)
          for d in (FORWARD, FEEDBACK)})
-
-
-def hop_channel(cfg: MacConfig, slot_global_index: int) -> int:
-    """In-band channel for a slot: (index * increment) mod channel_count."""
-    return (slot_global_index * cfg.hop_increment) % cfg.channel_count
 
 
 @dataclass(frozen=True)
@@ -302,43 +318,37 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
         return tuple.__new__(DeliveryOutcome, (ready_ns + 1 + extra_ns, None, None))
 
     if cfg.variant == BLE:
-        interval_ns = cfg.ble_interval_ns
-        event = ready_ns // interval_ns + 1  # first boundary strictly after
-        jitter_ns = _ns(jitter_rng.uniform(0.0, cfg.ble_jitter_max))
-        ch = hop_channel(cfg, event)
-        if channel.lost(ch, event, loss_rng):
-            return tuple.__new__(DeliveryOutcome, (None, ch, event))
-        return tuple.__new__(DeliveryOutcome, (
-            event * interval_ns + jitter_ns + extra_ns, ch, event))
-
-    # gallop: next admissible slot of this direction, retry within superframe
-    superframe = cfg.superframe
-    slots = superframe.by_direction[direction]
-    if not slots:
-        # degenerate layout without this direction: the frame can never
-        # be carried (e.g. forward-only frames starve the controller)
-        return DeliveryOutcome(None)
-
-    span = superframe.span_ns
-    sf, phase = divmod(ready_ns - cfg.slot_guard_ns, span)
-    if phase > slots[-1][0]:
-        # none left in this superframe: the next one has them all
-        sf += 1
-        phase = slots[0][0]
-    base_ns = sf * span
-    base_idx = sf * len(superframe.slots)
-    count = cfg.channel_count
-    band_ch = (cfg.forward_band if direction == FORWARD else cfg.feedback_band) * count
+        # one try: a one-slot table at the first event strictly after, jittered
+        base_idx = ready_ns // cfg.ble_interval_ns + 1
+        base_ns = base_idx * cfg.ble_interval_ns \
+            + _ns(jitter_rng.uniform(0.0, cfg.ble_jitter_max))
+        slots, phase = ((0, 0, 0),), 0
+    else:
+        # gallop: next admissible slot of this direction, retry in the superframe
+        superframe = cfg.superframe
+        slots = superframe.by_direction[direction]
+        if not slots:
+            # degenerate layout without this direction: the frame can never
+            # be carried (e.g. forward-only frames starve the controller)
+            return DeliveryOutcome(None)
+        span = superframe.span_ns
+        sf, phase = divmod(ready_ns - cfg.slot_guard_ns, span)
+        if phase > slots[-1][0]:
+            # none left in this superframe: the next one has them all
+            sf += 1
+            phase = slots[0][0]
+        base_ns = sf * span
+        base_idx = sf * len(superframe.slots)
 
     for start, end, pos in slots:
         if start < phase:
             continue
-        global_idx = base_idx + pos
-        ch = band_ch + global_idx * cfg.hop_increment % count  # hop_channel(cfg, global_idx)
-        if channel.lossless or not channel.lost(ch, global_idx, loss_rng):
-            return tuple.__new__(DeliveryOutcome, (
-                base_ns + end + extra_ns, ch, global_idx))
-    return tuple.__new__(DeliveryOutcome, (None, ch, global_idx))
+        # the channel law: the direction's base plus the hop over the index
+        index = base_idx + pos
+        ch = cfg.channel_base[direction] + index * cfg.hop_increment % cfg.channel_count
+        if channel.lossless or not channel.lost(ch, index, loss_rng):
+            return tuple.__new__(DeliveryOutcome, (base_ns + end + extra_ns, ch, index))
+    return tuple.__new__(DeliveryOutcome, (None, ch, index))
 
 
 class RobotClock:

@@ -27,14 +27,13 @@ from telebalance.sim import (
 )
 from telebalance.wireless import (
     BLE,
+    FEEDBACK,
     FORWARD,
     GALLOP,
     ChannelModel,
     ChannelProcess,
     MacConfig,
     RobotClock,
-    build_superframe,
-    hop_channel,
     transmit,
 )
 
@@ -145,21 +144,35 @@ def test_criterion_4_plant_oracle_equivalence():
 
 def test_criterion_5_protocol_invariants():
     with criterion(5, "protocol invariant suite"):
-        # FDD band disjointness and TDMA slot disjointness
+        # FDD band disjointness on the channels transmit uses, from frames
+        # ready at every slot start of 37 consecutive superframes, and
+        # TDMA slot disjointness
+        lossless, rng = ChannelProcess(ChannelModel()), np.random.default_rng(0)
+
+        def channels(cfg, direction, readies):
+            outs = [transmit(cfg, lossless, direction, t, rng) for t in readies]
+            return sorted(out.channel_used for out in outs if out.delivered)
+
         for n in (1, 2, 4, 8):
-            sf = build_superframe(MacConfig(variant=GALLOP,
-                                            slots_per_superframe=n))
-            fwd_bands = {s.band for s in sf.slots if s.direction == "forward"}
-            fbk_bands = {s.band for s in sf.slots if s.direction == "feedback"}
+            cfg = MacConfig(variant=GALLOP, slots_per_superframe=n)
+            sf = cfg.superframe
+            readies = [k * sf.span_ns + s.start_ns for k in range(37)
+                       for s in sf.slots]
+            fwd_bands, fbk_bands = (
+                {ch // cfg.channel_count for ch in channels(cfg, d, readies)}
+                for d in (FORWARD, FEEDBACK))
+            assert fwd_bands == {0} and fbk_bands == ({1} if n > 1 else set())
             assert not (fwd_bands & fbk_bands)
             table = sf.slots
             for i in range(len(table)):
                 for j in range(i + 1, len(table)):
                     assert table[i][1] <= table[j][0] or table[j][1] <= table[i][0]
 
-        # hopping permutation over 37 consecutive slots
+        # hopping permutation over 37 consecutive superframes, per band
         cfg = MacConfig(variant=GALLOP)
-        assert sorted(hop_channel(cfg, i) for i in range(37)) == list(range(37))
+        readies = [k * cfg.superframe.span_ns for k in range(37)]
+        assert channels(cfg, FORWARD, readies) == list(range(37))
+        assert channels(cfg, FEEDBACK, readies) == list(range(37, 74))
 
         # Gilbert-Elliott long-run loss rate within 1% of the analytic value
         model = ChannelModel(p_good_to_bad=0.05, p_bad_to_good=0.2,

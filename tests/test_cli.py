@@ -164,6 +164,18 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert "slots 0 and 1 overlap" in err
 
+    @pytest.mark.parametrize("slots, message", [
+        ("forward, -2 ms, 1 ms, 0; feedback, 0 ms, 1 ms, 1",
+         "slot 0 starts before the superframe"),
+        ("forward, 0 ms, 0.05 ms, 0; feedback, 1 ms, 1 ms, 1",
+         "slot 0 duration must exceed slot_guard")])
+    def test_slot_that_delivers_before_ready_exit_2_names_it(
+            self, tmp_path, capsys, slots, message):
+        cfg = write_cfg(tmp_path, GALLOP_SHORT + f"slots = {slots}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("variant", ["ble_baseline", "ideal"])
     def test_slots_on_non_gallop_variant_exit_2(self, tmp_path, capsys, variant):
         # wrong band and overlapping too: a layout the link would not use

@@ -39,6 +39,27 @@ def test_numeric_fields_are_the_numeric_schema_keys(section):
     assert numeric == {k for k, kind in SCHEMA[section].items() if kind in UNITS}
 
 
+def test_duration_and_angle_keys_are_the_listed_twelve():
+    # a field's annotation says float for a number, a duration and an angle
+    # alike: a new duration or angle field needs config._KINDS and this list
+    # to read its unit
+    assert {(section, key): kind for section, keys in SCHEMA.items()
+            for key, kind in keys.items() if kind in ("duration", "angle")} == {
+        ("scenario", "episode_duration"): "duration",
+        ("scenario", "control_cycle"): "duration",
+        ("scenario", "initial_tilt"): "angle",
+        ("scenario", "fall_threshold"): "angle",
+        ("plant", "motor_time_constant"): "duration",
+        ("mac", "slot_duration"): "duration",
+        ("mac", "sync_epoch_period"): "duration",
+        ("mac", "sync_error_bound"): "duration",
+        ("mac", "ble_connection_interval"): "duration",
+        ("mac", "ble_jitter_max"): "duration",
+        ("mac", "slot_guard"): "duration",
+        ("mac", "extra_delay"): "duration",
+    }
+
+
 EXTREME = st.sampled_from(["1e300", "-1e300", "1e-300", "-1e-300", "nan",
                            "inf", "-inf", "0", "-1", "1e999"])
 NUMBER = st.one_of(EXTREME, st.floats().map(repr), st.integers().map(str))

@@ -520,6 +520,18 @@ class TestSweep:
             assert replace(cfg, gains=None) == replace(
                 base, control_cycle=cycle, seed=cfg.seed)
 
+    @pytest.mark.parametrize("path, values, tunings", [
+        ("mac.extra_delay", [0.0, 0.008, 0.012], 1),
+        ("scenario.control_cycle", [0.005, 0.01, 0.005], 2)])
+    def test_each_distinct_cycle_is_tuned_once(self, monkeypatch, path, values,
+                                               tunings):
+        calls = []
+        tune = sim.tune_default_gains
+        monkeypatch.setattr(sim, "tune_default_gains",
+                            lambda *args: calls.append(args) or tune(*args))
+        run_sweep(gallop_scenario(episode_duration=0.1), path, values, 3)
+        assert len(calls) == tunings
+
     def test_untunable_grid_rejected_before_any_episode(self, monkeypatch):
         episodes = []
         run = sim.run_episode

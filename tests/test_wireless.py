@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from telebalance.wireless import (
@@ -18,7 +18,6 @@ from telebalance.wireless import (
     MacConfig,
     RobotClock,
     build_superframe,
-    hop_channel,
     transmit,
 )
 
@@ -42,7 +41,7 @@ class TestSuperframe:
         assert sf.span_ns == 2_000_000
         assert sf.slots[0].direction == FORWARD
         assert sf.slots[1].direction == FEEDBACK
-        assert sf.slots[0].band != sf.slots[1].band
+        assert gallop_cfg().channel_base == {FORWARD: 0, FEEDBACK: 37}
 
     def test_forward_only_degenerate_layout(self):
         sf = build_superframe(gallop_cfg(slots_per_superframe=1))
@@ -62,6 +61,25 @@ class TestSuperframe:
         with pytest.raises(ValueError, match="slot 1"):
             gallop_cfg(custom_slots=(
                 (FORWARD, 0.0, 1e-3, 0), (FEEDBACK, 1e-3, 1e-3, 0)))
+
+    def test_slot_starting_before_the_superframe_rejected_naming_it(self):
+        # with a 1 ms span, a forward frame ready at 5.5 ms would go out in
+        # the slot that ends at 5.0 ms
+        with pytest.raises(ValueError, match="slot 0 starts before the superframe"):
+            gallop_cfg(custom_slots=(
+                (FORWARD, -2e-3, 1e-3, 0), (FEEDBACK, 0.0, 1e-3, 1)))
+
+    def test_slot_not_longer_than_the_guard_rejected_naming_it(self):
+        # a frame admitted slot_guard late would be delivered at or before
+        # its ready time: with a 0.1 ms guard, a 50 us slot admits a frame
+        # ready at 80 us
+        for dur in (5e-5, 1e-4):
+            with pytest.raises(ValueError, match="slot 0 duration must exceed "
+                                                 "slot_guard"):
+                gallop_cfg(custom_slots=(
+                    (FORWARD, 0.0, dur, 0), (FEEDBACK, 1e-3, 1e-3, 1)))
+        gallop_cfg(custom_slots=(
+            (FORWARD, 0.0, 1.01e-4, 0), (FEEDBACK, 1e-3, 1e-3, 1)))
 
     def test_overlapping_slots_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -96,24 +114,37 @@ class TestSuperframe:
                     assert e1 <= s2 or e2 <= s1
 
 
+def hops(cfg, direction, readies):
+    """(channel_used, slot_index) of a lossless transmit at each ready time."""
+    proc, rng, jit = ChannelProcess(LOSSLESS), np.random.default_rng(0), \
+        np.random.default_rng(1)
+    return [transmit(cfg, proc, direction, t, rng, jit)[1:] for t in readies]
+
+
 class TestHopping:
     def test_hop_examples(self):
-        cfg = gallop_cfg()
-        assert hop_channel(cfg, 0) == 0
-        assert hop_channel(cfg, 1) == 7
+        # the direction's base plus (index * increment) mod channel_count
+        assert hops(gallop_cfg(), FORWARD, [0, 2_000_000]) == [(0, 0), (14, 2)]
+        assert hops(gallop_cfg(), FEEDBACK, [0]) == [(37 + 7, 1)]
+        # BLE numbers both directions from 0; ready at 0 goes out at event 1
+        assert hops(ble_cfg(), FEEDBACK, [0]) == [(7, 1)]
 
     def test_consecutive_slots_cover_all_channels(self):
-        cfg = gallop_cfg()
-        used = sorted(hop_channel(cfg, i) for i in range(37))
-        assert used == list(range(37))
+        # one slot a superframe: frames in 37 consecutive slots, or events
+        for cfg, period in ((gallop_cfg(slots_per_superframe=1), 1_000_000),
+                            (ble_cfg(), 7_500_000)):
+            used = sorted(ch for ch, _ in hops(cfg, FORWARD,
+                                               [k * period for k in range(37)]))
+            assert used == list(range(37))
 
     @settings(max_examples=60, deadline=None)
     @given(count=st.integers(3, 101), start=st.integers(0, 10**6))
     def test_coverage_for_any_coprime_increment(self, count, start):
         inc = next(i for i in range(7, 7 + count) if math.gcd(i, count) == 1)
-        cfg = gallop_cfg(channel_count=count, hop_increment=inc)
-        used = {hop_channel(cfg, start + i) for i in range(count)}
-        assert used == set(range(count))
+        cfg = gallop_cfg(channel_count=count, hop_increment=inc,
+                         slots_per_superframe=1)
+        readies = [(start + i) * 1_000_000 for i in range(count)]
+        assert {ch for ch, _ in hops(cfg, FORWARD, readies)} == set(range(count))
 
     def test_clock_that_stops_or_runs_backwards_rejected(self):
         for drift_ppm in (-1e6, -2e6):
@@ -241,15 +272,17 @@ class TestGallopSlotTable:
 
     @settings(max_examples=200, deadline=None)
     @given(layout=slot_layouts(),
-           guard=st.sampled_from([0.0, 1e-6, 5e-5, 1e-4, 9e-4]),
+           guard_frac=st.sampled_from([0.0, 0.001, 0.05, 0.1, 0.9, 0.999]),
            hop=st.sampled_from([(37, 7), (5, 2), (1, 1)]),
            extra=st.sampled_from([0.0, 3e-3]),
            readies=st.lists(frame_readies, min_size=1, max_size=6),
            seed=st.integers(0, 2**16),
            model=st.sampled_from([LOSSY, LOSSLESS]))
-    def test_transmit_matches_brute_force_slot_search(self, layout, guard, hop,
-                                                      extra, readies, seed,
+    def test_transmit_matches_brute_force_slot_search(self, layout, guard_frac,
+                                                      hop, extra, readies, seed,
                                                       model):
+        # a guard below the layout's shortest slot, down to 0
+        guard = math.floor(guard_frac * min(d for _, _, d, _ in layout) * 1e9) * 1e-9
         count, increment = hop
         cfg = gallop_cfg(custom_slots=layout, slot_guard=guard,
                          channel_count=count, hop_increment=increment,
@@ -284,6 +317,57 @@ class TestGallopSlotTable:
     ])
     def test_lossless_when_no_draw_can_lose(self, model, lossless):
         assert ChannelProcess(model).lossless is lossless
+
+
+@st.composite
+def free_links(draw) -> dict:
+    """MacConfig keywords of any variant, with a free custom layout (slots
+    may start before 0 or be shorter than the guard), guard, delay and
+    jitter; construction may reject them."""
+    kw = dict(variant=draw(st.sampled_from([GALLOP, BLE, IDEAL])),
+              slot_guard=draw(st.sampled_from([0.0, 1e-6, 5e-5, 1e-4, 9e-4])),
+              extra_delay=draw(st.sampled_from([0.0, 1e-9, 3e-3])),
+              ble_jitter_max=draw(st.sampled_from([0.0, 2e-3, 0.02])))
+    if kw["variant"] == GALLOP and draw(st.booleans()):
+        slots, t_us = [], draw(st.integers(-500, 500))
+        for _ in range(draw(st.integers(1, 4))):
+            direction = draw(st.sampled_from([FORWARD, FEEDBACK]))
+            dur_us = draw(st.integers(1, 1000))
+            slots.append((direction, t_us * 1e-6, dur_us * 1e-6,
+                          0 if direction == FORWARD else 1))
+            t_us += dur_us + draw(st.integers(0, 300))
+        kw["custom_slots"] = tuple(slots)
+    return kw
+
+
+class TestDeliveryAfterReady:
+    @settings(max_examples=300, deadline=None)
+    @given(kw=free_links(),
+           readies=st.lists(st.one_of(st.integers(0, 200_000),
+                                      st.integers(0, 20_000_000)),
+                            min_size=1, max_size=8),
+           seed=st.integers(0, 2**16),
+           model=st.sampled_from([LOSSLESS, TestGallopSlotTable.LOSSY]))
+    # a slot that starts before the superframe, and one no longer than the
+    # 0.1 ms guard
+    @example(kw=dict(custom_slots=((FORWARD, -2e-3, 1e-3, 0),
+                                   (FEEDBACK, 0.0, 1e-3, 1))),
+             readies=[5_500_000], seed=0, model=LOSSLESS)
+    @example(kw=dict(custom_slots=((FORWARD, 0.0, 5e-5, 0),
+                                   (FEEDBACK, 1e-3, 1e-3, 1))),
+             readies=[80_000, 100_000], seed=0, model=LOSSLESS)
+    def test_every_frame_arrives_after_it_was_ready(self, kw, readies, seed,
+                                                    model):
+        try:
+            cfg = MacConfig(**kw)
+        except ValueError:
+            reject()
+        proc = ChannelProcess(model)
+        loss_rng, jitter_rng = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+        for direction in (FORWARD, FEEDBACK):
+            for ready in readies:
+                out = transmit(cfg, proc, direction, ready, loss_rng, jitter_rng)
+                assert out.deliver_ns is None or out.deliver_ns > ready
 
 
 class TestBleTransmit:
