@@ -42,9 +42,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    if len(args.scenario) < 2:
-        print("compare needs at least two --scenario files", file=sys.stderr)
-        return 2
     cfgs = [load_scenario(p) for p in args.scenario]
     results = compare_scenarios(cfgs, seeds=list(range(args.seeds)),
                                 workers=args.workers)

@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .control import DEFAULT_FILTER_ALPHA, DEFAULT_GAINS, ControllerGains
 from .plant import DEFAULT_FALL_THRESHOLD, PlantParams, SensorNoise, check_finite
-from .wireless import BLE, GALLOP, IDEAL, ChannelModel, MacConfig, _ns
+from .wireless import BLE, GALLOP, IDEAL, ChannelModel, MacConfig, _ns, check_channels_used
 
 # default IMU noise for scenarios; roughly a consumer-grade gyro (0.11 deg/s)
 # and accelerometer-derived tilt (0.29 deg)
@@ -82,13 +82,7 @@ class ScenarioConfig:
             raise ValueError("filter_alpha must be in [0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        # a loss floor on a channel the link never uses could not take effect
-        n, bases = self.mac.channel_count, dict.fromkeys(self.mac.channel_base.values())
-        for ch, _ in self.channel.per_channel_loss:
-            if bases and not any(b <= ch < b + n for b in bases):
-                used = " and ".join(f"{b}-{b + n - 1}" for b in bases)
-                raise ValueError(f"per_channel_loss channel {ch} is never used: "
-                                 f"{self.mac.variant} uses channels {used}")
+        check_channels_used(self.mac, (ch for ch, _ in self.channel.per_channel_loss))
         # compare names a file in --out, a CSV field and a quoted gnuplot
         # string after the label
         if not self.label or re.search(r"[/\\,'\"\x00-\x1f\x7f-\x9f]", self.label):

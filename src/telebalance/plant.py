@@ -19,10 +19,11 @@ Equations of motion come from the Lagrangian of the two-body system:
 with M11 = (m_b + m_w) r^2 + I_w, M12 = m_b r L cos(tilt),
 M22 = m_b L^2 + I_b, and Q_w = -Q_t = tau - b * (wheel_rate - tilt_rate)
 the net axle torque on the wheel (equal and opposite on the body).
-Integration is fixed-step RK4 (_rk4_span): the engine advances the plant
-to each event in whole 0.5 ms substeps plus one remainder substep up to
-the event time, and holds the five state variables (the four above plus
-the lagged motor torque) as raw floats. sample_sensors reads a noisy IMU
+Integration is fixed-step RK4 on raw floats: the four state variables
+plus the lagged motor torque. The advance rule: _rk4_span takes the plant
+over the span to the next event in whole SUBSTEP_NS (0.5 ms) substeps,
+then one remainder substep, and stops at the first substep that ends past
+the fall threshold, skipping the rest. sample_sensors reads a noisy IMU
 and the one wheel angle, floored to whole encoder counts.
 """
 
@@ -36,8 +37,7 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# RK4 substep the engine integrates with; a shorter remainder reaches each event
-SUBSTEP_S = 5.0e-4
+SUBSTEP_NS = 500_000  # RK4 substep, in the engine's whole-ns event time
 
 DEFAULT_FALL_THRESHOLD = 0.6  # rad
 
@@ -89,14 +89,18 @@ class PlantParams:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
         if self.motor_time_constant < 0 or self.viscous_friction < 0:
             raise ValueError("motor_time_constant and viscous_friction must be >= 0")
-        # explicit RK4 at SUBSTEP_S cannot follow a lag far shorter than that
-        if 0 < self.motor_time_constant < SUBSTEP_S:
+        # explicit RK4 at SUBSTEP_NS cannot follow a lag far shorter than that
+        if 0 < self.motor_time_constant < SUBSTEP_NS * 1e-9:
             raise ValueError(
                 f"motor_time_constant must be 0 (an instant motor) or at least "
-                f"{SUBSTEP_S * 1e3:g} ms, got {self.motor_time_constant!r} s")
-        # (m11, m12_coeff, m22, m_b g L), cached for the RK4 hot path
-        object.__setattr__(self, "_rk4_terms", _mass_terms(self) + (
-            self.body_mass * self.gravity * self.com_distance,))
+                f"{SUBSTEP_NS / 1e6:g} ms, got {self.motor_time_constant!r} s")
+        # (m11, m12_coeff, m22, m_b g L, m11 m22, b, 1 / tm or 0 for an
+        # instant motor), cached for the RK4 hot path
+        m11, m12c, m22 = _mass_terms(self)
+        tm = self.motor_time_constant
+        object.__setattr__(self, "_rk4_terms", (
+            m11, m12c, m22, self.body_mass * self.gravity * self.com_distance,
+            m11 * m22, self.viscous_friction, 1.0 / tm if tm > 0 else 0.0))
 
 
 @dataclass(frozen=True)
@@ -134,21 +138,14 @@ def _mass_terms(params: PlantParams) -> tuple[float, float, float]:
 
 
 def _rk4_span(th: float, w: float, phi: float, v: float, tau: float,
-              tau_cmd: float, params: PlantParams, h: float, n_steps: int,
+              tau_cmd: float, params: PlantParams, span_ns: int,
               fall_threshold: float = math.inf) -> tuple[float, float, float, float, float, int]:
-    """n_steps RK4 substeps of size h on raw floats; hot path.
-
-    Stops early once |tilt| exceeds fall_threshold. Returns the state
-    variables plus the number of substeps actually taken.
-    """
-    m11, m12c, m22, g_l = params._rk4_terms
-    m11_m22 = m11 * m22
-    b = params.viscous_friction
-    tm = params.motor_time_constant
-    inv_tm = 1.0 / tm if tm > 0 else 0.0
-    if tm <= 0:
+    """The advance rule above over span_ns: the state, then the substeps taken."""
+    m11, m12c, m22, g_l, m11_m22, b, inv_tm = params._rk4_terms
+    if not inv_tm:  # an instant motor
         tau = tau_cmd
     sin, cos = math.sin, math.cos
+    n_full, rem = divmod(span_ns, SUBSTEP_NS)
 
     # Each stage writes the derivative out inline, in one operation order
     # that every trace depends on (the tests hold it to a closure form):
@@ -157,70 +154,71 @@ def _rk4_span(th: float, w: float, phi: float, v: float, tau: float,
     #   w' = (m11 (g_l s - q) - m12 (q + m12c s w^2)) / det,
     #   v' = (m22 (q + m12c s w^2) - m12 (g_l s - q)) / det;
     # th' and phi' are the stage's own w and v.
-    half = 0.5 * h
-    sixth = h / 6.0
-    done = n_steps
-    for i in range(n_steps):
-        s = sin(th)
-        m12 = m12c * cos(th)
-        q = tau - b * (v - w)
-        rhs_w = q + m12c * s * w * w
-        rhs_t = g_l * s - q
-        det = m11_m22 - m12 * m12
-        b1 = (m11 * rhs_t - m12 * rhs_w) / det
-        d1 = (m22 * rhs_w - m12 * rhs_t) / det
-        e1 = (tau_cmd - tau) * inv_tm
+    done = 0
+    whole = (n_full, SUBSTEP_NS * 1e-9)
+    for n_steps, h in ((whole, (1, rem * 1e-9)) if rem else (whole,)):
+        half, sixth = 0.5 * h, h / 6.0
+        for i in range(n_steps):
+            s = sin(th)
+            m12 = m12c * cos(th)
+            q = tau - b * (v - w)
+            rhs_w = q + m12c * s * w * w
+            rhs_t = g_l * s - q
+            det = m11_m22 - m12 * m12
+            b1 = (m11 * rhs_t - m12 * rhs_w) / det
+            d1 = (m22 * rhs_w - m12 * rhs_t) / det
+            e1 = (tau_cmd - tau) * inv_tm
 
-        th2 = th + half * w
-        w2 = w + half * b1
-        v2 = v + half * d1
-        tau2 = tau + half * e1
-        s = sin(th2)
-        m12 = m12c * cos(th2)
-        q = tau2 - b * (v2 - w2)
-        rhs_w = q + m12c * s * w2 * w2
-        rhs_t = g_l * s - q
-        det = m11_m22 - m12 * m12
-        b2 = (m11 * rhs_t - m12 * rhs_w) / det
-        d2 = (m22 * rhs_w - m12 * rhs_t) / det
-        e2 = (tau_cmd - tau2) * inv_tm
+            th2 = th + half * w
+            w2 = w + half * b1
+            v2 = v + half * d1
+            tau2 = tau + half * e1
+            s = sin(th2)
+            m12 = m12c * cos(th2)
+            q = tau2 - b * (v2 - w2)
+            rhs_w = q + m12c * s * w2 * w2
+            rhs_t = g_l * s - q
+            det = m11_m22 - m12 * m12
+            b2 = (m11 * rhs_t - m12 * rhs_w) / det
+            d2 = (m22 * rhs_w - m12 * rhs_t) / det
+            e2 = (tau_cmd - tau2) * inv_tm
 
-        th3 = th + half * w2
-        w3 = w + half * b2
-        v3 = v + half * d2
-        tau3 = tau + half * e2
-        s = sin(th3)
-        m12 = m12c * cos(th3)
-        q = tau3 - b * (v3 - w3)
-        rhs_w = q + m12c * s * w3 * w3
-        rhs_t = g_l * s - q
-        det = m11_m22 - m12 * m12
-        b3 = (m11 * rhs_t - m12 * rhs_w) / det
-        d3 = (m22 * rhs_w - m12 * rhs_t) / det
-        e3 = (tau_cmd - tau3) * inv_tm
+            th3 = th + half * w2
+            w3 = w + half * b2
+            v3 = v + half * d2
+            tau3 = tau + half * e2
+            s = sin(th3)
+            m12 = m12c * cos(th3)
+            q = tau3 - b * (v3 - w3)
+            rhs_w = q + m12c * s * w3 * w3
+            rhs_t = g_l * s - q
+            det = m11_m22 - m12 * m12
+            b3 = (m11 * rhs_t - m12 * rhs_w) / det
+            d3 = (m22 * rhs_w - m12 * rhs_t) / det
+            e3 = (tau_cmd - tau3) * inv_tm
 
-        th4 = th + h * w3
-        w4 = w + h * b3
-        v4 = v + h * d3
-        tau4 = tau + h * e3
-        s = sin(th4)
-        m12 = m12c * cos(th4)
-        q = tau4 - b * (v4 - w4)
-        rhs_w = q + m12c * s * w4 * w4
-        rhs_t = g_l * s - q
-        det = m11_m22 - m12 * m12
-        b4 = (m11 * rhs_t - m12 * rhs_w) / det
-        d4 = (m22 * rhs_w - m12 * rhs_t) / det
-        e4 = (tau_cmd - tau4) * inv_tm
+            th4 = th + h * w3
+            w4 = w + h * b3
+            v4 = v + h * d3
+            tau4 = tau + h * e3
+            s = sin(th4)
+            m12 = m12c * cos(th4)
+            q = tau4 - b * (v4 - w4)
+            rhs_w = q + m12c * s * w4 * w4
+            rhs_t = g_l * s - q
+            det = m11_m22 - m12 * m12
+            b4 = (m11 * rhs_t - m12 * rhs_w) / det
+            d4 = (m22 * rhs_w - m12 * rhs_t) / det
+            e4 = (tau_cmd - tau4) * inv_tm
 
-        th += sixth * (w + 2.0 * (w2 + w3) + w4)
-        w += sixth * (b1 + 2.0 * (b2 + b3) + b4)
-        phi += sixth * (v + 2.0 * (v2 + v3) + v4)
-        v += sixth * (d1 + 2.0 * (d2 + d3) + d4)
-        tau += sixth * (e1 + 2.0 * (e2 + e3) + e4)
-        if th > fall_threshold or -th > fall_threshold:
-            done = i + 1
-            break
+            th += sixth * (w + 2.0 * (w2 + w3) + w4)
+            w += sixth * (b1 + 2.0 * (b2 + b3) + b4)
+            phi += sixth * (v + 2.0 * (v2 + v3) + v4)
+            v += sixth * (d1 + 2.0 * (d2 + d3) + d4)
+            tau += sixth * (e1 + 2.0 * (e2 + e3) + e4)
+            if th > fall_threshold or -th > fall_threshold:
+                return th, w, phi, v, tau, done + i + 1
+        done += n_steps
     return th, w, phi, v, tau, done
 
 

@@ -5,8 +5,8 @@ One episode is a strictly sequential event loop over a single heap of
 (time_ns, insertion_seq) ordered events; ties resolve by insertion order,
 and the episode's end comes last at its time, so a (config, seed) pair
 fully determines the run. Event timestamps are integer nanoseconds; the
-plant integrates up to each event in whole 0.5 ms substeps plus one
-remainder substep, under a zero-order-hold torque. The cycle table holds
+plant advances to each event by one plant._rk4_span call (the advance rule
+is in plant.py), under a zero-order-hold torque. The cycle table holds
 each cycle from its sample on: the sample while its frames are in flight,
 its CycleRecord once it closes. The trace is the closed records, in
 sample order.
@@ -45,7 +45,7 @@ from .control import (
     estimate_tilt,
     tune_default_gains,
 )
-from .plant import SUBSTEP_S, _rk4_span, sample_sensors
+from .plant import SUBSTEP_NS, _rk4_span, sample_sensors
 from .wireless import (
     FEEDBACK,
     FORWARD,
@@ -55,7 +55,6 @@ from .wireless import (
     transmit,
 )
 
-SUBSTEP_NS = _ns(SUBSTEP_S)
 DEG = 180.0 / math.pi
 NAN = float("nan")
 
@@ -153,7 +152,6 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     plant_ns = 0
     fall_ns: int | None = None
     thr = cfg.fall_threshold
-    h_sub = SUBSTEP_NS * 1e-9
     tau_max = params.motor_max_torque
 
     clock = RobotClock(cfg.mac, rng_sync)
@@ -207,19 +205,13 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             if t_ns == end_ns:
                 continue  # its cycle could not close within the episode
         if t_ns > plant_ns:
-            # whole substeps, then a remainder substep unless they fell
-            n_full, rem = divmod(t_ns - plant_ns, SUBSTEP_NS)
-            if n_full:
-                th, w, phi, v, tau, done = _rk4_span(
-                    th, w, phi, v, tau, torque, params, h_sub, n_full, thr)
-                plant_ns += done * SUBSTEP_NS
-            if rem and not (n_full and abs(th) > thr):
-                th, w, phi, v, tau, _ = _rk4_span(
-                    th, w, phi, v, tau, torque, params, rem * 1e-9, 1, thr)
-                plant_ns += rem
+            th, w, phi, v, tau, done = _rk4_span(
+                th, w, phi, v, tau, torque, params, t_ns - plant_ns, thr)
             if abs(th) > thr:
-                fall_ns = plant_ns
+                # a fall in the remainder substep lands at the span's end
+                fall_ns = min(plant_ns + done * SUBSTEP_NS, t_ns)
                 break
+            plant_ns = t_ns
 
         if kind == "sample":
             last_sample_ns = t_ns

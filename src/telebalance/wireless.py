@@ -351,6 +351,25 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
     return tuple.__new__(DeliveryOutcome, (None, ch, index))
 
 
+def check_channels_used(cfg: MacConfig, channels) -> None:
+    """Reject a loss floor on a channel transmit never uses. By its channel
+    law, a direction at slot positions P of an n-slot superframe (BLE: one
+    slot, both directions at base 0) uses base + j, 0 <= j < channel_count,
+    exactly when j % g is in {p * hop_increment % g for p in P}, with
+    g = gcd(n, channel_count). The ideal link uses none, so takes any floor."""
+    n, sf = cfg.channel_count, cfg.superframe
+    g = math.gcd(len(sf.slots), n) if sf else 1
+    used = {base: {p * cfg.hop_increment % g
+                   for _, _, p in (sf.by_direction[d] if sf else ((0, 0, 0),))}
+            for d, base in cfg.channel_base.items()}
+    for ch in channels:
+        if used and not any(0 <= ch - b < n and (ch - b) % g in r for b, r in used.items()):
+            ranges = " and ".join(f"{b}-{b + n - 1}" + f" (offset % {g} in {sorted(r)})"
+                                  * (g > 1) for b, r in used.items() if r)
+            raise ValueError(f"per_channel_loss channel {ch} is never used: "
+                             f"{cfg.variant} uses channels {ranges}")
+
+
 class RobotClock:
     """Local sampling clock: local(t) = t + offset + drift * (t - t_sync).
 

@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 
+from telebalance.plant import SUBSTEP_NS
+
 
 def expm_taylor(M: np.ndarray, order: int = 40) -> np.ndarray:
     """exp(M) by truncated series; scaled and squared for convergence."""
@@ -98,10 +100,12 @@ def linear_fall_time(A: np.ndarray, x0: np.ndarray, threshold: float,
     raise AssertionError("linear model never crossed the fall threshold")
 
 
-def rk4_span_closure(th, w, phi, v, tau, tau_cmd, params, h, n_steps,
+def rk4_span_closure(th, w, phi, v, tau, tau_cmd, params, span_ns,
                      fall_threshold=math.inf):
-    """plant._rk4_span written with a derivative closure, same operand order."""
-    m11, m12c, m22, g_l = params._rk4_terms
+    """plant._rk4_span written with a derivative closure, same operand
+    order: the whole substeps, then the remainder one unless a fall came
+    first."""
+    m11, m12c, m22, g_l = params._rk4_terms[:4]
     b = params.viscous_friction
     tm = params.motor_time_constant
     inv_tm = 1.0 / tm if tm > 0 else 0.0
@@ -118,8 +122,10 @@ def rk4_span_closure(th, w, phi, v, tau, tau_cmd, params, h, n_steps,
         return (w_, (m11 * rhs_t - m12 * rhs_w) / det, v_,
                 (m22 * rhs_w - m12 * rhs_t) / det, (tau_cmd - tau_) * inv_tm)
 
-    half, sixth = 0.5 * h, h / 6.0
-    for i in range(n_steps):
+    n_full, rem = divmod(span_ns, SUBSTEP_NS)
+    steps = [SUBSTEP_NS * 1e-9] * n_full + ([rem * 1e-9] if rem else [])
+    for i, h in enumerate(steps):
+        half, sixth = 0.5 * h, h / 6.0
         a1, b1, c1, d1, e1 = deriv(th, w, v, tau)
         a2, b2, c2, d2, e2 = deriv(th + half * a1, w + half * b1,
                                    v + half * d1, tau + half * e1)
@@ -134,7 +140,7 @@ def rk4_span_closure(th, w, phi, v, tau, tau_cmd, params, h, n_steps,
         tau += sixth * (e1 + 2.0 * (e2 + e3) + e4)
         if th > fall_threshold or -th > fall_threshold:
             return th, w, phi, v, tau, i + 1
-    return th, w, phi, v, tau, n_steps
+    return th, w, phi, v, tau, len(steps)
 
 
 def loop_matrix_rows(Ad: np.ndarray, Bd: np.ndarray, gains, cycle: float,

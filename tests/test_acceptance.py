@@ -97,7 +97,8 @@ def test_criterion_3_loop_budget_sweep():
     with criterion(3, "added-delay sweep"):
         base = gallop_scenario(episode_duration=20.0)
         grid = [0.0, 0.002, 0.005, 0.008, 0.012, 0.016]
-        points = run_sweep(base, "mac.extra_delay", grid, seeds_per_point=3)
+        points = run_sweep(base, "mac.extra_delay", grid, seeds_per_point=3,
+                           workers=2)
 
         assert points[0].fall_fraction == 0.0
         assert points[1].fall_fraction == 0.0  # 2 ms added delay still balances

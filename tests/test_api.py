@@ -101,7 +101,7 @@ LAYER_COUNTS = {
     "gallop_default.cfg": ({"_rk4_span": 1000, "transmit": 1000,
                             "sample_sensors": 500, "estimate_tilt": 500,
                             "compute_command": 500}, 2000, 500),
-    "ble_default.cfg": ({"_rk4_span": 681, "transmit": 267,
+    "ble_default.cfg": ({"_rk4_span": 399, "transmit": 267,
                          "sample_sensors": 134, "estimate_tilt": 133,
                          "compute_command": 133}, 2232, 132),
 }

@@ -210,6 +210,19 @@ class TestCmdRun:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("channel", [1, 36])
+    def test_loss_floor_on_a_channel_the_hop_skips_exit_2_names_it(
+            self, tmp_path, capsys, channel):
+        # on 36 channels the 2-slot gallop link hops over every other one
+        cfg = write_cfg(tmp_path, GALLOP_SHORT + "channel_count = 36\n"
+                        f"\n[loss]\nper_channel = 0:0.1, {channel}:1.0\n")
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"per_channel_loss channel {channel} is never used" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_clock_a_million_times_fast_exit_2(self, tmp_path, capsys, monkeypatch):
         # rejected as the config loads: an episode at this drift would not finish
         def no_episode(cfg):
@@ -318,8 +331,10 @@ class TestCmdCompare:
 
     def test_single_scenario_usage_error(self, tmp_path, capsys):
         a = write_cfg(tmp_path, GALLOP_SHORT)
-        assert main(["compare", "--scenario", str(a), "--out",
-                     str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert main(["compare", "--scenario", str(a), "--out", str(out)]) == 2
+        assert "comparison needs at least 2 scenarios" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_seeds_usage_error(self, tmp_path):
         a = write_cfg(tmp_path, GALLOP_SHORT, "a.cfg")

@@ -166,6 +166,22 @@ def test_loss_floor_on_a_channel_the_link_uses_accepted(make, channel):
         == floors
 
 
+@pytest.mark.parametrize("channel, used", [(0, True), (37, True), (1, False),
+                                           (36, False)])
+def test_loss_floor_on_a_channel_the_hop_skips_rejected(channel, used):
+    # 36 channels and a 2-slot superframe share the factor 2: forward frames
+    # hop over 0, 2, ..., 34 only, feedback frames over 37, 39, ..., 71
+    mac = MacConfig(channel_count=36, hop_increment=7)
+    floors = ChannelModel(per_channel_loss=((channel, 0.5),))
+    if used:
+        assert gallop_scenario(mac=mac, channel=floors).channel == floors
+    else:
+        with pytest.raises(ValueError, match=(
+                f"per_channel_loss channel {channel} is never used: gallop uses "
+                r"channels 0-35 \(offset % 2 in \[0\]\) and 36-71 \(offset % 2 in \[1\]\)")):
+            gallop_scenario(mac=mac, channel=floors)
+
+
 def test_loss_floor_follows_the_gallop_bands():
     mac = MacConfig(forward_band=2, feedback_band=5, channel_count=5, hop_increment=2)
     gallop_scenario(mac=mac, channel=ChannelModel(per_channel_loss=((10, 0.5), (29, 0.5))))

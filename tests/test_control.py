@@ -25,7 +25,6 @@ from telebalance.control import (
 )
 from telebalance.config import ideal_scenario
 from telebalance.plant import (
-    SUBSTEP_S,
     TWO_PI,
     PlantParams,
     SensorFrame,
@@ -100,7 +99,7 @@ class TestEstimateTilt:
             cs, act = compute_command(cs, DEFAULT_GAINS, f, cycle, now=k * cycle)
             torque = act.motor_command * params.motor_max_torque
             th, w, phi, v, tau, _ = _rk4_span(th, w, phi, v, tau, torque, params,
-                                              SUBSTEP_S, round(cycle / SUBSTEP_S))
+                                              round(cycle * 1e9))
             if k * cycle > 1.0:
                 assert abs(cs.tilt_estimate - th) < 0.005
 

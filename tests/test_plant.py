@@ -9,7 +9,7 @@ from telebalance.cli import main
 from telebalance.config import ideal_scenario
 from telebalance.control import ControllerGains
 from telebalance.plant import (
-    SUBSTEP_S,
+    SUBSTEP_NS,
     TWO_PI,
     PlantParams,
     SensorNoise,
@@ -98,8 +98,8 @@ class TestLinearizedOracle:
 
         def one_step_error(scale):
             x0 = scale * direction
-            th, w, phi, v, _, _ = _rk4_span(*x0, 0.0, 0.0, params, SUBSTEP_S, 2)
-            x_lin = expm_taylor(A * 2 * SUBSTEP_S) @ x0
+            th, w, phi, v, _, _ = _rk4_span(*x0, 0.0, 0.0, params, 2 * SUBSTEP_NS)
+            x_lin = expm_taylor(A * 2 * SUBSTEP_NS / 1e9) @ x0
             return float(np.linalg.norm(np.array([th, w, phi, v]) - x_lin))
 
         err_small = one_step_error(0.01)
@@ -124,14 +124,17 @@ class TestRk4Kernel:
     @given(x=st.tuples(st.floats(-0.7, 0.7), st.floats(-20.0, 20.0),
                        st.floats(-100.0, 100.0), st.floats(-200.0, 200.0),
                        st.floats(-0.1, 0.1)),
-           tau_cmd=st.floats(-0.1, 0.1), h=st.floats(1e-9, 5e-4),
-           n_steps=st.integers(1, 5),
+           tau_cmd=st.floats(-0.1, 0.1),
+           # spans below, at and across whole substeps
+           span_ns=st.one_of(st.integers(1, SUBSTEP_NS - 1),
+                             st.integers(1, 5).map(lambda n: n * SUBSTEP_NS),
+                             st.integers(SUBSTEP_NS + 1, 5 * SUBSTEP_NS)),
            tm=st.sampled_from([0.0, 0.01]), friction=st.sampled_from([0.0, 1e-5, 1e-3]),
            fall_threshold=st.sampled_from([0.1, 0.6, math.inf]))
     def test_unrolled_kernel_gives_the_closure_forms_floats(
-            self, x, tau_cmd, h, n_steps, tm, friction, fall_threshold):
+            self, x, tau_cmd, span_ns, tm, friction, fall_threshold):
         params = PlantParams(motor_time_constant=tm, viscous_friction=friction)
-        args = (*x, tau_cmd, params, h, n_steps, fall_threshold)
+        args = (*x, tau_cmd, params, span_ns, fall_threshold)
         assert _rk4_span(*args) == rk4_span_closure(*args)
 
 
@@ -152,8 +155,8 @@ class TestEnergyAndSymmetry:
            tau_cmd=st.floats(-0.1, 0.1), n_steps=st.integers(1, 400))
     def test_trajectory_is_odd_symmetric(self, x, tau_cmd, n_steps):
         params = PlantParams()
-        pos = _rk4_span(*x, tau_cmd, params, SUBSTEP_S, n_steps)
-        neg = _rk4_span(*(-c for c in x), -tau_cmd, params, SUBSTEP_S, n_steps)
+        pos = _rk4_span(*x, tau_cmd, params, n_steps * SUBSTEP_NS)
+        neg = _rk4_span(*(-c for c in x), -tau_cmd, params, n_steps * SUBSTEP_NS)
         assert neg[:5] == tuple(-c for c in pos[:5])
         assert neg[5] == pos[5] == n_steps
 
@@ -163,8 +166,8 @@ class TestMotor:
         # first-order lag toward the limit: tau(t) = tau_max * (1 - exp(-t/tm))
         tau_max = params.motor_max_torque
         *_, tau, _ = _rk4_span(0.0, 0.0, 0.0, 0.0, 0.0, tau_max, params,
-                               SUBSTEP_S, 4)
-        expected = tau_max * (1 - math.exp(-4 * SUBSTEP_S / 0.01))
+                               4 * SUBSTEP_NS)
+        expected = tau_max * (1 - math.exp(-4 * SUBSTEP_NS / 1e9 / 0.01))
         assert tau == pytest.approx(expected, rel=1e-6)
 
     def test_command_limit_beyond_the_motor_limit_rejected(self, tmp_path,
@@ -183,7 +186,7 @@ class TestMotor:
 
     def test_zero_time_constant_is_instant(self):
         params = PlantParams(motor_time_constant=0.0)
-        *_, tau, _ = _rk4_span(0.0, 0.0, 0.0, 0.0, 0.0, 0.03, params, SUBSTEP_S, 2)
+        *_, tau, _ = _rk4_span(0.0, 0.0, 0.0, 0.0, 0.0, 0.03, params, 2 * SUBSTEP_NS)
         assert tau == 0.03
 
 

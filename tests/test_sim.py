@@ -194,6 +194,24 @@ class TestRunEpisode:
         assert len(trace.records) == 55  # the sample at the fall is not taken
         assert m.balanced_duration == 0.275
 
+    @pytest.mark.parametrize("seed, fall_time, records, counters", [
+        # the jittered span ends in a 143 106 ns remainder substep: the fall
+        # is caught there, at the span's end
+        (19, 0.721143106, 94, (97, 97, 0, 95, 95, 0)),
+        # the fall is caught in whole substep 9 of the span's 11, so its
+        # remainder substep never runs
+        (0, 0.726320157, 95, (97, 97, 0, 96, 96, 0))])
+    def test_ble_fall_inside_a_jittered_span(self, seed, fall_time, records,
+                                             counters):
+        trace, _ = run_episode(ble_scenario(
+            initial_tilt=math.radians(1), episode_duration=3.0,
+            gains=ControllerGains(kp_tilt=0.5, kd_tilt=0.05), seed=seed))
+        assert trace.fall_time == fall_time
+        assert len(trace.records) == records
+        assert (trace.forward_sent, trace.forward_delivered, trace.forward_lost,
+                trace.feedback_sent, trace.feedback_delivered,
+                trace.feedback_lost) == counters
+
     def test_every_cycle_dropped(self):
         trace, m = run_episode(gallop_scenario(
             channel=ChannelModel(default_loss=1.0), episode_duration=2.0))

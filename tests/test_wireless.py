@@ -18,6 +18,7 @@ from telebalance.wireless import (
     MacConfig,
     RobotClock,
     build_superframe,
+    check_channels_used,
     transmit,
 )
 
@@ -145,6 +146,29 @@ class TestHopping:
                          slots_per_superframe=1)
         readies = [(start + i) * 1_000_000 for i in range(count)]
         assert {ch for ch, _ in hops(cfg, FORWARD, readies)} == set(range(count))
+
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.integers(1, 12), inc=st.integers(1, 12),
+           forward=st.lists(st.booleans(), min_size=1, max_size=6))
+    def test_channel_rule_accepts_exactly_the_channels_transmit_uses(
+            self, count, inc, forward):
+        inc = next(i for i in range(inc, inc + count + 1) if math.gcd(i, count) == 1)
+        n = len(forward)
+        cfg = gallop_cfg(channel_count=count, hop_increment=inc, custom_slots=tuple(
+            (FORWARD, i * 1e-3, 1e-3, 0) if fwd else (FEEDBACK, i * 1e-3, 1e-3, 1)
+            for i, fwd in enumerate(forward)))
+        # a frame ready at each slot start over count superframes meets every
+        # (superframe mod count, slot) pair, so every channel the law reaches
+        readies = [k * 1_000_000 for k in range(n * count)]
+        used = {ch for d in (FORWARD, FEEDBACK) for ch, _ in hops(cfg, d, readies)}
+        accepted = set()
+        for ch in range(-1, 2 * count + 1):
+            try:
+                check_channels_used(cfg, [ch])
+                accepted.add(ch)
+            except ValueError:
+                pass
+        assert accepted == used - {None}
 
     def test_clock_that_stops_or_runs_backwards_rejected(self):
         for drift_ppm in (-1e6, -2e6):
