@@ -40,7 +40,7 @@ from .wireless import BLE, GALLOP, IDEAL, ChannelModel, MacConfig, _ns, check_ch
 # and accelerometer-derived tilt (0.29 deg)
 DEFAULT_NOISE = SensorNoise(gyro_noise_std=0.002, accel_noise_std=0.005)
 
-# the engine keeps one record per cycle: 10**6 cycles is about 300 MB
+# the engine keeps one record per cycle (10**6 are about 300 MB), one event per sync
 MAX_CYCLES = 10**6
 
 
@@ -72,17 +72,18 @@ class ScenarioConfig:
         if not _ns(self.resolved_cycle()) > 0:
             raise ValueError("control_cycle must be at least 1 ns, "
                              f"got {self.resolved_cycle()!r} s")
-        cycles = self.episode_duration / self.resolved_cycle()
-        if cycles > MAX_CYCLES:
-            raise ValueError(f"episode_duration / control_cycle must be at most "
-                             f"{MAX_CYCLES} cycles, got {cycles:.6g}")
+        for key, period, unit in (("control_cycle", self.resolved_cycle(), "cycles"),
+                                  ("sync_epoch_period", self.mac.sync_epoch_period, "syncs")):
+            if (count := self.episode_duration / period) > MAX_CYCLES:
+                raise ValueError(f"episode_duration / {key} must be at most "
+                                 f"{MAX_CYCLES} {unit}, got {count:.6g}")
         if not self.fall_threshold > 0:
             raise ValueError("fall_threshold must be positive")
         if not 0.0 <= self.filter_alpha <= 1.0:
             raise ValueError("filter_alpha must be in [0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        check_channels_used(self.mac, (ch for ch, _ in self.channel.per_channel_loss))
+        check_channels_used(self.mac, (ch for ch, _ in self.channel.per_channel))
         # compare names a file in --out, a CSV field and a quoted gnuplot
         # string after the label
         if not self.label or re.search(r"[/\\,'\"\x00-\x1f\x7f-\x9f]", self.label):
@@ -90,29 +91,23 @@ class ScenarioConfig:
                              f"control characters, got {self.label!r}")
 
 
-def _ideal_sync_mac(**overrides) -> MacConfig:
-    overrides.setdefault("clock_drift_ppm", 0.0)
-    overrides.setdefault("sync_error_bound", 0.0)
-    return MacConfig(**overrides)
-
-
 def gallop_scenario(**overrides) -> ScenarioConfig:
     """Deterministic-link default scenario (idealized clock sync)."""
-    overrides.setdefault("mac", _ideal_sync_mac(variant=GALLOP))
+    overrides.setdefault("mac", MacConfig(variant=GALLOP))
     overrides.setdefault("label", "gallop")
     return ScenarioConfig(**overrides)
 
 
 def ble_scenario(**overrides) -> ScenarioConfig:
     """Connection-interval baseline scenario (idealized clock sync)."""
-    overrides.setdefault("mac", _ideal_sync_mac(variant=BLE))
+    overrides.setdefault("mac", MacConfig(variant=BLE))
     overrides.setdefault("label", "ble")
     return ScenarioConfig(**overrides)
 
 
 def ideal_scenario(**overrides) -> ScenarioConfig:
     """Pass-through link: zero latency and loss, isolates the control loop."""
-    overrides.setdefault("mac", _ideal_sync_mac(variant=IDEAL))
+    overrides.setdefault("mac", MacConfig(variant=IDEAL))
     overrides.setdefault("label", "ideal")
     return ScenarioConfig(**overrides)
 
@@ -156,16 +151,16 @@ def parse_quantity(kind: str, text: str, bare_is_base: bool = False) -> float | 
 
 
 def parse_slots(text: str) -> tuple:
-    """Custom TDMA layout: 'direction, start, duration, band; ...'."""
+    """Custom TDMA layout: 'direction, start, duration; ...'."""
     slots = []
     for entry in text.split(";"):
         fields = [f.strip() for f in entry.split(",")]
-        if len(fields) != 4:
+        if len(fields) != 3:
             raise ValueError(
-                f"slot entry {entry.strip()!r} needs 'direction, start, duration, band'")
-        direction, start, duration, band = fields
+                f"slot entry {entry.strip()!r} needs 'direction, start, duration'")
+        direction, start, duration = fields
         slots.append((direction, parse_quantity("duration", start),
-                      parse_quantity("duration", duration), int(band)))
+                      parse_quantity("duration", duration)))
     return tuple(slots)
 
 
@@ -183,10 +178,6 @@ def parse_per_channel(text: str) -> tuple:
 # kinds read by a parser of their own; every other kind is a UNITS quantity
 _PARSERS = {"text": str, "slots": parse_slots, "per_channel": parse_per_channel}
 
-# the keys whose field has another name; every other key sets its namesake
-_FIELDS = {"slots": "custom_slots", "per_channel": "per_channel_loss"}
-_KEYS = {field: key for key, field in _FIELDS.items()}
-
 # section -> the ScenarioConfig field it fills; [scenario] keys are
 # ScenarioConfig's own fields
 SECTIONS: dict[str, str | None] = {"scenario": None, "plant": "plant", "noise": "noise",
@@ -201,7 +192,7 @@ _KINDS = dict.fromkeys(
      "sync_epoch_period", "sync_error_bound", "ble_connection_interval",
      "ble_jitter_max", "slot_guard", "extra_delay"), "duration") | {
     "initial_tilt": "angle", "fall_threshold": "angle",
-    "custom_slots": "slots", "per_channel_loss": "per_channel"}
+    "slots": "slots", "per_channel": "per_channel"}
 _ANNOTATION_KINDS = {"int": "integer", "float": "number", "str": "text"}
 
 
@@ -214,9 +205,9 @@ def _section_fields(field: str | None) -> list:
     return [f for f in fields(DEFAULT_GAINS if default is None else default) if f.init]
 
 
-# section -> key -> kind, from the fields each section sets
+# section -> key -> kind, from the fields each section sets, each by its name
 SCHEMA: dict[str, dict[str, str]] = {
-    section: {_KEYS.get(f.name, f.name): _KINDS.get(f.name) or _ANNOTATION_KINDS[f.type]
+    section: {f.name: _KINDS.get(f.name) or _ANNOTATION_KINDS[f.type]
               for f in _section_fields(field)}
     for section, field in SECTIONS.items()}
 
@@ -310,7 +301,7 @@ def _read_sections(path: Path) -> dict[str, dict[str, object]]:
         seen.add((current, key))
         kind = SCHEMA[current][key]
         try:
-            sections[current][_FIELDS.get(key, key)] = _PARSERS[kind](value) \
+            sections[current][key] = _PARSERS[kind](value) \
                 if kind in _PARSERS else parse_quantity(kind, value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}",

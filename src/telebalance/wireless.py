@@ -55,26 +55,26 @@ def _ns(seconds: float) -> int:
 
 @dataclass(frozen=True)
 class MacConfig:
-    """Link parameters, checked when built. It also lays out the link's
+    """Link parameters, checked when built; the clock defaults to the
+    idealized sync (no drift, no sync error). It also lays out the link's
     rules once: the nominal cycle a scenario runs at unless it sets its own,
-    each direction's channel base, the fixed delays in whole ns and, for
+    each direction's channel base (gallop's FDD bands: forward from 0,
+    feedback from channel_count), the fixed delays in whole ns and, for
     gallop, the superframe from build_superframe."""
 
     variant: str = GALLOP
     slot_duration: float = 1e-3          # s
     slots_per_superframe: int = 2        # forward, feedback, alternating
-    forward_band: int = 0                # FDD band identifiers; must differ
-    feedback_band: int = 1
     channel_count: int = 37              # hop channels per band
     hop_increment: int = 7               # coprime with channel_count
     sync_epoch_period: float = 1.0       # s
-    sync_error_bound: float = 1e-6       # s
-    clock_drift_ppm: float = 20.0
+    sync_error_bound: float = 0.0        # s
+    clock_drift_ppm: float = 0.0
     ble_connection_interval: float = 0.0075  # s
     ble_jitter_max: float = 2e-3         # s
     slot_guard: float = 1e-4             # s, admission tolerance after slot start
     extra_delay: float = 0.0             # s, added to every delivery
-    custom_slots: tuple | None = None    # ((direction, start_s, duration_s, band), ...)
+    slots: tuple | None = None           # ((direction, start_s, duration_s), ...)
     superframe: Superframe | None = field(default=None, init=False, repr=False,
                                           compare=False)  # gallop only
     nominal_cycle: float = field(default=0.0, init=False, repr=False,
@@ -94,8 +94,6 @@ class MacConfig:
             raise ValueError("slot_duration must be at least 1 ns")
         if not 1 <= self.slots_per_superframe <= MAX_SLOTS:
             raise ValueError(f"slots_per_superframe must be in [1, {MAX_SLOTS}]")
-        if self.forward_band == self.feedback_band:
-            raise ValueError("forward and feedback bands must be disjoint (FDD)")
         if self.channel_count < 1 or self.hop_increment < 1:
             raise ValueError("channel_count and hop_increment must be >= 1")
         if math.gcd(self.hop_increment, self.channel_count) != 1:
@@ -121,9 +119,8 @@ class MacConfig:
         if self.variant == GALLOP:
             superframe = build_superframe(self)
             cycle = superframe.span_ns / 1e9
-            base = {FORWARD: self.forward_band * self.channel_count,
-                    FEEDBACK: self.feedback_band * self.channel_count}
-        elif self.custom_slots is not None:
+            base = {FORWARD: 0, FEEDBACK: self.channel_count}
+        elif self.slots is not None:
             raise ValueError(
                 f"slots apply only to the {GALLOP} variant, not {self.variant!r}")
         elif self.variant == BLE:
@@ -160,21 +157,19 @@ def build_superframe(cfg: MacConfig) -> Superframe:
     """TDMA layout for one communication cycle, checked and laid out in ns.
 
     Default: slots_per_superframe back-to-back slots of slot_duration,
-    alternating forward/feedback starting with forward, each on its FDD
-    band. The stock 2-slot layout spans 2 ms: one full cycle.
+    alternating forward/feedback starting with forward; cfg.slots gives
+    each slot's (direction, start_s, duration_s) instead. A slot's
+    direction picks its FDD band. The stock 2-slot layout spans 2 ms.
     """
-    if cfg.custom_slots is not None:
-        layout = [(direction, float(start), float(dur), int(band))
-                  for direction, start, dur, band in cfg.custom_slots]
+    if cfg.slots is not None:
+        layout = [(direction, float(start), float(dur))
+                  for direction, start, dur in cfg.slots]
     else:
-        layout = [(FORWARD, i * cfg.slot_duration, cfg.slot_duration, cfg.forward_band)
-                  if i % 2 == 0 else
-                  (FEEDBACK, i * cfg.slot_duration, cfg.slot_duration, cfg.feedback_band)
-                  for i in range(cfg.slots_per_superframe)]
+        layout = [(FEEDBACK if i % 2 else FORWARD, i * cfg.slot_duration,
+                   cfg.slot_duration) for i in range(cfg.slots_per_superframe)]
 
-    band_of = {FORWARD: cfg.forward_band, FEEDBACK: cfg.feedback_band}
     slots = []
-    for i, (direction, start, dur, band) in enumerate(layout):
+    for i, (direction, start, dur) in enumerate(layout):
         if direction not in (FORWARD, FEEDBACK):
             raise ValueError(f"slot {i} has unknown direction {direction!r}")
         if not (abs(start) <= MAX_MAGNITUDE and abs(dur) <= MAX_MAGNITUDE):
@@ -187,10 +182,6 @@ def build_superframe(cfg: MacConfig) -> Superframe:
         if _ns(dur) <= _ns(cfg.slot_guard):
             raise ValueError(f"slot {i} duration must exceed slot_guard "
                              f"({cfg.slot_guard!r} s), got {dur!r} s")
-        if band != band_of[direction]:
-            raise ValueError(
-                f"slot {i} ({direction}) assigned band {band}, expected "
-                f"{band_of[direction]} (FDD violation)")
         slots.append(Slot(_ns(start), _ns(start) + _ns(dur), direction))
     # by the seconds given: starts that round to one ns keep their order
     ordered = sorted(range(len(slots)), key=lambda i: layout[i][1])
@@ -217,7 +208,7 @@ class ChannelModel:
     """
 
     default_loss: float = 0.0
-    per_channel_loss: tuple[tuple[int, float], ...] = ()
+    per_channel: tuple[tuple[int, float], ...] = ()
     p_good_to_bad: float = 0.0
     p_bad_to_good: float = 1.0
     loss_good: float = 0.0
@@ -227,13 +218,13 @@ class ChannelModel:
         check_finite(self)
         probs = [self.default_loss, self.p_good_to_bad, self.p_bad_to_good,
                  self.loss_good, self.loss_bad]
-        probs += [p for _, p in self.per_channel_loss]
+        probs += [p for _, p in self.per_channel]
         if any(not 0.0 <= p <= 1.0 for p in probs):
             raise ValueError("all channel probabilities must be in [0, 1]")
-        channels = [ch for ch, _ in self.per_channel_loss]
+        channels = [ch for ch, _ in self.per_channel]
         for i, ch in enumerate(channels):
             if ch in channels[:i]:
-                raise ValueError(f"per_channel_loss lists channel {ch} twice")
+                raise ValueError(f"per_channel lists channel {ch} twice")
 
     def stationary_loss_rate(self) -> float:
         """Long-run Gilbert-Elliott loss rate (ignores the static floor)."""
@@ -258,7 +249,7 @@ class ChannelProcess:
         # channel -> (in the bad state, slot index of its last use)
         self._chain: dict[int, tuple[bool, int]] = {}
         # channel -> its static loss floor; default_loss for any other
-        self._static = dict(model.per_channel_loss)
+        self._static = dict(model.per_channel)
         # n-step law: P(state changes) = pi_other * (1 - (1 - s)^n)
         self._s = model.p_good_to_bad + model.p_bad_to_good
         self._pi_bad = model.p_good_to_bad / self._s if self._s else 0.0
@@ -366,7 +357,7 @@ def check_channels_used(cfg: MacConfig, channels) -> None:
         if used and not any(0 <= ch - b < n and (ch - b) % g in r for b, r in used.items()):
             ranges = " and ".join(f"{b}-{b + n - 1}" + f" (offset % {g} in {sorted(r)})"
                                   * (g > 1) for b, r in used.items() if r)
-            raise ValueError(f"per_channel_loss channel {ch} is never used: "
+            raise ValueError(f"per_channel channel {ch} is never used: "
                              f"{cfg.variant} uses channels {ranges}")
 
 

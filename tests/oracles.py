@@ -179,27 +179,30 @@ def loop_matrix_rows(Ad: np.ndarray, Bd: np.ndarray, gains, cycle: float,
     return M
 
 
-def gallop_slot_search(custom_slots, direction: str, ready_ns: int,
-                       guard_ns: int, band: int, channel_count: int,
+def gallop_slot_search(layout, direction: str, ready_ns: int,
+                       guard_ns: int, channel_count: int,
                        hop_increment: int, extra_ns: int, lost, rng):
     """Gallop delivery by brute force over slot occurrences.
 
-    custom_slots is the (direction, start_s, duration_s, band) layout. A
-    slot occurrence is admissible when it starts no earlier than
-    ready_ns - guard_ns; the frame tries the earliest admissible one of its
-    direction and every later one of that direction in the same superframe,
-    with one lost(channel, slot_index, rng) call per try. Returns
+    layout is the (direction, start_s, duration_s) slot list; forward
+    frames use FDD band 0 (channels 0 to channel_count - 1), feedback
+    frames band 1 (the next channel_count). A slot occurrence is
+    admissible when it starts no earlier than ready_ns - guard_ns; the
+    frame tries the earliest admissible one of its direction and every
+    later one of that direction in the same superframe, with one
+    lost(channel, slot_index, rng) call per try. Returns
     (deliver_ns, slot_index, channel_used), with None for what the outcome
     lacks.
     """
     slots = sorted(((round(start * 1e9), round(start * 1e9) + round(dur * 1e9), d)
-                    for d, start, dur, _ in custom_slots), key=lambda s: s[0])
+                    for d, start, dur in layout), key=lambda s: s[0])
     if all(d != direction for _, _, d in slots):
         return None, None, None
     span = max(end for _, end, _ in slots)
     n = len(slots)
     earliest = ready_ns - guard_ns
     tries = []
+    band = 0 if direction == "forward" else 1
     sf = math.floor(earliest / span) - 2   # safely before any admissible slot
     while not tries:
         tries = [(sf * n + pos, sf * span + end)

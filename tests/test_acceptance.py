@@ -190,7 +190,7 @@ def test_criterion_5_protocol_invariants():
 
         # clock offset bound at every sampled time, read through the
         # engine's local_to_true_ns (+1 ns for its rounding to whole ns)
-        mac = MacConfig(variant=GALLOP)
+        mac = MacConfig(variant=GALLOP, clock_drift_ppm=20.0, sync_error_bound=1e-6)
         clk = RobotClock(mac, np.random.default_rng(7))
         period_ns = round(mac.sync_epoch_period * 1e9)
         for epoch in range(100):

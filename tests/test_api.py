@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from telebalance import sim
+from telebalance import plant, sim
 from telebalance.config import SCHEMA, load_scenario, set_by_path
 
 README = Path(__file__).parent.parent / "README.md"
@@ -42,8 +42,23 @@ def test_readme_import_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
 
 
+def param_paths(text: str) -> list[str]:
+    """The sweep paths a text names. [plant] is the one section that shares
+    a module's name, so plant.py and a name of telebalance.plant
+    (plant._rk4_span) are not paths; any other plant.<word> is, a typo too."""
+    return sorted({path for path in PARAM_RE.findall(text)
+                   if not (path.startswith("plant.")
+                           and (path[6:] == "py" or hasattr(plant, path[6:])))})
+
+
 def documented_param_paths() -> list[str]:
-    return sorted(set(PARAM_RE.findall(README.read_text(encoding="utf-8"))))
+    return param_paths(README.read_text(encoding="utf-8"))
+
+
+def test_module_names_are_not_param_paths():
+    text = ("`plant.py` runs `plant._rk4_span`; sweep `plant.body_mas` or\n"
+            "--param mac.extra_delay, and `plant.body_mass`")
+    assert param_paths(text) == ["mac.extra_delay", "plant.body_mas", "plant.body_mass"]
 
 
 def test_readme_documents_section_paths():

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -125,9 +126,19 @@ class TestConfigParsing:
 
     def test_custom_slot_layout_parses(self, tmp_path):
         text = GALLOP_SHORT + \
-            "slots = forward, 0 ms, 1 ms, 0; feedback, 1 ms, 1 ms, 1\n"
+            "slots = forward, 0 ms, 1 ms; feedback, 1 ms, 1 ms\n"
         cfg = load_scenario(write_cfg(tmp_path, text))
-        assert len(cfg.mac.custom_slots) == 2
+        assert cfg.mac.slots == (("forward", 0.0, 1e-3), ("feedback", 1e-3, 1e-3))
+
+    def test_slot_with_a_band_exit_2_shows_the_three_field_form(self, tmp_path,
+                                                                 capsys):
+        # a slot's direction picks its band: the old fourth field is an error
+        cfg = write_cfg(tmp_path, GALLOP_SHORT +
+                        "slots = forward, 0 ms, 1 ms, 0; feedback, 1 ms, 1 ms, 1\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "needs 'direction, start, duration'" in err
+        assert "Traceback" not in err
 
 
 class TestCmdRun:
@@ -158,16 +169,16 @@ class TestCmdRun:
 
     def test_overlapping_slots_exit_2_names_slots(self, tmp_path, capsys):
         text = GALLOP_SHORT + \
-            "slots = forward, 0 ms, 1 ms, 0; feedback, 0.5 ms, 1 ms, 1\n"
+            "slots = forward, 0 ms, 1 ms; feedback, 0.5 ms, 1 ms\n"
         cfg = write_cfg(tmp_path, text)
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "slots 0 and 1 overlap" in err
 
     @pytest.mark.parametrize("slots, message", [
-        ("forward, -2 ms, 1 ms, 0; feedback, 0 ms, 1 ms, 1",
+        ("forward, -2 ms, 1 ms; feedback, 0 ms, 1 ms",
          "slot 0 starts before the superframe"),
-        ("forward, 0 ms, 0.05 ms, 0; feedback, 1 ms, 1 ms, 1",
+        ("forward, 0 ms, 0.05 ms; feedback, 1 ms, 1 ms",
          "slot 0 duration must exceed slot_guard")])
     def test_slot_that_delivers_before_ready_exit_2_names_it(
             self, tmp_path, capsys, slots, message):
@@ -178,9 +189,9 @@ class TestCmdRun:
 
     @pytest.mark.parametrize("variant", ["ble_baseline", "ideal"])
     def test_slots_on_non_gallop_variant_exit_2(self, tmp_path, capsys, variant):
-        # wrong band and overlapping too: a layout the link would not use
+        # overlapping too: a layout the link would not use
         text = BLE_SHORT.replace("ble_baseline", variant) + \
-            "slots = forward, 0 ms, 1 ms, 1; feedback, 0 ms, 1 ms, 1\n"
+            "slots = forward, 0 ms, 1 ms; feedback, 0 ms, 1 ms\n"
         cfg = write_cfg(tmp_path, text)
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -193,7 +204,7 @@ class TestCmdRun:
         out = tmp_path / "o"
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "per_channel_loss lists channel 3 twice" in err
+        assert "per_channel lists channel 3 twice" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -206,7 +217,7 @@ class TestCmdRun:
         out = tmp_path / "o"
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"per_channel_loss channel 500 is never used: {used}" in err
+        assert f"per_channel channel 500 is never used: {used}" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -219,7 +230,7 @@ class TestCmdRun:
         out = tmp_path / "o"
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"per_channel_loss channel {channel} is never used" in err
+        assert f"per_channel channel {channel} is never used" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -263,6 +274,19 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.count("episode_duration / control_cycle must be at most "
                          "1000000 cycles") == 2
+        assert "Traceback" not in err
+
+    def test_sync_every_ns_exit_2_within_a_second(self, tmp_path, capsys):
+        # one event per sync: 6e10 of them would run for days
+        cfg = write_cfg(tmp_path, GALLOP_SHORT.replace("episode_duration = 1 s",
+                                                       "episode_duration = 60 s")
+                        + "sync_epoch_period = 1e-9 s\n")
+        start = time.perf_counter()
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "episode_duration / sync_epoch_period must be at most 1000000 syncs, " \
+               "got 6e+10" in err
         assert "Traceback" not in err
 
     def test_overflowing_cycle_exit_2_with_one_stderr_line(self, tmp_path):

@@ -26,15 +26,18 @@ from telebalance.wireless import ChannelModel, MacConfig
 NUMERIC_ANNOTATIONS = ("int", "float", "float | None")
 
 
-@pytest.mark.parametrize("section", SECTIONS)
-def test_numeric_fields_are_the_numeric_schema_keys(section):
-    # the class of the value a section extends: ScenarioConfig's default
-    # for the field it fills, or the shipped gains
+def section_fields(section: str) -> list:
+    """The init fields of the value a section extends: ScenarioConfig's
+    default for the field it fills, or the shipped gains."""
     field = SECTIONS[section]
     default = ScenarioConfig() if field is None else getattr(ScenarioConfig, field)
-    cls = type(DEFAULT_GAINS if default is None else default)
-    numeric = {f.name for f in fields(cls)
-               if f.init and f.type in NUMERIC_ANNOTATIONS}
+    return [f for f in fields(DEFAULT_GAINS if default is None else default) if f.init]
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_numeric_fields_are_the_numeric_schema_keys(section):
+    numeric = {f.name for f in section_fields(section)
+               if f.type in NUMERIC_ANNOTATIONS}
     assert numeric
     assert numeric == {k for k, kind in SCHEMA[section].items() if kind in UNITS}
 
@@ -81,7 +84,7 @@ def value_text(draw, kind: str) -> str:
     if kind == "slots":
         entries = draw(st.lists(st.tuples(
             st.sampled_from(["forward", "feedback"]), quantity("duration"),
-            quantity("duration"), NUMBER), min_size=1, max_size=3))
+            quantity("duration")), min_size=1, max_size=3))
         return "; ".join(", ".join(e) for e in entries)
     if kind == "per_channel":
         entries = draw(st.lists(st.tuples(NUMBER, NUMBER), min_size=1, max_size=3))
@@ -151,9 +154,9 @@ def test_a_billion_cycles_rejected_at_construction_naming_both_keys():
     (ble_scenario, 37, "ble_baseline uses channels 0-36")])
 def test_loss_floor_on_a_channel_the_link_never_uses_rejected(make, channel, used):
     # the floor could not take effect: no frame is ever sent on that channel
-    with pytest.raises(ValueError, match=f"per_channel_loss channel {channel} "
+    with pytest.raises(ValueError, match=f"per_channel channel {channel} "
                                          f"is never used: {used}"):
-        make(channel=ChannelModel(per_channel_loss=((3, 0.1), (channel, 0.5))))
+        make(channel=ChannelModel(per_channel=((3, 0.1), (channel, 0.5))))
 
 
 @pytest.mark.parametrize("make, channel", [
@@ -162,7 +165,7 @@ def test_loss_floor_on_a_channel_the_link_never_uses_rejected(make, channel, use
 def test_loss_floor_on_a_channel_the_link_uses_accepted(make, channel):
     # the ideal link reads no [loss] key, like any key a variant does not read
     floors = ((channel, 0.5),)
-    assert make(channel=ChannelModel(per_channel_loss=floors)).channel.per_channel_loss \
+    assert make(channel=ChannelModel(per_channel=floors)).channel.per_channel \
         == floors
 
 
@@ -172,21 +175,41 @@ def test_loss_floor_on_a_channel_the_hop_skips_rejected(channel, used):
     # 36 channels and a 2-slot superframe share the factor 2: forward frames
     # hop over 0, 2, ..., 34 only, feedback frames over 37, 39, ..., 71
     mac = MacConfig(channel_count=36, hop_increment=7)
-    floors = ChannelModel(per_channel_loss=((channel, 0.5),))
+    floors = ChannelModel(per_channel=((channel, 0.5),))
     if used:
         assert gallop_scenario(mac=mac, channel=floors).channel == floors
     else:
         with pytest.raises(ValueError, match=(
-                f"per_channel_loss channel {channel} is never used: gallop uses "
+                f"per_channel channel {channel} is never used: gallop uses "
                 r"channels 0-35 \(offset % 2 in \[0\]\) and 36-71 \(offset % 2 in \[1\]\)")):
             gallop_scenario(mac=mac, channel=floors)
 
 
 def test_loss_floor_follows_the_gallop_bands():
-    mac = MacConfig(forward_band=2, feedback_band=5, channel_count=5, hop_increment=2)
-    gallop_scenario(mac=mac, channel=ChannelModel(per_channel_loss=((10, 0.5), (29, 0.5))))
-    with pytest.raises(ValueError, match="gallop uses channels 10-14 and 25-29"):
-        gallop_scenario(mac=mac, channel=ChannelModel(per_channel_loss=((15, 0.5),)))
+    # FDD by construction: forward frames use channels 0 to channel_count - 1,
+    # feedback frames the next channel_count
+    mac = MacConfig(channel_count=5, hop_increment=2)
+    floors = tuple((ch, 0.5) for ch in range(10))
+    assert gallop_scenario(mac=mac, channel=ChannelModel(per_channel=floors))
+    with pytest.raises(ValueError, match="per_channel channel 10 is never used: "
+                                         "gallop uses channels 0-4 and 5-9"):
+        gallop_scenario(mac=mac, channel=ChannelModel(per_channel=((10, 0.5),)))
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_every_schema_key_is_its_field_name(section):
+    # a key sets the field of its own name; no layer renames one to the other
+    names = {f.name for f in section_fields(section)}
+    assert set(SCHEMA[section]) == names - set(SECTIONS.values())
+
+
+def test_mac_without_clock_keys_loads_the_idealized_clock(tmp_path):
+    # one default: a file that omits the clock keys gets the library's clock
+    path = tmp_path / "bare.cfg"
+    path.write_text("[mac]\nvariant = gallop\n", encoding="utf-8")
+    mac = load_scenario(path).mac
+    assert (mac.clock_drift_ppm, mac.sync_error_bound) == (0.0, 0.0)
+    assert mac == MacConfig() == gallop_scenario().mac
 
 
 @pytest.mark.parametrize("make, name", [(gallop_scenario, "gallop_default.cfg"),

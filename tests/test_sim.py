@@ -150,7 +150,7 @@ class TestRunEpisode:
         with pytest.raises(ValueError):
             run_episode(gallop_scenario(episode_duration=-1.0))
         with pytest.raises(ValueError):
-            bad_mac = MacConfig(variant=GALLOP, feedback_band=0)
+            bad_mac = MacConfig(variant=GALLOP, channel_count=36, hop_increment=6)
             run_episode(gallop_scenario(mac=bad_mac))
 
     def test_negative_seed_rejected_before_running(self):
@@ -163,10 +163,11 @@ class TestRunEpisode:
         assert m.latency_mean > 15.0
 
     def test_overtaken_frame_drops_its_cycle(self):
-        # the default clock samples right at BLE event boundaries, so two
-        # samples can share an event and the later one's jitter overtake
-        trace, _ = run_episode(ble_scenario(mac=MacConfig(variant=BLE),
-                                            episode_duration=2.0))
+        # a 20 ppm clock synced within 1 us samples right at BLE event
+        # boundaries, so two samples can share an event and the later one's
+        # jitter overtake
+        mac = MacConfig(variant=BLE, clock_drift_ppm=20.0, sync_error_bound=1e-6)
+        trace, _ = run_episode(ble_scenario(mac=mac, episode_duration=2.0))
         assert trace.forward_lost == 0
         assert any(r.forward_dropped for r in trace.records)
 

@@ -54,21 +54,11 @@ class TestSuperframe:
                        np.random.default_rng(0))
         assert not out.delivered
 
-    def test_same_band_is_fdd_violation(self):
-        with pytest.raises(ValueError, match=r"bands must be disjoint \(FDD\)"):
-            build_superframe(gallop_cfg(feedback_band=0))
-
-    def test_custom_layout_band_violation_names_slot(self):
-        with pytest.raises(ValueError, match="slot 1"):
-            gallop_cfg(custom_slots=(
-                (FORWARD, 0.0, 1e-3, 0), (FEEDBACK, 1e-3, 1e-3, 0)))
-
     def test_slot_starting_before_the_superframe_rejected_naming_it(self):
         # with a 1 ms span, a forward frame ready at 5.5 ms would go out in
         # the slot that ends at 5.0 ms
         with pytest.raises(ValueError, match="slot 0 starts before the superframe"):
-            gallop_cfg(custom_slots=(
-                (FORWARD, -2e-3, 1e-3, 0), (FEEDBACK, 0.0, 1e-3, 1)))
+            gallop_cfg(slots=((FORWARD, -2e-3, 1e-3), (FEEDBACK, 0.0, 1e-3)))
 
     def test_slot_not_longer_than_the_guard_rejected_naming_it(self):
         # a frame admitted slot_guard late would be delivered at or before
@@ -77,22 +67,18 @@ class TestSuperframe:
         for dur in (5e-5, 1e-4):
             with pytest.raises(ValueError, match="slot 0 duration must exceed "
                                                  "slot_guard"):
-                gallop_cfg(custom_slots=(
-                    (FORWARD, 0.0, dur, 0), (FEEDBACK, 1e-3, 1e-3, 1)))
-        gallop_cfg(custom_slots=(
-            (FORWARD, 0.0, 1.01e-4, 0), (FEEDBACK, 1e-3, 1e-3, 1)))
+                gallop_cfg(slots=((FORWARD, 0.0, dur), (FEEDBACK, 1e-3, 1e-3)))
+        gallop_cfg(slots=((FORWARD, 0.0, 1.01e-4), (FEEDBACK, 1e-3, 1e-3)))
 
     def test_overlapping_slots_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
-            gallop_cfg(custom_slots=(
-                (FORWARD, 0.0, 1e-3, 0), (FEEDBACK, 0.5e-3, 1e-3, 1)))
+            gallop_cfg(slots=((FORWARD, 0.0, 1e-3), (FEEDBACK, 0.5e-3, 1e-3)))
 
     @pytest.mark.parametrize("start, duration", [
         (math.inf, 1e-3), (0.0, math.inf), (math.nan, 1e-3), (0.0, math.nan)])
     def test_non_finite_slot_time_names_slot(self, start, duration):
         with pytest.raises(ValueError, match="slot 0 has a non-finite"):
-            gallop_cfg(custom_slots=(
-                (FORWARD, start, duration, 0), (FEEDBACK, 1e-3, 1e-3, 1)))
+            gallop_cfg(slots=((FORWARD, start, duration), (FEEDBACK, 1e-3, 1e-3)))
 
     @pytest.mark.parametrize("key, value", [
         ("slot_duration", 1e-12), ("sync_epoch_period", 1e-12),
@@ -154,8 +140,8 @@ class TestHopping:
             self, count, inc, forward):
         inc = next(i for i in range(inc, inc + count + 1) if math.gcd(i, count) == 1)
         n = len(forward)
-        cfg = gallop_cfg(channel_count=count, hop_increment=inc, custom_slots=tuple(
-            (FORWARD, i * 1e-3, 1e-3, 0) if fwd else (FEEDBACK, i * 1e-3, 1e-3, 1)
+        cfg = gallop_cfg(channel_count=count, hop_increment=inc, slots=tuple(
+            (FORWARD if fwd else FEEDBACK, i * 1e-3, 1e-3)
             for i, fwd in enumerate(forward)))
         # a frame ready at each slot start over count superframes meets every
         # (superframe mod count, slot) pair, so every channel the law reaches
@@ -217,7 +203,7 @@ class TestGallopTransmit:
         # 4-slot frame: forward slots at global indices 0 and 2; the first
         # hop lands on channel 0, the retry on channel 14
         cfg = gallop_cfg(slots_per_superframe=4)
-        model = ChannelModel(per_channel_loss=((0, 1.0),))
+        model = ChannelModel(per_channel=((0, 1.0),))
         out = transmit(cfg, ChannelProcess(model), FORWARD, 0,
                        np.random.default_rng(0))
         assert out.delivered
@@ -277,8 +263,7 @@ def slot_layouts(draw):
         t_us += draw(st.integers(0, 300))
         dur_us = draw(st.integers(1, 1000))
         direction = draw(st.sampled_from([FORWARD, FEEDBACK]))
-        slots.append((direction, t_us * 1e-6, dur_us * 1e-6,
-                      0 if direction == FORWARD else 1))
+        slots.append((direction, t_us * 1e-6, dur_us * 1e-6))
         t_us += dur_us
     return tuple(draw(st.permutations(slots)))
 
@@ -306,9 +291,9 @@ class TestGallopSlotTable:
                                                       hop, extra, readies, seed,
                                                       model):
         # a guard below the layout's shortest slot, down to 0
-        guard = math.floor(guard_frac * min(d for _, _, d, _ in layout) * 1e9) * 1e-9
+        guard = math.floor(guard_frac * min(d for _, _, d in layout) * 1e9) * 1e-9
         count, increment = hop
-        cfg = gallop_cfg(custom_slots=layout, slot_guard=guard,
+        cfg = gallop_cfg(slots=layout, slot_guard=guard,
                          channel_count=count, hop_increment=increment,
                          extra_delay=extra)
         sf = build_superframe(cfg)
@@ -321,8 +306,7 @@ class TestGallopSlotTable:
             ready = max(0, k * sf.span_ns + edge_ns + off
                         - (guard_ns if at_guard else 0))
             out = transmit(cfg, procs[0], direction, ready, rngs[0])
-            band = cfg.forward_band if direction == FORWARD else cfg.feedback_band
-            ref = gallop_slot_search(layout, direction, ready, guard_ns, band,
+            ref = gallop_slot_search(layout, direction, ready, guard_ns,
                                      count, increment, round(extra * 1e9),
                                      procs[1].lost, rngs[1])
             assert (out.deliver_ns, out.slot_index, out.channel_used) == ref
@@ -333,8 +317,8 @@ class TestGallopSlotTable:
     @pytest.mark.parametrize("model, lossless", [
         (LOSSLESS, True),
         (ChannelModel(p_good_to_bad=0.3, loss_bad=0.0), True),
-        (ChannelModel(per_channel_loss=((3, 0.0),)), True),
-        (ChannelModel(per_channel_loss=((3, 0.1),)), False),
+        (ChannelModel(per_channel=((3, 0.0),)), True),
+        (ChannelModel(per_channel=((3, 0.1),)), False),
         (ChannelModel(default_loss=0.1), False),
         (ChannelModel(loss_good=0.1), False),
         (ChannelModel(p_good_to_bad=0.01), False),
@@ -357,10 +341,9 @@ def free_links(draw) -> dict:
         for _ in range(draw(st.integers(1, 4))):
             direction = draw(st.sampled_from([FORWARD, FEEDBACK]))
             dur_us = draw(st.integers(1, 1000))
-            slots.append((direction, t_us * 1e-6, dur_us * 1e-6,
-                          0 if direction == FORWARD else 1))
+            slots.append((direction, t_us * 1e-6, dur_us * 1e-6))
             t_us += dur_us + draw(st.integers(0, 300))
-        kw["custom_slots"] = tuple(slots)
+        kw["slots"] = tuple(slots)
     return kw
 
 
@@ -374,11 +357,9 @@ class TestDeliveryAfterReady:
            model=st.sampled_from([LOSSLESS, TestGallopSlotTable.LOSSY]))
     # a slot that starts before the superframe, and one no longer than the
     # 0.1 ms guard
-    @example(kw=dict(custom_slots=((FORWARD, -2e-3, 1e-3, 0),
-                                   (FEEDBACK, 0.0, 1e-3, 1))),
+    @example(kw=dict(slots=((FORWARD, -2e-3, 1e-3), (FEEDBACK, 0.0, 1e-3))),
              readies=[5_500_000], seed=0, model=LOSSLESS)
-    @example(kw=dict(custom_slots=((FORWARD, 0.0, 5e-5, 0),
-                                   (FEEDBACK, 1e-3, 1e-3, 1))),
+    @example(kw=dict(slots=((FORWARD, 0.0, 5e-5), (FEEDBACK, 1e-3, 1e-3))),
              readies=[80_000, 100_000], seed=0, model=LOSSLESS)
     def test_every_frame_arrives_after_it_was_ready(self, kw, readies, seed,
                                                     model):
@@ -467,13 +448,13 @@ class TestGilbertElliott:
         with pytest.raises(ValueError):
             ChannelModel(default_loss=1.5)
         with pytest.raises(ValueError):
-            ChannelModel(per_channel_loss=((0, -0.1),))
+            ChannelModel(per_channel=((0, -0.1),))
 
     def test_channel_listed_twice_rejected_naming_it(self):
         # one floor per channel: neither entry may silently win
-        with pytest.raises(ValueError, match="per_channel_loss lists channel 3 twice"):
-            ChannelModel(per_channel_loss=((3, 0.1), (5, 0.2), (3, 0.5)))
-        ChannelModel(per_channel_loss=((3, 0.1), (5, 0.5)))
+        with pytest.raises(ValueError, match="per_channel lists channel 3 twice"):
+            ChannelModel(per_channel=((3, 0.1), (5, 0.2), (3, 0.5)))
+        ChannelModel(per_channel=((3, 0.1), (5, 0.5)))
 
 
 def offset_ns(clk, local_ns):
@@ -498,7 +479,8 @@ class TestClock:
         assert offset_ns(clk, 2_000_040_000) == 40_000
 
     def test_sync_with_zero_bound_is_exact(self):
-        clk = RobotClock(gallop_cfg(sync_error_bound=0.0), np.random.default_rng(0))
+        clk = RobotClock(gallop_cfg(clock_drift_ppm=20.0, sync_error_bound=0.0),
+                         np.random.default_rng(0))
         assert offset_ns(clk, 3_000_060_000) == 60_000  # 20 ppm for 3 s
         version = clk.version
         clk.sync(3_000_000_000)
@@ -507,7 +489,7 @@ class TestClock:
         assert clk.version == version + 1
 
     def test_sync_bounds_large_offset(self):
-        cfg = gallop_cfg(sync_error_bound=1e-6)
+        cfg = gallop_cfg(clock_drift_ppm=20.0, sync_error_bound=1e-6)
         clk = RobotClock(cfg, np.random.default_rng(1))
         assert abs(offset_ns(clk, 10_000_000_000)) > 50_000  # 10 s of drift
         clk.sync(10_000_000_000)
@@ -515,7 +497,7 @@ class TestClock:
 
     def test_offset_bounded_by_sync_plus_drift(self):
         # |local - true| <= bound + drift*(t - t_sync) at every sampled time
-        cfg = gallop_cfg()
+        cfg = gallop_cfg(clock_drift_ppm=20.0, sync_error_bound=1e-6)
         clk = RobotClock(cfg, np.random.default_rng(3))
         period_ns = round(cfg.sync_epoch_period * 1e9)
         for epoch in range(100):
@@ -527,7 +509,7 @@ class TestClock:
     def test_worst_case_pre_sync_offset(self):
         # drift for one full epoch on top of a fresh sync stays within
         # bound + drift * elapsed
-        cfg = gallop_cfg()
+        cfg = gallop_cfg(clock_drift_ppm=20.0, sync_error_bound=1e-6)
         clk = RobotClock(cfg, np.random.default_rng(4))
         period_ns = round(cfg.sync_epoch_period * 1e9)
         worst = 0
