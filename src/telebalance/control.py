@@ -8,9 +8,10 @@ wheel angle the frame carries, already quantized to encoder counts
 normalized to [-1, 1]; the plant scales it by its maximum motor torque.
 
 Default gains were derived once for the default plant at a 5 ms control
-cycle (discrete LQR seed, then checked against the discretized linear
-closed loop) and are shipped as constants; tune_default_gains() verifies
-a requested cycle against that closed-loop map and rescales if needed.
+cycle (discrete LQR seed, then checked against the linear closed loop) and
+are shipped as constants; tune_default_gains() verifies a requested cycle
+against the closed loop of the engine's own RK4 plant, linearized at
+upright, and rescales if needed.
 """
 
 from __future__ import annotations
@@ -20,13 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .plant import (
-    MAX_MAGNITUDE,
-    PlantParams,
-    SensorFrame,
-    check_finite,
-    linearized_matrices,
-)
+from .plant import MAX_MAGNITUDE, PlantParams, SensorFrame, check_finite, span_matrix
+from .wireless import _ns
 
 DEFAULT_FILTER_ALPHA = 0.98
 
@@ -167,36 +163,6 @@ def compute_command(cstate: ControllerState, gains: ControllerGains,
     return new_state, tuple.__new__(ActuationFrame, (u, frame.seq, now))
 
 
-# diagonal Pade(6) coefficients of exp: (12-k)! 6! / (12! k! (6-k)!)
-_PADE6 = (1.0, 1 / 2, 5 / 44, 1 / 66, 1 / 792, 1 / 15840, 1 / 665280)
-
-
-def _zoh(Ac: np.ndarray, Bc: np.ndarray,
-         h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-order hold of x' = Ac x + Bc u over h: the blocks (Ad, Bd) of
-    exp([[Ac, Bc], [0, 0]] h), Bd a vector.
-
-    Diagonal Pade(6) with scaling and squaring (Golub & Van Loan, Matrix
-    Computations, Alg. 9.3.1), in numpy alone: it wakes no BLAS thread.
-    """
-    n = Ac.shape[0]
-    blk = np.zeros((n + 1, n + 1))
-    blk[:n, :n] = Ac * h
-    blk[:n, n] = Bc[:, 0] * h
-    # scale to a norm <= 1/2, where Pade(6) is exact to double rounding
-    j = max(0, int(np.frexp(np.linalg.norm(blk, np.inf))[1]) + 1)
-    X = np.ldexp(blk, -j)
-    power = num = den = np.eye(n + 1)
-    for k, c in enumerate(_PADE6[1:], 1):
-        power = power @ X
-        num = num + c * power
-        den = den + (-1) ** k * c * power
-    E = np.linalg.solve(den, num)
-    for _ in range(j):
-        E = E @ E
-    return E[:n, :n], E[:n, n]
-
-
 # ControllerState fields carried across cycles: closed_loop_matrix's last states
 _LOOP_MEMORY = ("tilt_estimate", "integral_accum", "last_wheel_angle",
                 "wheel_rate_estimate")
@@ -204,34 +170,22 @@ _LOOP_MEMORY = ("tilt_estimate", "integral_accum", "last_wheel_angle",
 
 def closed_loop_matrix(params: PlantParams, gains: ControllerGains, cycle: float,
                        alpha: float = DEFAULT_FILTER_ALPHA) -> np.ndarray:
-    """One-cycle transition matrix of the linearized zero-delay loop.
+    """One-cycle transition matrix of the zero-delay loop, linearized at upright.
 
-    State: [tilt, tilt_rate, wheel_angle, wheel_rate, motor_torque], then
-    the controller memory, named as in _LOOP_MEMORY. The controller block
-    is estimate_tilt and compute_command themselves, run once per state
-    direction. Sensors are noiseless and unquantized, clamps inactive;
-    sampling, control, and zero-order-hold actuation all happen each `cycle`.
+    State: [tilt, tilt_rate, wheel_angle, wheel_rate, motor_torque] (no
+    motor_torque for an instant motor), then the controller memory, named
+    as in _LOOP_MEMORY. The plant block is span_matrix over the cycle, the
+    engine's own RK4 advance; the controller block is estimate_tilt and
+    compute_command themselves, run once per state direction. Sensors are
+    noiseless and unquantized, clamps inactive; sampling, control, and
+    held actuation all happen each `cycle`.
     """
     if not cycle > 0:
         raise ValueError("cycle must be positive")
-    A4, B4 = linearized_matrices(params)
-    tm = params.motor_time_constant
-    tau_max = params.motor_max_torque
-
-    # continuous plant + motor lag, input = normalized command u
-    if tm > 0:
-        Ac = np.zeros((5, 5))
-        Ac[:4, :4] = A4
-        Ac[:4, 4] = B4[:, 0]
-        Ac[4, 4] = -1.0 / tm
-        Bc = np.zeros((5, 1))
-        Bc[4, 0] = tau_max / tm
-    else:
-        Ac = A4
-        Bc = B4 * tau_max
-
-    n = Ac.shape[0]
-    Ad, Bd = _zoh(Ac, Bc, cycle)
+    P = span_matrix(params, _ns(cycle))
+    # the lagged torque is a plant state unless the motor is instant
+    n = 5 if params.motor_time_constant > 0 else 4
+    Ad, Bd = P[:n, :n], P[:n, 5] * params.motor_max_torque
 
     # column j: a controller update, then a held plant cycle, from direction j;
     # the probe engages no clamp, and as a power of two divides out exactly
@@ -288,7 +242,7 @@ def tune_default_gains(params: PlantParams, cycle: float,
         )
         with np.errstate(over="ignore", invalid="ignore"):
             M = closed_loop_matrix(params, cand, cycle, alpha)
-        # a long cycle overflows the exponential; that loop is not stable
+        # a long cycle overflows the plant's span map; that loop is not stable
         if np.isfinite(M).all() and spectral_radius(M) < 1.0:
             return cand
     raise TuningFailureError(

@@ -23,8 +23,10 @@ Integration is fixed-step RK4 on raw floats: the four state variables
 plus the lagged motor torque. The advance rule: _rk4_span takes the plant
 over the span to the next event in whole SUBSTEP_NS (0.5 ms) substeps,
 then one remainder substep, and stops at the first substep that ends past
-the fall threshold, skipping the rest. sample_sensors reads a noisy IMU
-and the one wheel angle, floored to whole encoder counts.
+the fall threshold, skipping the rest. span_matrix is the linear map that
+rule applies near upright, probed from _rk4_span itself, which is how the
+tuner's loop model sees the plant. sample_sensors reads a noisy IMU and
+the one wheel angle, floored to whole encoder counts.
 """
 
 from __future__ import annotations
@@ -94,9 +96,13 @@ class PlantParams:
             raise ValueError(
                 f"motor_time_constant must be 0 (an instant motor) or at least "
                 f"{SUBSTEP_NS / 1e6:g} ms, got {self.motor_time_constant!r} s")
-        # (m11, m12_coeff, m22, m_b g L, m11 m22, b, 1 / tm or 0 for an
-        # instant motor), cached for the RK4 hot path
-        m11, m12c, m22 = _mass_terms(self)
+        # (m11, m12c, m22, m_b g L, m11 m22, b, 1 / tm or 0 for an instant
+        # motor), cached for the RK4 hot path; the mass matrix's m12 is
+        # m12c cos(tilt)
+        m11 = (self.body_mass + self.wheel_mass_total) * self.wheel_radius ** 2 \
+            + self.wheel_inertia
+        m12c = self.body_mass * self.wheel_radius * self.com_distance
+        m22 = self.body_mass * self.com_distance ** 2 + self.body_inertia
         tm = self.motor_time_constant
         object.__setattr__(self, "_rk4_terms", (
             m11, m12c, m22, self.body_mass * self.gravity * self.com_distance,
@@ -123,18 +129,6 @@ class SensorFrame(NamedTuple):
     accel_tilt: float       # rad, tilt inferred from the gravity vector
     wheel_angle: float      # rad, quantized down to whole encoder counts
     seq: int
-
-
-def _mass_terms(params: PlantParams) -> tuple[float, float, float]:
-    """Constant parts of the mass matrix: (m11, m12_coeff, m22).
-
-    m12 = m12_coeff * cos(tilt).
-    """
-    m11 = (params.body_mass + params.wheel_mass_total) * params.wheel_radius ** 2 \
-        + params.wheel_inertia
-    m12c = params.body_mass * params.wheel_radius * params.com_distance
-    m22 = params.body_mass * params.com_distance ** 2 + params.body_inertia
-    return m11, m12c, m22
 
 
 def _rk4_span(th: float, w: float, phi: float, v: float, tau: float,
@@ -242,29 +236,26 @@ def sample_sensors(tilt: float, tilt_rate: float, wheel_angle: float,
     return tuple.__new__(SensorFrame, (gyro, accel, angle, seq))
 
 
-def linearized_matrices(params: PlantParams) -> tuple[np.ndarray, np.ndarray]:
-    """Linearization about upright: x = (tilt, tilt_rate, wheel_angle, wheel_rate).
+def span_matrix(params: PlantParams, span_ns: int) -> np.ndarray:
+    """The linear map _rk4_span applies over span_ns near upright, as the
+    6x6 [[Phi, Gamma], [0, 1]] on (tilt, tilt_rate, wheel_angle, wheel_rate,
+    motor_torque, tau_cmd).
 
-    Returns (A, B) with xdot = A x + B * torque. The motor lag is not part
-    of this system; callers needing it augment separately.
+    Each column of one whole substep's map, and of the remainder's, is
+    _rk4_span run from a 2**-80 input: too small to reach the nonlinear
+    terms, and a power of two, so it divides out exactly. The whole
+    substeps compose by repeated squaring, then the remainder follows, as
+    in the advance rule; a long span costs a few dozen 6x6 products.
     """
-    m11, m12c, m22 = _mass_terms(params)
-    m12 = m12c  # cos(0)
-    det = m11 * m22 - m12 * m12
-    g_term = params.body_mass * params.gravity * params.com_distance
-    b = params.viscous_friction
+    probe = 2.0 ** -80
 
-    # tilt_acc  = c_t*q + m11*g_term*tilt/det
-    # wheel_acc = c_w*q - m12*g_term*tilt/det
-    # with q = torque - b*(wheel_rate - tilt_rate)
-    c_t = -(m11 + m12) / det   # d(tilt_acc)/d(q)
-    c_w = (m22 + m12) / det    # d(wheel_acc)/d(q)
+    def probed(ns: int) -> np.ndarray:
+        M = np.eye(6)
+        for j in range(6):
+            x = [probe if i == j else 0.0 for i in range(6)]
+            M[:5, j] = _rk4_span(*x, params, ns)[:5]
+        M[:5] /= probe
+        return M
 
-    A = np.array([
-        [0.0, 1.0, 0.0, 0.0],
-        [m11 * g_term / det, c_t * b, 0.0, -c_t * b],
-        [0.0, 0.0, 0.0, 1.0],
-        [-m12 * g_term / det, c_w * b, 0.0, -c_w * b],
-    ])
-    B = np.array([[0.0], [c_t], [0.0], [c_w]])
-    return A, B
+    n_full, rem = divmod(span_ns, SUBSTEP_NS)
+    return probed(rem) @ np.linalg.matrix_power(probed(SUBSTEP_NS), n_full)

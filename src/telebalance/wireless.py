@@ -161,15 +161,19 @@ def build_superframe(cfg: MacConfig) -> Superframe:
     each slot's (direction, start_s, duration_s) instead. A slot's
     direction picks its FDD band. The stock 2-slot layout spans 2 ms.
     """
-    if cfg.slots is not None:
-        layout = [(direction, float(start), float(dur))
-                  for direction, start, dur in cfg.slots]
-    else:
-        layout = [(FEEDBACK if i % 2 else FORWARD, i * cfg.slot_duration,
-                   cfg.slot_duration) for i in range(cfg.slots_per_superframe)]
+    layout = cfg.slots if cfg.slots is not None else [
+        (FEEDBACK if i % 2 else FORWARD, i * cfg.slot_duration, cfg.slot_duration)
+        for i in range(cfg.slots_per_superframe)]
+    # slots_per_superframe is bounded already; a custom layout is bounded here
+    if not 1 <= len(layout) <= MAX_SLOTS:
+        raise ValueError(f"slots must hold 1 to {MAX_SLOTS} slots, got {len(layout)}")
 
-    slots = []
-    for i, (direction, start, dur) in enumerate(layout):
+    slots, starts = [], []
+    for i, entry in enumerate(layout):
+        if not isinstance(entry, (tuple, list)) or len(entry) != 3:
+            raise ValueError(f"slots entry {i} must be (direction, start_s, "
+                             f"duration_s), got {entry!r}")
+        direction, start, dur = entry[0], float(entry[1]), float(entry[2])
         if direction not in (FORWARD, FEEDBACK):
             raise ValueError(f"slot {i} has unknown direction {direction!r}")
         if not (abs(start) <= MAX_MAGNITUDE and abs(dur) <= MAX_MAGNITUDE):
@@ -183,8 +187,9 @@ def build_superframe(cfg: MacConfig) -> Superframe:
             raise ValueError(f"slot {i} duration must exceed slot_guard "
                              f"({cfg.slot_guard!r} s), got {dur!r} s")
         slots.append(Slot(_ns(start), _ns(start) + _ns(dur), direction))
+        starts.append(start)
     # by the seconds given: starts that round to one ns keep their order
-    ordered = sorted(range(len(slots)), key=lambda i: layout[i][1])
+    ordered = sorted(range(len(slots)), key=starts.__getitem__)
     for a, b in zip(ordered, ordered[1:]):
         if slots[a].end_ns > slots[b].start_ns:
             raise ValueError(

@@ -3,13 +3,15 @@
 These deliberately avoid the library code paths they validate: the matrix
 exponential is a truncated Taylor series with scaling-and-squaring, the
 linearized model and the energy are re-derived here from the Lagrangian,
-and fall times come from scanning the series solution. Two exceptions
+and fall times come from scanning the series solution. Three exceptions
 restate a library computation in a plainer form: rk4_span_closure is the
 RK4 kernel with one derivative function called per stage, so that the
 unrolled kernel the simulator runs can be required to give the same
-floats; loop_matrix_rows writes the controller's update out as row
-algebra, so that the loop model built by running the controller can be
-required to match it.
+floats; probed_span steps a kernel's probes over a whole span, so that
+plant.span_matrix, which composes one substep's map by squaring, can be
+required to match it; loop_matrix_rows writes the controller's update
+out as row algebra, so that the loop model built by running the
+controller can be required to match it.
 """
 
 from __future__ import annotations
@@ -143,9 +145,23 @@ def rk4_span_closure(th, w, phi, v, tau, tau_cmd, params, span_ns,
     return th, w, phi, v, tau, len(steps)
 
 
+def probed_span(kernel, params, span_ns: int) -> np.ndarray:
+    """The linear map of an RK4 span kernel (plant._rk4_span or
+    rk4_span_closure) near upright, as the 6x6 [[Phi, Gamma], [0, 1]] on
+    (tilt, tilt_rate, wheel_angle, wheel_rate, motor_torque, tau_cmd):
+    column j is a 2**-80 probe in place j, stepped over the whole span."""
+    probe = 2.0 ** -80
+    M = np.eye(6)
+    for j in range(6):
+        x = [probe if i == j else 0.0 for i in range(6)]
+        M[:5, j] = np.array(kernel(*x, params, span_ns)[:5]) / probe
+    return M
+
+
 def loop_matrix_rows(Ad: np.ndarray, Bd: np.ndarray, gains, cycle: float,
                      alpha: float, beta: float) -> np.ndarray:
-    """control.closed_loop_matrix from the plant's ZOH blocks (Ad, Bd),
+    """control.closed_loop_matrix from the plant's one-cycle map under a
+    held command, x+ = Ad x + Bd u (Bd per unit of normalized command),
     with the controller update written as linear maps of the pre-update
     state [plant..., tilt_estimate, integral, prev_wheel_angle,
     wheel_rate_estimate]; beta is the wheel-rate smoothing. Clamps are

@@ -175,6 +175,15 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert "slots 0 and 1 overlap" in err
 
+    def test_more_than_1000_slots_exit_2_names_slots(self, tmp_path, capsys):
+        slots = "; ".join(f"{'feedback' if i % 2 else 'forward'}, {i} ms, 1 ms"
+                          for i in range(1001))
+        cfg = write_cfg(tmp_path, GALLOP_SHORT + f"slots = {slots}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "slots must hold 1 to 1000 slots, got 1001" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("slots, message", [
         ("forward, -2 ms, 1 ms; feedback, 0 ms, 1 ms",
          "slot 0 starts before the superframe"),
@@ -290,7 +299,7 @@ class TestCmdRun:
         assert "Traceback" not in err
 
     def test_overflowing_cycle_exit_2_with_one_stderr_line(self, tmp_path):
-        # a 100 s cycle overflows the tuner's matrix exponential; numpy's
+        # a 100 s cycle overflows the tuner's span map of the plant; numpy's
         # RuntimeWarnings would be further stderr lines
         cfg = write_cfg(tmp_path, "[scenario]\ncontrol_cycle = 100 s\n\n"
                                   "[mac]\nvariant = ideal\n")

@@ -1,13 +1,20 @@
 import math
+import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import expm_taylor, loop_matrix_rows
+from oracles import (
+    expm_taylor,
+    loop_matrix_rows,
+    probed_span,
+    rk4_span_closure,
+    wip_linear_system,
+)
 from telebalance.control import (
     DEFAULT_FILTER_ALPHA,
     DEFAULT_GAINS,
@@ -15,7 +22,6 @@ from telebalance.control import (
     ControllerGains,
     StaleFrameError,
     TuningFailureError,
-    _zoh,
     closed_loop_matrix,
     compute_command,
     ControllerState,
@@ -30,12 +36,13 @@ from telebalance.plant import (
     SensorFrame,
     SensorNoise,
     _rk4_span,
-    linearized_matrices,
     sample_sensors,
+    span_matrix,
 )
 from telebalance.sim import run_episode
+from telebalance.wireless import _ns
 
-# the cycles and plants over which the ZOH and the tuner are checked
+# the cycles and plants over which the loop model and the tuner are checked
 GRID_CYCLES_MS = (0.5, 1, 2, 3, 4, 5, 7.5, 10, 12.5, 15, 20, 25, 30)
 GRID_PLANTS = {
     "default": PlantParams(),
@@ -194,6 +201,17 @@ class TestTuning:
         with pytest.raises(TuningFailureError):
             tune_default_gains(params, 0.2)
 
+    @pytest.mark.parametrize("cycle", [100.0, 1e12])
+    def test_very_long_cycle_fails_within_a_second_without_warnings(self, cycle):
+        # span_matrix composes whole substeps by squaring; stepping the
+        # 2e15 substeps of a 1e12 s cycle would not finish
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TuningFailureError):
+                tune_default_gains(PlantParams(), cycle)
+        assert time.perf_counter() - start < 1.0
+
     def test_zero_gains_leave_loop_unstable(self, params):
         zero = ControllerGains()
         assert spectral_radius(closed_loop_matrix(params, zero, 0.005)) >= 1.0
@@ -225,45 +243,46 @@ class TestTuning:
         assert converged_at is not None and converged_at <= 3.0
 
 
-def motor_loop(params):
-    """Linearized plant plus first-order motor lag; input the command."""
-    A4, B4 = linearized_matrices(params)
-    tm = params.motor_time_constant
-    if tm == 0:
-        return A4, B4 * params.motor_max_torque
-    Ac = np.zeros((5, 5))
-    Ac[:4, :4] = A4
-    Ac[:4, 4] = B4[:, 0]
-    Ac[4, 4] = -1.0 / tm
-    Bc = np.zeros((5, 1))
-    Bc[4, 0] = params.motor_max_torque / tm
-    return Ac, Bc
+# spans below, at and across one substep, and the grid's BLE and longest cycles
+SPANS_NS = (1, 499_999, 500_000, 1_143_106, 7_500_000, 30_000_000)
 
 
-class TestZoh:
+def row_error(got, ref):
+    """The largest error in any row, relative to that row's largest entry."""
+    return (np.abs(got - ref).max(axis=1) / np.abs(ref).max(axis=1)).max()
+
+
+class TestSpanMatrix:
+    """span_matrix composes one probed substep by squaring; stepping the
+    kernel's probes over the whole span (oracles.probed_span) is its
+    reference, and the plant's matrix exponential bounds it to RK4 accuracy."""
+
     @pytest.mark.parametrize("plant", sorted(GRID_PLANTS))
-    def test_matches_taylor_oracle_and_scipy_expm(self, plant):
-        Ac, Bc = motor_loop(GRID_PLANTS[plant])
-        n = Ac.shape[0]
-        for ms in GRID_CYCLES_MS:
-            h = ms * 1e-3
-            blk = np.zeros((n + 1, n + 1))
-            blk[:n, :n] = Ac * h
-            blk[:n, n] = Bc[:, 0] * h
-            Ad, Bd = _zoh(Ac, Bc, h)
-            got = np.column_stack([Ad, Bd])
-            for ref in (expm_taylor(blk)[:n], scipy.linalg.expm(blk)[:n]):
-                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), ms
+    def test_matches_stepping_the_kernel(self, plant):
+        params = GRID_PLANTS[plant]
+        for span_ns in SPANS_NS:
+            ref = probed_span(_rk4_span, params, span_ns)
+            assert row_error(span_matrix(params, span_ns), ref) <= 1e-13, span_ns
 
-    @pytest.mark.parametrize("wh", [0.1, 0.5, 1.0, 3.0, 10.0, 40.0])
-    def test_undamped_oscillator_is_exact(self, wh):
-        # spectral radius equal to the norm: unlike the plants above, a
-        # too-weak scaling or a wrong Pade coefficient shows here
-        Ac = np.array([[0.0, wh], [-wh, 0.0]])
-        Ad, Bd = _zoh(Ac, np.array([[0.0], [wh]]), 1.0)
-        c, s = math.cos(wh), math.sin(wh)
-        np.testing.assert_allclose(Ad, [[c, s], [-s, c]], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(Bd, [1.0 - c, s], rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("plant", sorted(GRID_PLANTS))
+    def test_matches_the_matrix_exponential_to_rk4_accuracy(self, plant):
+        # tolerance set from RK4's error before measuring: the fastest mode is
+        # the 10 ms motor lag, whose global error peaks near
+        # (h / tm)^4 / (120 e) ~ 2e-8 at h = 0.5 ms; 1e-6 leaves a 50x margin
+        params = GRID_PLANTS[plant]
+        A4, B4 = wip_linear_system(params)
+        tm = params.motor_time_constant
+        # (state..., tau_cmd): the lagged torque is a state unless tm is 0
+        keep = [0, 1, 2, 3, 4, 5] if tm > 0 else [0, 1, 2, 3, 5]
+        blk = np.zeros((len(keep), len(keep)))
+        blk[:4, :4] = A4
+        blk[:4, 4] = B4[:, 0]  # from the lagged torque, or from tau_cmd
+        if tm > 0:
+            blk[4, 4:] = -1.0 / tm, 1.0 / tm
+        for span_ns in SPANS_NS:
+            ref = expm_taylor(blk * span_ns * 1e-9)
+            got = span_matrix(params, span_ns)[np.ix_(keep, keep)]
+            assert row_error(got, ref) <= 1e-6, span_ns
 
 
 def scaled(gains, scale, **fields):
@@ -280,8 +299,12 @@ class TestClosedLoopMatrix:
 
     @staticmethod
     def assert_matches_rows(params, gains, cycle):
-        Ad, Bd = _zoh(*motor_loop(params), cycle)
-        ref = loop_matrix_rows(Ad, Bd, gains, cycle, DEFAULT_FILTER_ALPHA,
+        # the plant's one-cycle map from stepping the closure-form kernel
+        # over the whole cycle, independent of span_matrix's squaring
+        P = probed_span(rk4_span_closure, params, _ns(cycle))
+        n = 5 if params.motor_time_constant > 0 else 4
+        ref = loop_matrix_rows(P[:n, :n], P[:n, 5] * params.motor_max_torque,
+                               gains, cycle, DEFAULT_FILTER_ALPHA,
                                WHEEL_RATE_SMOOTHING)
         got = closed_loop_matrix(params, gains, cycle)
         assert got.shape == ref.shape

@@ -13,7 +13,6 @@ from telebalance.plant import (
     TWO_PI,
     PlantParams,
     SensorNoise,
-    linearized_matrices,
     sample_sensors,
     _rk4_span,
 )
@@ -71,12 +70,6 @@ class TestFixedPointAndValidation:
 
 
 class TestLinearizedOracle:
-    def test_matches_independent_linear_derivation(self, params):
-        A, B = linearized_matrices(params)
-        A_ref, B_ref = wip_linear_system(params)
-        assert np.allclose(A, A_ref, rtol=1e-12, atol=1e-12)
-        assert np.allclose(B, B_ref, rtol=1e-12, atol=1e-12)
-
     def test_small_tilt_trajectory_matches_matrix_exponential(self, params):
         # 100 ms from 0.01 rad, zero torque, vs exp(A t) x0 at each record
         A, _ = wip_linear_system(params)

@@ -80,6 +80,30 @@ class TestSuperframe:
         with pytest.raises(ValueError, match="slot 0 has a non-finite"):
             gallop_cfg(slots=((FORWARD, start, duration), (FEEDBACK, 1e-3, 1e-3)))
 
+    def test_empty_slots_rejected_naming_slots(self):
+        with pytest.raises(ValueError, match="slots must hold 1 to 1000 slots, got 0"):
+            gallop_cfg(slots=())
+
+    @pytest.mark.parametrize("entry", [
+        (FEEDBACK, 1e-3, 1e-3, 1), (FEEDBACK, 1e-3), FEEDBACK, None],
+        ids=["four_fields", "two_fields", "bare_direction", "none"])
+    def test_malformed_slot_entry_rejected_naming_slots_and_index(self, entry):
+        # the old 4-field form among them: no unpacking error escapes
+        with pytest.raises(ValueError, match=r"slots entry 1 must be \(direction, "
+                                             r"start_s, duration_s\)"):
+            gallop_cfg(slots=((FORWARD, 0.0, 1e-3), entry))
+
+    def test_more_slots_than_a_superframe_holds_rejected_naming_slots(self):
+        # MAX_SLOTS bounds a custom layout as it bounds slots_per_superframe
+        def layout(n):
+            return tuple((FEEDBACK if i % 2 else FORWARD, i * 1e-3, 1e-3)
+                         for i in range(n))
+        for n in (MAX_SLOTS + 1, 1500):
+            with pytest.raises(ValueError, match=f"slots must hold 1 to "
+                                                 f"{MAX_SLOTS} slots, got {n}"):
+                gallop_cfg(slots=layout(n))
+        assert len(gallop_cfg(slots=layout(MAX_SLOTS)).superframe.slots) == MAX_SLOTS
+
     @pytest.mark.parametrize("key, value", [
         ("slot_duration", 1e-12), ("sync_epoch_period", 1e-12),
         ("slots_per_superframe", MAX_SLOTS + 1)])
