@@ -163,9 +163,60 @@ def compute_command(cstate: ControllerState, gains: ControllerGains,
     return new_state, tuple.__new__(ActuationFrame, (u, frame.seq, now))
 
 
-# ControllerState fields carried across cycles: closed_loop_matrix's last states
+# ControllerState fields carried across cycles: controller_map's memory
 _LOOP_MEMORY = ("tilt_estimate", "integral_accum", "last_wheel_angle",
                 "wheel_rate_estimate")
+
+
+def controller_map(gains: ControllerGains, dt: float,
+                   alpha: float = DEFAULT_FILTER_ALPHA) -> np.ndarray:
+    """One controller update as a linear map, clamps left out: the 5x7
+    matrix from (accel_tilt, gyro_pitch_rate, wheel_angle, _LOOP_MEMORY) to
+    (command, _LOOP_MEMORY after the update). Column j is estimate_tilt and
+    compute_command run once from a 2**-80 input in place j: it engages no
+    clamp, and as a power of two it divides out exactly."""
+    probe = 2.0 ** -80
+    unclamped = replace(gains, integral_limit=MAX_MAGNITUDE, command_limit=1.0)
+    columns = []
+    for j in range(7):
+        x = [probe if i == j else 0.0 for i in range(7)]
+        cstate = ControllerState(**dict(zip(_LOOP_MEMORY, x[3:])),
+                                 last_frame_seq=0, primed=True)
+        frame = SensorFrame(gyro_pitch_rate=x[1], accel_tilt=x[0],
+                            wheel_angle=x[2], seq=1)
+        cstate = estimate_tilt(cstate, frame, dt, alpha)
+        cstate, command = compute_command(cstate, unclamped, frame, dt, 0.0)
+        columns.append([command.motor_command,
+                        *(getattr(cstate, name) for name in _LOOP_MEMORY)])
+    return np.array(columns).T / probe
+
+
+def _loop_model(params: PlantParams, cycle: float, alpha: float):
+    """closed_loop_matrix at this cycle as a function of the gains, all on
+    one plant block."""
+    if not cycle > 0:
+        raise ValueError("cycle must be positive")
+    P = span_matrix(params, _ns(cycle))
+    # the lagged torque is a plant state unless the motor is instant
+    n = 5 if params.motor_time_constant > 0 else 4
+    Ad, Bd = P[:n, :n], P[:n, 5] * params.motor_max_torque
+    m = n + len(_LOOP_MEMORY)
+    # the controller reads the frame (plant states 0-2: tilt, tilt_rate and
+    # wheel_angle) and its memory; its command drives the plant through Bd
+    reads = [0, 1, 2, *range(n, m)]
+
+    def loop(gains: ControllerGains) -> np.ndarray:
+        M = np.zeros((m, m))
+        M[:n, :n] = Ad
+        K = controller_map(gains, cycle, alpha)
+        M[:, reads] += np.vstack([np.outer(Bd, K[0]), K[1:]])
+        if gains.ki_tilt == 0.0:
+            # the accumulator is then decoupled bookkeeping with a unit
+            # eigenvalue; drop it so the radius reflects the actual loop
+            i_i = n + _LOOP_MEMORY.index("integral_accum")
+            M = np.delete(np.delete(M, i_i, axis=0), i_i, axis=1)
+        return M
+    return loop
 
 
 def closed_loop_matrix(params: PlantParams, gains: ControllerGains, cycle: float,
@@ -174,42 +225,12 @@ def closed_loop_matrix(params: PlantParams, gains: ControllerGains, cycle: float
 
     State: [tilt, tilt_rate, wheel_angle, wheel_rate, motor_torque] (no
     motor_torque for an instant motor), then the controller memory, named
-    as in _LOOP_MEMORY. The plant block is span_matrix over the cycle, the
-    engine's own RK4 advance; the controller block is estimate_tilt and
-    compute_command themselves, run once per state direction. Sensors are
-    noiseless and unquantized, clamps inactive; sampling, control, and
-    held actuation all happen each `cycle`.
+    as in _LOOP_MEMORY. It composes controller_map with the plant block,
+    span_matrix over the cycle: the engine's own RK4 advance under the
+    held command. Sensors are noiseless and unquantized, clamps inactive;
+    sampling, control, and held actuation all happen each `cycle`.
     """
-    if not cycle > 0:
-        raise ValueError("cycle must be positive")
-    P = span_matrix(params, _ns(cycle))
-    # the lagged torque is a plant state unless the motor is instant
-    n = 5 if params.motor_time_constant > 0 else 4
-    Ad, Bd = P[:n, :n], P[:n, 5] * params.motor_max_torque
-
-    # column j: a controller update, then a held plant cycle, from direction j;
-    # the probe engages no clamp, and as a power of two divides out exactly
-    probe = 2.0 ** -80
-    unclamped = replace(gains, integral_limit=MAX_MAGNITUDE, command_limit=1.0)
-    m = n + len(_LOOP_MEMORY)
-    M = np.empty((m, m))
-    for j in range(m):
-        x = [probe if i == j else 0.0 for i in range(m)]
-        cstate = ControllerState(**dict(zip(_LOOP_MEMORY, x[n:])),
-                                 last_frame_seq=0, primed=True)
-        frame = SensorFrame(gyro_pitch_rate=x[1], accel_tilt=x[0],
-                            wheel_angle=x[2], seq=1)
-        cstate = estimate_tilt(cstate, frame, cycle, alpha)
-        cstate, command = compute_command(cstate, unclamped, frame, cycle, 0.0)
-        M[:n, j] = Ad @ x[:n] + Bd * command.motor_command
-        M[n:, j] = [getattr(cstate, name) for name in _LOOP_MEMORY]
-    M /= probe
-    if gains.ki_tilt == 0.0:
-        # the accumulator is then decoupled bookkeeping with a unit
-        # eigenvalue; drop it so the radius reflects the actual loop
-        i_i = n + _LOOP_MEMORY.index("integral_accum")
-        M = np.delete(np.delete(M, i_i, axis=0), i_i, axis=1)
-    return M
+    return _loop_model(params, cycle, alpha)(gains)
 
 
 def spectral_radius(M: np.ndarray) -> float:
@@ -231,19 +252,21 @@ def tune_default_gains(params: PlantParams, cycle: float,
     whole grid fails (long cycles: the loop cannot be stabilized).
     """
     base = DEFAULT_GAINS
-    for scale in _SEARCH_SCALES:
-        cand = replace(
-            base,
-            kp_tilt=base.kp_tilt * scale,
-            kd_tilt=base.kd_tilt * scale,
-            ki_tilt=base.ki_tilt * scale,
-            kp_position=base.kp_position * scale,
-            kd_position=base.kd_position * scale,
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            M = closed_loop_matrix(params, cand, cycle, alpha)
-        # a long cycle overflows the plant's span map; that loop is not stable
-        if np.isfinite(M).all() and spectral_radius(M) < 1.0:
-            return cand
+    # one plant block for every scale; a long cycle overflows it, and that
+    # loop is not stable
+    with np.errstate(over="ignore", invalid="ignore"):
+        loop = _loop_model(params, cycle, alpha)
+        for scale in _SEARCH_SCALES:
+            cand = replace(
+                base,
+                kp_tilt=base.kp_tilt * scale,
+                kd_tilt=base.kd_tilt * scale,
+                ki_tilt=base.ki_tilt * scale,
+                kp_position=base.kp_position * scale,
+                kd_position=base.kd_position * scale,
+            )
+            M = loop(cand)
+            if np.isfinite(M).all() and spectral_radius(M) < 1.0:
+                return cand
     raise TuningFailureError(
         f"no searched gain set stabilizes a {cycle * 1e3:.1f} ms cycle")

@@ -31,6 +31,7 @@ import concurrent.futures
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from heapq import heappop, heappush
 from typing import Iterator, NamedTuple
@@ -347,17 +348,18 @@ def _run_batch(jobs: list[tuple[ScenarioConfig, bool]], workers: int
     The gains of every job without its own are tuned here first, once per
     distinct (plant, cycle, filter_alpha), so a grid that cannot be tuned
     raises TuningFailureError before any episode runs.
-    With workers > 1 and more than one job the episodes run in a
-    process pool; otherwise they run here in series, through the module's
-    run_episode. A worker's exception reaches the caller with its type.
+    The episodes run in a pool of min(workers, jobs, usable cores) when
+    that exceeds one, else here in series through the module's run_episode;
+    a worker's exception reaches the caller with its type.
     """
     tune = functools.cache(tune_default_gains)
     jobs = [(cfg if cfg.gains is not None
              else replace(cfg, gains=_resolve_gains(cfg, tune)), keep_trace)
             for cfg, keep_trace in jobs]
-    if workers > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(workers, len(jobs))) as pool:
+    workers = min(workers, len(jobs), len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 return list(pool.map(_run_job, jobs))
             except BaseException:

@@ -170,10 +170,12 @@ def build_superframe(cfg: MacConfig) -> Superframe:
 
     slots, starts = [], []
     for i, entry in enumerate(layout):
-        if not isinstance(entry, (tuple, list)) or len(entry) != 3:
+        try:
+            direction, start, dur = entry
+            start, dur = float(start), float(dur)
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"slots entry {i} must be (direction, start_s, "
-                             f"duration_s), got {entry!r}")
-        direction, start, dur = entry[0], float(entry[1]), float(entry[2])
+                             f"duration_s), got {entry!r}") from None
         if direction not in (FORWARD, FEEDBACK):
             raise ValueError(f"slot {i} has unknown direction {direction!r}")
         if not (abs(start) <= MAX_MAGNITUDE and abs(dur) <= MAX_MAGNITUDE):

@@ -101,7 +101,9 @@ def test_criterion_3_loop_budget_sweep():
                            workers=2)
 
         assert points[0].fall_fraction == 0.0
-        assert points[1].fall_fraction == 0.0  # 2 ms added delay still balances
+        # +2 ms does not fall, but it sits in a saturated limit cycle: 54.6
+        # deg/s rms, 64% of commands clamped, lifted radius 1.037
+        assert points[1].fall_fraction == 0.0
         assert points[-1].fall_fraction == 1.0  # largest value always falls
         threshold = failure_threshold(points)
         assert threshold is not None

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     expm_taylor,
+    latency_interval,
+    lifted_loop_matrix,
     loop_matrix_rows,
     probed_span,
     rk4_span_closure,
@@ -24,12 +26,14 @@ from telebalance.control import (
     TuningFailureError,
     closed_loop_matrix,
     compute_command,
+    controller_map,
     ControllerState,
     estimate_tilt,
     spectral_radius,
     tune_default_gains,
 )
-from telebalance.config import ideal_scenario
+from telebalance import control
+from telebalance.config import ScenarioConfig, ideal_scenario
 from telebalance.plant import (
     TWO_PI,
     PlantParams,
@@ -40,7 +44,7 @@ from telebalance.plant import (
     span_matrix,
 )
 from telebalance.sim import run_episode
-from telebalance.wireless import _ns
+from telebalance.wireless import BLE, MacConfig, _ns
 
 # the cycles and plants over which the loop model and the tuner are checked
 GRID_CYCLES_MS = (0.5, 1, 2, 3, 4, 5, 7.5, 10, 12.5, 15, 20, 25, 30)
@@ -201,6 +205,21 @@ class TestTuning:
         with pytest.raises(TuningFailureError):
             tune_default_gains(params, 0.2)
 
+    @pytest.mark.parametrize("cycle", [0.002, 0.0075, 0.2])
+    def test_one_plant_block_per_tune(self, monkeypatch, cycle):
+        # the block does not depend on the gains: every searched scale,
+        # all ten of them at 0.2 s, composes its controller map with one
+        calls = []
+        build = control.span_matrix
+        monkeypatch.setattr(control, "span_matrix",
+                            lambda *args: calls.append(args) or build(*args))
+        if cycle < 0.1:
+            assert tune_default_gains(PlantParams(), cycle) == DEFAULT_GAINS
+        else:
+            with pytest.raises(TuningFailureError):
+                tune_default_gains(PlantParams(), cycle)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("cycle", [100.0, 1e12])
     def test_very_long_cycle_fails_within_a_second_without_warnings(self, cycle):
         # span_matrix composes whole substeps by squaring; stepping the
@@ -312,6 +331,19 @@ class TestClosedLoopMatrix:
         err = np.abs(got - ref).max(axis=1) / np.abs(ref).max(axis=1)
         assert err.max() <= 1e-13, (cycle, gains)
 
+    @pytest.mark.parametrize("cycle", [1e-6, 0.002, 0.0075])
+    def test_controller_map_is_the_row_algebra(self, cycle):
+        # a 3-state plant that holds nothing and takes the command into
+        # state 0: the row algebra's rows 0 and 3-6 are then the update on
+        # (accel_tilt, gyro_pitch_rate, wheel_angle, memory)
+        gains = replace(DEFAULT_GAINS, ki_tilt=0.5)
+        ref = loop_matrix_rows(np.zeros((3, 3)), np.array([1.0, 0.0, 0.0]),
+                               gains, cycle, DEFAULT_FILTER_ALPHA,
+                               WHEEL_RATE_SMOOTHING)[[0, 3, 4, 5, 6]]
+        got = controller_map(gains, cycle)
+        assert got.shape == (5, 7)
+        assert row_error(got, ref) <= 1e-13
+
     @pytest.mark.parametrize("plant", sorted(GRID_PLANTS))
     @pytest.mark.parametrize("ki_tilt", [0.0, 0.5])
     def test_matches_row_algebra_on_grid(self, plant, ki_tilt):
@@ -330,3 +362,74 @@ class TestClosedLoopMatrix:
             gains = scaled(replace(DEFAULT_GAINS, ki_tilt=ki_tilt), scale,
                            **limits)
             self.assert_matches_rows(params, gains, cycle)
+
+
+class TestLiftedLoop:
+    """oracles.lifted_loop_matrix adds the link's latency to the loop model;
+    each tolerance was fixed before the value it bounds was measured."""
+
+    @pytest.mark.parametrize("plant", sorted(GRID_PLANTS))
+    @pytest.mark.parametrize("ki_tilt", [0.0, 0.5])
+    def test_at_zero_latency_it_is_the_loop_model(self, plant, ki_tilt):
+        gains = replace(DEFAULT_GAINS, ki_tilt=ki_tilt)
+        for ms in GRID_CYCLES_MS:
+            cycle = ms * 1e-3
+            got = lifted_loop_matrix(GRID_PLANTS[plant], gains, cycle,
+                                     DEFAULT_FILTER_ALPHA, 0)
+            ref = closed_loop_matrix(GRID_PLANTS[plant], gains, cycle)
+            assert got.shape == ref.shape
+            assert row_error(got, ref) <= 1e-13, ms
+
+    @pytest.mark.parametrize("cycle, latency_ns, scale, radius, tol", [
+        (0.002, 2_000_000, 1.0, 0.99799, 5e-6),     # gallop
+        (0.0075, 16_000_000, 1.0, 1.3413, 5e-5),    # BLE at its mean latency
+        (0.0075, 16_000_000, 0.15, 0.9868, 5e-5),   # BLE at the scale that holds
+    ])
+    def test_radius_at_the_link_latency(self, params, cycle, latency_ns, scale,
+                                        radius, tol):
+        gains = scaled(DEFAULT_GAINS, scale)
+        M = lifted_loop_matrix(params, gains, cycle, DEFAULT_FILTER_ALPHA,
+                               latency_ns)
+        assert abs(spectral_radius(M) - radius) <= tol
+
+    def test_stability_edge_on_the_gallop_cycle(self, params):
+        def radius(latency_ns):
+            return spectral_radius(lifted_loop_matrix(
+                params, DEFAULT_GAINS, 0.002, DEFAULT_FILTER_ALPHA, latency_ns))
+        assert radius(3_250_000) < 1.0 < radius(3_500_000)
+
+    # start: where the fit begins, once the modes below the dominant pair
+    # have died out; the decaying gallop loop's next mode (0.979) is close
+    @pytest.mark.parametrize("mac, start_s", [
+        (MacConfig(), 1.0),
+        (MacConfig(extra_delay=1e-3), 0.1),
+        (MacConfig(variant=BLE, ble_jitter_max=0.0), 0.15),
+    ], ids=["gallop", "gallop_plus_1ms", "ble_no_jitter"])
+    def test_engine_decays_at_the_lifted_radius(self, mac, start_s):
+        # a noise-free episode from a tilt small enough for the linear model,
+        # with an encoder fine enough to leave its quantization out
+        plant = PlantParams(encoder_counts_per_rev=10**12)
+        cfg = ScenarioConfig(mac=mac, plant=plant, noise=SensorNoise(),
+                             initial_tilt=1e-7, episode_duration=3.0)
+        cycle = cfg.resolved_cycle()
+        low, high = latency_interval(mac, cycle)
+        assert low == high
+        radius = spectral_radius(lifted_loop_matrix(
+            plant, tune_default_gains(plant, cycle), cycle,
+            DEFAULT_FILTER_ALPHA, low))
+
+        # the tilt from start_s to the first clamped command, fitted as a
+        # damped sinusoid x[k+2] = a1 x[k+1] + a2 x[k] by least squares:
+        # its envelope changes by sqrt(-a2) per cycle
+        records = run_episode(cfg)[0].records
+        tilt = []
+        for r in records:
+            if abs(r.command) >= 1.0:
+                break
+            if r.t >= start_s:
+                tilt.append(r.tilt)
+        tilt = np.array(tilt)
+        assert len(tilt) >= 20
+        (a1, a2), *_ = np.linalg.lstsq(np.column_stack([tilt[1:-1], tilt[:-2]]),
+                                       tilt[2:], rcond=None)
+        assert abs(math.sqrt(-a2) - radius) <= 1e-3, (math.sqrt(-a2), radius)

@@ -39,7 +39,7 @@ from telebalance.wireless import (
     MacConfig,
 )
 
-from oracles import linear_fall_time, wip_linear_system
+from oracles import latency_interval, linear_fall_time, wip_linear_system
 
 
 class TestRunEpisode:
@@ -255,6 +255,44 @@ class TestRunEpisode:
             mac=replace(make().mac, **{key: bound}), episode_duration=0.5))[0])
             for bound in (0.0, -0.0)]
         assert traces[0] == traces[1]
+
+
+class TestLatencyInterval:
+    """oracles.latency_interval drives wireless.transmit itself; every
+    latency the engine records lies in it, and the deterministic links
+    record exactly it."""
+
+    @staticmethod
+    def recorded(cfg):
+        trace, _ = run_episode(cfg)
+        return {round(r.cycle_latency * 1e6) for r in trace.records
+                if not math.isnan(r.cycle_latency)}
+
+    # delay_sweep.cfg's rule: 2 ms plus twice an even whole-ms delay; an odd
+    # one waits one superframe more (1 ms gives 5 ms, 5 ms gives 13 ms)
+    @pytest.mark.parametrize("extra_ms, latency_ms", [
+        (0, 2), (1, 5), (2, 6), (5, 13), (8, 18), (12, 26), (16, 34)])
+    def test_gallop_with_added_delay(self, extra_ms, latency_ms):
+        mac = MacConfig(extra_delay=extra_ms * 1e-3)
+        cfg = gallop_scenario(mac=mac, episode_duration=0.2)
+        latency_ns = latency_ms * 1_000_000
+        assert latency_interval(mac, cfg.resolved_cycle()) == (latency_ns,) * 2
+        assert self.recorded(cfg) == {latency_ns}
+
+    def test_four_slot_superframe(self):
+        mac = MacConfig(slots_per_superframe=4)
+        cfg = gallop_scenario(mac=mac, episode_duration=0.2)
+        assert latency_interval(mac, cfg.resolved_cycle()) == (2_000_000,) * 2
+        assert self.recorded(cfg) == {2_000_000}
+
+    def test_ble_records_inside_the_interval(self):
+        cfg = ble_scenario(episode_duration=7.5)
+        low, high = latency_interval(cfg.mac, cfg.resolved_cycle())
+        assert (low, high) == (15_000_000, 17_000_000)
+        recorded = self.recorded(cfg)
+        assert low <= min(recorded) and max(recorded) <= high
+        # the jitter spreads the records over the whole interval
+        assert max(recorded) - min(recorded) >= 0.95 * (high - low)
 
 
 class TestBlockStream:
@@ -560,6 +598,40 @@ class TestSweep:
         with pytest.raises(TuningFailureError, match="200.0 ms"):
             run_sweep(base, "scenario.control_cycle", [0.005, 0.2], 3)
         assert episodes == []
+
+    @pytest.mark.parametrize("affinity, cpu_count, pool_size", [
+        ({0, 1, 2}, 64, 3), (None, 5, 5), (None, None, None)])
+    def test_pool_holds_at_most_one_process_per_usable_core(
+            self, monkeypatch, affinity, cpu_count, pool_size):
+        # a pool that records its size and runs the jobs here: no process
+        # starts; 1000 workers asked for on 8 jobs
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(sim.concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        if affinity is None:
+            monkeypatch.delattr(sim.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: affinity)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: cpu_count)
+        base = gallop_scenario(episode_duration=0.02)
+        points = run_sweep(base, "mac.extra_delay", [0.0, 0.004], 4, workers=1000)
+        # an unknown core count runs in series
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert points == run_sweep(base, "mac.extra_delay", [0.0, 0.004], 4)
 
     def test_failure_threshold_helper(self):
         from telebalance.sim import SweepPoint

@@ -85,10 +85,14 @@ class TestSuperframe:
             gallop_cfg(slots=())
 
     @pytest.mark.parametrize("entry", [
-        (FEEDBACK, 1e-3, 1e-3, 1), (FEEDBACK, 1e-3), FEEDBACK, None],
-        ids=["four_fields", "two_fields", "bare_direction", "none"])
+        (FEEDBACK, 1e-3, 1e-3, 1), (FEEDBACK, 1e-3), FEEDBACK, None,
+        (FEEDBACK, "x", 1e-3), (FEEDBACK, 1e-3, None), (FEEDBACK, 10**400, 1e-3)],
+        ids=["four_fields", "two_fields", "bare_direction", "none",
+             "text_start", "none_duration", "int_beyond_float"])
     def test_malformed_slot_entry_rejected_naming_slots_and_index(self, entry):
-        # the old 4-field form among them: no unpacking error escapes
+        # the old 4-field form and entries built in code with a start or a
+        # duration that is no number among them: no unpacking or conversion
+        # error escapes
         with pytest.raises(ValueError, match=r"slots entry 1 must be \(direction, "
                                              r"start_s, duration_s\)"):
             gallop_cfg(slots=((FORWARD, 0.0, 1e-3), entry))
