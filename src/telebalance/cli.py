@@ -57,7 +57,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     _write(out / "comparison.csv", "".join(",".join(row) + "\n" for row in rows))
 
     for r in results:
-        data = "".join(f"{rec.t!r} {rec.tilt_rate!r}\n" for rec in r.trace.records)
+        data = "".join(f"{t!r} {rate!r}\n"
+                       for t, rate in zip(r.trace.t, r.trace.tilt_rate))
         _write(out / f"{r.label}_trace.dat", data)
     plot = [
         "set terminal pngcairo size 1000,500",

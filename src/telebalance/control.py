@@ -194,8 +194,8 @@ def controller_map(gains: ControllerGains, dt: float,
 def _loop_model(params: PlantParams, cycle: float, alpha: float):
     """closed_loop_matrix at this cycle as a function of the gains, all on
     one plant block."""
-    if not cycle > 0:
-        raise ValueError("cycle must be positive")
+    if not 0 < cycle < float("inf"):
+        raise ValueError("cycle must be positive and finite")
     P = span_matrix(params, _ns(cycle))
     # the lagged torque is a plant state unless the motor is instant
     n = 5 if params.motor_time_constant > 0 else 4

@@ -6,10 +6,10 @@ One episode is a strictly sequential event loop over a single heap of
 and the episode's end comes last at its time, so a (config, seed) pair
 fully determines the run. Event timestamps are integer nanoseconds; the
 plant advances to each event by one plant._rk4_span call (the advance rule
-is in plant.py), under a zero-order-hold torque. The cycle table holds
-each cycle from its sample on: the sample while its frames are in flight,
-its CycleRecord once it closes. The trace is the closed records, in
-sample order.
+is in plant.py), under a zero-order-hold torque. A sample appends its
+cycle's row to the trace's columns, and the cycle's close fills in its
+command, latency and drops; the rows still in flight at the episode's
+end are deleted. The trace is the closed cycles, in sample order.
 
 Sensor sampling is scheduled on the robot's local clock (wireless.RobotClock),
 which drifts between sync epochs and is re-bounded at each epoch. The default
@@ -32,7 +32,8 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from array import array
+from dataclasses import dataclass, field, fields, replace
 from heapq import heappop, heappush
 from typing import Iterator, NamedTuple
 
@@ -87,7 +88,7 @@ class BlockStream:
 
 
 class CycleRecord(NamedTuple):
-    """One control cycle of a trace; a tuple because every cycle builds one."""
+    """One control cycle of a trace, one row of its columns."""
 
     t: float                 # s, sensor sample time (true simulation time)
     tilt: float              # deg
@@ -101,7 +102,16 @@ class CycleRecord(NamedTuple):
 
 @dataclass
 class EpisodeTrace:
-    records: tuple[CycleRecord, ...]
+    """An episode's cycles in sample order, one array column per
+    CycleRecord field: the floats as 'd', the drop flags as 'b' (0 or 1)."""
+    t: array = field(default_factory=lambda: array("d"))
+    tilt: array = field(default_factory=lambda: array("d"))
+    tilt_rate: array = field(default_factory=lambda: array("d"))
+    wheel_rate: array = field(default_factory=lambda: array("d"))
+    command: array = field(default_factory=lambda: array("d"))
+    cycle_latency: array = field(default_factory=lambda: array("d"))
+    forward_dropped: array = field(default_factory=lambda: array("b"))
+    feedback_dropped: array = field(default_factory=lambda: array("b"))
     fall_time: float | None = None
     # per-direction message accounting (sent = delivered + lost, exactly)
     forward_sent: int = 0
@@ -110,6 +120,25 @@ class EpisodeTrace:
     feedback_sent: int = 0
     feedback_delivered: int = 0
     feedback_lost: int = 0
+
+    @classmethod
+    def from_records(cls, records, **counts) -> EpisodeTrace:
+        """A trace of these CycleRecords; counts are its other fields."""
+        trace = cls(**counts)
+        for column, values in zip(trace.columns(), zip(*records)):
+            column.extend(values)
+        return trace
+
+    def columns(self) -> tuple[array, ...]:
+        """The columns, in CycleRecord field order."""
+        return tuple(getattr(self, name) for name in CycleRecord._fields)
+
+    @property
+    def records(self) -> tuple[CycleRecord, ...]:
+        """The cycles as CycleRecords, built anew on each access."""
+        *floats, fwd, fbk = self.columns()
+        return tuple(map(CycleRecord._make, zip(
+            *floats, map(bool, fwd), map(bool, fbk))))
 
 
 @dataclass(frozen=True)
@@ -168,9 +197,11 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
 
     mac = cfg.mac
     alpha = cfg.filter_alpha
-    # the cycle table, in sample order: k -> (sample_ns, tilt, tilt_rate,
-    # wheel_rate) in degrees while cycle k is in flight, its CycleRecord after
-    records: dict[int, tuple] = {}
+    trace = EpisodeTrace()
+    (t_col, tilt_col, rate_col, wheel_col, cmd_col, lat_col, fwd_col,
+     fbk_col) = columns = trace.columns()
+    # cycles in flight, in sample order: k -> (its row, sample_ns)
+    in_flight: dict[int, tuple[int, int]] = {}
     fwd_sent = fwd_delivered = fwd_lost = 0
     fbk_sent = fbk_delivered = fbk_lost = 0
     last_arrival_ns: int | None = None
@@ -178,14 +209,17 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     last_applied = -1  # seq of the newest command applied
 
     def close_cycle(k: int, act, applied_ns: int | None) -> None:
-        """Record cycle k. act is None when the forward frame was lost,
-        applied_ns is None when the feedback frame was."""
-        sample_ns, tilt, tilt_rate, wheel_rate = records[k]
-        latency = NAN if applied_ns is None else (applied_ns - sample_ns) / 1e6
-        records[k] = tuple.__new__(CycleRecord, (
-            sample_ns / 1e9, tilt, tilt_rate, wheel_rate,
-            NAN if act is None else act.motor_command, latency,
-            act is None, act is not None and applied_ns is None))
+        """Fill in cycle k's row. act is None when the forward frame was
+        lost, applied_ns is None when the feedback frame was."""
+        row, sample_ns = in_flight.pop(k)
+        if act is None:
+            fwd_col[row] = 1
+            return
+        cmd_col[row] = act.motor_command
+        if applied_ns is None:
+            fbk_col[row] = 1
+        else:
+            lat_col[row] = (applied_ns - sample_ns) / 1e6
 
     heappush(heap, (sync_period_ns, next_seq(), "sync", (1,)))
     heappush(heap, (max(local_to_true_ns(0), 0), next_seq(), "sample",
@@ -217,7 +251,15 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
         if kind == "sample":
             last_sample_ns = t_ns
             frame = sample_sensors(th, w, phi, cfg.noise, params, rng_noise, seq=k)
-            records[k] = (t_ns, th * DEG, w * DEG, v * DEG)
+            in_flight[k] = len(t_col), t_ns
+            t_col.append(t_ns / 1e9)
+            tilt_col.append(th * DEG)
+            rate_col.append(w * DEG)
+            wheel_col.append(v * DEG)
+            cmd_col.append(NAN)
+            lat_col.append(NAN)
+            fwd_col.append(0)
+            fbk_col.append(0)
             fwd_sent += 1
             deliver_ns = transmit(mac, chan, FORWARD, t_ns, rng_loss, rng_jitter)[0]
             if deliver_ns is not None:
@@ -275,9 +317,11 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
         else:  # end: the plant has reached end_ns
             break
 
-    trace = EpisodeTrace(
-        records=tuple(r for r in records.values() if type(r) is CycleRecord),
-        fall_time=None if fall_ns is None else fall_ns / 1e9,
+    for row, _ in reversed(in_flight.values()):  # last first: rows keep place
+        for column in columns:
+            del column[row]
+    trace = replace(
+        trace, fall_time=None if fall_ns is None else fall_ns / 1e9,
         forward_sent=fwd_sent, forward_delivered=fwd_delivered,
         forward_lost=fwd_lost, feedback_sent=fbk_sent,
         feedback_delivered=fbk_delivered, feedback_lost=fbk_lost,
@@ -293,16 +337,17 @@ def compute_metrics(trace: EpisodeTrace, cfg: ScenarioConfig) -> EpisodeMetrics:
     """
     fell = trace.fall_time is not None
     balanced = trace.fall_time if fell else cfg.episode_duration
-    if not trace.records:
+    if not trace.t:
         return EpisodeMetrics(balanced, fell, NAN, abs(cfg.initial_tilt) * DEG,
                               NAN, NAN, NAN, 0.0)
 
-    rates = np.array([r.tilt_rate for r in trace.records if r.t <= balanced])
-    tilts = np.array([abs(r.tilt) for r in trace.records])
-    lat = np.array([r.cycle_latency for r in trace.records
-                    if not math.isnan(r.cycle_latency)])
-    dropped = np.array([r.forward_dropped or r.feedback_dropped
-                        for r in trace.records])
+    t, tilt, tilt_rate, _, _, latency, fwd, fbk = (
+        np.frombuffer(column, dtype=column.typecode)
+        for column in trace.columns())
+    rates = tilt_rate[t <= balanced]
+    tilts = np.abs(tilt)
+    lat = latency[~np.isnan(latency)]
+    dropped = fwd | fbk
 
     if lat.size:
         lat_mean = float(lat.mean())
@@ -449,13 +494,13 @@ TRACE_COLUMNS = ("t", "tilt", "tilt_rate", "wheel_rate", "command_left",
 
 
 def trace_to_csv(trace: EpisodeTrace) -> str:
-    """CSV text of the per-cycle records, header row included."""
+    """CSV text of the trace's rows, header row included."""
     lines = [",".join(TRACE_COLUMNS) + "\n"]
     lines += [f"{t!r},{tilt!r},{tilt_rate!r},{wheel_rate!r},{cmd},{cmd},"
               f"{latency!r},{'true' if fwd else 'false'},"
               f"{'true' if fbk else 'false'}\n"
               for t, tilt, tilt_rate, wheel_rate, command, latency, fwd, fbk
-              in trace.records for cmd in [repr(command)]]
+              in zip(*trace.columns()) for cmd in [repr(command)]]
     return "".join(lines)
 
 

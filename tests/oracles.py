@@ -3,7 +3,7 @@
 These deliberately avoid the library code paths they validate: the matrix
 exponential is a truncated Taylor series with scaling-and-squaring, the
 linearized model and the energy are re-derived here from the Lagrangian,
-and fall times come from scanning the series solution. Three exceptions
+and fall times come from scanning the series solution. Four exceptions
 restate a library computation in a plainer form: rk4_span_closure is the
 RK4 kernel with one derivative function called per stage, so that the
 unrolled kernel the simulator runs can be required to give the same
@@ -11,7 +11,9 @@ floats; probed_span steps a kernel's probes over a whole span, so that
 plant.span_matrix, which composes one substep's map by squaring, can be
 required to match it; loop_matrix_rows writes the controller's update
 out as row algebra, so that the loop model built by running the
-controller can be required to match it.
+controller can be required to match it; record_metrics aggregates a
+trace one CycleRecord at a time, so that sim.compute_metrics, which reads
+the trace's columns as arrays, can be required to give the same floats.
 
 Two more stand on the library's own probes and restate no law:
 lifted_loop_matrix lifts control.controller_map and plant.span_matrix to
@@ -31,6 +33,7 @@ import numpy as np
 
 from telebalance.control import _LOOP_MEMORY, controller_map
 from telebalance.plant import SUBSTEP_NS, span_matrix
+from telebalance.sim import EpisodeMetrics
 from telebalance.wireless import (
     FEEDBACK, FORWARD, ChannelModel, ChannelProcess, _ns, transmit)
 
@@ -305,3 +308,36 @@ def latency_interval(mac, cycle: float) -> tuple[int, int]:
             latencies.append(
                 transmit(mac, lossless, FEEDBACK, ready, None, jitter)[0] - k * h)
     return min(latencies), max(latencies)
+
+
+def record_metrics(records, fall_time: float | None, cfg) -> EpisodeMetrics:
+    """sim.compute_metrics of a trace with these CycleRecords and fall
+    time, one list per statistic built record by record."""
+    fell = fall_time is not None
+    balanced = fall_time if fell else cfg.episode_duration
+    if not records:
+        return EpisodeMetrics(balanced, fell, math.nan,
+                              abs(cfg.initial_tilt) * (180.0 / math.pi),
+                              math.nan, math.nan, math.nan, 0.0)
+    rates = np.array([r.tilt_rate for r in records if r.t <= balanced])
+    tilts = np.array([abs(r.tilt) for r in records])
+    lat = np.array([r.cycle_latency for r in records
+                    if not math.isnan(r.cycle_latency)])
+    dropped = np.array([r.forward_dropped or r.feedback_dropped for r in records])
+    if lat.size:
+        lat_mean = float(lat.mean())
+        lat_var = float(np.mean((lat - lat_mean) ** 2))
+        lat_p99 = float(np.percentile(lat, 99))
+    else:
+        lat_mean = lat_var = lat_p99 = math.nan
+    return EpisodeMetrics(
+        balanced_duration=balanced,
+        fell=fell,
+        rms_tilt_rate=float(np.sqrt(np.mean(rates ** 2))) if rates.size
+        else math.nan,
+        max_abs_tilt=float(tilts.max()),
+        latency_mean=lat_mean,
+        latency_variance=lat_var,
+        latency_p99=lat_p99,
+        drop_rate=float(dropped.mean()),
+    )

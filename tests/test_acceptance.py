@@ -55,9 +55,9 @@ def test_criterion_1_latency_anchors():
         start = time.perf_counter()
 
         # sample-to-actuation latency as the engine records it per cycle
-        trace, _ = run_episode(gallop_scenario(episode_duration=4.0))
-        assert len(trace.records) == 2000
-        assert all(r.cycle_latency == 2.0 for r in trace.records)
+        records = run_episode(gallop_scenario(episode_duration=4.0))[0].records
+        assert len(records) == 2000
+        assert all(r.cycle_latency == 2.0 for r in records)
 
         # BLE one-way latency floor on the scheduled sampling grid
         cfg = MacConfig(variant=BLE)
@@ -119,12 +119,12 @@ def test_criterion_4_plant_oracle_equivalence():
         # the plant as the engine advances it: zero gains on the ideal
         # link, a fall threshold out of reach, state read from the records
         def open_loop(plant, tilt0, duration):
-            trace, _ = run_episode(ideal_scenario(
+            records = run_episode(ideal_scenario(
                 plant=plant, gains=ControllerGains(), initial_tilt=tilt0,
-                episode_duration=duration, fall_threshold=1e3))
-            assert len(trace.records) == round(duration / 0.005)
+                episode_duration=duration, fall_threshold=1e3))[0].records
+            assert len(records) == round(duration / 0.005)
             return [(math.radians(r.tilt), math.radians(r.tilt_rate),
-                     math.radians(r.wheel_rate), r.t) for r in trace.records]
+                     math.radians(r.wheel_rate), r.t) for r in records]
 
         params = PlantParams()
         A, _ = wip_linear_system(params)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -352,8 +353,12 @@ class TestCmdCompare:
         comparison = (out / "comparison.csv").read_text().splitlines()
         assert comparison[0].startswith("label,seeds,fall_fraction")
         assert len(comparison) == 3
-        assert (out / "gallop_s_trace.dat").exists()
-        assert (out / "ble_s_trace.dat").exists()
+        # each label's .dat: its first seed's t and tilt_rate, one cycle a line
+        for cfg_path, label in ((a, "gallop_s"), (b, "ble_s")):
+            cfg = replace(load_scenario(cfg_path), seed=0)
+            records = sim.run_episode(cfg)[0].records
+            assert (out / f"{label}_trace.dat").read_text() == "".join(
+                f"{r.t!r} {r.tilt_rate!r}\n" for r in records)
         plot = (out / "plot.gp").read_text()
         assert "gallop_s_trace.dat" in plot and "ble_s_trace.dat" in plot
         # gallop variance column is exactly zero, ble strictly positive

@@ -239,6 +239,14 @@ class TestTuning:
         with pytest.raises(ValueError):
             tune_default_gains(params, 0.0)
 
+    @pytest.mark.parametrize("cycle", [math.inf, -math.inf, math.nan])
+    def test_cycle_must_be_finite(self, params, cycle):
+        # a ValueError, as for any other bad cycle, not _ns's OverflowError
+        with pytest.raises(ValueError, match="cycle must be positive and finite"):
+            tune_default_gains(params, cycle)
+        with pytest.raises(ValueError, match="cycle must be positive and finite"):
+            closed_loop_matrix(params, DEFAULT_GAINS, cycle)
+
     @pytest.mark.parametrize("plant", sorted(GRID_PLANTS))
     def test_picks_the_scales_scipy_expm_picked(self, plant):
         for ms, scale in zip(GRID_CYCLES_MS, SCIPY_EXPM_SCALES[plant]):
@@ -250,11 +258,12 @@ class TestTuning:
         # cycle: |tilt| < 0.2 deg within 3 s and never near the fall threshold
         trace, m = run_episode(ideal_scenario(noise=SensorNoise(),
                                               episode_duration=4.0))
+        records = trace.records
         assert not m.fell
-        assert len(trace.records) == 800
+        assert len(records) == 800
         assert m.max_abs_tilt < 4.0
         converged_at = None
-        for r in trace.records:
+        for r in records:
             if abs(r.tilt) >= 0.2:
                 converged_at = None
             elif converged_at is None:

@@ -50,10 +50,11 @@ def recorded_state(r):
 class TestFixedPointAndValidation:
     def test_upright_rest_is_fixed_point(self):
         trace, m = open_loop_episode(0.0, 1.0)
+        records = trace.records
         assert not m.fell
-        assert len(trace.records) == 200
+        assert len(records) == 200
         assert all(r.tilt == 0.0 and r.tilt_rate == 0.0 and r.wheel_rate == 0.0
-                   for r in trace.records)
+                   for r in records)
 
     def test_rejects_non_finite_state(self, params):
         rng = np.random.default_rng(0)
@@ -74,10 +75,10 @@ class TestLinearizedOracle:
         # 100 ms from 0.01 rad, zero torque, vs exp(A t) x0 at each record
         A, _ = wip_linear_system(params)
         x0 = np.array([0.01, 0.0, 0.0, 0.0])
-        trace, _ = open_loop_episode(0.01, 0.1)
-        assert len(trace.records) == 20
+        records = open_loop_episode(0.01, 0.1)[0].records
+        assert len(records) == 20
         worst = 0.0
-        for r in trace.records:
+        for r in records:
             x_lin = expm_taylor(A * r.t) @ x0
             worst = max(worst, abs(recorded_state(r)[0] - x_lin[0]) / abs(x_lin[0]))
         assert worst < 1e-4
@@ -134,10 +135,10 @@ class TestRk4Kernel:
 class TestEnergyAndSymmetry:
     def test_energy_conserved_without_friction_and_torque(self):
         params = PlantParams(viscous_friction=0.0)
-        trace, _ = open_loop_episode(0.02, 1.0, plant=params)
-        assert len(trace.records) == 200
+        records = open_loop_episode(0.02, 1.0, plant=params)[0].records
+        assert len(records) == 200
         e0 = lagrangian_energy(0.02, 0.0, 0.0, params)
-        for r in trace.records:
+        for r in records:
             e = lagrangian_energy(*recorded_state(r), params)
             assert abs(e - e0) / e0 < 1e-6
 

@@ -1,9 +1,13 @@
+import hashlib
 import math
-from dataclasses import replace
+import pickle
+import sys
+import tracemalloc
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from telebalance import sim
@@ -39,7 +43,12 @@ from telebalance.wireless import (
     MacConfig,
 )
 
-from oracles import latency_interval, linear_fall_time, wip_linear_system
+from oracles import (
+    latency_interval,
+    linear_fall_time,
+    record_metrics,
+    wip_linear_system,
+)
 
 
 class TestRunEpisode:
@@ -70,7 +79,7 @@ class TestRunEpisode:
         trace, _ = run_episode(gallop_scenario(episode_duration=2.0))
         times = [r.t for r in trace.records]
         assert times == sorted(times)
-        assert len(trace.records) == 1000  # one per 2 ms cycle
+        assert len(times) == 1000  # one per 2 ms cycle
         diffs = np.diff(times)
         assert np.allclose(diffs, 0.002, atol=1e-12)
 
@@ -94,9 +103,9 @@ class TestRunEpisode:
         assert trace.forward_sent == trace.forward_delivered + trace.forward_lost
         assert trace.feedback_sent == trace.feedback_delivered + trace.feedback_lost
         assert trace.forward_lost > 0
-        dropped = sum(r.forward_dropped or r.feedback_dropped
-                      for r in trace.records)
-        assert m.drop_rate == pytest.approx(dropped / len(trace.records))
+        records = trace.records
+        dropped = sum(r.forward_dropped or r.feedback_dropped for r in records)
+        assert m.drop_rate == pytest.approx(dropped / len(records))
 
     def test_forward_drop_records_have_no_command(self):
         cfg = gallop_scenario(episode_duration=1.0,
@@ -216,8 +225,7 @@ class TestRunEpisode:
     def test_every_cycle_dropped(self):
         trace, m = run_episode(gallop_scenario(
             channel=ChannelModel(default_loss=1.0), episode_duration=2.0))
-        assert trace.records
-        assert trace.forward_lost == trace.forward_sent == len(trace.records)
+        assert trace.forward_lost == trace.forward_sent == len(trace.records) > 0
         assert trace.feedback_sent == 0
         assert m.drop_rate == 1.0
         assert all(math.isnan(x) for x in (m.latency_mean, m.latency_variance,
@@ -243,8 +251,9 @@ class TestRunEpisode:
         for seed in range(4):
             trace, _ = run_episode(gallop_scenario(
                 mac=mac, channel=burst, episode_duration=10.0, seed=seed))
-            assert len(trace.records) == trace.forward_sent == 5000
-            assert trace.records[-1].t < 10.0
+            records = trace.records
+            assert len(records) == trace.forward_sent == 5000
+            assert records[-1].t < 10.0
 
     @pytest.mark.parametrize("make, key", [(ble_scenario, "ble_jitter_max"),
                                            (gallop_scenario, "sync_error_bound")])
@@ -352,7 +361,7 @@ class TestHoppingDecorrelatesBursts:
                 trace, _ = run_episode(gallop_scenario(
                     mac=mac, channel=burst, episode_duration=10.0, seed=seed))
                 runs += dropped_runs(trace)
-                cycles += len(trace.records)
+                cycles += len(trace.t)
             stats[count] = (sum(runs) / cycles, np.mean(runs), max(runs))
         (rate_1, mean_1, max_1), (rate_37, mean_37, max_37) = stats[1], stats[37]
         assert abs(rate_1 - rate_37) <= 0.2 * rate_37
@@ -403,22 +412,51 @@ class TestPipelineProperties:
         trace, _ = run_episode(cfg)
         assert trace.forward_sent == trace.forward_delivered + trace.forward_lost
         assert trace.feedback_sent == trace.feedback_delivered + trace.feedback_lost
-        times = [r.t for r in trace.records]
+        records = trace.records
+        times = [r.t for r in records]
         assert all(a < b for a, b in zip(times, times[1:]))
         # commands take effect in cycle order: a reordered one is dropped
         applied = [round(r.t * 1e9) + round(r.cycle_latency * 1e6)
-                   for r in trace.records if not math.isnan(r.cycle_latency)]
+                   for r in records if not math.isnan(r.cycle_latency)]
         assert all(a <= b for a, b in zip(applied, applied[1:]))
         floor = latency_floor_ns(cfg.mac)
-        assert all(round(r.cycle_latency * 1e6) >= floor for r in trace.records
+        assert all(round(r.cycle_latency * 1e6) >= floor for r in records
                    if not math.isnan(r.cycle_latency))
         if trace.fall_time is not None:
             assert 0.0 <= trace.fall_time <= cfg.episode_duration
 
 
+@st.composite
+def hand_built_traces(draw):
+    """(records, fall_time) on a 2 ms grid: NaN latencies, at times every
+    one of them, and a fall that may land among the rows."""
+    value = st.floats(-1e6, 1e6)
+    latency = st.just(math.nan) if draw(st.booleans()) else st.one_of(
+        st.just(math.nan), st.floats(0.0, 1e3))
+    rows = draw(st.lists(st.tuples(
+        value, value, value, st.just(math.nan) | value, latency,
+        st.booleans(), st.booleans()), max_size=20))
+    records = [CycleRecord(0.002 * k, *row) for k, row in enumerate(rows)]
+    return records, draw(st.none() | st.floats(0.0, 0.002 * len(rows) + 0.004))
+
+
 class TestComputeMetrics:
+    CFG = gallop_scenario(episode_duration=1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=hand_built_traces())
+    @example(case=([], None))
+    @example(case=([], 0.5))
+    def test_columns_match_the_record_oracle(self, case):
+        records, fall_time = case
+        trace = EpisodeTrace.from_records(records, fall_time=fall_time)
+        got = compute_metrics(trace, self.CFG)
+        want = record_metrics(records, fall_time, self.CFG)
+        # bit for bit: repr round-trips a float and tells -0.0 from 0.0
+        assert [repr(x) for x in astuple(got)] == [repr(x) for x in astuple(want)]
+
     def _trace(self, records, fall_time=None):
-        return EpisodeTrace(records=tuple(records), fall_time=fall_time)
+        return EpisodeTrace.from_records(records, fall_time=fall_time)
 
     def _record(self, t, rate=1.0, lat=2.0, fwd=False, fbk=False, tilt=0.5):
         return CycleRecord(t=t, tilt=tilt, tilt_rate=rate, wheel_rate=0.0,
@@ -472,6 +510,90 @@ class TestComputeMetrics:
         m = compute_metrics(trace, cfg)
         assert m.fell
         assert m.balanced_duration == 0.5
+
+
+def assert_rows_closed(trace: EpisodeTrace) -> None:
+    """Every row is a closed cycle: forward dropped with no command, or
+    with its command and either a latency or a feedback drop."""
+    for r in trace.records:
+        if r.forward_dropped:
+            assert math.isnan(r.command) and math.isnan(r.cycle_latency)
+            assert not r.feedback_dropped
+        else:
+            assert not math.isnan(r.command)
+            assert math.isnan(r.cycle_latency) == r.feedback_dropped
+
+
+class TestTraceRows:
+    def test_rows_closed_out_of_order_stay_in_sample_order(self):
+        # a jitter beyond the connection interval: a command applied before
+        # an older one closes its row first, then the older row is dropped
+        mac = replace(ble_scenario().mac, ble_jitter_max=0.02)
+        trace, _ = run_episode(ble_scenario(mac=mac, episode_duration=1.0))
+        assert trace.feedback_lost == 0
+        assert sum(trace.feedback_dropped) == 9
+        assert all(a < b for a, b in zip(trace.t, trace.t[1:]))
+        assert_rows_closed(trace)
+        # the bytes this episode wrote when each cycle was a CycleRecord
+        assert hashlib.sha256(trace_to_csv(trace).encode()).hexdigest() == (
+            "09cf5a9ca86b2245315d552fe3940ae7b8180e2c4c9ad33ad2da07a15e45d6b9")
+
+    def test_fall_deletes_the_rows_in_flight(self):
+        # a 34 ms loop on the 2 ms cycle: 17 cycles are in flight at the fall
+        mac = replace(gallop_scenario().mac, extra_delay=0.016)
+        trace, _ = run_episode(gallop_scenario(mac=mac, episode_duration=1.0))
+        fall_ns = round(trace.fall_time * 1e9)
+        closed = [k for k in range(trace.forward_sent)
+                  if k * 2_000_000 + 34_000_000 <= fall_ns]
+        assert trace.forward_sent - len(closed) == 17
+        assert {len(column) for column in trace.columns()} == {len(closed)}
+        assert list(trace.t) == [k * 2_000_000 / 1e9 for k in closed]
+        assert set(trace.cycle_latency) == {34.0}
+        assert_rows_closed(trace)
+
+    def test_pickle_and_records_keep_the_trace(self):
+        trace, _ = run_episode(gallop_scenario(
+            channel=ChannelModel(default_loss=0.3), episode_duration=0.5))
+        records = trace.records
+        assert any(r.forward_dropped for r in records)
+        assert any(r.feedback_dropped for r in records)
+        pickled = pickle.loads(pickle.dumps(trace))
+        assert (pickled.forward_lost, pickled.feedback_lost) == (
+            trace.forward_lost, trace.feedback_lost)
+        text = trace_to_csv(trace)
+        for copy in (pickled, EpisodeTrace.from_records(records)):
+            assert trace_to_csv(copy) == text
+            assert {type(x) for r in copy.records for x in r[6:]} == {bool}
+
+
+class TestTraceMemory:
+    # Bounds fixed before either side was measured. Between a 0.25 s and a
+    # 1.25 s gallop episode (125 and 625 cycles), a trace of CycleRecord
+    # tuples, as the engine kept before the columns, held 256 B per cycle
+    # and raised run_episode's heap peak by 352 B per cycle; the columns
+    # hold 52 B and raise it by 81 B.
+    TRACE_BYTES_PER_CYCLE = 64
+    PEAK_BYTES_PER_CYCLE = 200
+
+    def test_bytes_per_cycle(self):
+        def traced(duration):
+            cfg = gallop_scenario(episode_duration=duration)
+            tracemalloc.start()
+            try:
+                trace, _ = run_episode(cfg)
+                return trace, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_episode(gallop_scenario(episode_duration=0.1))  # lazy set-up
+        short, short_peak = traced(0.25)
+        long, long_peak = traced(1.25)
+        cycles = len(long.t)
+        held = sum(sys.getsizeof(column) for column in long.columns())
+        assert held / cycles <= self.TRACE_BYTES_PER_CYCLE
+        # the episode's fixed costs cancel in the difference
+        per_cycle = (long_peak - short_peak) / (cycles - len(short.t))
+        assert per_cycle <= self.PEAK_BYTES_PER_CYCLE
 
 
 class TestSweep:
@@ -721,7 +843,7 @@ class TestSerialization:
 
     def test_trace_csv_text(self):
         nan = float("nan")
-        trace = EpisodeTrace(records=(
+        trace = EpisodeTrace.from_records((
             CycleRecord(0.0, -0.0, 1e-05, 1e+16, nan, nan, True, False),
             CycleRecord(0.002, 2.5, -3.25, 0.0, -0.0, nan, False, True),
             CycleRecord(0.004, 0.1, -1e-05, -1e+16, 1e-05, 1e+16, False, False),
@@ -735,7 +857,7 @@ class TestSerialization:
             "0.006,1.0,0.5,2.0,1.0,1.0,2.0,true,true\n")
 
     def test_empty_trace_csv_is_the_header_line(self):
-        assert trace_to_csv(EpisodeTrace(records=())) == (
+        assert trace_to_csv(EpisodeTrace()) == (
             "t,tilt,tilt_rate,wheel_rate,command_left,command_right,"
             "cycle_latency,forward_dropped,feedback_dropped\n")
 
