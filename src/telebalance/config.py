@@ -15,7 +15,9 @@ Format example::
     slot_duration = 1 ms
 
 SECTIONS gives the ScenarioConfig field each section fills; SCHEMA reads
-each key and its kind off that field's dataclass. Unknown sections,
+each key off that field's dataclass, one key per field, and the key's kind
+off the field's annotation: Seconds a duration, Radians an angle, int an
+integer, float a number, str text. Unknown sections,
 unknown or duplicate keys and malformed values are hard errors with a line
 diagnostic, never silently ignored. A quantity is a number, optional
 whitespace, then a unit of the key's kind: s, ms or us for a duration, rad
@@ -33,7 +35,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .control import DEFAULT_FILTER_ALPHA, DEFAULT_GAINS, ControllerGains
-from .plant import DEFAULT_FALL_THRESHOLD, PlantParams, SensorNoise, check_finite
+from .plant import (DEFAULT_FALL_THRESHOLD, PlantParams, Radians, Seconds, SensorNoise,
+                    check_finite)
 from .wireless import BLE, GALLOP, IDEAL, ChannelModel, MacConfig, _ns, check_channels_used
 
 # default IMU noise for scenarios; roughly a consumer-grade gyro (0.11 deg/s)
@@ -52,11 +55,11 @@ class ScenarioConfig:
     channel: ChannelModel = ChannelModel()
     gains: ControllerGains | None = None   # None -> tuned for the cycle
     filter_alpha: float = DEFAULT_FILTER_ALPHA
-    initial_tilt: float = math.radians(2.0)  # rad
-    episode_duration: float = 60.0           # s
-    control_cycle: float | None = None       # s, None -> derived from mac
+    initial_tilt: Radians = math.radians(2.0)
+    episode_duration: Seconds = 60.0
+    control_cycle: Seconds | None = None     # None -> derived from mac
     seed: int = 1
-    fall_threshold: float = DEFAULT_FALL_THRESHOLD  # rad
+    fall_threshold: Radians = DEFAULT_FALL_THRESHOLD
     label: str = "scenario"
 
     def resolved_cycle(self) -> float:
@@ -184,30 +187,25 @@ SECTIONS: dict[str, str | None] = {"scenario": None, "plant": "plant", "noise": 
                                    "gains": "gains", "mac": "mac", "loss": "channel"}
 
 
-# the kinds a field's annotation cannot give; any other field's kind is
-# its annotation's (int an integer, float a number, str text), and an
-# annotation outside _ANNOTATION_KINDS fails the import
-_KINDS = dict.fromkeys(
-    ("episode_duration", "control_cycle", "motor_time_constant", "slot_duration",
-     "sync_epoch_period", "sync_error_bound", "ble_connection_interval",
-     "ble_jitter_max", "slot_guard", "extra_delay"), "duration") | {
-    "initial_tilt": "angle", "fall_threshold": "angle",
-    "slots": "slots", "per_channel": "per_channel"}
-_ANNOTATION_KINDS = {"int": "integer", "float": "number", "str": "text"}
+# a field's annotation, less any ' | None' -> its key's kind; an annotation
+# outside this table fails the import
+_ANNOTATION_KINDS = {"Seconds": "duration", "Radians": "angle", "int": "integer",
+                     "float": "number", "str": "text", "SlotLayout": "slots",
+                     "ChannelFloors": "per_channel"}
 
 
-def _section_fields(field: str | None) -> list:
+def _section_fields(field: str | None) -> tuple:
     """The fields a section's keys set: ScenarioConfig's own for
-    [scenario], else the init fields of the value _extend extends."""
+    [scenario], else those of the value _extend extends."""
     if field is None:
-        return [f for f in fields(ScenarioConfig) if f.name not in SECTIONS.values()]
+        return tuple(f for f in fields(ScenarioConfig) if f.name not in SECTIONS.values())
     default = getattr(ScenarioConfig, field)
-    return [f for f in fields(DEFAULT_GAINS if default is None else default) if f.init]
+    return fields(DEFAULT_GAINS if default is None else default)
 
 
 # section -> key -> kind, from the fields each section sets, each by its name
 SCHEMA: dict[str, dict[str, str]] = {
-    section: {f.name: _KINDS.get(f.name) or _ANNOTATION_KINDS[f.type]
+    section: {f.name: _ANNOTATION_KINDS[f.type.removesuffix(" | None")]
               for f in _section_fields(field)}
     for section, field in SECTIONS.items()}
 

@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .plant import MAX_MAGNITUDE, PlantParams, SensorFrame, check_finite, span_matrix
+from .plant import (MAX_MAGNITUDE, PlantParams, SensorFrame, check_finite, linear_map,
+                    span_matrix)
 from .wireless import _ns
 
 DEFAULT_FILTER_ALPHA = 0.98
@@ -172,23 +173,19 @@ def controller_map(gains: ControllerGains, dt: float,
                    alpha: float = DEFAULT_FILTER_ALPHA) -> np.ndarray:
     """One controller update as a linear map, clamps left out: the 5x7
     matrix from (accel_tilt, gyro_pitch_rate, wheel_angle, _LOOP_MEMORY) to
-    (command, _LOOP_MEMORY after the update). Column j is estimate_tilt and
-    compute_command run once from a 2**-80 input in place j: it engages no
-    clamp, and as a power of two it divides out exactly."""
-    probe = 2.0 ** -80
+    (command, _LOOP_MEMORY after the update), the linear_map of one
+    estimate_tilt and compute_command with no clamp to engage."""
     unclamped = replace(gains, integral_limit=MAX_MAGNITUDE, command_limit=1.0)
-    columns = []
-    for j in range(7):
-        x = [probe if i == j else 0.0 for i in range(7)]
+
+    def update(x: list) -> list:
         cstate = ControllerState(**dict(zip(_LOOP_MEMORY, x[3:])),
                                  last_frame_seq=0, primed=True)
         frame = SensorFrame(gyro_pitch_rate=x[1], accel_tilt=x[0],
                             wheel_angle=x[2], seq=1)
         cstate = estimate_tilt(cstate, frame, dt, alpha)
         cstate, command = compute_command(cstate, unclamped, frame, dt, 0.0)
-        columns.append([command.motor_command,
-                        *(getattr(cstate, name) for name in _LOOP_MEMORY)])
-    return np.array(columns).T / probe
+        return [command.motor_command, *(getattr(cstate, name) for name in _LOOP_MEMORY)]
+    return linear_map(update, 7)
 
 
 def _loop_model(params: PlantParams, cycle: float, alpha: float):
@@ -237,6 +234,8 @@ def spectral_radius(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
+# the gains the search scales, together
+_SCALED_GAINS = ("kp_tilt", "kd_tilt", "ki_tilt", "kp_position", "kd_position")
 # scale factors tried, in order, when the shipped gains do not already
 # stabilize the requested cycle
 _SEARCH_SCALES = (1.0, 0.75, 0.5, 1.5, 0.35, 2.0, 0.25, 3.0, 0.15, 0.1)
@@ -257,14 +256,8 @@ def tune_default_gains(params: PlantParams, cycle: float,
     with np.errstate(over="ignore", invalid="ignore"):
         loop = _loop_model(params, cycle, alpha)
         for scale in _SEARCH_SCALES:
-            cand = replace(
-                base,
-                kp_tilt=base.kp_tilt * scale,
-                kd_tilt=base.kd_tilt * scale,
-                ki_tilt=base.ki_tilt * scale,
-                kp_position=base.kp_position * scale,
-                kd_position=base.kd_position * scale,
-            )
+            cand = replace(base, **{name: getattr(base, name) * scale
+                                    for name in _SCALED_GAINS})
             M = loop(cand)
             if np.isfinite(M).all() and spectral_radius(M) < 1.0:
                 return cand

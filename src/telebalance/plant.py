@@ -41,6 +41,11 @@ TWO_PI = 2.0 * math.pi
 
 SUBSTEP_NS = 500_000  # RK4 substep, in the engine's whole-ns event time
 
+# a config field's annotation gives its key's unit: Seconds and Radians are
+# plain floats that the config file writes with a duration or angle unit
+Seconds = float
+Radians = float
+
 DEFAULT_FALL_THRESHOLD = 0.6  # rad
 
 
@@ -77,7 +82,7 @@ class PlantParams:
     wheel_inertia: float = 3.2e-5     # kg m^2, both wheels about axle
     gravity: float = 9.81             # m/s^2
     motor_max_torque: float = 0.1     # N m, total at axle
-    motor_time_constant: float = 0.01  # s, first-order torque lag
+    motor_time_constant: Seconds = 0.01  # first-order torque lag
     viscous_friction: float = 1.0e-5  # N m s/rad, axle bearing
     encoder_counts_per_rev: int = 1320
 
@@ -236,25 +241,29 @@ def sample_sensors(tilt: float, tilt_rate: float, wheel_angle: float,
     return tuple.__new__(SensorFrame, (gyro, accel, angle, seq))
 
 
+def linear_map(step, n: int) -> np.ndarray:
+    """The matrix of step, a map of n floats to a sequence of floats that is
+    linear near zero: column j is step run from a 2**-80 input in place j.
+    The probe is too small to reach a nonlinear term or a clamp, and as a
+    power of two it divides out exactly."""
+    probe = 2.0 ** -80
+    return np.array([step([probe if i == j else 0.0 for i in range(n)])
+                     for j in range(n)]).T / probe
+
+
 def span_matrix(params: PlantParams, span_ns: int) -> np.ndarray:
     """The linear map _rk4_span applies over span_ns near upright, as the
     6x6 [[Phi, Gamma], [0, 1]] on (tilt, tilt_rate, wheel_angle, wheel_rate,
     motor_torque, tau_cmd).
 
-    Each column of one whole substep's map, and of the remainder's, is
-    _rk4_span run from a 2**-80 input: too small to reach the nonlinear
-    terms, and a power of two, so it divides out exactly. The whole
-    substeps compose by repeated squaring, then the remainder follows, as
-    in the advance rule; a long span costs a few dozen 6x6 products.
+    One whole substep's map, and the remainder's, is the linear_map of
+    _rk4_span over it. The whole substeps compose by repeated squaring,
+    then the remainder follows, as in the advance rule; a long span costs
+    a few dozen 6x6 products.
     """
-    probe = 2.0 ** -80
-
     def probed(ns: int) -> np.ndarray:
         M = np.eye(6)
-        for j in range(6):
-            x = [probe if i == j else 0.0 for i in range(6)]
-            M[:5, j] = _rk4_span(*x, params, ns)[:5]
-        M[:5] /= probe
+        M[:5] = linear_map(lambda x: _rk4_span(*x, params, ns)[:5], 6)
         return M
 
     n_full, rem = divmod(span_ns, SUBSTEP_NS)

@@ -417,7 +417,8 @@ def run_sweep(base: ScenarioConfig, parameter_path: str, values,
               seeds_per_point: int, workers: int = 1) -> list[SweepPoint]:
     """Episode statistics across a numeric config parameter.
 
-    Each grid value is run with seeds base.seed .. base.seed+K-1. The whole
+    Each grid value is run with seeds s .. s+K-1, s the seed of its own
+    config: base.seed, or the value itself on a scenario.seed sweep. The whole
     grid is one batch, and its results are sliced back per value in grid
     order, so sequential and concurrent execution give identical tables.
     """
@@ -427,7 +428,7 @@ def run_sweep(base: ScenarioConfig, parameter_path: str, values,
     if seeds_per_point < 3:
         raise ValueError("sweep needs at least 3 seeds per point")
     grid = [set_by_path(base, parameter_path, v) for v in values]
-    jobs = [(replace(cfg, seed=base.seed + i), False)
+    jobs = [(replace(cfg, seed=cfg.seed + i), False)
             for cfg in grid for i in range(seeds_per_point)]
     metrics = [m for _, m in _run_batch(jobs, workers)]
 

@@ -29,12 +29,12 @@ every epoch) redraws it within the sync error bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .plant import MAX_MAGNITUDE, check_finite
+from .plant import MAX_MAGNITUDE, Seconds, check_finite
 
 GALLOP = "gallop"
 BLE = "ble_baseline"
@@ -48,6 +48,10 @@ BLE_MIN_INTERVAL_S = 0.0075
 # slots for each frame
 MAX_SLOTS = 1000
 
+# the keys a config file writes in a grammar of their own
+SlotLayout = tuple     # ((direction, start_s, duration_s), ...)
+ChannelFloors = tuple  # ((channel, loss probability), ...)
+
 
 def _ns(seconds: float) -> int:
     return round(seconds * 1e9)
@@ -56,34 +60,25 @@ def _ns(seconds: float) -> int:
 @dataclass(frozen=True)
 class MacConfig:
     """Link parameters, checked when built; the clock defaults to the
-    idealized sync (no drift, no sync error). It also lays out the link's
-    rules once: the nominal cycle a scenario runs at unless it sets its own,
-    each direction's channel base (gallop's FDD bands: forward from 0,
-    feedback from channel_count), the fixed delays in whole ns and, for
-    gallop, the superframe from build_superframe."""
+    idealized sync (no drift, no sync error). __post_init__ lays out the
+    link's rules once, as attributes that are not keys: nominal_cycle, the
+    cycle unless a scenario sets its own; channel_base, each direction's
+    first channel (gallop's FDD bands: forward from 0, feedback from
+    channel_count); the fixed delays in whole ns; and gallop's superframe."""
 
     variant: str = GALLOP
-    slot_duration: float = 1e-3          # s
+    slot_duration: Seconds = 1e-3
     slots_per_superframe: int = 2        # forward, feedback, alternating
     channel_count: int = 37              # hop channels per band
     hop_increment: int = 7               # coprime with channel_count
-    sync_epoch_period: float = 1.0       # s
-    sync_error_bound: float = 0.0        # s
+    sync_epoch_period: Seconds = 1.0
+    sync_error_bound: Seconds = 0.0
     clock_drift_ppm: float = 0.0
-    ble_connection_interval: float = 0.0075  # s
-    ble_jitter_max: float = 2e-3         # s
-    slot_guard: float = 1e-4             # s, admission tolerance after slot start
-    extra_delay: float = 0.0             # s, added to every delivery
-    slots: tuple | None = None           # ((direction, start_s, duration_s), ...)
-    superframe: Superframe | None = field(default=None, init=False, repr=False,
-                                          compare=False)  # gallop only
-    nominal_cycle: float = field(default=0.0, init=False, repr=False,
-                                 compare=False)  # s
-    channel_base: dict[str, int] = field(default_factory=dict, init=False,
-                                         repr=False, compare=False)
-    extra_delay_ns: int = field(default=0, init=False, repr=False, compare=False)
-    slot_guard_ns: int = field(default=0, init=False, repr=False, compare=False)
-    ble_interval_ns: int = field(default=0, init=False, repr=False, compare=False)
+    ble_connection_interval: Seconds = 0.0075
+    ble_jitter_max: Seconds = 2e-3
+    slot_guard: Seconds = 1e-4           # admission tolerance after slot start
+    extra_delay: Seconds = 0.0           # added to every delivery
+    slots: SlotLayout | None = None
 
     def __post_init__(self) -> None:
         check_finite(self)
@@ -127,12 +122,11 @@ class MacConfig:
             cycle, base = self.ble_connection_interval, {FORWARD: 0, FEEDBACK: 0}
         else:
             cycle = 0.005
-        for name, value in (("superframe", superframe), ("nominal_cycle", cycle),
-                            ("channel_base", base),
-                            ("extra_delay_ns", _ns(self.extra_delay)),
-                            ("slot_guard_ns", _ns(self.slot_guard)),
-                            ("ble_interval_ns", _ns(self.ble_connection_interval))):
-            object.__setattr__(self, name, value)
+        # plain attributes, past the frozen __setattr__
+        self.__dict__.update(
+            superframe=superframe, nominal_cycle=cycle, channel_base=base,
+            extra_delay_ns=_ns(self.extra_delay), slot_guard_ns=_ns(self.slot_guard),
+            ble_interval_ns=_ns(self.ble_connection_interval))
 
 
 class Slot(NamedTuple):
@@ -215,7 +209,7 @@ class ChannelModel:
     """
 
     default_loss: float = 0.0
-    per_channel: tuple[tuple[int, float], ...] = ()
+    per_channel: ChannelFloors = ()
     p_good_to_bad: float = 0.0
     p_bad_to_good: float = 1.0
     loss_good: float = 0.0

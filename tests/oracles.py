@@ -9,7 +9,9 @@ RK4 kernel with one derivative function called per stage, so that the
 unrolled kernel the simulator runs can be required to give the same
 floats; probed_span steps a kernel's probes over a whole span, so that
 plant.span_matrix, which composes one substep's map by squaring, can be
-required to match it; loop_matrix_rows writes the controller's update
+required to match it (it keeps a probe loop of its own rather than call
+plant.linear_map, since it is the reference span_matrix is checked
+against); loop_matrix_rows writes the controller's update
 out as row algebra, so that the loop model built by running the
 controller can be required to match it; record_metrics aggregates a
 trace one CycleRecord at a time, so that sim.compute_metrics, which reads

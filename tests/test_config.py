@@ -23,15 +23,16 @@ from telebalance.config import (
 from telebalance.control import DEFAULT_GAINS
 from telebalance.wireless import ChannelModel, MacConfig
 
-NUMERIC_ANNOTATIONS = ("int", "float", "float | None")
+NUMERIC_ANNOTATIONS = ("int", "float", "float | None", "Seconds", "Seconds | None",
+                       "Radians")
 
 
-def section_fields(section: str) -> list:
-    """The init fields of the value a section extends: ScenarioConfig's
-    default for the field it fills, or the shipped gains."""
+def section_fields(section: str) -> tuple:
+    """The fields of the value a section extends: ScenarioConfig's default
+    for the field it fills, or the shipped gains."""
     field = SECTIONS[section]
     default = ScenarioConfig() if field is None else getattr(ScenarioConfig, field)
-    return [f for f in fields(DEFAULT_GAINS if default is None else default) if f.init]
+    return fields(DEFAULT_GAINS if default is None else default)
 
 
 @pytest.mark.parametrize("section", SECTIONS)
@@ -43,9 +44,9 @@ def test_numeric_fields_are_the_numeric_schema_keys(section):
 
 
 def test_duration_and_angle_keys_are_the_listed_twelve():
-    # a field's annotation says float for a number, a duration and an angle
-    # alike: a new duration or angle field needs config._KINDS and this list
-    # to read its unit
+    # a key's kind is its field's annotation: Seconds or Radians (or
+    # Seconds | None) reads the unit, float a bare number; a field given
+    # either alias shows up here
     assert {(section, key): kind for section, keys in SCHEMA.items()
             for key, kind in keys.items() if kind in ("duration", "angle")} == {
         ("scenario", "episode_duration"): "duration",
@@ -198,9 +199,13 @@ def test_loss_floor_follows_the_gallop_bands():
 
 @pytest.mark.parametrize("section", SECTIONS)
 def test_every_schema_key_is_its_field_name(section):
-    # a key sets the field of its own name; no layer renames one to the other
-    names = {f.name for f in section_fields(section)}
-    assert set(SCHEMA[section]) == names - set(SECTIONS.values())
+    # a key sets the field of its own name, and every field of a section's
+    # value is a key, in field order: no layer renames one, and no field is
+    # derived (only [scenario]'s fields that are whole sections are not keys)
+    names = [f.name for f in section_fields(section)]
+    if SECTIONS[section] is None:
+        names = [name for name in names if name not in SECTIONS.values()]
+    assert list(SCHEMA[section]) == names
 
 
 def test_mac_without_clock_keys_loads_the_idealized_clock(tmp_path):

@@ -65,7 +65,8 @@ def _scenario(config_dir, case):
         cfg = replace(cfg, mac=replace(cfg.mac, extra_delay=0.016), seed=1)
     elif case == "gallop_sample_floor":
         # a 1 us sync offset puts 2 of the sample times before the plant
-        # time an earlier event reached; schedule_sample lifts them to it
+        # time an earlier event reached; run_episode's
+        # max(local_to_true_ns(...), plant_ns) floor lifts them to it
         cfg = load_scenario(config_dir / "gallop_default.cfg")
         cfg = replace(cfg, mac=replace(cfg.mac, sync_error_bound=1e-6,
                                        extra_delay=0.001))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from telebalance.cli import main
 from telebalance.config import ideal_scenario
@@ -13,6 +14,7 @@ from telebalance.plant import (
     TWO_PI,
     PlantParams,
     SensorNoise,
+    linear_map,
     sample_sensors,
     _rk4_span,
 )
@@ -130,6 +132,17 @@ class TestRk4Kernel:
         params = PlantParams(motor_time_constant=tm, viscous_friction=friction)
         args = (*x, tau_cmd, params, span_ns, fall_threshold)
         assert _rk4_span(*args) == rk4_span_closure(*args)
+
+
+class TestLinearMap:
+    @settings(max_examples=50, deadline=None)
+    @given(A=arrays(np.int64, st.tuples(st.integers(1, 8), st.integers(1, 8)),
+                    elements=st.integers(-2**40, 2**40)))
+    def test_recovers_an_integer_matrix_exactly(self, A):
+        # the 2**-80 probe, and each entry's product with it, are exact
+        got = linear_map(lambda x: A @ x, A.shape[1])
+        assert got.shape == A.shape
+        assert np.array_equal(got, A)
 
 
 class TestEnergyAndSymmetry:

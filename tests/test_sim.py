@@ -660,6 +660,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="parameter path"):
             set_by_path(base, "scenario.label", 1.0)
 
+    def test_seed_sweep_runs_each_value_from_its_own_seed(self):
+        # a scenario.seed point runs seeds value .. value+2, as a sweep of
+        # another key from that base seed does
+        base = gallop_scenario(episode_duration=0.5)
+        swept = run_sweep(base, "scenario.seed", [1, 50], seeds_per_point=3)
+        single = [run_sweep(replace(base, seed=s), "mac.extra_delay", [0.0], 3)[0]
+                  for s in (1, 50)]
+        assert [astuple(p)[1:] for p in swept] == [astuple(p)[1:] for p in single]
+        assert astuple(swept[0])[1:] != astuple(swept[1])[1:]
+
     def test_worker_error_reaches_caller_with_its_type(self):
         base = gallop_scenario(episode_duration=0.5)
         with pytest.raises(ValueError, match="slot_guard"):

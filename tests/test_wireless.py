@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,6 +129,23 @@ class TestSuperframe:
                     s1, e1 = table[i][0], table[i][1]
                     s2, e2 = table[j][0], table[j][1]
                     assert e1 <= s2 or e2 <= s1
+
+
+class TestDerivedLinkValues:
+    def test_replace_recomputes_them_from_the_keys(self):
+        mac = replace(gallop_cfg(), extra_delay=1e-3)
+        assert mac.extra_delay_ns == 1_000_000
+        assert replace(mac, slot_duration=2e-3).nominal_cycle == 4e-3
+
+    @pytest.mark.parametrize("variant", [GALLOP, BLE, IDEAL])
+    def test_pickle_keeps_them(self, variant):
+        # a worker process gets its scenario, and so its link, by pickle
+        mac = MacConfig(variant=variant)
+        copy = pickle.loads(pickle.dumps(mac))
+        assert copy == mac
+        for name in ("superframe", "channel_base", "nominal_cycle", "extra_delay_ns",
+                     "slot_guard_ns", "ble_interval_ns"):
+            assert getattr(copy, name) == getattr(mac, name), name
 
 
 def hops(cfg, direction, readies):
