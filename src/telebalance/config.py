@@ -43,7 +43,7 @@ from .wireless import BLE, GALLOP, IDEAL, ChannelModel, MacConfig, _ns, check_ch
 # and accelerometer-derived tilt (0.29 deg)
 DEFAULT_NOISE = SensorNoise(gyro_noise_std=0.002, accel_noise_std=0.005)
 
-# the engine keeps one record per cycle (10**6 are about 300 MB), one event per sync
+# the engine keeps one trace row per cycle (10**6 are about 50 MB), one event per sync
 MAX_CYCLES = 10**6
 
 

@@ -27,12 +27,12 @@ values and order of one scalar draw at a time (BlockStream).
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import itertools
 import math
 import os
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from heapq import heappop, heappush
 from typing import Iterator, NamedTuple
@@ -134,11 +134,38 @@ class EpisodeTrace:
         return tuple(getattr(self, name) for name in CycleRecord._fields)
 
     @property
-    def records(self) -> tuple[CycleRecord, ...]:
-        """The cycles as CycleRecords, built anew on each access."""
-        *floats, fwd, fbk = self.columns()
-        return tuple(map(CycleRecord._make, zip(
-            *floats, map(bool, fwd), map(bool, fbk))))
+    def records(self) -> RecordView:
+        """The cycles as CycleRecords, read from the columns in place."""
+        return RecordView(self)
+
+
+class RecordView(Sequence):
+    """A trace's rows as CycleRecords, the flags as bool. len and an index
+    cost O(1), iteration builds one record a step, a slice is a tuple of
+    records, and == compares as a tuple. It reads the columns as they are
+    when used."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: EpisodeTrace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        *floats, fwd, fbk = (column[i] for column in self._trace.columns())
+        return CycleRecord(*floats, bool(fwd), bool(fbk))
+
+    def __iter__(self) -> Iterator[CycleRecord]:
+        *floats, fwd, fbk = self._trace.columns()
+        return map(CycleRecord._make, zip(
+            *floats, map(bool, fwd), map(bool, fbk)))
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == other
 
 
 @dataclass(frozen=True)
@@ -404,6 +431,8 @@ def _run_batch(jobs: list[tuple[ScenarioConfig, bool]], workers: int
     workers = min(workers, len(jobs), len(os.sched_getaffinity(0))
                   if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     if workers > 1:
+        import concurrent.futures  # the serial path never pays for it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 return list(pool.map(_run_job, jobs))
@@ -495,14 +524,17 @@ TRACE_COLUMNS = ("t", "tilt", "tilt_rate", "wheel_rate", "command_left",
 
 
 def trace_to_csv(trace: EpisodeTrace) -> str:
-    """CSV text of the trace's rows, header row included."""
-    lines = [",".join(TRACE_COLUMNS) + "\n"]
-    lines += [f"{t!r},{tilt!r},{tilt_rate!r},{wheel_rate!r},{cmd},{cmd},"
-              f"{latency!r},{'true' if fwd else 'false'},"
-              f"{'true' if fbk else 'false'}\n"
-              for t, tilt, tilt_rate, wheel_rate, command, latency, fwd, fbk
-              in zip(*trace.columns()) for cmd in [repr(command)]]
-    return "".join(lines)
+    """CSV text of the trace's rows, header row included. The rows go
+    into one bytearray, not a string each until a join, so the heap peaks
+    at about twice the text's size."""
+    text = bytearray((",".join(TRACE_COLUMNS) + "\n").encode())
+    for t, tilt, tilt_rate, wheel_rate, command, latency, fwd, fbk in zip(
+            *trace.columns()):
+        cmd = repr(command)
+        text += (f"{t!r},{tilt!r},{tilt_rate!r},{wheel_rate!r},{cmd},{cmd},"
+                 f"{latency!r},{'true' if fwd else 'false'},"
+                 f"{'true' if fbk else 'false'}\n").encode()
+    return text.decode()
 
 
 # EpisodeMetrics field -> its name, with its unit, in metrics.txt; a

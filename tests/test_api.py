@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -68,8 +69,11 @@ def test_readme_documents_section_paths():
 
 @pytest.mark.parametrize("path", documented_param_paths())
 def test_readme_param_path_resolves(config_dir, path):
+    # 1 moves any key but one the config already holds at 1 (seed = 1),
+    # which 2 moves; a path that moves nothing fails on either
     cfg = load_scenario(config_dir / "gallop_default.cfg")
-    assert set_by_path(cfg, path, 1) != cfg
+    value = 2 if set_by_path(cfg, path, 1) == cfg else 1
+    assert set_by_path(cfg, path, value) != cfg
 
 
 def test_every_traced_seam_is_an_engine_global():
@@ -109,6 +113,29 @@ def test_benchmark_reads_every_seam_of_an_episode(config_dir, monkeypatch, confi
     assert [name for name in spans.SEAMS if not tracer.calls[name]] == []
     assert tracer.unreadable == set()
     assert workloads.episode_problems(cfg, trace) == []
+
+
+# Bound fixed before measuring, 100 B a cycle: the lists of times and
+# latencies the check keeps take about 72 B a cycle, and one tuple of the
+# trace's records took 256 B a cycle (test_sim.TestTraceMemory)
+EPISODE_CHECK_PEAK_BYTES = 500_000
+
+
+def test_benchmark_episode_check_reads_records_in_place(config_dir, monkeypatch):
+    import_perfbench("program", monkeypatch)
+    workloads = import_perfbench("workloads", monkeypatch)
+    cfg = replace(load_scenario(config_dir / "gallop_default.cfg"),
+                  episode_duration=10.0)
+    trace, _ = sim.run_episode(cfg)
+    assert len(trace.t) == 5000
+    tracemalloc.start()
+    try:
+        problems = workloads.episode_problems(cfg, trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert problems == []
+    assert peak < EPISODE_CHECK_PEAK_BYTES
 
 
 # per seam: calls in one traced 1 s episode, then substeps and closed cycles

@@ -651,6 +651,18 @@ def test_cli_and_tuning_leave_scipy_unimported():
     assert proc.stdout == "False\n"
 
 
+def test_serial_sweep_leaves_the_pool_unimported():
+    # concurrent.futures (and the logging it pulls in) is imported only by a
+    # batch that starts a pool
+    proc = run_python("-c", "import sys, telebalance\n"
+                      "from telebalance.sim import run_sweep\n"
+                      "run_sweep(telebalance.gallop_scenario(episode_duration=0.1),\n"
+                      "          'mac.extra_delay', [0.0], 3)\n"
+                      "print('concurrent.futures' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 # argv fuzz: short episodes (0.2 s) and at most 2 workers keep it to seconds
 FUZZ_CONFIGS = {
     "gallop.cfg": GALLOP_SHORT.replace("= 1 s", "= 0.2 s"),

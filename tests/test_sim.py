@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import math
 import pickle
@@ -565,6 +566,47 @@ class TestTraceRows:
             assert trace_to_csv(copy) == text
             assert {type(x) for r in copy.records for x in r[6:]} == {bool}
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=hand_built_traces(), cut=st.slices(25))
+    @example(case=([], None), cut=slice(-1, None))
+    def test_records_view_reads_as_the_tuple(self, case, cut):
+        # the view against the tuple built anew from the columns, field by
+        # field by repr: nan, -0.0 and a flag's type count
+        trace = EpisodeTrace.from_records(case[0])
+        *floats, fwd, fbk = trace.columns()
+        want = tuple(map(CycleRecord._make, zip(
+            *floats, map(bool, fwd), map(bool, fbk))))
+        view = trace.records
+
+        def fields(records):
+            return [[repr(x) for x in r] for r in records]
+
+        def at(records, i):
+            try:
+                return repr(tuple(records[i]))
+            except IndexError:
+                return IndexError
+
+        assert len(view) == len(want)
+        assert fields(view) == fields(want) == fields(case[0])
+        assert type(view[cut]) is tuple
+        assert fields(view[cut]) == fields(want[cut])
+        for i in (-1, len(want), -len(want) - 1):
+            assert at(view, i) == at(want, i)
+        # == compares as a tuple, where a nan field is unequal to itself
+        assert (view == want) == (tuple(view) == want)
+        assert (view == ()) == (not want)
+
+
+def heap_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of what call() allocates."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 class TestTraceMemory:
     # Bounds fixed before either side was measured. Between a 0.25 s and a
@@ -594,6 +636,35 @@ class TestTraceMemory:
         # the episode's fixed costs cancel in the difference
         per_cycle = (long_peak - short_peak) / (cycles - len(short.t))
         assert per_cycle <= self.PEAK_BYTES_PER_CYCLE
+
+    # Bounds fixed before the view was measured: its length and one row
+    # build no record per cycle, and a pass builds one record at a time,
+    # where a tuple of the 20 s episode's 10 000 records holds 2.6 MB
+    READ_PEAK_BYTES = 1024
+    PASS_PEAK_BYTES = 16 * 1024
+
+    def test_records_view_reads_rows_in_place(self):
+        trace, _ = run_episode(gallop_scenario(episode_duration=20.0))
+        assert len(trace.t) == 10_000
+
+        def full_pass():
+            for _ in trace.records:
+                pass
+
+        assert heap_peak(lambda: len(trace.records)) < self.READ_PEAK_BYTES
+        assert heap_peak(lambda: trace.records[-1]) < self.READ_PEAK_BYTES
+        assert heap_peak(full_pass) < self.PASS_PEAK_BYTES
+
+    # The text and the bytearray it is decoded from, which grows by at most
+    # an eighth over its length: 2.125 times the text. A list of one string
+    # per row before the join took 2.46 times on a 60 s gallop trace.
+    CSV_PEAK_PER_TEXT_BYTE = 2.25
+
+    def test_trace_to_csv_peaks_near_twice_its_text(self):
+        trace, _ = run_episode(gallop_scenario(episode_duration=20.0))
+        text = trace_to_csv(trace)
+        peak = heap_peak(lambda: trace_to_csv(trace))
+        assert peak < self.CSV_PEAK_PER_TEXT_BYTE * len(text)
 
 
 class TestSweep:
@@ -752,7 +823,7 @@ class TestSweep:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(sim.concurrent.futures, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             InlinePool)
         if affinity is None:
             monkeypatch.delattr(sim.os, "sched_getaffinity", raising=False)
