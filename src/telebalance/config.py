@@ -36,8 +36,8 @@ from pathlib import Path
 
 from .control import DEFAULT_FILTER_ALPHA, DEFAULT_GAINS, ControllerGains
 from .plant import (DEFAULT_FALL_THRESHOLD, PlantParams, Radians, Seconds, SensorNoise,
-                    check_finite)
-from .wireless import BLE, GALLOP, IDEAL, ChannelModel, MacConfig, _ns, check_channels_used
+                    _ns, check_finite)
+from .wireless import BLE, GALLOP, IDEAL, ChannelModel, MacConfig, check_channels_used
 
 # default IMU noise for scenarios; roughly a consumer-grade gyro (0.11 deg/s)
 # and accelerometer-derived tilt (0.29 deg)
@@ -263,10 +263,9 @@ def set_by_path(cfg: ScenarioConfig, path: str, value) -> ScenarioConfig:
 def _read_sections(path: Path) -> dict[str, dict[str, object]]:
     """Parse and type-check the file into {section: {field: value}}."""
     sections: dict[str, dict[str, object]] = {}
-    seen: set[tuple[str, str]] = set()
     current: str | None = None
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", path=str(path)) from exc
 
@@ -274,36 +273,30 @@ def _read_sections(path: Path) -> dict[str, dict[str, object]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if current not in SCHEMA:
-                raise ConfigError(f"unknown section [{current}]",
-                                  path=str(path), line=lineno)
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {line!r}",
-                              path=str(path), line=lineno)
-        if current is None:
-            raise ConfigError("key outside of any [section]",
-                              path=str(path), line=lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in SCHEMA[current]:
-            raise ConfigError(f"unknown key {key!r} in [{current}]",
-                              path=str(path), line=lineno)
-        if (current, key) in seen:
-            raise ConfigError(f"duplicate key {key!r} in [{current}]",
-                              path=str(path), line=lineno)
-        seen.add((current, key))
-        kind = SCHEMA[current][key]
         try:
-            sections[current][key] = _PARSERS[kind](value) \
-                if kind in _PARSERS else parse_quantity(kind, value)
+            if line.startswith("[") and line.endswith("]"):
+                current = line[1:-1].strip()
+                if current not in SCHEMA:
+                    raise ValueError(f"unknown section [{current}]")
+                sections.setdefault(current, {})
+                continue
+            if "=" not in line:
+                raise ValueError(f"expected 'key = value', got {line!r}")
+            if current is None:
+                raise ValueError("key outside of any [section]")
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in SCHEMA[current]:
+                raise ValueError(f"unknown key {key!r} in [{current}]")
+            if key in sections[current]:
+                raise ValueError(f"duplicate key {key!r} in [{current}]")
+            kind = SCHEMA[current][key]
+            try:
+                sections[current][key] = _PARSERS[kind](value) \
+                    if kind in _PARSERS else parse_quantity(kind, value)
+            except ValueError as exc:
+                raise ValueError(f"bad value for {key!r}: {exc}") from exc
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}",
-                              path=str(path), line=lineno) from exc
+            raise ConfigError(str(exc), path=str(path), line=lineno) from exc
     return sections
 
 

@@ -21,9 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .plant import (MAX_MAGNITUDE, PlantParams, SensorFrame, check_finite, linear_map,
-                    span_matrix)
-from .wireless import _ns
+from .plant import (MAX_MAGNITUDE, PlantParams, SensorFrame, _ns, check_finite,
+                    linear_map, span_matrix)
 
 DEFAULT_FILTER_ALPHA = 0.98
 

@@ -46,6 +46,12 @@ SUBSTEP_NS = 500_000  # RK4 substep, in the engine's whole-ns event time
 Seconds = float
 Radians = float
 
+
+def _ns(seconds: float) -> int:
+    """seconds in the engine's event time, whole ns."""
+    return round(seconds * 1e9)
+
+
 DEFAULT_FALL_THRESHOLD = 0.6  # rad
 
 

@@ -12,7 +12,9 @@ command, latency and drops; the rows still in flight at the episode's
 end are deleted. The trace is the closed cycles, in sample order.
 
 Sensor sampling is scheduled on the robot's local clock (wireless.RobotClock),
-which drifts between sync epochs and is re-bounded at each epoch. The default
+which drifts between sync epochs and is re-bounded at each epoch. The engine
+schedules the syncs and counts them; a pending sample stamped before the
+latest sync is re-scheduled on the synced clock. The default
 scenarios idealize the sync (zero drift, zero bound): the sync error of
 the modeled link is three orders of magnitude below the slot grid, and a
 perfectly aligned schedule is what makes the deterministic link's cycle
@@ -47,15 +49,8 @@ from .control import (
     estimate_tilt,
     tune_default_gains,
 )
-from .plant import SUBSTEP_NS, _rk4_span, sample_sensors
-from .wireless import (
-    FEEDBACK,
-    FORWARD,
-    ChannelProcess,
-    RobotClock,
-    _ns,
-    transmit,
-)
+from .plant import SUBSTEP_NS, _ns, _rk4_span, sample_sensors
+from .wireless import FEEDBACK, FORWARD, ChannelProcess, RobotClock, transmit
 
 DEG = 180.0 / math.pi
 NAN = float("nan")
@@ -214,11 +209,12 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     clock = RobotClock(cfg.mac, rng_sync)
     local_to_true_ns = clock.local_to_true_ns
     sync_period_ns = _ns(cfg.mac.sync_epoch_period)
+    synced = 0  # syncs handled after the t = 0 one
 
-    # events (t_ns, insertion seq, kind, payload); a recv's payload is its
-    # SensorFrame, an apply's its ActuationFrame. A sample's time is its
-    # period on the local clock, no earlier than the plant time. The end
-    # event's seq, inf, sorts it after every other event at end_ns
+    # events (t_ns, insertion seq, kind, payload); a sample's payload is
+    # (its period k, synced when scheduled), a recv's its SensorFrame, an
+    # apply's its ActuationFrame. The end event's seq, inf, sorts it after
+    # every other event at end_ns
     heap: list[tuple[int, float, str, tuple]] = []
     next_seq = itertools.count().__next__
 
@@ -235,6 +231,12 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     last_sample_ns = -1
     last_applied = -1  # seq of the newest command applied
 
+    def schedule_sample(k: int) -> None:
+        """Push period k's sample: at k cycles on the local clock, no
+        earlier than the plant time."""
+        heappush(heap, (max(local_to_true_ns(k * cycle_ns), plant_ns), next_seq(),
+                        "sample", (k, synced)))
+
     def close_cycle(k: int, act, applied_ns: int | None) -> None:
         """Fill in cycle k's row. act is None when the forward frame was
         lost, applied_ns is None when the feedback frame was."""
@@ -248,21 +250,20 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
         else:
             lat_col[row] = (applied_ns - sample_ns) / 1e6
 
-    heappush(heap, (sync_period_ns, next_seq(), "sync", (1,)))
-    heappush(heap, (max(local_to_true_ns(0), 0), next_seq(), "sample",
-                    (0, clock.version)))
+    heappush(heap, (sync_period_ns, next_seq(), "sync", ()))
+    schedule_sample(0)
     heappush(heap, (end_ns, math.inf, "end", ()))
 
     while True:
         t_ns, _, kind, payload = heappop(heap)
         if kind == "sample":
-            k, version = payload
-            if version != clock.version or t_ns == last_sample_ns:
-                # a sync moved the local clock: sample period k anew; or a
-                # resync jumped the clock past period k: go on to k + 1
-                k += version == clock.version
-                heappush(heap, (max(local_to_true_ns(k * cycle_ns), plant_ns),
-                                next_seq(), "sample", (k, clock.version)))
+            k, stamp = payload
+            if stamp != synced:
+                schedule_sample(k)  # a sync moved the local clock: sample k anew
+                continue
+            if t_ns == last_sample_ns:
+                # a resync jumped the clock past period k: go on to k + 1
+                schedule_sample(k + 1)
                 continue
             if t_ns == end_ns:
                 continue  # its cycle could not close within the episode
@@ -295,9 +296,7 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             else:
                 fwd_lost += 1
                 close_cycle(k, None, None)
-            t = local_to_true_ns((k + 1) * cycle_ns)
-            heappush(heap, (t if t > plant_ns else plant_ns, next_seq(),
-                            "sample", (k + 1, clock.version)))
+            schedule_sample(k + 1)
 
         elif kind == "recv":
             frame = payload
@@ -336,10 +335,9 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             close_cycle(k, act, t_ns)
 
         elif kind == "sync":
-            (epoch,) = payload
+            synced += 1
             clock.sync(t_ns)
-            heappush(heap, ((epoch + 1) * sync_period_ns, next_seq(), "sync",
-                            (epoch + 1,)))
+            heappush(heap, (t_ns + sync_period_ns, next_seq(), "sync", ()))
 
         else:  # end: the plant has reached end_ns
             break

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .plant import MAX_MAGNITUDE, Seconds, check_finite
+from .plant import MAX_MAGNITUDE, Seconds, _ns, check_finite
 
 GALLOP = "gallop"
 BLE = "ble_baseline"
@@ -51,10 +51,6 @@ MAX_SLOTS = 1000
 # the keys a config file writes in a grammar of their own
 SlotLayout = tuple     # ((direction, start_s, duration_s), ...)
 ChannelFloors = tuple  # ((channel, loss probability), ...)
-
-
-def _ns(seconds: float) -> int:
-    return round(seconds * 1e9)
 
 
 @dataclass(frozen=True)
@@ -366,21 +362,20 @@ class RobotClock:
     """Local sampling clock: local(t) = t + offset + drift * (t - t_sync).
 
     Each sync draws the offset uniformly within the sync error bound; the
-    constructor is the t = 0 sync. version counts syncs.
+    constructor is the t = 0 sync. The engine schedules the syncs, counts
+    them, and re-schedules a pending sample stamped before the latest one.
     """
 
     def __init__(self, mac: MacConfig, rng: np.random.Generator):
         self.drift = mac.clock_drift_ppm * 1e-6
         self.bound = mac.sync_error_bound
         self.rng = rng
-        self.version = 0
         self.sync(0)
 
     def sync(self, true_ns: int) -> None:
         """Network-wide resync at true time true_ns."""
         self.offset_s = self.rng.uniform(-self.bound, self.bound)
         self.sync_ns = true_ns
-        self.version += 1
 
     def local_to_true_ns(self, local_ns: int) -> int:
         """True time, in whole ns, at which the local clock reads local_ns."""

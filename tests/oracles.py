@@ -34,10 +34,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from telebalance.control import _LOOP_MEMORY, controller_map
-from telebalance.plant import SUBSTEP_NS, span_matrix
+from telebalance.plant import SUBSTEP_NS, _ns, span_matrix
 from telebalance.sim import EpisodeMetrics
 from telebalance.wireless import (
-    FEEDBACK, FORWARD, ChannelModel, ChannelProcess, _ns, transmit)
+    FEEDBACK, FORWARD, ChannelModel, ChannelProcess, transmit)
 
 
 def expm_taylor(M: np.ndarray, order: int = 40) -> np.ndarray:

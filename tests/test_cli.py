@@ -82,6 +82,38 @@ class TestConfigParsing:
         assert gallop.mac.variant == "gallop"
         assert gallop.mac.clock_drift_ppm == 0.0
 
+    @pytest.mark.parametrize("name", ["gallop_default.cfg", "ble_default.cfg",
+                                      "delay_sweep.cfg"])
+    def test_shipped_config_with_bom_or_crlf_loads_the_same(
+            self, tmp_path, config_dir, name):
+        text = (config_dir / name).read_text(encoding="utf-8")
+        plain = load_scenario(config_dir / name)
+        for variant, content in (("bom", "\ufeff" + text),
+                                 ("crlf", text.replace("\n", "\r\n"))):
+            copy = tmp_path / variant / name
+            copy.parent.mkdir()
+            copy.write_bytes(content.encode("utf-8"))
+            assert load_scenario(copy) == plain, variant
+        if name == "gallop_default.cfg":
+            assert main(["run", str(tmp_path / "bom" / name),
+                         "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("[radio]\n", 1, "unknown section [radio]"),
+        ("[mac]\nvariant gallop\n", 2, "expected 'key = value', got 'variant gallop'"),
+        ("seed = 1\n", 1, "key outside of any [section]"),
+        ("[mac]\nsloot_duration = 1 ms\n", 2, "unknown key 'sloot_duration' in [mac]"),
+        ("[scenario]\nseed = 1\nseed = 2\n", 3, "duplicate key 'seed' in [scenario]"),
+        ("[scenario]\nseed = 1\nepisode_duration = 60\n", 3,
+         "bad value for 'episode_duration': expected '<number> s|ms|us', got '60'"),
+    ])
+    def test_every_rejection_names_path_and_line(self, tmp_path, text, line, message):
+        p = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError) as info:
+            load_scenario(p)
+        assert (str(info.value), info.value.path, info.value.line) == (
+            f"{p}:{line}: {message}", str(p), line)
+
     def test_unknown_key_rejected_with_line(self, tmp_path):
         p = write_cfg(tmp_path, "[mac]\nsloot_duration = 1 ms\n")
         with pytest.raises(ConfigError, match=r":2: unknown key 'sloot_duration'"):

@@ -39,12 +39,13 @@ from telebalance.plant import (
     PlantParams,
     SensorFrame,
     SensorNoise,
+    _ns,
     _rk4_span,
     sample_sensors,
     span_matrix,
 )
 from telebalance.sim import run_episode
-from telebalance.wireless import BLE, MacConfig, _ns
+from telebalance.wireless import BLE, MacConfig
 
 # the cycles and plants over which the loop model and the tuner are checked
 GRID_CYCLES_MS = (0.5, 1, 2, 3, 4, 5, 7.5, 10, 12.5, 15, 20, 25, 30)

@@ -256,6 +256,19 @@ class TestRunEpisode:
             assert len(records) == trace.forward_sent == 5000
             assert records[-1].t < 10.0
 
+    @pytest.mark.parametrize("extra_delay", [0.0, 1e-3, 3e-3])
+    @pytest.mark.parametrize("channel", [
+        ChannelModel(), ChannelModel(p_good_to_bad=0.01, p_bad_to_good=0.3,
+                                     loss_bad=0.8)])
+    def test_idealized_sync_moves_no_sample(self, channel, extra_delay):
+        # every sync re-schedules the pending sample, and an idealized one
+        # puts it back at its own time: 29 syncs in 3 s give the same trace
+        # as none
+        traces = [trace_to_csv(run_episode(gallop_scenario(
+            mac=MacConfig(sync_epoch_period=period, extra_delay=extra_delay),
+            channel=channel, episode_duration=3.0))[0]) for period in (0.1, 10.0)]
+        assert traces[0] == traces[1]
+
     @pytest.mark.parametrize("make, key", [(ble_scenario, "ble_jitter_max"),
                                            (gallop_scenario, "sync_error_bound")])
     def test_negative_zero_bound_runs_as_zero(self, make, key):
