@@ -266,14 +266,10 @@ def _read_sections(path: Path) -> dict[str, dict[str, object]]:
     current: str | None = None
     try:
         text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}", path=str(path)) from exc
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1].strip()
                 if current not in SCHEMA:
@@ -295,8 +291,12 @@ def _read_sections(path: Path) -> dict[str, dict[str, object]]:
                     if kind in _PARSERS else parse_quantity(kind, value)
             except ValueError as exc:
                 raise ValueError(f"bad value for {key!r}: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(str(exc), path=str(path), line=lineno) from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}", path=str(path)) from exc
+    except ValueError as exc:
+        if isinstance(exc, UnicodeDecodeError):  # the line of the bad byte
+            lineno = exc.object[:exc.start].count(b"\n") + 1
+        raise ConfigError(str(exc), path=str(path), line=lineno) from exc
     return sections
 
 

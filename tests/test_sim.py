@@ -1,10 +1,14 @@
 import concurrent.futures
 import hashlib
 import math
+import os
 import pickle
+import subprocess
 import sys
+import textwrap
 import tracemalloc
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,6 +458,15 @@ def hand_built_traces(draw):
     return records, draw(st.none() | st.floats(0.0, 0.002 * len(rows) + 0.004))
 
 
+@st.composite
+def tied_samples(draw):
+    """1-300 values drawn from a pool of at most four, so ties are common;
+    the pool holds signed zeros and magnitudes up to 1e300."""
+    pool = draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-1e300, 1e300),
+                         min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300))
+
+
 class TestComputeMetrics:
     CFG = gallop_scenario(episode_duration=1.0)
 
@@ -468,6 +481,20 @@ class TestComputeMetrics:
         want = record_metrics(records, fall_time, self.CFG)
         # bit for bit: repr round-trips a float and tells -0.0 from 0.0
         assert [repr(x) for x in astuple(got)] == [repr(x) for x in astuple(want)]
+
+    # v = 0.99 (n - 1) splits at g = 0.5: n = 51 gives g = 0.5 (b - d (1 - g)),
+    # n = 52 gives 0.49 (a + d g), n = 101 an exact order statistic; on
+    # -0.0 ties only the branch numpy takes gives the right signed zero
+    @settings(max_examples=300, deadline=None)
+    @given(x=tied_samples())
+    @example(x=[-0.0])
+    @example(x=[-0.0] * 51)
+    @example(x=[-0.0] * 52)
+    @example(x=[0.0, -0.0, 1e300, -1e300] * 25 + [5e-324])
+    def test_p99_is_numpys_linear_percentile(self, x):
+        x = np.array(x)
+        want = float(np.percentile(x, 99))
+        assert repr(sim._p99(x)) == repr(want)
 
     def _trace(self, records, fall_time=None):
         return EpisodeTrace.from_records(records, fall_time=fall_time)
@@ -649,6 +676,29 @@ class TestTraceMemory:
         # the episode's fixed costs cancel in the difference
         per_cycle = (long_peak - short_peak) / (cycles - len(short.t))
         assert per_cycle <= self.PEAK_BYTES_PER_CYCLE
+
+    def test_no_run_imports_numpy_ma(self):
+        # np.percentile reaches numpy.ma through np.unique: +1.8 MB per process
+        script = textwrap.dedent("""
+            import sys
+            from telebalance import ble_scenario, gallop_scenario, run_episode
+            from telebalance.sim import (compare_scenarios, metrics_to_text,
+                                         run_sweep, trace_to_csv)
+            cfgs = [gallop_scenario(episode_duration=0.2),
+                    ble_scenario(episode_duration=0.2)]
+            for cfg in cfgs:
+                trace, metrics = run_episode(cfg)
+                trace_to_csv(trace), metrics_to_text(metrics)
+            compare_scenarios(cfgs, seeds=[1, 2], workers=1)
+            run_sweep(cfgs[0], "mac.extra_delay", [0.0, 1e-3], 3, workers=1)
+            print(sorted(name for name in sys.modules
+                         if name == "numpy.ma" or name.startswith("numpy.ma.")))
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(sim.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"
 
     # Bounds fixed before the view was measured: its length and one row
     # build no record per cycle, and a pass builds one record at a time,
