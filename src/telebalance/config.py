@@ -265,7 +265,14 @@ def _read_sections(path: Path) -> dict[str, dict[str, object]]:
     sections: dict[str, dict[str, object]] = {}
     current: str | None = None
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        # the BOM goes after decoding, so a bad byte's position is its file offset
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:  # name the line of the bad byte
+        lineno = exc.object[:exc.start].count(b"\n") + 1
+        raise ConfigError(str(exc), path=str(path), line=lineno) from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise ConfigError(f"cannot read config: {exc}", path=str(path)) from exc
+    try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -291,11 +298,7 @@ def _read_sections(path: Path) -> dict[str, dict[str, object]]:
                     if kind in _PARSERS else parse_quantity(kind, value)
             except ValueError as exc:
                 raise ValueError(f"bad value for {key!r}: {exc}") from exc
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}", path=str(path)) from exc
     except ValueError as exc:
-        if isinstance(exc, UnicodeDecodeError):  # the line of the bad byte
-            lineno = exc.object[:exc.start].count(b"\n") + 1
         raise ConfigError(str(exc), path=str(path), line=lineno) from exc
     return sections
 

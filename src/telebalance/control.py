@@ -1,11 +1,14 @@
 """Remote balancing controller: tilt estimation plus a PID-like law.
 
-The controller runs once per received sensor frame. A complementary
-filter fuses integrated gyro rate with the accelerometer tilt; the
-command law is PD on tilt, I on tilt with anti-windup, and PD on the
-wheel angle the frame carries, already quantized to encoder counts
-(station keeping). The planar robot takes one command for both wheels,
-normalized to [-1, 1]; the plant scales it by its maximum motor torque.
+The controller is a pure update, (state, frame, dt) -> (state, command),
+run once per received sensor frame. The engine alone decides which frames
+reach it and with what dt: only a frame newer than the last one used, dt
+the positive gap since the previous arrival. A complementary filter fuses
+integrated gyro rate with the accelerometer tilt; the command law is PD on
+tilt, I on tilt with anti-windup, and PD on the wheel angle the frame
+carries, already quantized to encoder counts (station keeping). The
+planar robot takes one command for both wheels, normalized to [-1, 1];
+the plant scales it by its maximum motor torque.
 
 Default gains were derived once for the default plant at a 5 ms control
 cycle (discrete LQR seed, then checked against the linear closed loop) and
@@ -29,10 +32,6 @@ DEFAULT_FILTER_ALPHA = 0.98
 # one-pole smoothing on the encoder-differenced wheel rate; raw differences
 # are dominated by quantization at millisecond cycles
 WHEEL_RATE_SMOOTHING = 0.9
-
-
-class StaleFrameError(ValueError):
-    """Raised when a sensor frame does not advance the sequence counter."""
 
 
 class TuningFailureError(ValueError):
@@ -87,7 +86,6 @@ class ControllerState(NamedTuple):
 
     tilt_estimate: float = 0.0       # rad
     integral_accum: float = 0.0      # rad s, clamped
-    last_frame_seq: int = -1
     last_wheel_angle: float = 0.0    # rad, from the last frame
     wheel_rate_estimate: float = 0.0  # rad/s, smoothed angle difference
     primed: bool = False             # False until the first frame arrives
@@ -98,7 +96,6 @@ class ActuationFrame(NamedTuple):
 
     motor_command: float  # [-1, 1]
     seq: int              # echoes the sensor frame it answers
-    issue_time: float     # s
 
 
 def estimate_tilt(cstate: ControllerState, frame: SensorFrame, dt: float,
@@ -107,35 +104,21 @@ def estimate_tilt(cstate: ControllerState, frame: SensorFrame, dt: float,
 
     estimate <- alpha*(estimate + gyro*dt) + (1-alpha)*accel_tilt
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if frame.seq <= cstate.last_frame_seq:
-        raise StaleFrameError(
-            f"frame seq {frame.seq} not newer than {cstate.last_frame_seq}")
     est = alpha * (cstate.tilt_estimate + frame.gyro_pitch_rate * dt) \
         + (1.0 - alpha) * frame.accel_tilt
     return tuple.__new__(ControllerState, (
-        est, cstate.integral_accum, frame.seq, cstate.last_wheel_angle,
+        est, cstate.integral_accum, cstate.last_wheel_angle,
         cstate.wheel_rate_estimate, cstate.primed))
 
 
 def compute_command(cstate: ControllerState, gains: ControllerGains,
-                    frame: SensorFrame, dt: float,
-                    now: float) -> tuple[ControllerState, ActuationFrame]:
-    """PID-like command from the current frame; estimate_tilt must have run.
+                    frame: SensorFrame,
+                    dt: float) -> tuple[ControllerState, ActuationFrame]:
+    """PID-like command from the frame estimate_tilt has just taken.
 
     The one command drives both wheels of the planar model. The integral
-    accumulates the tilt estimate with an anti-windup clamp. `now` is the
-    controller-side arrival time (s) stamped on the actuation frame.
+    accumulates the tilt estimate with an anti-windup clamp.
     """
-    if frame.seq != cstate.last_frame_seq:
-        raise StaleFrameError(
-            f"frame seq {frame.seq} was not the last estimated ({cstate.last_frame_seq})")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-
     angle = frame.wheel_angle
     if cstate.primed:
         raw_rate = (angle - cstate.last_wheel_angle) / dt
@@ -159,8 +142,8 @@ def compute_command(cstate: ControllerState, gains: ControllerGains,
     u = -lim if u < -lim else lim if u > lim else u
 
     new_state = tuple.__new__(ControllerState, (
-        tilt, integral, cstate.last_frame_seq, angle, wheel_rate, True))
-    return new_state, tuple.__new__(ActuationFrame, (u, frame.seq, now))
+        tilt, integral, angle, wheel_rate, True))
+    return new_state, tuple.__new__(ActuationFrame, (u, frame.seq))
 
 
 # ControllerState fields carried across cycles: controller_map's memory
@@ -177,12 +160,11 @@ def controller_map(gains: ControllerGains, dt: float,
     unclamped = replace(gains, integral_limit=MAX_MAGNITUDE, command_limit=1.0)
 
     def update(x: list) -> list:
-        cstate = ControllerState(**dict(zip(_LOOP_MEMORY, x[3:])),
-                                 last_frame_seq=0, primed=True)
+        cstate = ControllerState(**dict(zip(_LOOP_MEMORY, x[3:])), primed=True)
         frame = SensorFrame(gyro_pitch_rate=x[1], accel_tilt=x[0],
                             wheel_angle=x[2], seq=1)
         cstate = estimate_tilt(cstate, frame, dt, alpha)
-        cstate, command = compute_command(cstate, unclamped, frame, dt, 0.0)
+        cstate, command = compute_command(cstate, unclamped, frame, dt)
         return [command.motor_command, *(getattr(cstate, name) for name in _LOOP_MEMORY)]
     return linear_map(update, 7)
 

@@ -229,6 +229,7 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     fbk_sent = fbk_delivered = fbk_lost = 0
     last_arrival_ns: int | None = None
     last_sample_ns = -1
+    last_used = -1     # seq of the newest frame the controller used
     last_applied = -1  # seq of the newest command applied
 
     def schedule_sample(k: int) -> None:
@@ -301,16 +302,17 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
         elif kind == "recv":
             frame = payload
             k = frame.seq
-            if k <= cstate.last_frame_seq or t_ns == last_arrival_ns:
+            if k <= last_used or t_ns == last_arrival_ns:
                 # overtaken by a newer frame (BLE jitter), or sharing a slot
-                # with the last one after a resync: the cycle is dropped
+                # with the last one after a resync: the cycle is dropped. So
+                # the controller takes frames in seq order, each at a dt > 0
                 close_cycle(k, None, None)
                 continue
             dt = (t_ns - last_arrival_ns) / 1e9 if last_arrival_ns is not None \
                 else cycle_s
-            last_arrival_ns = t_ns
+            last_arrival_ns, last_used = t_ns, k
             cstate = estimate_tilt(cstate, frame, dt, alpha)
-            cstate, act = compute_command(cstate, gains, frame, dt, t_ns / 1e9)
+            cstate, act = compute_command(cstate, gains, frame, dt)
             fbk_sent += 1
             deliver_ns = transmit(mac, chan, FEEDBACK, t_ns, rng_loss, rng_jitter)[0]
             if deliver_ns is not None:
@@ -328,8 +330,6 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
                 # stays, and the cycle is dropped
                 close_cycle(k, act, None)
                 continue
-            if not t_ns / 1e9 > act.issue_time:
-                raise RuntimeError("actuation applied no later than issued")
             last_applied = k
             torque = act.motor_command * tau_max
             close_cycle(k, act, t_ns)

@@ -115,19 +115,29 @@ class TestConfigParsing:
         assert (str(info.value), info.value.path, info.value.line) == (
             f"{p}:{line}: {message}", str(p), line)
 
-    @pytest.mark.parametrize("data, line", [
-        (b"[scenario]\nlabel = caf\xe9\n", 2),                   # Latin-1
-        ("[scenario]\nlabel = caf\u00e9\n".encode("utf-16"), 1),  # BOM ff fe
-    ], ids=["latin-1", "utf-16"])
+    @pytest.mark.parametrize("data, line, offset", [
+        (b"[scenario]\nlabel = caf\xe9\n", 2, 22),                   # Latin-1
+        ("[scenario]\nlabel = caf\u00e9\n".encode("utf-16"), 1, 0),  # BOM ff fe
+        (b"\xef\xbb\xbf[scenario]\nlabel = caf\xe9\n", 2, 25),       # UTF-8 BOM
+    ], ids=["latin-1", "utf-16", "utf-8-bom-latin-1"])
     def test_non_utf8_file_exit_2_names_path_and_line(self, tmp_path, capsys,
-                                                      data, line):
+                                                      data, line, offset):
         p = tmp_path / "scenario.cfg"
         p.write_bytes(data)
         assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {p}:{line}: 'utf-8' codec can't decode")
+        # the position is the bad byte's offset in the file, BOM included
+        assert err.startswith(f"error: {p}:{line}: 'utf-8' codec can't decode "
+                              f"byte {data[offset]:#04x} in position {offset}:")
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_path_with_a_nul_names_the_path_and_no_line(self):
+        # reachable through the API only: argv cannot hold a NUL
+        with pytest.raises(ConfigError) as info:
+            load_scenario("a\x00b.cfg")
+        assert (str(info.value), info.value.path, info.value.line) == (
+            "a\x00b.cfg: cannot read config: embedded null byte", "a\x00b.cfg", None)
 
     def test_negative_config_seed_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, GALLOP_SHORT.replace("seed = 5", "seed = -1"))

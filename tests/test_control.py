@@ -22,7 +22,6 @@ from telebalance.control import (
     DEFAULT_GAINS,
     WHEEL_RATE_SMOOTHING,
     ControllerGains,
-    StaleFrameError,
     TuningFailureError,
     closed_loop_matrix,
     compute_command,
@@ -81,23 +80,6 @@ class TestEstimateTilt:
         cs = estimate_tilt(cs, frame(gyro=0.2, accel=123.0), dt=0.005, alpha=1.0)
         assert cs.tilt_estimate == pytest.approx(0.001, rel=1e-12)
 
-    def test_stale_frame_rejected_and_state_unchanged(self):
-        cs = ControllerState()
-        cs = estimate_tilt(cs, frame(accel=0.1, seq=5), dt=0.002)
-        before = cs
-        with pytest.raises(StaleFrameError):
-            estimate_tilt(cs, frame(accel=0.5, seq=5), dt=0.002)
-        with pytest.raises(StaleFrameError):
-            estimate_tilt(cs, frame(accel=0.5, seq=4), dt=0.002)
-        assert cs == before
-
-    def test_alpha_and_dt_validated(self):
-        cs = ControllerState()
-        with pytest.raises(ValueError):
-            estimate_tilt(cs, frame(), dt=0.002, alpha=1.5)
-        with pytest.raises(ValueError):
-            estimate_tilt(cs, frame(), dt=0.0)
-
     def test_tracks_true_tilt_on_noiseless_trajectory(self, params):
         # closed loop against plant ground truth: estimate within 5 mrad after
         # 1 s; the plant takes the engine's RK4 substeps under each command
@@ -108,7 +90,7 @@ class TestEstimateTilt:
         for k in range(400):
             f = sample_sensors(th, w, phi, SensorNoise(), params, rng, seq=k)
             cs = estimate_tilt(cs, f, cycle)
-            cs, act = compute_command(cs, DEFAULT_GAINS, f, cycle, now=k * cycle)
+            cs, act = compute_command(cs, DEFAULT_GAINS, f, cycle)
             torque = act.motor_command * params.motor_max_torque
             th, w, phi, v, tau, _ = _rk4_span(th, w, phi, v, tau, torque, params,
                                               round(cycle * 1e9))
@@ -120,35 +102,29 @@ class TestComputeCommand:
     def test_all_zero_gives_zero_command(self):
         cs = ControllerState()
         cs = estimate_tilt(cs, frame(), dt=0.002)
-        cs, act = compute_command(cs, ControllerGains(), frame(), dt=0.002, now=0.0)
+        cs, act = compute_command(cs, ControllerGains(), frame(), dt=0.002)
         assert act.motor_command == 0.0
 
     def test_p_only_tilt_term(self):
         gains = ControllerGains(kp_tilt=1.0)
-        cs = ControllerState(tilt_estimate=0.1, last_frame_seq=0)
-        cs, act = compute_command(cs, gains, frame(seq=0), dt=0.002, now=0.0)
+        cs = ControllerState(tilt_estimate=0.1)
+        cs, act = compute_command(cs, gains, frame(seq=0), dt=0.002)
         assert act.motor_command == pytest.approx(0.1, rel=1e-12)
 
     def test_saturation_at_command_limit(self):
         gains = ControllerGains(kp_tilt=20.0, command_limit=1.0)
-        cs = ControllerState(tilt_estimate=0.1, last_frame_seq=0)
-        cs, act = compute_command(cs, gains, frame(seq=0), dt=0.002, now=0.0)
+        cs = ControllerState(tilt_estimate=0.1)
+        cs, act = compute_command(cs, gains, frame(seq=0), dt=0.002)
         assert act.motor_command == 1.0
-
-    def test_requires_estimate_for_this_frame(self):
-        cs = ControllerState()  # last_frame_seq == -1
-        with pytest.raises(StaleFrameError):
-            compute_command(cs, DEFAULT_GAINS, frame(seq=0), dt=0.002, now=0.0)
 
     def test_seq_echoed_and_both_wheels_equal(self):
         cs = ControllerState()
         f = frame(accel=0.05, seq=3)
         cs = estimate_tilt(cs, f, dt=0.002)
-        cs, act = compute_command(cs, DEFAULT_GAINS, f, dt=0.002, now=1.5)
+        cs, act = compute_command(cs, DEFAULT_GAINS, f, dt=0.002)
         assert act.seq == 3
-        assert act.issue_time == 1.5
         # one command, which the planar model applies to both wheels
-        assert act._fields == ("motor_command", "seq", "issue_time")
+        assert act._fields == ("motor_command", "seq")
 
     def test_identical_frame_sequences_give_identical_commands(self):
         def run():
@@ -159,7 +135,7 @@ class TestComputeCommand:
                 f = frame(gyro=rng.normal(), accel=rng.normal() * 0.1,
                           enc=int(rng.integers(-500, 500)), seq=k)
                 cs2 = estimate_tilt(cs, f, 0.002)
-                cs, act = compute_command(cs2, DEFAULT_GAINS, f, 0.002, now=k * 0.002)
+                cs, act = compute_command(cs2, DEFAULT_GAINS, f, 0.002)
                 out.append(act.motor_command)
             return out
 
@@ -175,7 +151,7 @@ class TestComputeCommand:
         cs = ControllerState()
         f = frame(gyro=gyro, accel=accel, enc=enc, seq=seq)
         cs = estimate_tilt(cs, f, dt=0.002, alpha=0.5)
-        cs, act = compute_command(cs, gains, f, dt=0.002, now=0.0)
+        cs, act = compute_command(cs, gains, f, dt=0.002)
         assert -1.0 <= act.motor_command <= 1.0
 
     @settings(max_examples=100, deadline=None)
@@ -187,7 +163,7 @@ class TestComputeCommand:
         for k, tilt in enumerate(tilts):
             f = frame(accel=tilt, seq=k)
             cs = estimate_tilt(cs, f, dt=0.01, alpha=0.0)
-            cs, _ = compute_command(cs, gains, f, dt=0.01, now=k * 0.01)
+            cs, _ = compute_command(cs, gains, f, dt=0.01)
             assert abs(cs.integral_accum) <= 0.3
 
 
