@@ -268,7 +268,8 @@ def _read_sections(path: Path) -> dict[str, dict[str, object]]:
         # the BOM goes after decoding, so a bad byte's position is its file offset
         text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:  # name the line of the bad byte
-        lineno = exc.object[:exc.start].count(b"\n") + 1
+        # by the parser's rule, str.splitlines, with "." for the bad byte
+        lineno = len((exc.object[:exc.start].decode() + ".").splitlines())
         raise ConfigError(str(exc), path=str(path), line=lineno) from exc
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot read config: {exc}", path=str(path)) from exc

@@ -169,25 +169,40 @@ def controller_map(gains: ControllerGains, dt: float,
     return linear_map(update, 7)
 
 
-def _loop_model(params: PlantParams, cycle: float, alpha: float):
-    """closed_loop_matrix at this cycle as a function of the gains, all on
-    one plant block."""
+def _loop_model(params: PlantParams, cycle: float, alpha: float, latency_ns: int):
+    """closed_loop_matrix at this cycle and latency as a function of the
+    gains, all on one pair of plant blocks."""
     if not 0 < cycle < float("inf"):
         raise ValueError("cycle must be positive and finite")
-    P = span_matrix(params, _ns(cycle))
+    h = _ns(cycle)
+    q, r = divmod(latency_ns, h)
+    d = q + (r > 0)  # the commands still pending at a sample
     # the lagged torque is a plant state unless the motor is instant
     n = 5 if params.motor_time_constant > 0 else 4
-    Ad, Bd = P[:n, :n], P[:n, 5] * params.motor_max_torque
-    m = n + len(_LOOP_MEMORY)
+    late, torque = span_matrix(params, h - r), params.motor_max_torque
+    Ad, gamma0 = late[:n, :n], late[:n, 5] * torque
+    if r:
+        early = span_matrix(params, r)
+        gamma1 = Ad @ early[:n, 5] * torque
+        Ad = Ad @ early[:n, :n]
+    mem = n + len(_LOOP_MEMORY)  # the first shift state
+    m = mem + d
     # the controller reads the frame (plant states 0-2: tilt, tilt_rate and
-    # wheel_angle) and its memory; its command drives the plant through Bd
-    reads = [0, 1, 2, *range(n, m)]
+    # wheel_angle) and its memory
+    reads = [0, 1, 2, *range(n, mem)]
 
     def loop(gains: ControllerGains) -> np.ndarray:
+        K = controller_map(gains, cycle, alpha)
+        # row j gives u[k - j]: the command from the state, then the shift
+        pending = np.vstack([np.zeros(m), np.eye(m)[mem:]])
+        pending[0, reads] = K[0]
         M = np.zeros((m, m))
         M[:n, :n] = Ad
-        K = controller_map(gains, cycle, alpha)
-        M[:, reads] += np.vstack([np.outer(Bd, K[0]), K[1:]])
+        M[:n] += np.outer(gamma0, pending[q])
+        if r:
+            M[:n] += np.outer(gamma1, pending[q + 1])
+        M[n:mem, reads] = K[1:]
+        M[mem:] = pending[:d]  # u[k - j] becomes u[k + 1 - (j + 1)]
         if gains.ki_tilt == 0.0:
             # the accumulator is then decoupled bookkeeping with a unit
             # eigenvalue; drop it so the radius reflects the actual loop
@@ -198,17 +213,19 @@ def _loop_model(params: PlantParams, cycle: float, alpha: float):
 
 
 def closed_loop_matrix(params: PlantParams, gains: ControllerGains, cycle: float,
-                       alpha: float = DEFAULT_FILTER_ALPHA) -> np.ndarray:
-    """One-cycle transition matrix of the zero-delay loop, linearized at upright.
+                       alpha: float = DEFAULT_FILTER_ALPHA, latency_ns: int = 0) -> np.ndarray:
+    """One-cycle transition matrix of the loop, linearized at upright, each
+    command applied latency_ns after its sample (Cervin et al., IEEE Control
+    Systems Magazine 2003).
 
     State: [tilt, tilt_rate, wheel_angle, wheel_rate, motor_torque] (no
-    motor_torque for an instant motor), then the controller memory, named
-    as in _LOOP_MEMORY. It composes controller_map with the plant block,
-    span_matrix over the cycle: the engine's own RK4 advance under the
-    held command. Sensors are noiseless and unquantized, clamps inactive;
-    sampling, control, and held actuation all happen each `cycle`.
-    """
-    return _loop_model(params, cycle, alpha)(gains)
+    motor_torque for an instant motor), the controller memory named as in
+    _LOOP_MEMORY, then the pending commands u[k-1] ... u[k-d]: with
+    latency_ns = q h + r, 0 <= r < h = cycle, d = q + (r > 0), u[k-q-1]
+    holds for the first r of cycle k and u[k-q] for the rest, each over
+    span_matrix, the engine's own RK4 advance. Sensors are noiseless and
+    unquantized, clamps inactive."""
+    return _loop_model(params, cycle, alpha, latency_ns)(gains)
 
 
 def spectral_radius(M: np.ndarray) -> float:
@@ -235,7 +252,7 @@ def tune_default_gains(params: PlantParams, cycle: float,
     # one plant block for every scale; a long cycle overflows it, and that
     # loop is not stable
     with np.errstate(over="ignore", invalid="ignore"):
-        loop = _loop_model(params, cycle, alpha)
+        loop = _loop_model(params, cycle, alpha, 0)
         for scale in _SEARCH_SCALES:
             cand = replace(base, **{name: getattr(base, name) * scale
                                     for name in _SCALED_GAINS})

@@ -489,10 +489,7 @@ def run_sweep(base: ScenarioConfig, parameter_path: str, values,
 
 def failure_threshold(points: list[SweepPoint]) -> float | None:
     """Smallest swept value whose fall fraction reaches one half."""
-    for p in points:
-        if p.fall_fraction >= 0.5:
-            return p.value
-    return None
+    return min((p.value for p in points if p.fall_fraction >= 0.5), default=None)
 
 
 @dataclass

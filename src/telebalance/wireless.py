@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -337,6 +338,35 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
         if channel.lossless or not channel.lost(ch, index, loss_rng):
             return tuple.__new__(DeliveryOutcome, (base_ns + end + extra_ns, ch, index))
     return tuple.__new__(DeliveryOutcome, (None, ch, index))
+
+
+def latency_interval(mac: MacConfig, cycle: float) -> tuple[int, int]:
+    """(min, max) sample-to-actuation latency in ns over the samples of an
+    episode of any length on the idealized clock, from transmit on a
+    lossless channel, every BLE jitter draw at its least, then greatest.
+    Samples fall on the multiples of gcd(cycle, period); between the phases
+    where the forward slot choice changes (past a forward slot's start plus
+    the guard, or at a BLE event) the latency falls as the sample moves
+    later, so its extremes lie at the phases either side of a change."""
+    sf = mac.superframe
+    for direction, slots in (sf.by_direction.items() if sf else ()):
+        if not slots:
+            raise ValueError(f"the slot layout has no {direction} slot")
+    period = sf.span_ns if sf else mac.ble_interval_ns
+    changes = [start + mac.slot_guard_ns + 1
+               for start, _, _ in sf.by_direction[FORWARD]] if sf else [period]
+    g = math.gcd(_ns(cycle), period)
+    lossless = ChannelProcess(ChannelModel())
+    latencies = []
+    for change in changes:
+        after = -(-change // g) * g  # the first sample phase at or past it
+        for sample in (after - g, after):
+            for extreme in (min, max):  # uniform(lo, hi) gives lo, then hi
+                jitter = SimpleNamespace(uniform=extreme)
+                ready = transmit(mac, lossless, FORWARD, sample, None, jitter)[0]
+                latencies.append(
+                    transmit(mac, lossless, FEEDBACK, ready, None, jitter)[0] - sample)
+    return min(latencies), max(latencies)
 
 
 def check_channels_used(cfg: MacConfig, channels) -> None:

@@ -16,28 +16,16 @@ out as row algebra, so that the loop model built by running the
 controller can be required to match it; record_metrics aggregates a
 trace one CycleRecord at a time, so that sim.compute_metrics, which reads
 the trace's columns as arrays, can be required to give the same floats.
-
-Two more stand on the library's own probes and restate no law:
-lifted_loop_matrix lifts control.controller_map and plant.span_matrix to
-a loop whose commands act a latency after their sample, and
-latency_interval finds a link's sample-to-actuation latency by calling
-wireless.transmit itself. No library code reads a latency yet, so they
-live here; the tests hold them to the engine's recorded latencies and
-its decay rate.
 """
 
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
-from telebalance.control import _LOOP_MEMORY, controller_map
-from telebalance.plant import SUBSTEP_NS, _ns, span_matrix
+from telebalance.plant import SUBSTEP_NS
 from telebalance.sim import EpisodeMetrics
-from telebalance.wireless import (
-    FEEDBACK, FORWARD, ChannelModel, ChannelProcess, transmit)
 
 
 def expm_taylor(M: np.ndarray, order: int = 40) -> np.ndarray:
@@ -247,69 +235,6 @@ def gallop_slot_search(layout, direction: str, ready_ns: int,
         if not lost(channel, index, rng):
             return end + extra_ns, index, channel
     return None, index, channel
-
-
-def lifted_loop_matrix(params, gains, cycle: float, alpha: float,
-                       latency_ns: int) -> np.ndarray:
-    """control.closed_loop_matrix with each command applied latency_ns
-    after its sample, lifted to one cycle h (Cervin et al., IEEE Control
-    Systems Magazine 2003).
-
-    With latency_ns = q h + r, 0 <= r < h, the command of sample k - q - 1
-    holds for the first r of cycle k and that of sample k - q for the rest:
-    x+ = Phi(h - r) Phi(r) x + Gamma1 u[k-q-1] + Gamma0 u[k-q], with
-    Gamma0 = Gamma(h - r) and Gamma1 = Phi(h - r) Gamma(r), all from
-    plant.span_matrix. State: closed_loop_matrix's, then the pending
-    commands u[k-1] ... u[k-d] as shift states, d = q + (r > 0); at latency
-    0 it is closed_loop_matrix's matrix."""
-    h = _ns(cycle)
-    q, r = divmod(latency_ns, h)
-    d = q + (r > 0)
-    n = 5 if params.motor_time_constant > 0 else 4
-    late, early = span_matrix(params, h - r), span_matrix(params, r)
-    torque = params.motor_max_torque
-    gamma0 = late[:n, 5] * torque
-    gamma1 = late[:n, :n] @ early[:n, 5] * torque
-
-    K = controller_map(gains, cycle, alpha)
-    mem = n + len(_LOOP_MEMORY)  # index of the first shift state
-    m = mem + d
-    u = np.zeros(m)  # the row giving u[k] from the state
-    u[:3], u[n:mem] = K[0, :3], K[0, 3:]
-    # pending[j] gives u[k - j]
-    pending = [u] + [np.eye(m)[mem + i] for i in range(d)]
-    M = np.zeros((m, m))
-    M[:n, :n] = late[:n, :n] @ early[:n, :n]
-    M[:n] += np.outer(gamma0, pending[q])
-    if r:
-        M[:n] += np.outer(gamma1, pending[q + 1])
-    M[n:mem, :3], M[n:mem, n:mem] = K[1:, :3], K[1:, 3:]
-    for i in range(d):  # the shift: u[k - i] becomes u[(k + 1) - (i + 1)]
-        M[mem + i] = pending[i]
-    if gains.ki_tilt == 0.0:
-        i_i = n + _LOOP_MEMORY.index("integral_accum")
-        M = np.delete(np.delete(M, i_i, axis=0), i_i, axis=1)
-    return M
-
-
-def latency_interval(mac, cycle: float) -> tuple[int, int]:
-    """(min, max) sample-to-actuation latency in ns of frames sampled every
-    cycle on the idealized clock, from wireless.transmit itself on a
-    lossless channel: the forward frame ready at the sample, the feedback
-    frame at its delivery. The samples run over one hyperperiod of the
-    cycle against the link's period (at most 10 000 of them), each with
-    every BLE jitter draw at its least, then at its greatest."""
-    lossless = ChannelProcess(ChannelModel())
-    h = _ns(cycle)
-    period = mac.superframe.span_ns if mac.superframe else mac.ble_interval_ns
-    latencies = []
-    for k in range(min(period // math.gcd(h, period), 10_000)):
-        # a jitter stream whose uniform(lo, hi) is min, then max: lo, then hi
-        for jitter in (SimpleNamespace(uniform=min), SimpleNamespace(uniform=max)):
-            ready = transmit(mac, lossless, FORWARD, k * h, None, jitter)[0]
-            latencies.append(
-                transmit(mac, lossless, FEEDBACK, ready, None, jitter)[0] - k * h)
-    return min(latencies), max(latencies)
 
 
 def record_metrics(records, fall_time: float | None, cfg) -> EpisodeMetrics:

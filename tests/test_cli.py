@@ -119,7 +119,11 @@ class TestConfigParsing:
         (b"[scenario]\nlabel = caf\xe9\n", 2, 22),                   # Latin-1
         ("[scenario]\nlabel = caf\u00e9\n".encode("utf-16"), 1, 0),  # BOM ff fe
         (b"\xef\xbb\xbf[scenario]\nlabel = caf\xe9\n", 2, 25),       # UTF-8 BOM
-    ], ids=["latin-1", "utf-16", "utf-8-bom-latin-1"])
+        # each line is the one a bad value in the same spot is reported at
+        (b"[scenario]\rlabel = caf\xe9\r", 2, 22),                   # CR only
+        (b"[scenario]\x0c\nlabel = caf\xe9\n", 3, 23),               # form feed
+        (b"[scenario]\r\nlabel = caf\xe9\r\n", 2, 23),               # CRLF
+    ], ids=["latin-1", "utf-16", "utf-8-bom-latin-1", "cr", "form-feed", "crlf"])
     def test_non_utf8_file_exit_2_names_path_and_line(self, tmp_path, capsys,
                                                       data, line, offset):
         p = tmp_path / "scenario.cfg"
@@ -131,6 +135,12 @@ class TestConfigParsing:
                               f"byte {data[offset]:#04x} in position {offset}:")
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+        # a bad value in the bad byte's place is reported at the same line
+        if b"label = caf\xe9" in data:
+            p.write_bytes(data.replace(b"label = caf\xe9", b"seed = caf"))
+            with pytest.raises(ConfigError) as info:
+                load_scenario(p)
+            assert info.value.line == line
 
     def test_path_with_a_nul_names_the_path_and_no_line(self):
         # reachable through the API only: argv cannot hold a NUL

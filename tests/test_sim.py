@@ -9,6 +9,7 @@ import textwrap
 import tracemalloc
 from dataclasses import astuple, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from telebalance.config import (
     ble_scenario,
     gallop_scenario,
     ideal_scenario,
+    load_scenario,
     set_by_path,
 )
 from telebalance.control import (
@@ -42,14 +44,18 @@ from telebalance.sim import (
 )
 from telebalance.wireless import (
     BLE,
+    FEEDBACK,
+    FORWARD,
     GALLOP,
     IDEAL,
     ChannelModel,
+    ChannelProcess,
     MacConfig,
+    latency_interval,
+    transmit,
 )
 
 from oracles import (
-    latency_interval,
     linear_fall_time,
     record_metrics,
     wip_linear_system,
@@ -284,8 +290,54 @@ class TestRunEpisode:
         assert traces[0] == traces[1]
 
 
+@st.composite
+def lossless_links(draw):
+    """(mac, control_cycle or None): a lossless link on the idealized clock,
+    its times in whole us; a custom layout holds 2-5 slots, one of each
+    direction at least, each after a gap of 0-1 ms."""
+    extra = draw(st.integers(0, 3000)) * 1e-6
+    kind = draw(st.sampled_from([GALLOP, "custom", BLE]))
+    if kind == GALLOP:
+        mac = MacConfig(slots_per_superframe=draw(st.integers(2, 6)),
+                        extra_delay=extra)
+    elif kind == BLE:
+        mac = MacConfig(variant=BLE,
+                        ble_connection_interval=draw(st.integers(7500, 15000)) * 1e-6,
+                        ble_jitter_max=draw(st.integers(0, 5000)) * 1e-6,
+                        extra_delay=extra)
+    else:
+        more = draw(st.lists(st.sampled_from([FORWARD, FEEDBACK]), max_size=3))
+        slots, end = [], 0
+        for direction in draw(st.permutations([FORWARD, FEEDBACK, *more])):
+            start = end + draw(st.integers(0, 1000))
+            end = start + draw(st.integers(200, 1500))
+            slots.append((direction, start * 1e-6, (end - start) * 1e-6))
+        mac = MacConfig(slots=tuple(slots), extra_delay=extra)
+    cycle = draw(st.none() | st.integers(2000, 7000).map(lambda us: us * 1e-6))
+    return mac, cycle
+
+
+def lattice_latencies(mac, cycle, max_phases):
+    """latency_interval by brute force, or None past max_phases: both
+    transmits at every sample phase in the link's period, each BLE jitter
+    draw at its least, then greatest."""
+    lossless = ChannelProcess(ChannelModel())
+    period = mac.superframe.span_ns if mac.superframe else mac.ble_interval_ns
+    phases = range(0, period, math.gcd(round(cycle * 1e9), period))
+    if len(phases) > max_phases:
+        return None
+    latencies = []
+    for sample in phases:
+        for extreme in (min, max):  # uniform(lo, hi) is lo, then hi
+            jitter = SimpleNamespace(uniform=extreme)
+            ready = transmit(mac, lossless, FORWARD, sample, None, jitter)[0]
+            latencies.append(
+                transmit(mac, lossless, FEEDBACK, ready, None, jitter)[0] - sample)
+    return min(latencies), max(latencies)
+
+
 class TestLatencyInterval:
-    """oracles.latency_interval drives wireless.transmit itself; every
+    """wireless.latency_interval drives wireless.transmit itself; every
     latency the engine records lies in it, and the deterministic links
     record exactly it."""
 
@@ -294,6 +346,19 @@ class TestLatencyInterval:
         trace, _ = run_episode(cfg)
         return {round(r.cycle_latency * 1e6) for r in trace.records
                 if not math.isnan(r.cycle_latency)}
+
+    @settings(max_examples=30, deadline=None)
+    @given(link=lossless_links())
+    def test_every_recorded_latency_lies_inside(self, link):
+        mac, control_cycle = link
+        cfg = ScenarioConfig(mac=mac, control_cycle=control_cycle,
+                             episode_duration=1.0)
+        low, high = latency_interval(mac, cfg.resolved_cycle())
+        recorded = self.recorded(cfg)
+        assert low <= min(recorded) and max(recorded) <= high
+        # and it is the brute-force pass wherever that stays short
+        brute = lattice_latencies(mac, cfg.resolved_cycle(), max_phases=2000)
+        assert brute is None or (low, high) == brute
 
     # delay_sweep.cfg's rule: 2 ms plus twice an even whole-ms delay; an odd
     # one waits one superframe more (1 ms gives 5 ms, 5 ms gives 13 ms)
@@ -311,6 +376,28 @@ class TestLatencyInterval:
         cfg = gallop_scenario(mac=mac, episode_duration=0.2)
         assert latency_interval(mac, cfg.resolved_cycle()) == (2_000_000,) * 2
         assert self.recorded(cfg) == {2_000_000}
+
+    def test_a_cycle_off_the_superframe_covers_every_phase(self, config_dir):
+        # 2.000007 ms against a 2 ms superframe meets every ns of it, 7 ns
+        # later each cycle; by 30 s the samples have crossed the forward
+        # admission edge (slot start plus guard, 100 us), where the latency
+        # jumps from just over 1.9 ms to just under 3.9 ms
+        cfg = replace(load_scenario(config_dir / "gallop_default.cfg"),
+                      control_cycle=0.002000007, episode_duration=30.0)
+        low, high = latency_interval(cfg.mac, cfg.resolved_cycle())
+        assert (low, high) == (1_900_000, 3_899_999)
+        recorded = self.recorded(cfg)
+        assert {1_900_005, 3_899_396} <= recorded
+        assert (min(recorded), max(recorded)) == (1_900_005, 3_899_998)
+
+    @pytest.mark.parametrize("mac, missing", [
+        (MacConfig(slots=(("forward", 0.0, 1e-3),)), "feedback"),
+        (MacConfig(slots_per_superframe=1), "feedback"),
+        (MacConfig(slots=(("feedback", 0.0, 1e-3),)), "forward"),
+    ])
+    def test_a_layout_without_a_direction_is_rejected_by_name(self, mac, missing):
+        with pytest.raises(ValueError, match=f"no {missing} slot"):
+            latency_interval(mac, mac.nominal_cycle)
 
     def test_ble_records_inside_the_interval(self):
         cfg = ble_scenario(episode_duration=7.5)
@@ -905,6 +992,8 @@ class TestSweep:
                SweepPoint(2.0, 3.0, 1.0, 0.0)]
         assert failure_threshold(pts) == 1.0
         assert failure_threshold(pts[:1]) is None
+        # the smallest such value, whatever order the grid was swept in
+        assert failure_threshold(pts[::-1]) == 1.0
 
     def test_doubling_seeds_stays_within_standard_error(self):
         base = gallop_scenario(episode_duration=4.0)
