@@ -1,17 +1,18 @@
 """Link models: deterministic TDMA/FDD superframe link, BLE-style baseline,
 and an ideal pass-through, plus per-channel burst loss and clock sync.
 
-All event times are handled as integer nanoseconds so that delivery
-schedules are exact and repeatable; the public configuration stays in
-seconds. Three link variants:
+Event times are integer ns, so delivery schedules are exact and
+repeatable; the public configuration stays in seconds. Every link is one
+slot table repeated each period (Superframe) and one admission rule: a
+frame goes out in the first slot of its direction that starts at most
+admit_ns before it is ready, and arrives at that slot's end.
 
   gallop       2-slot TDMA superframe (forward / feedback) on disjoint
-               FDD bands with per-slot frequency hopping; a frame waits
-               for the next slot of its direction and is delivered at
-               slot end. Loss may be retried in a later same-direction
-               slot of the same superframe when the layout has one.
-  ble_baseline delivery quantized to the next connection-event boundary
-               strictly after the ready time, plus a uniform jitter.
+               FDD bands with per-slot frequency hopping, admitting up to
+               slot_guard late; a loss may be retried in a later slot of
+               the same direction and superframe.
+  ble_baseline one event a connection interval for both directions, taking
+               frames ready strictly before it, plus a uniform jitter.
   ideal        pass-through with 1 ns latency, no loss (for experiments
                isolating the control loop from the network).
 
@@ -61,7 +62,8 @@ class MacConfig:
     link's rules once, as attributes that are not keys: nominal_cycle, the
     cycle unless a scenario sets its own; channel_base, each direction's
     first channel (gallop's FDD bands: forward from 0, feedback from
-    channel_count); the fixed delays in whole ns; and gallop's superframe."""
+    channel_count); extra_delay_ns; and the link's slot table and
+    admission rule (module docstring), superframe and admit_ns."""
 
     variant: str = GALLOP
     slot_duration: Seconds = 1e-3
@@ -96,8 +98,9 @@ class MacConfig:
             raise ValueError("ble_connection_interval must be >= 7.5 ms")
         if self.ble_jitter_max < 0 or self.extra_delay < 0:
             raise ValueError("ble_jitter_max and extra_delay must be >= 0")
-        if not 0 <= self.slot_guard < self.slot_duration:
-            raise ValueError("slot_guard must be in [0, slot_duration)")
+        # build_superframe checks that each gallop slot outlasts it
+        if self.slot_guard < 0:
+            raise ValueError("slot_guard must be >= 0")
         if _ns(self.sync_epoch_period) <= 0:
             raise ValueError("sync_epoch_period must be at least 1 ns")
         if self.sync_error_bound < 0:
@@ -107,40 +110,35 @@ class MacConfig:
             raise ValueError("clock_drift_ppm must be in (-1e6, 1e6)")
         # cycle: the superframe span, the connection interval, or 5 ms;
         # base: each direction's first channel, none on the ideal link
-        superframe, base = None, {}
         if self.variant == GALLOP:
-            superframe = build_superframe(self)
+            superframe, admit = build_superframe(self), _ns(self.slot_guard)
             cycle = superframe.span_ns / 1e9
             base = {FORWARD: 0, FEEDBACK: self.channel_count}
         elif self.slots is not None:
             raise ValueError(
                 f"slots apply only to the {GALLOP} variant, not {self.variant!r}")
-        elif self.variant == BLE:
-            cycle, base = self.ble_connection_interval, {FORWARD: 0, FEEDBACK: 0}
         else:
-            cycle = 0.005
+            # one event a period (1 ns on the ideal link), for both directions
+            ble = self.variant == BLE
+            span = _ns(self.ble_connection_interval) if ble else 1
+            superframe = Superframe(1, span, dict.fromkeys((FORWARD, FEEDBACK), ((0, 0, 0),)))
+            admit, cycle = -1, self.ble_connection_interval if ble else 0.005
+            base = dict.fromkeys((FORWARD, FEEDBACK) if ble else (), 0)
         # plain attributes, past the frozen __setattr__
         self.__dict__.update(
-            superframe=superframe, nominal_cycle=cycle, channel_base=base,
-            extra_delay_ns=_ns(self.extra_delay), slot_guard_ns=_ns(self.slot_guard),
-            ble_interval_ns=_ns(self.ble_connection_interval))
-
-
-class Slot(NamedTuple):
-    """One slot of the superframe, in whole ns from the superframe start."""
-
-    start_ns: int
-    end_ns: int
-    direction: str       # forward | feedback
+            superframe=superframe, admit_ns=admit, nominal_cycle=cycle,
+            channel_base=base, extra_delay_ns=_ns(self.extra_delay))
 
 
 class Superframe(NamedTuple):
-    """One TDMA cycle in whole ns, as build_superframe lays it out."""
+    """A link's slot table in whole ns, repeated every span_ns: gallop's
+    TDMA cycle as build_superframe lays it out, or one event at the start
+    of each BLE connection interval (each ns on the ideal link)."""
 
-    slots: tuple[Slot, ...]  # in start order
-    span_ns: int             # the latest slot end
-    # direction -> (start_ns, end_ns, position in slots) of its slots, in
-    # start order: the table transmit scans
+    count: int               # slots a period; slot k of period p is index p * count + k
+    span_ns: int             # the period: gallop's latest slot end
+    # direction -> (start_ns, end_ns, position k) of its slots, in start
+    # order: the table transmit scans
     by_direction: dict[str, tuple[tuple[int, int, int], ...]]
 
 
@@ -179,19 +177,19 @@ def build_superframe(cfg: MacConfig) -> Superframe:
         if _ns(dur) <= _ns(cfg.slot_guard):
             raise ValueError(f"slot {i} duration must exceed slot_guard "
                              f"({cfg.slot_guard!r} s), got {dur!r} s")
-        slots.append(Slot(_ns(start), _ns(start) + _ns(dur), direction))
+        slots.append((_ns(start), _ns(start) + _ns(dur), direction))
         starts.append(start)
     # by the seconds given: starts that round to one ns keep their order
     ordered = sorted(range(len(slots)), key=starts.__getitem__)
     for a, b in zip(ordered, ordered[1:]):
-        if slots[a].end_ns > slots[b].start_ns:
+        if slots[a][1] > slots[b][0]:
             raise ValueError(
                 f"slots {a} and {b} overlap in time ({slots[a]} vs {slots[b]})")
-    table = tuple(slots[i] for i in ordered)
+    table = [slots[i] for i in ordered]
     return Superframe(
-        table, max(s.end_ns for s in table),
-        {d: tuple((s.start_ns, s.end_ns, pos) for pos, s in enumerate(table)
-                  if s.direction == d)
+        len(table), max(end for _, end, _ in table),
+        {d: tuple((start, end, pos) for pos, (start, end, direction)
+                  in enumerate(table) if direction == d)
          for d in (FORWARD, FEEDBACK)})
 
 
@@ -295,39 +293,34 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
              jitter_rng: np.random.Generator | None = None) -> DeliveryOutcome:
     """Deliver one frame over the configured link; loss is an outcome.
 
-    ready_ns is the time the frame is handed to the radio, in integer ns.
-    A BLE event draws one uniform from jitter_rng, which the BLE link
-    requires. On a lossy channel each BLE event and each gallop slot
-    attempt then draws two uniforms from loss_rng: chain advance, loss
-    draw. A lossless channel, and the ideal link, draw nothing from it.
+    ready_ns is the time the frame is handed to the radio, in integer ns;
+    it tries the first slot of its direction admitted then, and each later
+    one of that direction in the period. A BLE frame first draws its jitter
+    from jitter_rng, which the BLE link requires. On a lossy channel each
+    slot tried draws two uniforms from loss_rng: chain advance, loss draw.
+    A lossless channel, and the ideal link, draw nothing from it.
     """
     extra_ns = cfg.extra_delay_ns
 
     if cfg.variant == IDEAL:
         return tuple.__new__(DeliveryOutcome, (ready_ns + 1 + extra_ns, None, None))
-
     if cfg.variant == BLE:
-        # one try: a one-slot table at the first event strictly after, jittered
-        base_idx = ready_ns // cfg.ble_interval_ns + 1
-        base_ns = base_idx * cfg.ble_interval_ns \
-            + _ns(jitter_rng.uniform(0.0, cfg.ble_jitter_max))
-        slots, phase = ((0, 0, 0),), 0
-    else:
-        # gallop: next admissible slot of this direction, retry in the superframe
-        superframe = cfg.superframe
-        slots = superframe.by_direction[direction]
-        if not slots:
-            # degenerate layout without this direction: the frame can never
-            # be carried (e.g. forward-only frames starve the controller)
-            return DeliveryOutcome(None)
-        span = superframe.span_ns
-        sf, phase = divmod(ready_ns - cfg.slot_guard_ns, span)
-        if phase > slots[-1][0]:
-            # none left in this superframe: the next one has them all
-            sf += 1
-            phase = slots[0][0]
-        base_ns = sf * span
-        base_idx = sf * len(superframe.slots)
+        extra_ns += _ns(jitter_rng.uniform(0.0, cfg.ble_jitter_max))
+
+    superframe = cfg.superframe
+    slots = superframe.by_direction[direction]
+    if not slots:
+        # degenerate layout without this direction: the frame can never
+        # be carried (e.g. forward-only frames starve the controller)
+        return DeliveryOutcome(None)
+    span = superframe.span_ns
+    sf, phase = divmod(ready_ns - cfg.admit_ns, span)
+    if phase > slots[-1][0]:
+        # none left in this period: the next one has them all
+        sf += 1
+        phase = slots[0][0]
+    base_ns = sf * span
+    base_idx = sf * superframe.count
 
     for start, end, pos in slots:
         if start < phase:
@@ -344,18 +337,16 @@ def latency_interval(mac: MacConfig, cycle: float) -> tuple[int, int]:
     """(min, max) sample-to-actuation latency in ns over the samples of an
     episode of any length on the idealized clock, from transmit on a
     lossless channel, every BLE jitter draw at its least, then greatest.
-    Samples fall on the multiples of gcd(cycle, period); between the phases
-    where the forward slot choice changes (past a forward slot's start plus
-    the guard, or at a BLE event) the latency falls as the sample moves
-    later, so its extremes lie at the phases either side of a change."""
+    Samples fall on the multiples of gcd(cycle, span_ns); between the
+    phases where the forward slot choice changes (one past a forward slot's
+    start plus admit_ns) the latency falls as the sample moves later, so its
+    extremes lie at the phases either side of a change."""
     sf = mac.superframe
-    for direction, slots in (sf.by_direction.items() if sf else ()):
+    for direction, slots in sf.by_direction.items():
         if not slots:
             raise ValueError(f"the slot layout has no {direction} slot")
-    period = sf.span_ns if sf else mac.ble_interval_ns
-    changes = [start + mac.slot_guard_ns + 1
-               for start, _, _ in sf.by_direction[FORWARD]] if sf else [period]
-    g = math.gcd(_ns(cycle), period)
+    changes = [start + mac.admit_ns + 1 for start, _, _ in sf.by_direction[FORWARD]]
+    g = math.gcd(_ns(cycle), sf.span_ns)
     lossless = ChannelProcess(ChannelModel())
     latencies = []
     for change in changes:
@@ -371,14 +362,13 @@ def latency_interval(mac: MacConfig, cycle: float) -> tuple[int, int]:
 
 def check_channels_used(cfg: MacConfig, channels) -> None:
     """Reject a loss floor on a channel transmit never uses. By its channel
-    law, a direction at slot positions P of an n-slot superframe (BLE: one
-    slot, both directions at base 0) uses base + j, 0 <= j < channel_count,
-    exactly when j % g is in {p * hop_increment % g for p in P}, with
-    g = gcd(n, channel_count). The ideal link uses none, so takes any floor."""
+    law, a direction at slot positions P of a count-slot table uses
+    base + j, 0 <= j < channel_count, exactly when j % g is in
+    {p * hop_increment % g for p in P}, with g = gcd(count, channel_count).
+    The ideal link has no channel base, so takes any floor."""
     n, sf = cfg.channel_count, cfg.superframe
-    g = math.gcd(len(sf.slots), n) if sf else 1
-    used = {base: {p * cfg.hop_increment % g
-                   for _, _, p in (sf.by_direction[d] if sf else ((0, 0, 0),))}
+    g = math.gcd(sf.count, n)
+    used = {base: {p * cfg.hop_increment % g for _, _, p in sf.by_direction[d]}
             for d, base in cfg.channel_base.items()}
     for ch in channels:
         if used and not any(0 <= ch - b < n and (ch - b) % g in r for b, r in used.items()):

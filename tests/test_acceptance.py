@@ -159,14 +159,15 @@ def test_criterion_5_protocol_invariants():
         for n in (1, 2, 4, 8):
             cfg = MacConfig(variant=GALLOP, slots_per_superframe=n)
             sf = cfg.superframe
-            readies = [k * sf.span_ns + s.start_ns for k in range(37)
-                       for s in sf.slots]
+            table = sorted(slot for slots in sf.by_direction.values() for slot in slots)
+            assert len(table) == sf.count == n
+            readies = [k * sf.span_ns + start for k in range(37)
+                       for start, _, _ in table]
             fwd_bands, fbk_bands = (
                 {ch // cfg.channel_count for ch in channels(cfg, d, readies)}
                 for d in (FORWARD, FEEDBACK))
             assert fwd_bands == {0} and fbk_bands == ({1} if n > 1 else set())
             assert not (fwd_bands & fbk_bands)
-            table = sf.slots
             for i in range(len(table)):
                 for j in range(i + 1, len(table)):
                     assert table[i][1] <= table[j][0] or table[j][1] <= table[i][0]

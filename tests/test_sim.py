@@ -322,7 +322,8 @@ def lattice_latencies(mac, cycle, max_phases):
     transmits at every sample phase in the link's period, each BLE jitter
     draw at its least, then greatest."""
     lossless = ChannelProcess(ChannelModel())
-    period = mac.superframe.span_ns if mac.superframe else mac.ble_interval_ns
+    period = (mac.superframe.span_ns if mac.variant == GALLOP
+              else round(mac.ble_connection_interval * 1e9))
     phases = range(0, period, math.gcd(round(cycle * 1e9), period))
     if len(phases) > max_phases:
         return None

@@ -21,6 +21,7 @@ from telebalance.wireless import (
     RobotClock,
     build_superframe,
     check_channels_used,
+    latency_interval,
     transmit,
 )
 
@@ -37,18 +38,24 @@ def ble_cfg(**kw):
     return MacConfig(variant=BLE, **kw)
 
 
+def slot_table(superframe):
+    """Every (start_ns, end_ns, position) of a superframe, in position order."""
+    return sorted((slot for slots in superframe.by_direction.values() for slot in slots),
+                  key=lambda slot: slot[2])
+
+
 class TestSuperframe:
     def test_default_layout_spans_two_slots(self):
         sf = build_superframe(gallop_cfg())
-        assert len(sf.slots) == 2
+        assert sf.count == 2
         assert sf.span_ns == 2_000_000
-        assert sf.slots[0].direction == FORWARD
-        assert sf.slots[1].direction == FEEDBACK
+        assert sf.by_direction == {FORWARD: ((0, 1_000_000, 0),),
+                                   FEEDBACK: ((1_000_000, 2_000_000, 1),)}
         assert gallop_cfg().channel_base == {FORWARD: 0, FEEDBACK: 37}
 
     def test_forward_only_degenerate_layout(self):
         sf = build_superframe(gallop_cfg(slots_per_superframe=1))
-        assert len(sf.slots) == 1
+        assert sf.count == 1
         assert sf.span_ns == 1_000_000
         # feedback frames starve instead of erroring
         out = transmit(gallop_cfg(slots_per_superframe=1),
@@ -108,7 +115,7 @@ class TestSuperframe:
             with pytest.raises(ValueError, match=f"slots must hold 1 to "
                                                  f"{MAX_SLOTS} slots, got {n}"):
                 gallop_cfg(slots=layout(n))
-        assert len(gallop_cfg(slots=layout(MAX_SLOTS)).superframe.slots) == MAX_SLOTS
+        assert gallop_cfg(slots=layout(MAX_SLOTS)).superframe.count == MAX_SLOTS
 
     @pytest.mark.parametrize("key, value", [
         ("slot_duration", 1e-12), ("sync_epoch_period", 1e-12),
@@ -122,8 +129,8 @@ class TestSuperframe:
 
     def test_tdma_slots_pairwise_disjoint(self):
         for n in (1, 2, 4, 6):
-            sf = build_superframe(gallop_cfg(slots_per_superframe=n))
-            table = sf.slots
+            table = slot_table(build_superframe(gallop_cfg(slots_per_superframe=n)))
+            assert len(table) == n
             for i in range(len(table)):
                 for j in range(i + 1, len(table)):
                     s1, e1 = table[i][0], table[i][1]
@@ -143,8 +150,8 @@ class TestDerivedLinkValues:
         mac = MacConfig(variant=variant)
         copy = pickle.loads(pickle.dumps(mac))
         assert copy == mac
-        for name in ("superframe", "channel_base", "nominal_cycle", "extra_delay_ns",
-                     "slot_guard_ns", "ble_interval_ns"):
+        for name in ("superframe", "admit_ns", "channel_base", "nominal_cycle",
+                     "extra_delay_ns"):
             assert getattr(copy, name) == getattr(mac, name), name
 
 
@@ -344,7 +351,7 @@ class TestGallopSlotTable:
                          channel_count=count, hop_increment=increment,
                          extra_delay=extra)
         sf = build_superframe(cfg)
-        table = sf.slots
+        table = slot_table(sf)
         guard_ns = round(guard * 1e9)
         procs = ChannelProcess(model), ChannelProcess(model)
         rngs = CountingRng(seed), CountingRng(seed)
@@ -463,6 +470,27 @@ class TestBleTransmit:
                        np.random.default_rng(1))
         assert not out.delivered
 
+    @settings(max_examples=200, deadline=None)
+    @given(interval_us=st.integers(7500, 20000), k=st.integers(0, 10**5),
+           off=st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-10**7, 10**7)),
+           extra_us=st.integers(0, 5000), jitter_max_us=st.integers(0, 5000),
+           seed=st.integers(0, 2**16), direction=st.sampled_from([FORWARD, FEEDBACK]))
+    def test_matches_the_closed_form(self, interval_us, k, off, extra_us,
+                                     jitter_max_us, seed, direction):
+        # the first event strictly after ready, then its jitter and the
+        # added delay; both directions hop from channel 0 by event index
+        cfg = ble_cfg(ble_connection_interval=interval_us * 1e-6,
+                      extra_delay=extra_us * 1e-6, ble_jitter_max=jitter_max_us * 1e-6)
+        interval = interval_us * 1000
+        ready = max(0, k * interval + off)
+        jitter = round(np.random.default_rng(seed).uniform(0.0, cfg.ble_jitter_max) * 1e9)
+        out = transmit(cfg, ChannelProcess(LOSSLESS), direction, ready, None,
+                       np.random.default_rng(seed))
+        index = ready // interval + 1
+        assert out.deliver_ns == index * interval + jitter + extra_us * 1000
+        assert out.slot_index == index
+        assert out.channel_used == index * 7 % 37
+
 
 class TestIdealTransmit:
     def test_pass_through_one_nanosecond(self):
@@ -471,6 +499,72 @@ class TestIdealTransmit:
                        np.random.default_rng(0))
         assert out.delivered
         assert out.deliver_ns == 43
+
+    @settings(max_examples=100, deadline=None)
+    @given(ready=st.integers(0, 10**12), extra_us=st.integers(0, 5000),
+           direction=st.sampled_from([FORWARD, FEEDBACK]),
+           model=st.sampled_from([LOSSLESS, ChannelModel(default_loss=1.0)]))
+    def test_delivers_one_ns_after_ready_plus_the_delay(self, ready, extra_us,
+                                                        direction, model):
+        # no loss, no channel, no slot, and no draw from either generator
+        cfg = MacConfig(variant=IDEAL, extra_delay=extra_us * 1e-6)
+        out = transmit(cfg, ChannelProcess(model), direction, ready, None, None)
+        assert out == (ready + 1 + extra_us * 1000, None, None)
+
+
+CUSTOM_3MS = ((FORWARD, 0.0, 3e-3), (FEEDBACK, 3e-3, 3e-3))
+# README's table of the [mac] keys each variant ignores, each set to a value
+# that the keys the variant reads would refuse; a slot_guard of 2 ms on the
+# 3 ms custom layout is past the default slot_duration
+IGNORED_KEYS = [
+    (dict(variant=GALLOP), "ble_connection_interval", 20e-3),
+    (dict(variant=GALLOP), "ble_jitter_max", 5e-3),
+    (dict(variant=BLE), "slot_duration", 5e-5),
+    (dict(variant=BLE), "slots_per_superframe", 7),
+    (dict(variant=BLE), "slot_guard", 5e-3),
+    (dict(variant=IDEAL), "slot_duration", 5e-5),
+    (dict(variant=IDEAL), "slots_per_superframe", 7),
+    (dict(variant=IDEAL), "slot_guard", 5e-3),
+    (dict(variant=IDEAL), "ble_connection_interval", 20e-3),
+    (dict(variant=IDEAL), "ble_jitter_max", 5e-3),
+    (dict(variant=IDEAL), "channel_count", 5),
+    (dict(variant=IDEAL), "hop_increment", 2),
+    (dict(slots=CUSTOM_3MS, slot_guard=2e-3), "slot_duration", 5e-5),
+    (dict(slots=CUSTOM_3MS, slot_guard=2e-3), "slots_per_superframe", 7),
+]
+
+
+class TestIgnoredKeys:
+    @staticmethod
+    def results(mac):
+        """Derived link values, transmit on a lossless and a lossy channel at
+        times around the slot and event edges, and latency_interval."""
+        readies = sorted({max(0, k * step + off) for step in (100_000, 2_000_000, 7_500_000)
+                          for k in range(6) for off in (-1, 0, 1)})
+        outs = []
+        for model in (LOSSLESS, TestGallopSlotTable.LOSSY):
+            proc, loss_rng, jitter_rng = (ChannelProcess(model), np.random.default_rng(3),
+                                          np.random.default_rng(4))
+            outs += [transmit(mac, proc, d, t, loss_rng, jitter_rng)
+                     for t in readies for d in (FORWARD, FEEDBACK)]
+        derived = [getattr(mac, name) for name in (
+            "superframe", "admit_ns", "channel_base", "nominal_cycle", "extra_delay_ns")]
+        return derived, outs, latency_interval(mac, mac.nominal_cycle)
+
+    @pytest.mark.parametrize("link, key, value", IGNORED_KEYS,
+                             ids=[f"{kw.get('variant', 'custom')}-{key}"
+                                  for kw, key, _ in IGNORED_KEYS])
+    def test_an_ignored_key_changes_nothing(self, link, key, value):
+        mac = MacConfig(**link)
+        assert self.results(replace(mac, **{key: value})) == self.results(mac)
+
+    def test_a_guard_admits_a_frame_in_any_slot_longer_than_it(self):
+        # the 3 ms forward slot takes a frame 2 ms late, not one 1 ns later
+        cfg = gallop_cfg(slots=CUSTOM_3MS, slot_guard=2e-3)
+        outs = [transmit(cfg, ChannelProcess(LOSSLESS), FORWARD, ready,
+                         np.random.default_rng(0)).deliver_ns
+                for ready in (2_000_000, 2_000_001)]
+        assert outs == [3_000_000, 9_000_000]
 
 
 class TestGilbertElliott:
