@@ -36,7 +36,7 @@ from pathlib import Path
 
 from .control import DEFAULT_FILTER_ALPHA, DEFAULT_GAINS, ControllerGains
 from .plant import (DEFAULT_FALL_THRESHOLD, PlantParams, Radians, Seconds, SensorNoise,
-                    _ns, check_finite)
+                    _ns, check_finite, check_range)
 from .wireless import BLE, GALLOP, IDEAL, ChannelModel, MacConfig, check_channels_used
 
 # default IMU noise for scenarios; roughly a consumer-grade gyro (0.11 deg/s)
@@ -70,7 +70,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         check_finite(self)
         if not self.episode_duration > 0:
-            raise ValueError("episode_duration must be positive")
+            raise ValueError(f"episode_duration must be positive, got {self.episode_duration!r}")
         # the engine counts cycles in whole ns; a 0 ns cycle never advances
         if not _ns(self.resolved_cycle()) > 0:
             raise ValueError("control_cycle must be at least 1 ns, "
@@ -81,11 +81,9 @@ class ScenarioConfig:
                 raise ValueError(f"episode_duration / {key} must be at most "
                                  f"{MAX_CYCLES} {unit}, got {count:.6g}")
         if not self.fall_threshold > 0:
-            raise ValueError("fall_threshold must be positive")
-        if not 0.0 <= self.filter_alpha <= 1.0:
-            raise ValueError("filter_alpha must be in [0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise ValueError(f"fall_threshold must be positive, got {self.fall_threshold!r}")
+        check_range(self, ("filter_alpha",), 0, 1)
+        check_range(self, ("seed",), 0)
         check_channels_used(self.mac, (ch for ch, _ in self.channel.per_channel))
         # compare names a file in --out, a CSV field and a quoted gnuplot
         # string after the label

@@ -71,6 +71,15 @@ def check_finite(cfg) -> None:
                              f"+/-{MAX_MAGNITUDE:g}, got {value!r}")
 
 
+def check_range(cfg, names, low, high=math.inf) -> None:
+    """Reject a config dataclass whose named fields lie outside [low, high],
+    naming the field and its value."""
+    for name in names:
+        if not low <= (value := getattr(cfg, name)) <= high:
+            bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+            raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PlantParams:
     """Mechanical and sensor constants of the robot.
@@ -100,8 +109,7 @@ class PlantParams:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
-        if self.motor_time_constant < 0 or self.viscous_friction < 0:
-            raise ValueError("motor_time_constant and viscous_friction must be >= 0")
+        check_range(self, ("motor_time_constant", "viscous_friction"), 0)
         # explicit RK4 at SUBSTEP_NS cannot follow a lag far shorter than that
         if 0 < self.motor_time_constant < SUBSTEP_NS * 1e-9:
             raise ValueError(
@@ -128,8 +136,7 @@ class SensorNoise:
 
     def __post_init__(self) -> None:
         check_finite(self)
-        if self.gyro_noise_std < 0 or self.accel_noise_std < 0:
-            raise ValueError("noise standard deviations must be >= 0")
+        check_range(self, ("gyro_noise_std", "accel_noise_std"), 0)
 
 
 class SensorFrame(NamedTuple):

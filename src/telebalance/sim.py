@@ -6,10 +6,12 @@ One episode is a strictly sequential event loop over a single heap of
 and the episode's end comes last at its time, so a (config, seed) pair
 fully determines the run. Event timestamps are integer nanoseconds; the
 plant advances to each event by one plant._rk4_span call (the advance rule
-is in plant.py), under a zero-order-hold torque. A sample appends its
-cycle's row to the trace's columns, and the cycle's close fills in its
-command, latency and drops; the rows still in flight at the episode's
-end are deleted. The trace is the closed cycles, in sample order.
+is in plant.py), under a zero-order-hold torque. Every sample appends
+one row to the trace's columns and sends one forward frame. Its cycle is
+open exactly while its recv or apply event is pending, and the site that
+closes it fills in its command, latency and drops in place; the rows of
+the cycles still open at the episode's end are deleted. The trace is the
+closed cycles, in sample order.
 
 Sensor sampling is scheduled on the robot's local clock (wireless.RobotClock),
 which drifts between sync epochs and is re-bounded at each epoch. The engine
@@ -212,9 +214,10 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     synced = 0  # syncs handled after the t = 0 one
 
     # events (t_ns, insertion seq, kind, payload); a sample's payload is
-    # (its period k, synced when scheduled), a recv's its SensorFrame, an
-    # apply's its ActuationFrame. The end event's seq, inf, sorts it after
-    # every other event at end_ns
+    # (its period k, synced when scheduled), a recv's (its SensorFrame, row,
+    # sample_ns), an apply's (its ActuationFrame, row, sample_ns): a cycle is
+    # open while one of the two is pending. The end event's seq, inf, sorts
+    # it after every other event at end_ns
     heap: list[tuple[int, float, str, tuple]] = []
     next_seq = itertools.count().__next__
 
@@ -223,10 +226,7 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     trace = EpisodeTrace()
     (t_col, tilt_col, rate_col, wheel_col, cmd_col, lat_col, fwd_col,
      fbk_col) = columns = trace.columns()
-    # cycles in flight, in sample order: k -> (its row, sample_ns)
-    in_flight: dict[int, tuple[int, int]] = {}
-    fwd_sent = fwd_delivered = fwd_lost = 0
-    fbk_sent = fbk_delivered = fbk_lost = 0
+    fwd_lost = fbk_sent = fbk_lost = 0  # sent = delivered + lost
     last_arrival_ns: int | None = None
     last_sample_ns = -1
     last_used = -1     # seq of the newest frame the controller used
@@ -238,25 +238,12 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
         heappush(heap, (max(local_to_true_ns(k * cycle_ns), plant_ns), next_seq(),
                         "sample", (k, synced)))
 
-    def close_cycle(k: int, act, applied_ns: int | None) -> None:
-        """Fill in cycle k's row. act is None when the forward frame was
-        lost, applied_ns is None when the feedback frame was."""
-        row, sample_ns = in_flight.pop(k)
-        if act is None:
-            fwd_col[row] = 1
-            return
-        cmd_col[row] = act.motor_command
-        if applied_ns is None:
-            fbk_col[row] = 1
-        else:
-            lat_col[row] = (applied_ns - sample_ns) / 1e6
-
     heappush(heap, (sync_period_ns, next_seq(), "sync", ()))
     schedule_sample(0)
     heappush(heap, (end_ns, math.inf, "end", ()))
 
     while True:
-        t_ns, _, kind, payload = heappop(heap)
+        t_ns, _, kind, payload = event = heappop(heap)
         if kind == "sample":
             k, stamp = payload
             if stamp != synced:
@@ -274,13 +261,13 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             if abs(th) > thr:
                 # a fall in the remainder substep lands at the span's end
                 fall_ns = min(plant_ns + done * SUBSTEP_NS, t_ns)
+                heap.append(event)  # never handled: its cycle stays open
                 break
             plant_ns = t_ns
 
         if kind == "sample":
             last_sample_ns = t_ns
             frame = sample_sensors(th, w, phi, cfg.noise, params, rng_noise, seq=k)
-            in_flight[k] = len(t_col), t_ns
             t_col.append(t_ns / 1e9)
             tilt_col.append(th * DEG)
             rate_col.append(w * DEG)
@@ -289,24 +276,23 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             lat_col.append(NAN)
             fwd_col.append(0)
             fbk_col.append(0)
-            fwd_sent += 1
             deliver_ns = transmit(mac, chan, FORWARD, t_ns, rng_loss, rng_jitter)[0]
             if deliver_ns is not None:
-                fwd_delivered += 1
-                heappush(heap, (deliver_ns, next_seq(), "recv", frame))
+                heappush(heap, (deliver_ns, next_seq(), "recv",
+                                (frame, len(t_col) - 1, t_ns)))
             else:
                 fwd_lost += 1
-                close_cycle(k, None, None)
+                fwd_col[-1] = 1
             schedule_sample(k + 1)
 
         elif kind == "recv":
-            frame = payload
+            frame, row, sample_ns = payload
             k = frame.seq
             if k <= last_used or t_ns == last_arrival_ns:
                 # overtaken by a newer frame (BLE jitter), or sharing a slot
                 # with the last one after a resync: the cycle is dropped. So
                 # the controller takes frames in seq order, each at a dt > 0
-                close_cycle(k, None, None)
+                fwd_col[row] = 1
                 continue
             dt = (t_ns - last_arrival_ns) / 1e9 if last_arrival_ns is not None \
                 else cycle_s
@@ -316,23 +302,23 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             fbk_sent += 1
             deliver_ns = transmit(mac, chan, FEEDBACK, t_ns, rng_loss, rng_jitter)[0]
             if deliver_ns is not None:
-                fbk_delivered += 1
-                heappush(heap, (deliver_ns, next_seq(), "apply", act))
+                heappush(heap, (deliver_ns, next_seq(), "apply", (act, row, sample_ns)))
             else:
                 fbk_lost += 1
-                close_cycle(k, act, None)
+                cmd_col[row] = act.motor_command
+                fbk_col[row] = 1
 
         elif kind == "apply":
-            act = payload
-            k = act.seq
-            if k <= last_applied:
+            act, row, sample_ns = payload
+            cmd_col[row] = act.motor_command
+            if act.seq <= last_applied:
                 # overtaken by a newer command (BLE jitter): the torque
                 # stays, and the cycle is dropped
-                close_cycle(k, act, None)
+                fbk_col[row] = 1
                 continue
-            last_applied = k
+            last_applied = act.seq
             torque = act.motor_command * tau_max
-            close_cycle(k, act, t_ns)
+            lat_col[row] = (t_ns - sample_ns) / 1e6
 
         elif kind == "sync":
             synced += 1
@@ -342,14 +328,16 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
         else:  # end: the plant has reached end_ns
             break
 
-    for row, _ in reversed(in_flight.values()):  # last first: rows keep place
+    sent = len(t_col)  # one row and one forward frame per sample
+    open_rows = [payload[1] for _, _, kind, payload in heap if kind in ("recv", "apply")]
+    for row in sorted(open_rows, reverse=True):  # last first: the others keep place
         for column in columns:
             del column[row]
     trace = replace(
         trace, fall_time=None if fall_ns is None else fall_ns / 1e9,
-        forward_sent=fwd_sent, forward_delivered=fwd_delivered,
+        forward_sent=sent, forward_delivered=sent - fwd_lost,
         forward_lost=fwd_lost, feedback_sent=fbk_sent,
-        feedback_delivered=fbk_delivered, feedback_lost=fbk_lost,
+        feedback_delivered=fbk_sent - fbk_lost, feedback_lost=fbk_lost,
     )
     return trace, compute_metrics(trace, cfg)
 

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .plant import MAX_MAGNITUDE, Seconds, _ns, check_finite
+from .plant import MAX_MAGNITUDE, Seconds, _ns, check_finite, check_range
 
 GALLOP = "gallop"
 BLE = "ble_baseline"
@@ -85,29 +85,23 @@ class MacConfig:
             raise ValueError(f"unknown mac variant {self.variant!r}")
         # event times are whole ns: a shorter slot or sync period is 0 ns long
         if _ns(self.slot_duration) <= 0:
-            raise ValueError("slot_duration must be at least 1 ns")
-        if not 1 <= self.slots_per_superframe <= MAX_SLOTS:
-            raise ValueError(f"slots_per_superframe must be in [1, {MAX_SLOTS}]")
-        if self.channel_count < 1 or self.hop_increment < 1:
-            raise ValueError("channel_count and hop_increment must be >= 1")
+            raise ValueError(f"slot_duration must be at least 1 ns, got {self.slot_duration!r} s")
+        check_range(self, ("slots_per_superframe",), 1, MAX_SLOTS)
+        check_range(self, ("channel_count", "hop_increment"), 1)
         if math.gcd(self.hop_increment, self.channel_count) != 1:
             raise ValueError(
                 f"hop_increment {self.hop_increment} shares a factor with "
                 f"channel_count {self.channel_count}")
         if self.ble_connection_interval < BLE_MIN_INTERVAL_S:
             raise ValueError("ble_connection_interval must be >= 7.5 ms")
-        if self.ble_jitter_max < 0 or self.extra_delay < 0:
-            raise ValueError("ble_jitter_max and extra_delay must be >= 0")
-        # build_superframe checks that each gallop slot outlasts it
-        if self.slot_guard < 0:
-            raise ValueError("slot_guard must be >= 0")
+        # build_superframe checks that each gallop slot outlasts slot_guard
+        check_range(self, ("ble_jitter_max", "extra_delay", "slot_guard",
+                           "sync_error_bound"), 0)
         if _ns(self.sync_epoch_period) <= 0:
             raise ValueError("sync_epoch_period must be at least 1 ns")
-        if self.sync_error_bound < 0:
-            raise ValueError("sync_error_bound must be >= 0")
         # a stopped or reversed clock never samples, a racing one every few ns
         if not -1e6 < self.clock_drift_ppm < 1e6:
-            raise ValueError("clock_drift_ppm must be in (-1e6, 1e6)")
+            raise ValueError(f"clock_drift_ppm must be in (-1e6, 1e6), got {self.clock_drift_ppm!r}")
         # cycle: the superframe span, the connection interval, or 5 ms;
         # base: each direction's first channel, none on the ideal link
         if self.variant == GALLOP:
@@ -212,11 +206,11 @@ class ChannelModel:
 
     def __post_init__(self) -> None:
         check_finite(self)
-        probs = [self.default_loss, self.p_good_to_bad, self.p_bad_to_good,
-                 self.loss_good, self.loss_bad]
-        probs += [p for _, p in self.per_channel]
-        if any(not 0.0 <= p <= 1.0 for p in probs):
-            raise ValueError("all channel probabilities must be in [0, 1]")
+        check_range(self, ("default_loss", "p_good_to_bad", "p_bad_to_good",
+                           "loss_good", "loss_bad"), 0, 1)
+        for ch, p in self.per_channel:
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"per_channel channel {ch} must be in [0, 1], got {p!r}")
         channels = [ch for ch, _ in self.per_channel]
         for i, ch in enumerate(channels):
             if ch in channels[:i]:

@@ -673,6 +673,34 @@ class TestNonFiniteValues:
         assert "Traceback" not in err
 
 
+class TestOutOfRangeValues:
+    @pytest.mark.parametrize("section, entry, message", [
+        ("scenario", "filter_alpha = 1.5", "filter_alpha must be in [0, 1], got 1.5"),
+        ("scenario", "filter_alpha = -0.5", "filter_alpha must be in [0, 1], got -0.5"),
+        ("loss", "per_channel = 3 0.1",
+         "'per_channel': expected 'channel:probability', got '3 0.1'"),
+        ("loss", "per_channel = 0:0.1, 3:1.5",
+         "per_channel channel 3 must be in [0, 1], got 1.5"),
+        ("loss", "loss_bad = 1.5", "loss_bad must be in [0, 1], got 1.5"),
+        ("noise", "accel_noise_std = -0.1", "accel_noise_std must be >= 0, got -0.1"),
+        ("plant", "viscous_friction = -1e-5", "viscous_friction must be >= 0, got -1e-05"),
+        ("mac", "channel_count = 0", "channel_count must be >= 1, got 0"),
+        ("mac", "extra_delay = -1 ms", "extra_delay must be >= 0, got -0.001"),
+        ("mac", "slot_guard = -1 us", "slot_guard must be >= 0, got -1e-06"),
+        ("mac", "slots = sideways, 0 ms, 1 ms; feedback, 1 ms, 1 ms",
+         "slot 0 has unknown direction 'sideways'"),
+    ])
+    def test_config_value_exit_2_names_key_and_value(self, tmp_path, capsys,
+                                                     section, entry, message):
+        text = "[mac]\nvariant = gallop\n"
+        text += f"{entry}\n" if section == "mac" else f"\n[{section}]\n{entry}\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
 class TestParseValues:
     def test_unit_suffixes_and_bare_numbers(self):
         # one list per kind; a bare number is in the kind's base unit

@@ -572,6 +572,9 @@ class TestGilbertElliott:
         m = ChannelModel(p_good_to_bad=0.05, p_bad_to_good=0.2,
                          loss_good=0.0, loss_bad=1.0)
         assert m.stationary_loss_rate() == pytest.approx(0.2)
+        # a chain that never moves stays in its initial, good state
+        frozen = ChannelModel(p_good_to_bad=0.0, p_bad_to_good=0.0, loss_good=0.1)
+        assert frozen.stationary_loss_rate() == frozen.loss_good
 
     def test_lazy_advance_matches_stepwise_statistics(self):
         # revisiting a channel every 37 slots uses the analytic n-step law;
