@@ -258,9 +258,11 @@ def set_by_path(cfg: ScenarioConfig, path: str, value) -> ScenarioConfig:
     return replace(cfg, **{field: _extend(getattr(cfg, field), {key: value})})
 
 
-def _read_sections(path: Path) -> dict[str, dict[str, object]]:
-    """Parse and type-check the file into {section: {field: value}}."""
+def _read_sections(path: Path) -> tuple[dict[str, dict[str, object]], dict]:
+    """Parse and type-check the file into {section: {field: value}}, and
+    {key: (line, value as written)}, None for a key written twice."""
     sections: dict[str, dict[str, object]] = {}
+    written: dict[str, tuple[int, str] | None] = {}
     current: str | None = None
     try:
         # the BOM goes after decoding, so a bad byte's position is its file offset
@@ -291,6 +293,7 @@ def _read_sections(path: Path) -> dict[str, dict[str, object]]:
                 raise ValueError(f"unknown key {key!r} in [{current}]")
             if key in sections[current]:
                 raise ValueError(f"duplicate key {key!r} in [{current}]")
+            written[key] = None if key in written else (lineno, value)
             kind = SCHEMA[current][key]
             try:
                 sections[current][key] = _PARSERS[kind](value) \
@@ -299,7 +302,7 @@ def _read_sections(path: Path) -> dict[str, dict[str, object]]:
                 raise ValueError(f"bad value for {key!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc), path=str(path), line=lineno) from exc
-    return sections
+    return sections, written
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -311,7 +314,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     defaults.
     """
     path = Path(path)
-    sections = _read_sections(path)
+    sections, written = _read_sections(path)
     try:
         kwargs = dict(sections.pop("scenario", {}))
         for section, values in sections.items():
@@ -321,4 +324,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         kwargs.setdefault("label", path.stem)
         return ScenarioConfig(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), path=str(path)) from exc
+        # a rule on one key ("<key> must ...") names the line that set it
+        spot = written.get(str(exc).partition(" must ")[0])
+        if spot is None:
+            raise ConfigError(str(exc), path=str(path)) from exc
+        raise ConfigError(f"{exc} (written: {spot[1]})", path=str(path),
+                          line=spot[0]) from exc

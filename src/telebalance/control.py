@@ -1,14 +1,14 @@
-"""Remote balancing controller: tilt estimation plus a PID-like law.
+"""Remote balancing controller: tilt estimation plus a PD law.
 
 The controller is a pure update, (state, frame, dt) -> (state, command),
 run once per received sensor frame. The engine alone decides which frames
 reach it and with what dt: only a frame newer than the last one used, dt
 the positive gap since the previous arrival. A complementary filter fuses
 integrated gyro rate with the accelerometer tilt; the command law is PD on
-tilt, I on tilt with anti-windup, and PD on the wheel angle the frame
-carries, already quantized to encoder counts (station keeping). The
-planar robot takes one command for both wheels, normalized to [-1, 1];
-the plant scales it by its maximum motor torque.
+tilt and PD on the wheel angle the frame carries, already quantized to
+encoder counts (station keeping). The planar robot takes one command for
+both wheels, normalized to [-1, 1]; the plant scales it by its maximum
+motor torque.
 
 Default gains were derived once for the default plant at a 5 ms control
 cycle (discrete LQR seed, then checked against the linear closed loop) and
@@ -24,8 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .plant import (MAX_MAGNITUDE, PlantParams, SensorFrame, _ns, check_finite,
-                    linear_map, span_matrix)
+from .plant import PlantParams, SensorFrame, _ns, check_finite, linear_map, span_matrix
 
 DEFAULT_FILTER_ALPHA = 0.98
 
@@ -42,17 +41,12 @@ class TuningFailureError(ValueError):
 class ControllerGains:
     kp_tilt: float = 0.0        # command/rad
     kd_tilt: float = 0.0        # command/(rad/s)
-    ki_tilt: float = 0.0        # command/(rad s)
     kp_position: float = 0.0    # command/rad of wheel angle
     kd_position: float = 0.0    # command/(rad/s)
-    integral_limit: float = 0.5   # command
     command_limit: float = 1.0    # command, in (0, 1]
 
     def __post_init__(self) -> None:
         check_finite(self)
-        if not self.integral_limit > 0:
-            raise ValueError(
-                f"integral_limit must be positive, got {self.integral_limit!r}")
         # at most 1, so a command never asks for more than the motor's torque
         if not 0 < self.command_limit <= 1:
             raise ValueError(
@@ -61,31 +55,25 @@ class ControllerGains:
 
 # Shipped defaults for the default PlantParams, derived from a discrete LQR
 # on the 5 ms zero-delay linearized loop and verified by eigenvalue check
-# (see tune_default_gains). ki_tilt is zero: a tilt integrator combined
-# with wheel-position feedback adds a neutral mode (any wheel offset
-# canceled by an integral offset) whose radius is 1 up to rounding, so the
-# strict check passes or rejects it by rounding noise, cycle by cycle; the
-# integral path stays available for configurations that accept that mode.
+# (see tune_default_gains). The law is PD: a tilt integrator next to the
+# wheel-position feedback would add a neutral mode of radius 1.
 DEFAULT_GAINS = ControllerGains(
     kp_tilt=20.0,
     kd_tilt=1.5,
-    ki_tilt=0.0,
     kp_position=0.45,
     kd_position=0.28,
-    integral_limit=0.5,
     command_limit=1.0,
 )
 
 
 class ControllerState(NamedTuple):
-    """Filter and integrator memory; one instance per controlled robot.
+    """Filter memory; one instance per controlled robot.
 
     A tuple because every update builds one; the per-frame updates build
     it, and ActuationFrame, by tuple.__new__ in field order (no Python __new__).
     """
 
     tilt_estimate: float = 0.0       # rad
-    integral_accum: float = 0.0      # rad s, clamped
     last_wheel_angle: float = 0.0    # rad, from the last frame
     wheel_rate_estimate: float = 0.0  # rad/s, smoothed angle difference
     primed: bool = False             # False until the first frame arrives
@@ -107,17 +95,16 @@ def estimate_tilt(cstate: ControllerState, frame: SensorFrame, dt: float,
     est = alpha * (cstate.tilt_estimate + frame.gyro_pitch_rate * dt) \
         + (1.0 - alpha) * frame.accel_tilt
     return tuple.__new__(ControllerState, (
-        est, cstate.integral_accum, cstate.last_wheel_angle,
+        est, cstate.last_wheel_angle,
         cstate.wheel_rate_estimate, cstate.primed))
 
 
 def compute_command(cstate: ControllerState, gains: ControllerGains,
                     frame: SensorFrame,
                     dt: float) -> tuple[ControllerState, ActuationFrame]:
-    """PID-like command from the frame estimate_tilt has just taken.
+    """PD command from the frame estimate_tilt has just taken.
 
-    The one command drives both wheels of the planar model. The integral
-    accumulates the tilt estimate with an anti-windup clamp.
+    The one command drives both wheels of the planar model.
     """
     angle = frame.wheel_angle
     if cstate.primed:
@@ -127,37 +114,31 @@ def compute_command(cstate: ControllerState, gains: ControllerGains,
     else:
         wheel_rate = 0.0
 
-    # each clamp passes a nan and a -0.0 through, as min(max(x, -lim), lim) does
     tilt = cstate.tilt_estimate
-    lim = gains.integral_limit
-    integral = cstate.integral_accum + tilt * dt
-    integral = -lim if integral < -lim else lim if integral > lim else integral
-
     u = (gains.kp_tilt * tilt
          + gains.kd_tilt * frame.gyro_pitch_rate
-         + gains.ki_tilt * integral
          + gains.kp_position * angle
          + gains.kd_position * wheel_rate)
+    # the clamp passes a nan and a -0.0 through, as min(max(u, -lim), lim) does
     lim = gains.command_limit
     u = -lim if u < -lim else lim if u > lim else u
 
     new_state = tuple.__new__(ControllerState, (
-        tilt, integral, angle, wheel_rate, True))
+        tilt, angle, wheel_rate, True))
     return new_state, tuple.__new__(ActuationFrame, (u, frame.seq))
 
 
 # ControllerState fields carried across cycles: controller_map's memory
-_LOOP_MEMORY = ("tilt_estimate", "integral_accum", "last_wheel_angle",
-                "wheel_rate_estimate")
+_LOOP_MEMORY = ("tilt_estimate", "last_wheel_angle", "wheel_rate_estimate")
 
 
 def controller_map(gains: ControllerGains, dt: float,
                    alpha: float = DEFAULT_FILTER_ALPHA) -> np.ndarray:
-    """One controller update as a linear map, clamps left out: the 5x7
+    """One controller update as a linear map, clamp left out: the 4x6
     matrix from (accel_tilt, gyro_pitch_rate, wheel_angle, _LOOP_MEMORY) to
     (command, _LOOP_MEMORY after the update), the linear_map of one
     estimate_tilt and compute_command with no clamp to engage."""
-    unclamped = replace(gains, integral_limit=MAX_MAGNITUDE, command_limit=1.0)
+    unclamped = replace(gains, command_limit=1.0)
 
     def update(x: list) -> list:
         cstate = ControllerState(**dict(zip(_LOOP_MEMORY, x[3:])), primed=True)
@@ -166,7 +147,7 @@ def controller_map(gains: ControllerGains, dt: float,
         cstate = estimate_tilt(cstate, frame, dt, alpha)
         cstate, command = compute_command(cstate, unclamped, frame, dt)
         return [command.motor_command, *(getattr(cstate, name) for name in _LOOP_MEMORY)]
-    return linear_map(update, 7)
+    return linear_map(update, 6)
 
 
 def _loop_model(params: PlantParams, cycle: float, alpha: float, latency_ns: int):
@@ -203,11 +184,6 @@ def _loop_model(params: PlantParams, cycle: float, alpha: float, latency_ns: int
             M[:n] += np.outer(gamma1, pending[q + 1])
         M[n:mem, reads] = K[1:]
         M[mem:] = pending[:d]  # u[k - j] becomes u[k + 1 - (j + 1)]
-        if gains.ki_tilt == 0.0:
-            # the accumulator is then decoupled bookkeeping with a unit
-            # eigenvalue; drop it so the radius reflects the actual loop
-            i_i = n + _LOOP_MEMORY.index("integral_accum")
-            M = np.delete(np.delete(M, i_i, axis=0), i_i, axis=1)
         return M
     return loop
 
@@ -224,7 +200,7 @@ def closed_loop_matrix(params: PlantParams, gains: ControllerGains, cycle: float
     latency_ns = q h + r, 0 <= r < h = cycle, d = q + (r > 0), u[k-q-1]
     holds for the first r of cycle k and u[k-q] for the rest, each over
     span_matrix, the engine's own RK4 advance. Sensors are noiseless and
-    unquantized, clamps inactive."""
+    unquantized, clamp inactive."""
     return _loop_model(params, cycle, alpha, latency_ns)(gains)
 
 
@@ -233,7 +209,7 @@ def spectral_radius(M: np.ndarray) -> float:
 
 
 # the gains the search scales, together
-_SCALED_GAINS = ("kp_tilt", "kd_tilt", "ki_tilt", "kp_position", "kd_position")
+_SCALED_GAINS = ("kp_tilt", "kd_tilt", "kp_position", "kd_position")
 # scale factors tried, in order, when the shipped gains do not already
 # stabilize the requested cycle
 _SEARCH_SCALES = (1.0, 0.75, 0.5, 1.5, 0.35, 2.0, 0.25, 3.0, 0.15, 0.1)

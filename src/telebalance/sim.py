@@ -110,13 +110,19 @@ class EpisodeTrace:
     forward_dropped: array = field(default_factory=lambda: array("b"))
     feedback_dropped: array = field(default_factory=lambda: array("b"))
     fall_time: float | None = None
-    # per-direction message accounting (sent = delivered + lost, exactly)
+    # per-direction message accounting; delivered is sent - lost
     forward_sent: int = 0
-    forward_delivered: int = 0
     forward_lost: int = 0
     feedback_sent: int = 0
-    feedback_delivered: int = 0
     feedback_lost: int = 0
+
+    @property
+    def forward_delivered(self) -> int:
+        return self.forward_sent - self.forward_lost
+
+    @property
+    def feedback_delivered(self) -> int:
+        return self.feedback_sent - self.feedback_lost
 
     @classmethod
     def from_records(cls, records, **counts) -> EpisodeTrace:
@@ -333,12 +339,9 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     for row in sorted(open_rows, reverse=True):  # last first: the others keep place
         for column in columns:
             del column[row]
-    trace = replace(
-        trace, fall_time=None if fall_ns is None else fall_ns / 1e9,
-        forward_sent=sent, forward_delivered=sent - fwd_lost,
-        forward_lost=fwd_lost, feedback_sent=fbk_sent,
-        feedback_delivered=fbk_sent - fbk_lost, feedback_lost=fbk_lost,
-    )
+    trace = replace(trace, fall_time=None if fall_ns is None else fall_ns / 1e9,
+                    forward_sent=sent, forward_lost=fwd_lost,
+                    feedback_sent=fbk_sent, feedback_lost=fbk_lost)
     return trace, compute_metrics(trace, cfg)
 
 

@@ -168,12 +168,11 @@ def loop_matrix_rows(Ad: np.ndarray, Bd: np.ndarray, gains, cycle: float,
     """control.closed_loop_matrix from the plant's one-cycle map under a
     held command, x+ = Ad x + Bd u (Bd per unit of normalized command),
     with the controller update written as linear maps of the pre-update
-    state [plant..., tilt_estimate, integral, prev_wheel_angle,
-    wheel_rate_estimate]; beta is the wheel-rate smoothing. Clamps are
-    left out, and the integral state is dropped when ki_tilt is 0."""
+    state [plant..., tilt_estimate, prev_wheel_angle, wheel_rate_estimate];
+    beta is the wheel-rate smoothing. The clamp is left out."""
     n = Ad.shape[0]
-    m = n + 4
-    i_e, i_i, i_p, i_w = n, n + 1, n + 2, n + 3
+    m = n + 3
+    i_e, i_p, i_w = n, n + 1, n + 2
     dt = cycle
 
     def unit(i):
@@ -182,21 +181,17 @@ def loop_matrix_rows(Ad: np.ndarray, Bd: np.ndarray, gains, cycle: float,
         return v
 
     e_row = alpha * unit(i_e) + alpha * dt * unit(1) + (1.0 - alpha) * unit(0)
-    i_row = unit(i_i) + dt * e_row
     w_row = beta * unit(i_w) + (1.0 - beta) / dt * (unit(2) - unit(i_p))
     u_row = (gains.kp_tilt * e_row + gains.kd_tilt * unit(1)
-             + gains.ki_tilt * i_row + gains.kp_position * unit(2)
+             + gains.kp_position * unit(2)
              + gains.kd_position * w_row)
 
     M = np.zeros((m, m))
     M[:n, :n] = Ad
     M[:n, :] += np.outer(Bd, u_row)
     M[i_e, :] = e_row
-    M[i_i, :] = i_row
     M[i_p, :] = unit(2)
     M[i_w, :] = w_row
-    if gains.ki_tilt == 0.0:
-        M = np.delete(np.delete(M, i_i, axis=0), i_i, axis=1)
     return M
 
 

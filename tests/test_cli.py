@@ -107,13 +107,19 @@ class TestConfigParsing:
         ("[scenario]\nseed = 1\nseed = 2\n", 3, "duplicate key 'seed' in [scenario]"),
         ("[scenario]\nseed = 1\nepisode_duration = 60\n", 3,
          "bad value for 'episode_duration': expected '<number> s|ms|us', got '60'"),
+        # the tilt integrator's keys were removed with it
+        ("[gains]\nkp_tilt = 20\nki_tilt = 0.5\n", 3, "unknown key 'ki_tilt' in [gains]"),
+        ("[gains]\nintegral_limit = 0.5\n", 2, "unknown key 'integral_limit' in [gains]"),
     ])
-    def test_every_rejection_names_path_and_line(self, tmp_path, text, line, message):
+    def test_every_rejection_names_path_and_line(self, tmp_path, capsys, text, line,
+                                                 message):
         p = write_cfg(tmp_path, text)
         with pytest.raises(ConfigError) as info:
             load_scenario(p)
         assert (str(info.value), info.value.path, info.value.line) == (
             f"{p}:{line}: {message}", str(p), line)
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {p}:{line}: {message}\n"
 
     @pytest.mark.parametrize("data, line, offset", [
         (b"[scenario]\nlabel = caf\xe9\n", 2, 22),                   # Latin-1
@@ -512,6 +518,15 @@ class TestCmdSweep:
                      "--out", str(tmp_path / "o")]) == 2
         assert "parameter path" in capsys.readouterr().err
 
+    def test_removed_integrator_gain_is_no_parameter_path(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, GALLOP_SHORT)
+        assert main(["sweep", str(cfg), "--param", "gains.ki_tilt",
+                     "--values", "0,0.5", "--seeds", "3",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown parameter path 'gains.ki_tilt'" in err
+        assert "Traceback" not in err
+
     def test_too_few_seeds_usage_error(self, tmp_path):
         cfg = write_cfg(tmp_path, GALLOP_SHORT)
         assert main(["sweep", str(cfg), "--param", "mac.extra_delay",
@@ -630,7 +645,7 @@ class TestNonFiniteValues:
         ("gallop", "scenario", "episode_duration = inf s"),
         ("gallop", "plant", "body_mass = inf"),
         ("gallop", "noise", "gyro_noise_std = inf"),
-        ("gallop", "gains", "integral_limit = inf"),
+        ("gallop", "gains", "kd_position = inf"),
         ("gallop", "loss", "default_loss = nan"),
         ("gallop", "mac", "extra_delay = 1e300 s"),
         ("gallop", "mac", "sync_epoch_period = 1e300 s"),
@@ -674,6 +689,12 @@ class TestNonFiniteValues:
 
 
 class TestOutOfRangeValues:
+    # the rows whose rule spans keys, or names a channel or a slot before
+    # "must", not the key
+    FILE_ONLY = ("per_channel = 0:0.1, 3:1.5",
+                 "slots = sideways, 0 ms, 1 ms; feedback, 1 ms, 1 ms",
+                 "channel_count = 14", "slot_guard = 1 ms", "episode_duration = 10000 s")
+
     @pytest.mark.parametrize("section, entry, message", [
         ("scenario", "filter_alpha = 1.5", "filter_alpha must be in [0, 1], got 1.5"),
         ("scenario", "filter_alpha = -0.5", "filter_alpha must be in [0, 1], got -0.5"),
@@ -689,6 +710,12 @@ class TestOutOfRangeValues:
         ("mac", "slot_guard = -1 us", "slot_guard must be >= 0, got -1e-06"),
         ("mac", "slots = sideways, 0 ms, 1 ms; feedback, 1 ms, 1 ms",
          "slot 0 has unknown direction 'sideways'"),
+        # rules across keys: the default hop_increment is 7, the gallop cycle 2 ms
+        ("mac", "channel_count = 14", "hop_increment 7 shares a factor with channel_count 14"),
+        ("mac", "slot_guard = 1 ms",
+         "slot 0 duration must exceed slot_guard (0.001 s), got 0.001 s"),
+        ("scenario", "episode_duration = 10000 s",
+         "episode_duration / control_cycle must be at most 1000000 cycles, got 5e+06"),
     ])
     def test_config_value_exit_2_names_key_and_value(self, tmp_path, capsys,
                                                      section, entry, message):
@@ -699,6 +726,16 @@ class TestOutOfRangeValues:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+        # a rule on one key gives the key's line and the value as written, a
+        # parse error its line, a FILE_ONLY row the file alone
+        line = 3 if section == "mac" else 5
+        if entry in self.FILE_ONLY:
+            assert err == f"error: {cfg}: {message}\n"
+        elif message.startswith("'"):
+            assert err == f"error: {cfg}:{line}: bad value for {message}\n"
+        else:
+            written = entry.partition(" = ")[2]
+            assert err == f"error: {cfg}:{line}: {message} (written: {written})\n"
 
 
 class TestParseValues:

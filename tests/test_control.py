@@ -1,7 +1,7 @@
 import math
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -144,7 +144,7 @@ class TestComputeCommand:
            enc=st.integers(-10**9, 10**9), seq=st.integers(0, 1000))
     def test_commands_always_clamped(self, gyro, accel, enc, seq):
         params = PlantParams()
-        gains = ControllerGains(kp_tilt=50.0, kd_tilt=5.0, ki_tilt=3.0,
+        gains = ControllerGains(kp_tilt=50.0, kd_tilt=5.0,
                                 kp_position=2.0, kd_position=1.0)
         cs = ControllerState()
         f = frame(gyro=gyro, accel=accel, enc=enc, seq=seq)
@@ -152,17 +152,29 @@ class TestComputeCommand:
         cs, act = compute_command(cs, gains, f, dt=0.002)
         assert -1.0 <= act.motor_command <= 1.0
 
-    @settings(max_examples=100, deadline=None)
-    @given(tilts=st.lists(st.floats(-10, 10), min_size=1, max_size=80))
-    def test_integral_never_exceeds_limit(self, tilts):
-        params = PlantParams()
-        gains = ControllerGains(ki_tilt=4.0, integral_limit=0.3)
-        cs = ControllerState()
-        for k, tilt in enumerate(tilts):
-            f = frame(accel=tilt, seq=k)
-            cs = estimate_tilt(cs, f, dt=0.01, alpha=0.0)
-            cs, _ = compute_command(cs, gains, f, dt=0.01)
-            assert abs(cs.integral_accum) <= 0.3
+    def test_every_gain_moves_a_command(self):
+        # five frames the defaults answer inside the limit, then one they
+        # saturate on; a [gains] key that moves none of these commands is
+        # dead weight in the law
+        frames = [frame(gyro=0.01 * k, accel=0.002, enc=k, seq=k) for k in range(1, 6)]
+        frames.append(frame(gyro=5.0, accel=0.2, enc=6, seq=6))
+
+        def commands(gains):
+            cs, out = ControllerState(), []
+            for f in frames:
+                cs = estimate_tilt(cs, f, dt=0.002)
+                cs, act = compute_command(cs, gains, f, dt=0.002)
+                out.append(act.motor_command)
+            return out
+
+        base = commands(DEFAULT_GAINS)
+        limit = DEFAULT_GAINS.command_limit
+        assert all(abs(u) < limit for u in base[:-1]) and abs(base[-1]) == limit
+        for name in [f.name for f in fields(ControllerGains)]:
+            value = getattr(DEFAULT_GAINS, name)
+            # a limit above 1 is invalid, so the limit halves
+            value = value / 2 if name == "command_limit" else value * 2
+            assert commands(replace(DEFAULT_GAINS, **{name: value})) != base, name
 
 
 class TestTuning:
@@ -291,7 +303,7 @@ class TestSpanMatrix:
 def scaled(gains, scale, **fields):
     """gains with every loop gain times scale, then fields set."""
     return replace(gains, kp_tilt=gains.kp_tilt * scale,
-                   kd_tilt=gains.kd_tilt * scale, ki_tilt=gains.ki_tilt * scale,
+                   kd_tilt=gains.kd_tilt * scale,
                    kp_position=gains.kp_position * scale,
                    kd_position=gains.kd_position * scale, **fields)
 
@@ -318,34 +330,27 @@ class TestClosedLoopMatrix:
     @pytest.mark.parametrize("cycle", [1e-6, 0.002, 0.0075])
     def test_controller_map_is_the_row_algebra(self, cycle):
         # a 3-state plant that holds nothing and takes the command into
-        # state 0: the row algebra's rows 0 and 3-6 are then the update on
+        # state 0: the row algebra's rows 0 and 3-5 are then the update on
         # (accel_tilt, gyro_pitch_rate, wheel_angle, memory)
-        gains = replace(DEFAULT_GAINS, ki_tilt=0.5)
         ref = loop_matrix_rows(np.zeros((3, 3)), np.array([1.0, 0.0, 0.0]),
-                               gains, cycle, DEFAULT_FILTER_ALPHA,
-                               WHEEL_RATE_SMOOTHING)[[0, 3, 4, 5, 6]]
-        got = controller_map(gains, cycle)
-        assert got.shape == (5, 7)
+                               DEFAULT_GAINS, cycle, DEFAULT_FILTER_ALPHA,
+                               WHEEL_RATE_SMOOTHING)[[0, 3, 4, 5]]
+        got = controller_map(DEFAULT_GAINS, cycle)
+        assert got.shape == (4, 6)
         assert row_error(got, ref) <= 1e-13
 
     @pytest.mark.parametrize("plant", sorted(GRID_PLANTS))
-    @pytest.mark.parametrize("ki_tilt", [0.0, 0.5])
-    def test_matches_row_algebra_on_grid(self, plant, ki_tilt):
-        gains = replace(DEFAULT_GAINS, ki_tilt=ki_tilt)
+    def test_matches_row_algebra_on_grid(self, plant):
         for ms in GRID_CYCLES_MS:
-            self.assert_matches_rows(GRID_PLANTS[plant], gains, ms * 1e-3)
+            self.assert_matches_rows(GRID_PLANTS[plant], DEFAULT_GAINS, ms * 1e-3)
 
     @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
     @pytest.mark.parametrize("cycle", [1e-9, 1e-6, 0.03])
     @pytest.mark.parametrize("limit", [None, 1e-12])
     def test_matches_row_algebra_at_extremes(self, params, scale, cycle, limit):
-        # the model leaves the clamps out whatever the gains' limits are
-        limits = {} if limit is None else {"integral_limit": limit,
-                                           "command_limit": limit}
-        for ki_tilt in (0.0, 0.5):
-            gains = scaled(replace(DEFAULT_GAINS, ki_tilt=ki_tilt), scale,
-                           **limits)
-            self.assert_matches_rows(params, gains, cycle)
+        # the model leaves the clamp out whatever the command limit is
+        limits = {} if limit is None else {"command_limit": limit}
+        self.assert_matches_rows(params, scaled(DEFAULT_GAINS, scale, **limits), cycle)
 
 
 class TestLiftedLoop:
