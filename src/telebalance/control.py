@@ -69,21 +69,14 @@ DEFAULT_GAINS = ControllerGains(
 class ControllerState(NamedTuple):
     """Filter memory; one instance per controlled robot.
 
-    A tuple because every update builds one; the per-frame updates build
-    it, and ActuationFrame, by tuple.__new__ in field order (no Python __new__).
+    A tuple because every update builds one, by tuple.__new__ in field
+    order (no Python __new__).
     """
 
     tilt_estimate: float = 0.0       # rad
     last_wheel_angle: float = 0.0    # rad, from the last frame
     wheel_rate_estimate: float = 0.0  # rad/s, smoothed angle difference
     primed: bool = False             # False until the first frame arrives
-
-
-class ActuationFrame(NamedTuple):
-    """Feedback-channel payload: the normalized command for both wheels."""
-
-    motor_command: float  # [-1, 1]
-    seq: int              # echoes the sensor frame it answers
 
 
 def estimate_tilt(cstate: ControllerState, frame: SensorFrame, dt: float,
@@ -101,10 +94,10 @@ def estimate_tilt(cstate: ControllerState, frame: SensorFrame, dt: float,
 
 def compute_command(cstate: ControllerState, gains: ControllerGains,
                     frame: SensorFrame,
-                    dt: float) -> tuple[ControllerState, ActuationFrame]:
-    """PD command from the frame estimate_tilt has just taken.
-
-    The one command drives both wheels of the planar model.
+                    dt: float) -> tuple[ControllerState, float]:
+    """PD command from the frame estimate_tilt has just taken: the
+    feedback-channel payload, one float in [-1, 1] that drives both wheels
+    of the planar model.
     """
     angle = frame.wheel_angle
     if cstate.primed:
@@ -123,9 +116,7 @@ def compute_command(cstate: ControllerState, gains: ControllerGains,
     lim = gains.command_limit
     u = -lim if u < -lim else lim if u > lim else u
 
-    new_state = tuple.__new__(ControllerState, (
-        tilt, angle, wheel_rate, True))
-    return new_state, tuple.__new__(ActuationFrame, (u, frame.seq))
+    return tuple.__new__(ControllerState, (tilt, angle, wheel_rate, True)), u
 
 
 # ControllerState fields carried across cycles: controller_map's memory
@@ -142,11 +133,10 @@ def controller_map(gains: ControllerGains, dt: float,
 
     def update(x: list) -> list:
         cstate = ControllerState(**dict(zip(_LOOP_MEMORY, x[3:])), primed=True)
-        frame = SensorFrame(gyro_pitch_rate=x[1], accel_tilt=x[0],
-                            wheel_angle=x[2], seq=1)
+        frame = SensorFrame(gyro_pitch_rate=x[1], accel_tilt=x[0], wheel_angle=x[2])
         cstate = estimate_tilt(cstate, frame, dt, alpha)
         cstate, command = compute_command(cstate, unclamped, frame, dt)
-        return [command.motor_command, *(getattr(cstate, name) for name in _LOOP_MEMORY)]
+        return [command, *(getattr(cstate, name) for name in _LOOP_MEMORY)]
     return linear_map(update, 6)
 
 

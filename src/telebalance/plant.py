@@ -146,7 +146,6 @@ class SensorFrame(NamedTuple):
     gyro_pitch_rate: float  # rad/s
     accel_tilt: float       # rad, tilt inferred from the gravity vector
     wheel_angle: float      # rad, quantized down to whole encoder counts
-    seq: int
 
 
 def _rk4_span(th: float, w: float, phi: float, v: float, tau: float,
@@ -236,8 +235,8 @@ def _rk4_span(th: float, w: float, phi: float, v: float, tau: float,
 
 def sample_sensors(tilt: float, tilt_rate: float, wheel_angle: float,
                    noise: SensorNoise, params: PlantParams,
-                   rng: np.random.Generator, seq: int = 0) -> SensorFrame:
-    """Read the IMU and the encoder; the caller supplies the frame counter.
+                   rng: np.random.Generator) -> SensorFrame:
+    """Read the IMU and the encoder.
 
     Draws exactly two normals per call (gyro first, then accelerometer) so
     the noise stream stays aligned across runs.
@@ -251,7 +250,7 @@ def sample_sensors(tilt: float, tilt_rate: float, wheel_angle: float,
     accel = tilt + noise.accel_noise_std * n_accel
     cpr = params.encoder_counts_per_rev
     angle = math.floor(wheel_angle / TWO_PI * cpr) / cpr * TWO_PI
-    return tuple.__new__(SensorFrame, (gyro, accel, angle, seq))
+    return tuple.__new__(SensorFrame, (gyro, accel, angle))
 
 
 def linear_map(step, n: int) -> np.ndarray:

@@ -11,7 +11,8 @@ one row to the trace's columns and sends one forward frame. Its cycle is
 open exactly while its recv or apply event is pending, and the site that
 closes it fills in its command, latency and drops in place; the rows of
 the cycles still open at the episode's end are deleted. The trace is the
-closed cycles, in sample order.
+closed cycles, in sample order. Frames and commands are ordered by their
+sample, that is their row.
 
 Sensor sampling is scheduled on the robot's local clock (wireless.RobotClock),
 which drifts between sync epochs and is re-bounded at each epoch. The engine
@@ -221,9 +222,10 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
 
     # events (t_ns, insertion seq, kind, payload); a sample's payload is
     # (its period k, synced when scheduled), a recv's (its SensorFrame, row,
-    # sample_ns), an apply's (its ActuationFrame, row, sample_ns): a cycle is
-    # open while one of the two is pending. The end event's seq, inf, sorts
-    # it after every other event at end_ns
+    # sample_ns), an apply's (its command, row, sample_ns): a cycle is open
+    # while one of the two is pending, and its row orders its frame and its
+    # command, as rows rise with the sample time. The end event's seq, inf,
+    # sorts it after every other event at end_ns
     heap: list[tuple[int, float, str, tuple]] = []
     next_seq = itertools.count().__next__
 
@@ -235,8 +237,8 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     fwd_lost = fbk_sent = fbk_lost = 0  # sent = delivered + lost
     last_arrival_ns: int | None = None
     last_sample_ns = -1
-    last_used = -1     # seq of the newest frame the controller used
-    last_applied = -1  # seq of the newest command applied
+    last_used = -1     # row of the newest frame the controller used
+    last_applied = -1  # row of the newest command applied
 
     def schedule_sample(k: int) -> None:
         """Push period k's sample: at k cycles on the local clock, no
@@ -273,7 +275,7 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
 
         if kind == "sample":
             last_sample_ns = t_ns
-            frame = sample_sensors(th, w, phi, cfg.noise, params, rng_noise, seq=k)
+            frame = sample_sensors(th, w, phi, cfg.noise, params, rng_noise)
             t_col.append(t_ns / 1e9)
             tilt_col.append(th * DEG)
             rate_col.append(w * DEG)
@@ -293,37 +295,36 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
 
         elif kind == "recv":
             frame, row, sample_ns = payload
-            k = frame.seq
-            if k <= last_used or t_ns == last_arrival_ns:
+            if row <= last_used or t_ns == last_arrival_ns:
                 # overtaken by a newer frame (BLE jitter), or sharing a slot
                 # with the last one after a resync: the cycle is dropped. So
-                # the controller takes frames in seq order, each at a dt > 0
+                # the controller takes frames in sample order, each at a dt > 0
                 fwd_col[row] = 1
                 continue
             dt = (t_ns - last_arrival_ns) / 1e9 if last_arrival_ns is not None \
                 else cycle_s
-            last_arrival_ns, last_used = t_ns, k
+            last_arrival_ns, last_used = t_ns, row
             cstate = estimate_tilt(cstate, frame, dt, alpha)
-            cstate, act = compute_command(cstate, gains, frame, dt)
+            cstate, command = compute_command(cstate, gains, frame, dt)
             fbk_sent += 1
             deliver_ns = transmit(mac, chan, FEEDBACK, t_ns, rng_loss, rng_jitter)[0]
             if deliver_ns is not None:
-                heappush(heap, (deliver_ns, next_seq(), "apply", (act, row, sample_ns)))
+                heappush(heap, (deliver_ns, next_seq(), "apply", (command, row, sample_ns)))
             else:
                 fbk_lost += 1
-                cmd_col[row] = act.motor_command
+                cmd_col[row] = command
                 fbk_col[row] = 1
 
         elif kind == "apply":
-            act, row, sample_ns = payload
-            cmd_col[row] = act.motor_command
-            if act.seq <= last_applied:
+            command, row, sample_ns = payload
+            cmd_col[row] = command
+            if row <= last_applied:
                 # overtaken by a newer command (BLE jitter): the torque
                 # stays, and the cycle is dropped
                 fbk_col[row] = 1
                 continue
-            last_applied = act.seq
-            torque = act.motor_command * tau_max
+            last_applied = row
+            torque = command * tau_max
             lat_col[row] = (t_ns - sample_ns) / 1e6
 
         elif kind == "sync":

@@ -210,11 +210,12 @@ class ChannelModel:
                            "loss_good", "loss_bad"), 0, 1)
         for ch, p in self.per_channel:
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"per_channel channel {ch} must be in [0, 1], got {p!r}")
+                raise ValueError(f"per_channel must be in [0, 1], got {p!r} on channel {ch}")
         channels = [ch for ch, _ in self.per_channel]
         for i, ch in enumerate(channels):
             if ch in channels[:i]:
-                raise ValueError(f"per_channel lists channel {ch} twice")
+                raise ValueError("per_channel must list each channel once, "
+                                 f"got channel {ch} twice")
 
     def stationary_loss_rate(self) -> float:
         """Long-run Gilbert-Elliott loss rate (ignores the static floor)."""

@@ -7,8 +7,10 @@ and what the benchmark reads of an episode must stay readable."""
 import ast
 import importlib
 import importlib.util
+import json
 import re
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +22,7 @@ from telebalance.config import SCHEMA, load_scenario, set_by_path
 
 README = Path(__file__).parent.parent / "README.md"
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
+BENCHMARK = Path(__file__).parent.parent / "BENCHMARK.json"
 SPANS = PERFBENCH / "spans.py"
 IMPORT_RE = re.compile(r"^\s*from (telebalance[\w.]*) import (.+)$", re.MULTILINE)
 # a config-file 'section.key' name, as --param takes it or quoted in backticks
@@ -160,3 +163,31 @@ def test_traced_layer_counts_of_an_episode(config_dir, monkeypatch, config):
     calls, substeps, cycles = LAYER_COUNTS[config]
     assert {name: tracer.calls[name] for name in calls} == calls
     assert (tracer.substeps, tracer.cycles) == (substeps, cycles)
+
+
+# per_layer metrics that perfbench/run.py measures itself, not the tracer
+RUN_LAYER_METRICS = {"setup.import_s", "config.load_s", "trace.overhead_frac"}
+
+
+def test_every_workload_reports_every_traced_layer(monkeypatch):
+    # a seam folded into another (estimate_tilt into compute_command, say)
+    # leaves the benchmark's per-layer report short without failing a run
+    import_perfbench("program", monkeypatch)
+    spans = import_perfbench("spans", monkeypatch)
+    workloads = import_perfbench("workloads", monkeypatch)
+    wanted = {m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]}
+    wanted -= RUN_LAYER_METRICS
+    for workload in workloads.WORKLOADS:
+        scenarios = [replace(cfg, episode_duration=0.2)
+                     for cfg in workloads.build(workload, seed=7)]
+        with spans.LayerTracer(sim) as tracer:
+            t0 = time.perf_counter()
+            result = workloads.call(workload, scenarios, workers=1)
+            call_s = time.perf_counter() - t0
+            workloads.render(workload, result)
+            if not tracer.calls["trace_to_csv"]:
+                # as perfbench/run.py does: a batch renders no trace
+                sim.trace_to_csv(tracer.last_trace)
+            report = tracer.metrics(call_s)
+        assert tracer.unreadable == set(), workload
+        assert sorted(wanted - report.keys()) == [], workload

@@ -267,7 +267,9 @@ class TestCmdRun:
         out = tmp_path / "o"
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "per_channel lists channel 3 twice" in err
+        # a rule on the one key: its line, 12, and the value as written
+        assert err == (f"error: {cfg}:12: per_channel must list each channel"
+                       " once, got channel 3 twice (written: 3:0.1, 3:0.5)\n")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -689,10 +691,9 @@ class TestNonFiniteValues:
 
 
 class TestOutOfRangeValues:
-    # the rows whose rule spans keys, or names a channel or a slot before
-    # "must", not the key
-    FILE_ONLY = ("per_channel = 0:0.1, 3:1.5",
-                 "slots = sideways, 0 ms, 1 ms; feedback, 1 ms, 1 ms",
+    # the rows whose rule spans keys, or names a slot before "must", not
+    # the key
+    FILE_ONLY = ("slots = sideways, 0 ms, 1 ms; feedback, 1 ms, 1 ms",
                  "channel_count = 14", "slot_guard = 1 ms", "episode_duration = 10000 s")
 
     @pytest.mark.parametrize("section, entry, message", [
@@ -701,7 +702,7 @@ class TestOutOfRangeValues:
         ("loss", "per_channel = 3 0.1",
          "'per_channel': expected 'channel:probability', got '3 0.1'"),
         ("loss", "per_channel = 0:0.1, 3:1.5",
-         "per_channel channel 3 must be in [0, 1], got 1.5"),
+         "per_channel must be in [0, 1], got 1.5 on channel 3"),
         ("loss", "loss_bad = 1.5", "loss_bad must be in [0, 1], got 1.5"),
         ("noise", "accel_noise_std = -0.1", "accel_noise_std must be >= 0, got -0.1"),
         ("plant", "viscous_friction = -1e-5", "viscous_friction must be >= 0, got -1e-05"),

@@ -60,11 +60,10 @@ SCIPY_EXPM_SCALES = {
 }
 
 
-def frame(gyro=0.0, accel=0.0, enc=0, seq=0):
+def frame(gyro=0.0, accel=0.0, enc=0):
     """A frame whose wheel angle reads enc counts, as sample_sensors gives it."""
     angle = enc / PlantParams().encoder_counts_per_rev * TWO_PI
-    return SensorFrame(gyro_pitch_rate=gyro, accel_tilt=accel, wheel_angle=angle,
-                       seq=seq)
+    return SensorFrame(gyro_pitch_rate=gyro, accel_tilt=accel, wheel_angle=angle)
 
 
 class TestEstimateTilt:
@@ -86,10 +85,10 @@ class TestEstimateTilt:
         rng = np.random.default_rng(0)
         cycle = 0.005
         for k in range(400):
-            f = sample_sensors(th, w, phi, SensorNoise(), params, rng, seq=k)
+            f = sample_sensors(th, w, phi, SensorNoise(), params, rng)
             cs = estimate_tilt(cs, f, cycle)
-            cs, act = compute_command(cs, DEFAULT_GAINS, f, cycle)
-            torque = act.motor_command * params.motor_max_torque
+            cs, command = compute_command(cs, DEFAULT_GAINS, f, cycle)
+            torque = command * params.motor_max_torque
             th, w, phi, v, tau, _ = _rk4_span(th, w, phi, v, tau, torque, params,
                                               round(cycle * 1e9))
             if k * cycle > 1.0:
@@ -100,29 +99,28 @@ class TestComputeCommand:
     def test_all_zero_gives_zero_command(self):
         cs = ControllerState()
         cs = estimate_tilt(cs, frame(), dt=0.002)
-        cs, act = compute_command(cs, ControllerGains(), frame(), dt=0.002)
-        assert act.motor_command == 0.0
+        cs, command = compute_command(cs, ControllerGains(), frame(), dt=0.002)
+        assert command == 0.0
 
     def test_p_only_tilt_term(self):
         gains = ControllerGains(kp_tilt=1.0)
         cs = ControllerState(tilt_estimate=0.1)
-        cs, act = compute_command(cs, gains, frame(seq=0), dt=0.002)
-        assert act.motor_command == pytest.approx(0.1, rel=1e-12)
+        cs, command = compute_command(cs, gains, frame(), dt=0.002)
+        assert command == pytest.approx(0.1, rel=1e-12)
 
     def test_saturation_at_command_limit(self):
         gains = ControllerGains(kp_tilt=20.0, command_limit=1.0)
         cs = ControllerState(tilt_estimate=0.1)
-        cs, act = compute_command(cs, gains, frame(seq=0), dt=0.002)
-        assert act.motor_command == 1.0
+        cs, command = compute_command(cs, gains, frame(), dt=0.002)
+        assert command == 1.0
 
-    def test_seq_echoed_and_both_wheels_equal(self):
+    def test_one_float_drives_both_wheels(self):
         cs = ControllerState()
-        f = frame(accel=0.05, seq=3)
+        f = frame(accel=0.05)
         cs = estimate_tilt(cs, f, dt=0.002)
-        cs, act = compute_command(cs, DEFAULT_GAINS, f, dt=0.002)
-        assert act.seq == 3
+        cs, command = compute_command(cs, DEFAULT_GAINS, f, dt=0.002)
         # one command, which the planar model applies to both wheels
-        assert act._fields == ("motor_command", "seq")
+        assert type(command) is float
 
     def test_identical_frame_sequences_give_identical_commands(self):
         def run():
@@ -131,40 +129,40 @@ class TestComputeCommand:
             rng = np.random.default_rng(11)
             for k in range(50):
                 f = frame(gyro=rng.normal(), accel=rng.normal() * 0.1,
-                          enc=int(rng.integers(-500, 500)), seq=k)
+                          enc=int(rng.integers(-500, 500)))
                 cs2 = estimate_tilt(cs, f, 0.002)
-                cs, act = compute_command(cs2, DEFAULT_GAINS, f, 0.002)
-                out.append(act.motor_command)
+                cs, command = compute_command(cs2, DEFAULT_GAINS, f, 0.002)
+                out.append(command)
             return out
 
         assert run() == run()
 
     @settings(max_examples=200, deadline=None)
     @given(gyro=st.floats(-1e6, 1e6), accel=st.floats(-1e6, 1e6),
-           enc=st.integers(-10**9, 10**9), seq=st.integers(0, 1000))
-    def test_commands_always_clamped(self, gyro, accel, enc, seq):
+           enc=st.integers(-10**9, 10**9))
+    def test_commands_always_clamped(self, gyro, accel, enc):
         params = PlantParams()
         gains = ControllerGains(kp_tilt=50.0, kd_tilt=5.0,
                                 kp_position=2.0, kd_position=1.0)
         cs = ControllerState()
-        f = frame(gyro=gyro, accel=accel, enc=enc, seq=seq)
+        f = frame(gyro=gyro, accel=accel, enc=enc)
         cs = estimate_tilt(cs, f, dt=0.002, alpha=0.5)
-        cs, act = compute_command(cs, gains, f, dt=0.002)
-        assert -1.0 <= act.motor_command <= 1.0
+        cs, command = compute_command(cs, gains, f, dt=0.002)
+        assert -1.0 <= command <= 1.0
 
     def test_every_gain_moves_a_command(self):
         # five frames the defaults answer inside the limit, then one they
         # saturate on; a [gains] key that moves none of these commands is
         # dead weight in the law
-        frames = [frame(gyro=0.01 * k, accel=0.002, enc=k, seq=k) for k in range(1, 6)]
-        frames.append(frame(gyro=5.0, accel=0.2, enc=6, seq=6))
+        frames = [frame(gyro=0.01 * k, accel=0.002, enc=k) for k in range(1, 6)]
+        frames.append(frame(gyro=5.0, accel=0.2, enc=6))
 
         def commands(gains):
             cs, out = ControllerState(), []
             for f in frames:
                 cs = estimate_tilt(cs, f, dt=0.002)
-                cs, act = compute_command(cs, gains, f, dt=0.002)
-                out.append(act.motor_command)
+                cs, command = compute_command(cs, gains, f, dt=0.002)
+                out.append(command)
             return out
 
         base = commands(DEFAULT_GAINS)

@@ -36,6 +36,10 @@ GOLDEN = {
         "8e9008576d7b74dc5566513b5aa7716c2f9f4d22c22c5a08a91940a54b3f764e",
     "gallop_sample_floor":
         "254d9a3c2736ec5d8ecfcf3975cb0fb167553c8c4ed7b619687514ce4257df39",
+    "ble_overtaken_frame":
+        "c2368a576fa7d98549437b464709287f61294560162e83515f9de521fe7ad8ca",
+    "ble_overtaken_command":
+        "09cf5a9ca86b2245315d552fe3940ae7b8180e2c4c9ad33ad2da07a15e45d6b9",
 }
 
 # The 16 ms case falls. Events after the fall must not be handled, and the
@@ -43,6 +47,16 @@ GOLDEN = {
 # (forward sent/delivered/lost, feedback sent/delivered/lost) are pinned too.
 FALL_TIME = 0.4085
 FALL_COUNTERS = (205, 205, 0, 196, 196, 0)
+
+# The BLE link's jitter can deliver a frame or a command after a newer one;
+# the engine drops it. The CSV shows the drop flags but not which message
+# reached which side, so each overtaking case pins its message counts
+# (forward sent/lost, feedback sent/lost) and its forward and feedback
+# drops too. The command case falls.
+OVERTAKEN = {
+    "ble_overtaken_frame": ((667, 0, 665, 0), 2, 0, None),
+    "ble_overtaken_command": ((60, 0, 48, 0), 9, 9, 0.446),
+}
 
 
 def _scenario(config_dir, case):
@@ -70,6 +84,18 @@ def _scenario(config_dir, case):
         cfg = load_scenario(config_dir / "gallop_default.cfg")
         cfg = replace(cfg, mac=replace(cfg.mac, sync_error_bound=1e-6,
                                        extra_delay=0.001))
+    elif case == "ble_overtaken_frame":
+        # a drifting clock, re-bounded at each sync, now and then puts two
+        # samples before one connection event, and the jitter can deliver
+        # the newer frame first
+        cfg = load_scenario(config_dir / "ble_default.cfg")
+        cfg = replace(cfg, mac=replace(cfg.mac, clock_drift_ppm=20.0,
+                                       sync_error_bound=1e-6))
+    elif case == "ble_overtaken_command":
+        # jitter up to 20 ms, well past the 7.5 ms interval: commands
+        # overtake each other too
+        cfg = load_scenario(config_dir / "ble_default.cfg")
+        cfg = replace(cfg, mac=replace(cfg.mac, ble_jitter_max=0.020))
     else:
         cfg = load_scenario(config_dir / "gallop_default.cfg")
         cfg = replace(cfg, mac=replace(cfg.mac, slots_per_superframe=4),
@@ -90,3 +116,14 @@ def test_falling_episode_pins_fall_time_and_counters(config_dir):
     assert (trace.forward_sent, trace.forward_delivered, trace.forward_lost,
             trace.feedback_sent, trace.feedback_delivered,
             trace.feedback_lost) == FALL_COUNTERS
+
+
+@pytest.mark.parametrize("case", sorted(OVERTAKEN))
+def test_overtaking_episode_pins_counters_and_drops(config_dir, case):
+    trace, _ = run_episode(_scenario(config_dir, case))
+    counts, fwd_drops, fbk_drops, fall_time = OVERTAKEN[case]
+    assert (trace.forward_sent, trace.forward_lost, trace.feedback_sent,
+            trace.feedback_lost) == counts
+    assert (sum(trace.forward_dropped), sum(trace.feedback_dropped)) \
+        == (fwd_drops, fbk_drops)
+    assert trace.fall_time == fall_time

@@ -221,9 +221,8 @@ class TestSensors:
             (-0.2914954880419354, 0.05188112943278243, 420),
             (-0.31851035188653837, 0.04739564098627537, 420),
         ]
-        for seq, (gyro, accel, enc) in enumerate(golden):
-            f = sample_sensors(0.05, -0.3, 2.0, noise, params, rng, seq=seq)
+        for gyro, accel, enc in golden:
+            f = sample_sensors(0.05, -0.3, 2.0, noise, params, rng)
             assert f.gyro_pitch_rate == gyro
             assert f.accel_tilt == accel
             assert f.wheel_angle == enc / 1320 * TWO_PI
-            assert f.seq == seq

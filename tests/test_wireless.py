@@ -596,7 +596,8 @@ class TestGilbertElliott:
 
     def test_channel_listed_twice_rejected_naming_it(self):
         # one floor per channel: neither entry may silently win
-        with pytest.raises(ValueError, match="per_channel lists channel 3 twice"):
+        with pytest.raises(ValueError, match="per_channel must list each channel once, "
+                                             "got channel 3 twice"):
             ChannelModel(per_channel=((3, 0.1), (5, 0.2), (3, 0.5)))
         ChannelModel(per_channel=((3, 0.1), (5, 0.5)))
 
