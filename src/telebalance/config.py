@@ -151,20 +151,6 @@ def parse_quantity(kind: str, text: str, bare_is_base: bool = False) -> float | 
     raise ValueError(f"expected {expected}, got {text!r}")
 
 
-def parse_slots(text: str) -> tuple:
-    """Custom TDMA layout: 'direction, start, duration; ...'."""
-    slots = []
-    for entry in text.split(";"):
-        fields = [f.strip() for f in entry.split(",")]
-        if len(fields) != 3:
-            raise ValueError(
-                f"slot entry {entry.strip()!r} needs 'direction, start, duration'")
-        direction, start, duration = fields
-        slots.append((direction, parse_quantity("duration", start),
-                      parse_quantity("duration", duration)))
-    return tuple(slots)
-
-
 def parse_per_channel(text: str) -> tuple:
     """Static loss overrides: 'channel:prob, channel:prob'."""
     out = []
@@ -177,7 +163,7 @@ def parse_per_channel(text: str) -> tuple:
 
 
 # kinds read by a parser of their own; every other kind is a UNITS quantity
-_PARSERS = {"text": str, "slots": parse_slots, "per_channel": parse_per_channel}
+_PARSERS = {"text": str, "per_channel": parse_per_channel}
 
 # section -> the ScenarioConfig field it fills; [scenario] keys are
 # ScenarioConfig's own fields
@@ -188,8 +174,7 @@ SECTIONS: dict[str, str | None] = {"scenario": None, "plant": "plant", "noise": 
 # a field's annotation, less any ' | None' -> its key's kind; an annotation
 # outside this table fails the import
 _ANNOTATION_KINDS = {"Seconds": "duration", "Radians": "angle", "int": "integer",
-                     "float": "number", "str": "text", "SlotLayout": "slots",
-                     "ChannelFloors": "per_channel"}
+                     "float": "number", "str": "text", "ChannelFloors": "per_channel"}
 
 
 def _section_fields(field: str | None) -> tuple:

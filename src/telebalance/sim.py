@@ -495,7 +495,7 @@ class ScenarioResult:
         return float(np.mean([getattr(m, name) for m in self.metrics]))
 
 
-def compare_scenarios(cfgs: list[ScenarioConfig], seeds,
+def compare_scenarios(cfgs: list[ScenarioConfig], seeds: list[int],
                       workers: int = 1) -> list[ScenarioResult]:
     """Run each scenario over a common seed list; metrics stay per-seed."""
     if len(cfgs) < 2:
@@ -504,15 +504,14 @@ def compare_scenarios(cfgs: list[ScenarioConfig], seeds,
     if len(set(labels)) < len(labels):
         # each label names its scenario's row and trace file
         raise ValueError(f"scenario labels must differ, got {labels}")
-    seed_list = list(range(seeds)) if isinstance(seeds, int) else list(seeds)
-    if not seed_list:
+    if not seeds:
         raise ValueError("comparison needs at least 1 seed")
 
     # one batch of every scenario x seed; only each first seed keeps its trace
     jobs = [(replace(cfg, seed=s), i == 0)
-            for cfg in cfgs for i, s in enumerate(seed_list)]
+            for cfg in cfgs for i, s in enumerate(seeds)]
     outs = _run_batch(jobs, workers)
-    n = len(seed_list)
+    n = len(seeds)
     return [ScenarioResult(label=cfg.label, config=cfg,
                            metrics=[m for _, m in outs[j * n:(j + 1) * n]],
                            trace=outs[j * n][0])

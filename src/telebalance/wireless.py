@@ -7,10 +7,11 @@ slot table repeated each period (Superframe) and one admission rule: a
 frame goes out in the first slot of its direction that starts at most
 admit_ns before it is ready, and arrives at that slot's end.
 
-  gallop       2-slot TDMA superframe (forward / feedback) on disjoint
-               FDD bands with per-slot frequency hopping, admitting up to
-               slot_guard late; a loss may be retried in a later slot of
-               the same direction and superframe.
+  gallop       TDMA superframe of slots_per_superframe back-to-back
+               slots (2 by default), alternating forward / feedback from
+               forward, on disjoint FDD bands with per-slot frequency
+               hopping, admitting up to slot_guard late; a loss may be
+               retried in a later slot of the same direction and superframe.
   ble_baseline one event a connection interval for both directions, taking
                frames ready strictly before it, plus a uniform jitter.
   ideal        pass-through with 1 ns latency, no loss (for experiments
@@ -36,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .plant import MAX_MAGNITUDE, Seconds, _ns, check_finite, check_range
+from .plant import Seconds, _ns, check_finite, check_range
 
 GALLOP = "gallop"
 BLE = "ble_baseline"
@@ -46,12 +47,11 @@ FORWARD = "forward"
 FEEDBACK = "feedback"
 
 BLE_MIN_INTERVAL_S = 0.0075
-# build_superframe lays out every slot, and transmit scans a direction's
+# MacConfig lays out every gallop slot, and transmit scans a direction's
 # slots for each frame
 MAX_SLOTS = 1000
 
-# the keys a config file writes in a grammar of their own
-SlotLayout = tuple     # ((direction, start_s, duration_s), ...)
+# the one key a config file writes in a grammar of its own
 ChannelFloors = tuple  # ((channel, loss probability), ...)
 
 
@@ -63,7 +63,9 @@ class MacConfig:
     cycle unless a scenario sets its own; channel_base, each direction's
     first channel (gallop's FDD bands: forward from 0, feedback from
     channel_count); extra_delay_ns; and the link's slot table and
-    admission rule (module docstring), superframe and admit_ns."""
+    admission rule (module docstring), superframe and admit_ns. Gallop's
+    table is slots_per_superframe slots, each d = slot_duration in whole
+    ns long, slot k spanning [k d, (k + 1) d)."""
 
     variant: str = GALLOP
     slot_duration: Seconds = 1e-3
@@ -77,7 +79,6 @@ class MacConfig:
     ble_jitter_max: Seconds = 2e-3
     slot_guard: Seconds = 1e-4           # admission tolerance after slot start
     extra_delay: Seconds = 0.0           # added to every delivery
-    slots: SlotLayout | None = None
 
     def __post_init__(self) -> None:
         check_finite(self)
@@ -94,7 +95,7 @@ class MacConfig:
                 f"channel_count {self.channel_count}")
         if self.ble_connection_interval < BLE_MIN_INTERVAL_S:
             raise ValueError("ble_connection_interval must be >= 7.5 ms")
-        # build_superframe checks that each gallop slot outlasts slot_guard
+        # gallop checks below that its slots outlast slot_guard
         check_range(self, ("ble_jitter_max", "extra_delay", "slot_guard",
                            "sync_error_bound"), 0)
         if _ns(self.sync_epoch_period) <= 0:
@@ -105,12 +106,17 @@ class MacConfig:
         # cycle: the superframe span, the connection interval, or 5 ms;
         # base: each direction's first channel, none on the ideal link
         if self.variant == GALLOP:
-            superframe, admit = build_superframe(self), _ns(self.slot_guard)
+            # a frame admitted slot_guard late must still arrive after it
+            # was ready
+            n, d, admit = self.slots_per_superframe, _ns(self.slot_duration), _ns(self.slot_guard)
+            if d <= admit:
+                raise ValueError(f"slot_duration {self.slot_duration!r} s must exceed "
+                                 f"slot_guard {self.slot_guard!r} s")
+            superframe = Superframe(n, n * d, {
+                direction: tuple((k * d, (k + 1) * d, k) for k in range(first, n, 2))
+                for first, direction in enumerate((FORWARD, FEEDBACK))})
             cycle = superframe.span_ns / 1e9
             base = {FORWARD: 0, FEEDBACK: self.channel_count}
-        elif self.slots is not None:
-            raise ValueError(
-                f"slots apply only to the {GALLOP} variant, not {self.variant!r}")
         else:
             # one event a period (1 ns on the ideal link), for both directions
             ble = self.variant == BLE
@@ -126,65 +132,16 @@ class MacConfig:
 
 class Superframe(NamedTuple):
     """A link's slot table in whole ns, repeated every span_ns: gallop's
-    TDMA cycle as build_superframe lays it out, or one event at the start
-    of each BLE connection interval (each ns on the ideal link)."""
+    TDMA cycle of slots_per_superframe equal slots, alternating forward and
+    feedback from forward (no feedback slot when there is one slot), or one
+    event at the start of each BLE connection interval (each ns on the
+    ideal link)."""
 
     count: int               # slots a period; slot k of period p is index p * count + k
-    span_ns: int             # the period: gallop's latest slot end
+    span_ns: int             # the period: gallop's last slot end
     # direction -> (start_ns, end_ns, position k) of its slots, in start
     # order: the table transmit scans
     by_direction: dict[str, tuple[tuple[int, int, int], ...]]
-
-
-def build_superframe(cfg: MacConfig) -> Superframe:
-    """TDMA layout for one communication cycle, checked and laid out in ns.
-
-    Default: slots_per_superframe back-to-back slots of slot_duration,
-    alternating forward/feedback starting with forward; cfg.slots gives
-    each slot's (direction, start_s, duration_s) instead. A slot's
-    direction picks its FDD band. The stock 2-slot layout spans 2 ms.
-    """
-    layout = cfg.slots if cfg.slots is not None else [
-        (FEEDBACK if i % 2 else FORWARD, i * cfg.slot_duration, cfg.slot_duration)
-        for i in range(cfg.slots_per_superframe)]
-    # slots_per_superframe is bounded already; a custom layout is bounded here
-    if not 1 <= len(layout) <= MAX_SLOTS:
-        raise ValueError(f"slots must hold 1 to {MAX_SLOTS} slots, got {len(layout)}")
-
-    slots, starts = [], []
-    for i, entry in enumerate(layout):
-        try:
-            direction, start, dur = entry
-            start, dur = float(start), float(dur)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"slots entry {i} must be (direction, start_s, "
-                             f"duration_s), got {entry!r}") from None
-        if direction not in (FORWARD, FEEDBACK):
-            raise ValueError(f"slot {i} has unknown direction {direction!r}")
-        if not (abs(start) <= MAX_MAGNITUDE and abs(dur) <= MAX_MAGNITUDE):
-            raise ValueError(
-                f"slot {i} has a non-finite start or duration, or one beyond "
-                f"+/-{MAX_MAGNITUDE:g} s")
-        if start < 0:
-            raise ValueError(f"slot {i} starts before the superframe, at {start!r} s")
-        # a frame admitted slot_guard late must still end after it was ready
-        if _ns(dur) <= _ns(cfg.slot_guard):
-            raise ValueError(f"slot {i} duration must exceed slot_guard "
-                             f"({cfg.slot_guard!r} s), got {dur!r} s")
-        slots.append((_ns(start), _ns(start) + _ns(dur), direction))
-        starts.append(start)
-    # by the seconds given: starts that round to one ns keep their order
-    ordered = sorted(range(len(slots)), key=starts.__getitem__)
-    for a, b in zip(ordered, ordered[1:]):
-        if slots[a][1] > slots[b][0]:
-            raise ValueError(
-                f"slots {a} and {b} overlap in time ({slots[a]} vs {slots[b]})")
-    table = [slots[i] for i in ordered]
-    return Superframe(
-        len(table), max(end for _, end, _ in table),
-        {d: tuple((start, end, pos) for pos, (start, end, direction)
-                  in enumerate(table) if direction == d)
-         for d in (FORWARD, FEEDBACK)})
 
 
 @dataclass(frozen=True)

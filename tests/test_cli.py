@@ -110,6 +110,9 @@ class TestConfigParsing:
         # the tilt integrator's keys were removed with it
         ("[gains]\nkp_tilt = 20\nki_tilt = 0.5\n", 3, "unknown key 'ki_tilt' in [gains]"),
         ("[gains]\nintegral_limit = 0.5\n", 2, "unknown key 'integral_limit' in [gains]"),
+        # so was the custom slot layout: gallop runs one layout
+        ("[mac]\nvariant = gallop\nslots = forward, 0 ms, 1 ms; feedback, 1 ms, 1 ms\n", 3,
+         "unknown key 'slots' in [mac]"),
     ])
     def test_every_rejection_names_path_and_line(self, tmp_path, capsys, text, line,
                                                  message):
@@ -178,22 +181,6 @@ class TestConfigParsing:
         assert partial.noise == swept.noise
         assert partial.noise.accel_noise_std == DEFAULT_NOISE.accel_noise_std
 
-    def test_custom_slot_layout_parses(self, tmp_path):
-        text = GALLOP_SHORT + \
-            "slots = forward, 0 ms, 1 ms; feedback, 1 ms, 1 ms\n"
-        cfg = load_scenario(write_cfg(tmp_path, text))
-        assert cfg.mac.slots == (("forward", 0.0, 1e-3), ("feedback", 1e-3, 1e-3))
-
-    def test_slot_with_a_band_exit_2_shows_the_three_field_form(self, tmp_path,
-                                                                 capsys):
-        # a slot's direction picks its band: the old fourth field is an error
-        cfg = write_cfg(tmp_path, GALLOP_SHORT +
-                        "slots = forward, 0 ms, 1 ms, 0; feedback, 1 ms, 1 ms, 1\n")
-        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "needs 'direction, start, duration'" in err
-        assert "Traceback" not in err
-
 
 class TestCmdRun:
     def test_valid_run_writes_artifacts(self, tmp_path, capsys):
@@ -221,45 +208,12 @@ class TestCmdRun:
         h2 = hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
         assert h1 == h2
 
-    def test_overlapping_slots_exit_2_names_slots(self, tmp_path, capsys):
-        text = GALLOP_SHORT + \
-            "slots = forward, 0 ms, 1 ms; feedback, 0.5 ms, 1 ms\n"
-        cfg = write_cfg(tmp_path, text)
-        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "slots 0 and 1 overlap" in err
-
     def test_more_than_1000_slots_exit_2_names_slots(self, tmp_path, capsys):
-        slots = "; ".join(f"{'feedback' if i % 2 else 'forward'}, {i} ms, 1 ms"
-                          for i in range(1001))
-        cfg = write_cfg(tmp_path, GALLOP_SHORT + f"slots = {slots}\n")
+        cfg = write_cfg(tmp_path, GALLOP_SHORT + "slots_per_superframe = 1001\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "slots must hold 1 to 1000 slots, got 1001" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("slots, message", [
-        ("forward, -2 ms, 1 ms; feedback, 0 ms, 1 ms",
-         "slot 0 starts before the superframe"),
-        ("forward, 0 ms, 0.05 ms; feedback, 1 ms, 1 ms",
-         "slot 0 duration must exceed slot_guard")])
-    def test_slot_that_delivers_before_ready_exit_2_names_it(
-            self, tmp_path, capsys, slots, message):
-        cfg = write_cfg(tmp_path, GALLOP_SHORT + f"slots = {slots}\n")
-        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("variant", ["ble_baseline", "ideal"])
-    def test_slots_on_non_gallop_variant_exit_2(self, tmp_path, capsys, variant):
-        # overlapping too: a layout the link would not use
-        text = BLE_SHORT.replace("ble_baseline", variant) + \
-            "slots = forward, 0 ms, 1 ms; feedback, 0 ms, 1 ms\n"
-        cfg = write_cfg(tmp_path, text)
-        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "slots" in err and variant in err
-        assert "Traceback" not in err
+        assert err == (f"error: {cfg}:10: slots_per_superframe must be in [1, 1000],"
+                       " got 1001 (written: 1001)\n")
 
     def test_channel_listed_twice_exit_2_names_it(self, tmp_path, capsys):
         # one floor per channel: neither entry may win silently
@@ -520,6 +474,15 @@ class TestCmdSweep:
                      "--out", str(tmp_path / "o")]) == 2
         assert "parameter path" in capsys.readouterr().err
 
+    def test_removed_slot_layout_is_no_parameter_path(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, GALLOP_SHORT)
+        assert main(["sweep", str(cfg), "--param", "mac.slots",
+                     "--values", "0", "--seeds", "3",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown parameter path 'mac.slots'" in err
+        assert "Traceback" not in err
+
     def test_removed_integrator_gain_is_no_parameter_path(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, GALLOP_SHORT)
         assert main(["sweep", str(cfg), "--param", "gains.ki_tilt",
@@ -691,10 +654,8 @@ class TestNonFiniteValues:
 
 
 class TestOutOfRangeValues:
-    # the rows whose rule spans keys, or names a slot before "must", not
-    # the key
-    FILE_ONLY = ("slots = sideways, 0 ms, 1 ms; feedback, 1 ms, 1 ms",
-                 "channel_count = 14", "slot_guard = 1 ms", "episode_duration = 10000 s")
+    # the rows whose rule spans keys
+    FILE_ONLY = ("channel_count = 14", "slot_guard = 1 ms", "episode_duration = 10000 s")
 
     @pytest.mark.parametrize("section, entry, message", [
         ("scenario", "filter_alpha = 1.5", "filter_alpha must be in [0, 1], got 1.5"),
@@ -709,12 +670,10 @@ class TestOutOfRangeValues:
         ("mac", "channel_count = 0", "channel_count must be >= 1, got 0"),
         ("mac", "extra_delay = -1 ms", "extra_delay must be >= 0, got -0.001"),
         ("mac", "slot_guard = -1 us", "slot_guard must be >= 0, got -1e-06"),
-        ("mac", "slots = sideways, 0 ms, 1 ms; feedback, 1 ms, 1 ms",
-         "slot 0 has unknown direction 'sideways'"),
         # rules across keys: the default hop_increment is 7, the gallop cycle 2 ms
         ("mac", "channel_count = 14", "hop_increment 7 shares a factor with channel_count 14"),
         ("mac", "slot_guard = 1 ms",
-         "slot 0 duration must exceed slot_guard (0.001 s), got 0.001 s"),
+         "slot_duration 0.001 s must exceed slot_guard 0.001 s"),
         ("scenario", "episode_duration = 10000 s",
          "episode_duration / control_cycle must be at most 1000000 cycles, got 5e+06"),
     ])

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from telebalance.config import (
+    _ANNOTATION_KINDS,
+    _PARSERS,
     SCHEMA,
     SECTIONS,
     UNITS,
@@ -82,11 +84,6 @@ def quantity(draw, kind: str | None = None) -> str:
 def value_text(draw, kind: str) -> str:
     if kind == "text":
         return draw(st.sampled_from(["gallop", "ble_baseline", "ideal", "x"]))
-    if kind == "slots":
-        entries = draw(st.lists(st.tuples(
-            st.sampled_from(["forward", "feedback"]), quantity("duration"),
-            quantity("duration")), min_size=1, max_size=3))
-        return "; ".join(", ".join(e) for e in entries)
     if kind == "per_channel":
         entries = draw(st.lists(st.tuples(NUMBER, NUMBER), min_size=1, max_size=3))
         return ", ".join(f"{ch}:{p}" for ch, p in entries)
@@ -206,6 +203,15 @@ def test_every_schema_key_is_its_field_name(section):
     if SECTIONS[section] is None:
         names = [name for name in names if name not in SECTIONS.values()]
     assert list(SCHEMA[section]) == names
+
+
+def test_every_parser_and_annotation_kind_is_some_key_kind():
+    # SCHEMA reads each key's kind off _ANNOTATION_KINDS, and _PARSERS
+    # reads the values of a kind: an entry that no key uses is grammar a
+    # deleted key left behind
+    kinds = {kind for keys in SCHEMA.values() for kind in keys.values()}
+    assert set(_ANNOTATION_KINDS.values()) == kinds
+    assert set(_PARSERS) <= kinds
 
 
 def test_mac_without_clock_keys_loads_the_idealized_clock(tmp_path):

@@ -376,16 +376,15 @@ class TestLiftedLoop:
     # start: where the fit begins, once the modes below the dominant pair
     # have died out; the decaying gallop loop's next mode (0.979) is close.
     # The last two start where the model's next mode has fallen 1e-3 behind
-    # its dominant pair, rounded up to 50 ms: after 1.011 s on the custom
-    # layout (3.5 ms latency on its 2.5 ms cycle), 2.295 s at 4 ms (2 ms)
+    # its dominant pair, rounded up to 50 ms: after 1.919 s on three slots
+    # (2 ms latency on their 3 ms cycle), 2.295 s at 4 ms (2 ms)
     @pytest.mark.parametrize("mac, control_cycle, start_s", [
         (MacConfig(), None, 1.0),
         (MacConfig(extra_delay=1e-3), None, 0.1),
         (MacConfig(variant=BLE, ble_jitter_max=0.0), None, 0.15),
-        (MacConfig(slots=(("feedback", 0.0, 1e-3), ("forward", 1.5e-3, 1e-3))),
-         None, 1.05),
+        (MacConfig(slots_per_superframe=3), None, 1.95),
         (MacConfig(), 0.004, 2.3),
-    ], ids=["gallop", "gallop_plus_1ms", "ble_no_jitter", "custom_layout",
+    ], ids=["gallop", "gallop_plus_1ms", "ble_no_jitter", "three_slots",
             "gallop_4ms_cycle"])
     def test_engine_decays_at_the_lifted_radius(self, mac, control_cycle,
                                                 start_s):

@@ -293,26 +293,20 @@ class TestRunEpisode:
 @st.composite
 def lossless_links(draw):
     """(mac, control_cycle or None): a lossless link on the idealized clock,
-    its times in whole us; a custom layout holds 2-5 slots, one of each
-    direction at least, each after a gap of 0-1 ms."""
+    its times in whole us; a gallop superframe holds 2-6 slots, one of each
+    direction at least, of 200-1500 us, with a guard shorter than a slot."""
     extra = draw(st.integers(0, 3000)) * 1e-6
-    kind = draw(st.sampled_from([GALLOP, "custom", BLE]))
-    if kind == GALLOP:
+    if draw(st.sampled_from([GALLOP, BLE])) == GALLOP:
+        dur_us = draw(st.integers(200, 1500))
         mac = MacConfig(slots_per_superframe=draw(st.integers(2, 6)),
+                        slot_duration=dur_us * 1e-6,
+                        slot_guard=draw(st.integers(0, dur_us - 1)) * 1e-6,
                         extra_delay=extra)
-    elif kind == BLE:
+    else:
         mac = MacConfig(variant=BLE,
                         ble_connection_interval=draw(st.integers(7500, 15000)) * 1e-6,
                         ble_jitter_max=draw(st.integers(0, 5000)) * 1e-6,
                         extra_delay=extra)
-    else:
-        more = draw(st.lists(st.sampled_from([FORWARD, FEEDBACK]), max_size=3))
-        slots, end = [], 0
-        for direction in draw(st.permutations([FORWARD, FEEDBACK, *more])):
-            start = end + draw(st.integers(0, 1000))
-            end = start + draw(st.integers(200, 1500))
-            slots.append((direction, start * 1e-6, (end - start) * 1e-6))
-        mac = MacConfig(slots=tuple(slots), extra_delay=extra)
     cycle = draw(st.none() | st.integers(2000, 7000).map(lambda us: us * 1e-6))
     return mac, cycle
 
@@ -322,8 +316,7 @@ def lattice_latencies(mac, cycle, max_phases):
     transmits at every sample phase in the link's period, each BLE jitter
     draw at its least, then greatest."""
     lossless = ChannelProcess(ChannelModel())
-    period = (mac.superframe.span_ns if mac.variant == GALLOP
-              else round(mac.ble_connection_interval * 1e9))
+    period = mac.superframe.span_ns
     phases = range(0, period, math.gcd(round(cycle * 1e9), period))
     if len(phases) > max_phases:
         return None
@@ -391,13 +384,10 @@ class TestLatencyInterval:
         assert {1_900_005, 3_899_396} <= recorded
         assert (min(recorded), max(recorded)) == (1_900_005, 3_899_998)
 
-    @pytest.mark.parametrize("mac, missing", [
-        (MacConfig(slots=(("forward", 0.0, 1e-3),)), "feedback"),
-        (MacConfig(slots_per_superframe=1), "feedback"),
-        (MacConfig(slots=(("feedback", 0.0, 1e-3),)), "forward"),
-    ])
-    def test_a_layout_without_a_direction_is_rejected_by_name(self, mac, missing):
-        with pytest.raises(ValueError, match=f"no {missing} slot"):
+    def test_a_layout_without_a_direction_is_rejected_by_name(self):
+        # one slot a superframe: forward only
+        mac = MacConfig(slots_per_superframe=1)
+        with pytest.raises(ValueError, match="no feedback slot"):
             latency_interval(mac, mac.nominal_cycle)
 
     def test_ble_records_inside_the_interval(self):

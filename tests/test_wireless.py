@@ -19,7 +19,6 @@ from telebalance.wireless import (
     ChannelProcess,
     MacConfig,
     RobotClock,
-    build_superframe,
     check_channels_used,
     latency_interval,
     transmit,
@@ -46,7 +45,7 @@ def slot_table(superframe):
 
 class TestSuperframe:
     def test_default_layout_spans_two_slots(self):
-        sf = build_superframe(gallop_cfg())
+        sf = gallop_cfg().superframe
         assert sf.count == 2
         assert sf.span_ns == 2_000_000
         assert sf.by_direction == {FORWARD: ((0, 1_000_000, 0),),
@@ -54,7 +53,7 @@ class TestSuperframe:
         assert gallop_cfg().channel_base == {FORWARD: 0, FEEDBACK: 37}
 
     def test_forward_only_degenerate_layout(self):
-        sf = build_superframe(gallop_cfg(slots_per_superframe=1))
+        sf = gallop_cfg(slots_per_superframe=1).superframe
         assert sf.count == 1
         assert sf.span_ns == 1_000_000
         # feedback frames starve instead of erroring
@@ -63,59 +62,34 @@ class TestSuperframe:
                        np.random.default_rng(0))
         assert not out.delivered
 
-    def test_slot_starting_before_the_superframe_rejected_naming_it(self):
-        # with a 1 ms span, a forward frame ready at 5.5 ms would go out in
-        # the slot that ends at 5.0 ms
-        with pytest.raises(ValueError, match="slot 0 starts before the superframe"):
-            gallop_cfg(slots=((FORWARD, -2e-3, 1e-3), (FEEDBACK, 0.0, 1e-3)))
-
     def test_slot_not_longer_than_the_guard_rejected_naming_it(self):
         # a frame admitted slot_guard late would be delivered at or before
         # its ready time: with a 0.1 ms guard, a 50 us slot admits a frame
         # ready at 80 us
         for dur in (5e-5, 1e-4):
-            with pytest.raises(ValueError, match="slot 0 duration must exceed "
-                                                 "slot_guard"):
-                gallop_cfg(slots=((FORWARD, 0.0, dur), (FEEDBACK, 1e-3, 1e-3)))
-        gallop_cfg(slots=((FORWARD, 0.0, 1.01e-4), (FEEDBACK, 1e-3, 1e-3)))
-
-    def test_overlapping_slots_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            gallop_cfg(slots=((FORWARD, 0.0, 1e-3), (FEEDBACK, 0.5e-3, 1e-3)))
-
-    @pytest.mark.parametrize("start, duration", [
-        (math.inf, 1e-3), (0.0, math.inf), (math.nan, 1e-3), (0.0, math.nan)])
-    def test_non_finite_slot_time_names_slot(self, start, duration):
-        with pytest.raises(ValueError, match="slot 0 has a non-finite"):
-            gallop_cfg(slots=((FORWARD, start, duration), (FEEDBACK, 1e-3, 1e-3)))
-
-    def test_empty_slots_rejected_naming_slots(self):
-        with pytest.raises(ValueError, match="slots must hold 1 to 1000 slots, got 0"):
-            gallop_cfg(slots=())
-
-    @pytest.mark.parametrize("entry", [
-        (FEEDBACK, 1e-3, 1e-3, 1), (FEEDBACK, 1e-3), FEEDBACK, None,
-        (FEEDBACK, "x", 1e-3), (FEEDBACK, 1e-3, None), (FEEDBACK, 10**400, 1e-3)],
-        ids=["four_fields", "two_fields", "bare_direction", "none",
-             "text_start", "none_duration", "int_beyond_float"])
-    def test_malformed_slot_entry_rejected_naming_slots_and_index(self, entry):
-        # the old 4-field form and entries built in code with a start or a
-        # duration that is no number among them: no unpacking or conversion
-        # error escapes
-        with pytest.raises(ValueError, match=r"slots entry 1 must be \(direction, "
-                                             r"start_s, duration_s\)"):
-            gallop_cfg(slots=((FORWARD, 0.0, 1e-3), entry))
+            with pytest.raises(ValueError, match=f"slot_duration {dur!r} s must exceed "
+                                                 "slot_guard 0.0001 s"):
+                gallop_cfg(slot_duration=dur)
+        gallop_cfg(slot_duration=1.01e-4)
 
     def test_more_slots_than_a_superframe_holds_rejected_naming_slots(self):
-        # MAX_SLOTS bounds a custom layout as it bounds slots_per_superframe
-        def layout(n):
-            return tuple((FEEDBACK if i % 2 else FORWARD, i * 1e-3, 1e-3)
-                         for i in range(n))
+        # MAX_SLOTS bounds the slots transmit scans, and the bound itself is
+        # a valid layout
         for n in (MAX_SLOTS + 1, 1500):
-            with pytest.raises(ValueError, match=f"slots must hold 1 to "
-                                                 f"{MAX_SLOTS} slots, got {n}"):
-                gallop_cfg(slots=layout(n))
-        assert gallop_cfg(slots=layout(MAX_SLOTS)).superframe.count == MAX_SLOTS
+            with pytest.raises(ValueError, match=r"slots_per_superframe must be in "
+                                                 rf"\[1, {MAX_SLOTS}\], got {n}"):
+                gallop_cfg(slots_per_superframe=n)
+        assert gallop_cfg(slots_per_superframe=MAX_SLOTS).superframe.count == MAX_SLOTS
+
+    @pytest.mark.parametrize("dur, n, slot_ns, span_ns", [
+        (1.0000006e-3, 3, 1_000_001, 3_000_003),
+        (1.0000004e-3, 3, 1_000_000, 3_000_000)])
+    def test_a_duration_off_the_ns_grid_gives_equal_slots(self, dur, n, slot_ns, span_ns):
+        # every slot is the duration rounded to whole ns: neither the
+        # refusal of two slots that overlap by 1 ns nor a 1 ns gap
+        sf = gallop_cfg(slot_duration=dur, slots_per_superframe=n).superframe
+        assert slot_table(sf) == [(k * slot_ns, (k + 1) * slot_ns, k) for k in range(n)]
+        assert sf.span_ns == span_ns
 
     @pytest.mark.parametrize("key, value", [
         ("slot_duration", 1e-12), ("sync_epoch_period", 1e-12),
@@ -123,13 +97,13 @@ class TestSuperframe:
     def test_period_below_1_ns_or_slot_count_above_bound_names_key(
             self, key, value):
         # a 0 ns slot or sync period never advances the event clock, and
-        # build_superframe lays out every slot
+        # MacConfig lays out every slot
         with pytest.raises(ValueError, match=f"{key} must be"):
             gallop_cfg(**{key: value})
 
     def test_tdma_slots_pairwise_disjoint(self):
         for n in (1, 2, 4, 6):
-            table = slot_table(build_superframe(gallop_cfg(slots_per_superframe=n)))
+            table = slot_table(gallop_cfg(slots_per_superframe=n).superframe)
             assert len(table) == n
             for i in range(len(table)):
                 for j in range(i + 1, len(table)):
@@ -188,18 +162,16 @@ class TestHopping:
         assert {ch for ch, _ in hops(cfg, FORWARD, readies)} == set(range(count))
 
     @settings(max_examples=60, deadline=None)
-    @given(count=st.integers(1, 12), inc=st.integers(1, 12),
-           forward=st.lists(st.booleans(), min_size=1, max_size=6))
+    @given(count=st.integers(1, 12), inc=st.integers(1, 12), n=st.integers(1, 6),
+           dur_us=st.integers(101, 1000))
     def test_channel_rule_accepts_exactly_the_channels_transmit_uses(
-            self, count, inc, forward):
+            self, count, inc, n, dur_us):
         inc = next(i for i in range(inc, inc + count + 1) if math.gcd(i, count) == 1)
-        n = len(forward)
-        cfg = gallop_cfg(channel_count=count, hop_increment=inc, slots=tuple(
-            (FORWARD if fwd else FEEDBACK, i * 1e-3, 1e-3)
-            for i, fwd in enumerate(forward)))
+        cfg = gallop_cfg(channel_count=count, hop_increment=inc,
+                         slots_per_superframe=n, slot_duration=dur_us * 1e-6)
         # a frame ready at each slot start over count superframes meets every
         # (superframe mod count, slot) pair, so every channel the law reaches
-        readies = [k * 1_000_000 for k in range(n * count)]
+        readies = [k * dur_us * 1000 for k in range(n * count)]
         used = {ch for d in (FORWARD, FEEDBACK) for ch, _ in hops(cfg, d, readies)}
         accepted = set()
         for ch in range(-1, 2 * count + 1):
@@ -308,23 +280,9 @@ class CountingRng:
         return self._rng.random()
 
 
-@st.composite
-def slot_layouts(draw):
-    """Valid custom layouts in whole microseconds, listed in any order;
-    one direction may have no slot at all."""
-    slots, t_us = [], 0
-    for _ in range(draw(st.integers(1, 5))):
-        t_us += draw(st.integers(0, 300))
-        dur_us = draw(st.integers(1, 1000))
-        direction = draw(st.sampled_from([FORWARD, FEEDBACK]))
-        slots.append((direction, t_us * 1e-6, dur_us * 1e-6))
-        t_us += dur_us
-    return tuple(draw(st.permutations(slots)))
-
-
 # (direction, superframe, slot position, slot edge, lands at the guard, ns off)
 frame_readies = st.tuples(st.sampled_from([FORWARD, FEEDBACK]),
-                          st.integers(0, 3), st.integers(0, 4),
+                          st.integers(0, 3), st.integers(0, 5),
                           st.sampled_from([0, 1]), st.booleans(),
                           st.integers(-2, 2))
 
@@ -334,23 +292,26 @@ class TestGallopSlotTable:
                          p_bad_to_good=0.4, loss_bad=0.9)
 
     @settings(max_examples=200, deadline=None)
-    @given(layout=slot_layouts(),
+    @given(n=st.integers(1, 6), dur_us=st.integers(1, 1000),
            guard_frac=st.sampled_from([0.0, 0.001, 0.05, 0.1, 0.9, 0.999]),
            hop=st.sampled_from([(37, 7), (5, 2), (1, 1)]),
            extra=st.sampled_from([0.0, 3e-3]),
            readies=st.lists(frame_readies, min_size=1, max_size=6),
            seed=st.integers(0, 2**16),
            model=st.sampled_from([LOSSY, LOSSLESS]))
-    def test_transmit_matches_brute_force_slot_search(self, layout, guard_frac,
+    def test_transmit_matches_brute_force_slot_search(self, n, dur_us, guard_frac,
                                                       hop, extra, readies, seed,
                                                       model):
-        # a guard below the layout's shortest slot, down to 0
-        guard = math.floor(guard_frac * min(d for _, _, d in layout) * 1e9) * 1e-9
+        # a guard below the slot, down to 0
+        guard = math.floor(guard_frac * dur_us * 1000) * 1e-9
         count, increment = hop
-        cfg = gallop_cfg(slots=layout, slot_guard=guard,
-                         channel_count=count, hop_increment=increment,
-                         extra_delay=extra)
-        sf = build_superframe(cfg)
+        cfg = gallop_cfg(slots_per_superframe=n, slot_duration=dur_us * 1e-6,
+                         slot_guard=guard, channel_count=count,
+                         hop_increment=increment, extra_delay=extra)
+        # gallop's layout as the oracle reads it: alternating from forward
+        layout = [(FEEDBACK if i % 2 else FORWARD, i * dur_us * 1e-6, dur_us * 1e-6)
+                  for i in range(n)]
+        sf = cfg.superframe
         table = slot_table(sf)
         guard_ns = round(guard * 1e9)
         procs = ChannelProcess(model), ChannelProcess(model)
@@ -383,22 +344,15 @@ class TestGallopSlotTable:
 
 @st.composite
 def free_links(draw) -> dict:
-    """MacConfig keywords of any variant, with a free custom layout (slots
-    may start before 0 or be shorter than the guard), guard, delay and
+    """MacConfig keywords of any variant, with a free slot count, slot
+    duration (which may be no longer than the guard), guard, delay and
     jitter; construction may reject them."""
-    kw = dict(variant=draw(st.sampled_from([GALLOP, BLE, IDEAL])),
-              slot_guard=draw(st.sampled_from([0.0, 1e-6, 5e-5, 1e-4, 9e-4])),
-              extra_delay=draw(st.sampled_from([0.0, 1e-9, 3e-3])),
-              ble_jitter_max=draw(st.sampled_from([0.0, 2e-3, 0.02])))
-    if kw["variant"] == GALLOP and draw(st.booleans()):
-        slots, t_us = [], draw(st.integers(-500, 500))
-        for _ in range(draw(st.integers(1, 4))):
-            direction = draw(st.sampled_from([FORWARD, FEEDBACK]))
-            dur_us = draw(st.integers(1, 1000))
-            slots.append((direction, t_us * 1e-6, dur_us * 1e-6))
-            t_us += dur_us + draw(st.integers(0, 300))
-        kw["slots"] = tuple(slots)
-    return kw
+    return dict(variant=draw(st.sampled_from([GALLOP, BLE, IDEAL])),
+                slots_per_superframe=draw(st.integers(1, 6)),
+                slot_duration=draw(st.integers(1, 1000)) * 1e-6,
+                slot_guard=draw(st.sampled_from([0.0, 1e-6, 5e-5, 1e-4, 9e-4])),
+                extra_delay=draw(st.sampled_from([0.0, 1e-9, 3e-3])),
+                ble_jitter_max=draw(st.sampled_from([0.0, 2e-3, 0.02])))
 
 
 class TestDeliveryAfterReady:
@@ -409,12 +363,10 @@ class TestDeliveryAfterReady:
                             min_size=1, max_size=8),
            seed=st.integers(0, 2**16),
            model=st.sampled_from([LOSSLESS, TestGallopSlotTable.LOSSY]))
-    # a slot that starts before the superframe, and one no longer than the
-    # 0.1 ms guard
-    @example(kw=dict(slots=((FORWARD, -2e-3, 1e-3), (FEEDBACK, 0.0, 1e-3))),
-             readies=[5_500_000], seed=0, model=LOSSLESS)
-    @example(kw=dict(slots=((FORWARD, 0.0, 5e-5), (FEEDBACK, 1e-3, 1e-3))),
-             readies=[80_000, 100_000], seed=0, model=LOSSLESS)
+    # a slot 1 ns longer than the 0.1 ms guard, with frames ready at the
+    # guard and 1 ns past it
+    @example(kw=dict(slot_duration=1.00001e-4), readies=[100_000, 100_001],
+             seed=0, model=LOSSLESS)
     def test_every_frame_arrives_after_it_was_ready(self, kw, readies, seed,
                                                     model):
         try:
@@ -512,10 +464,8 @@ class TestIdealTransmit:
         assert out == (ready + 1 + extra_us * 1000, None, None)
 
 
-CUSTOM_3MS = ((FORWARD, 0.0, 3e-3), (FEEDBACK, 3e-3, 3e-3))
 # README's table of the [mac] keys each variant ignores, each set to a value
-# that the keys the variant reads would refuse; a slot_guard of 2 ms on the
-# 3 ms custom layout is past the default slot_duration
+# that the keys the variant reads would refuse
 IGNORED_KEYS = [
     (dict(variant=GALLOP), "ble_connection_interval", 20e-3),
     (dict(variant=GALLOP), "ble_jitter_max", 5e-3),
@@ -529,8 +479,6 @@ IGNORED_KEYS = [
     (dict(variant=IDEAL), "ble_jitter_max", 5e-3),
     (dict(variant=IDEAL), "channel_count", 5),
     (dict(variant=IDEAL), "hop_increment", 2),
-    (dict(slots=CUSTOM_3MS, slot_guard=2e-3), "slot_duration", 5e-5),
-    (dict(slots=CUSTOM_3MS, slot_guard=2e-3), "slots_per_superframe", 7),
 ]
 
 
@@ -552,7 +500,7 @@ class TestIgnoredKeys:
         return derived, outs, latency_interval(mac, mac.nominal_cycle)
 
     @pytest.mark.parametrize("link, key, value", IGNORED_KEYS,
-                             ids=[f"{kw.get('variant', 'custom')}-{key}"
+                             ids=[f"{kw['variant']}-{key}"
                                   for kw, key, _ in IGNORED_KEYS])
     def test_an_ignored_key_changes_nothing(self, link, key, value):
         mac = MacConfig(**link)
@@ -560,7 +508,7 @@ class TestIgnoredKeys:
 
     def test_a_guard_admits_a_frame_in_any_slot_longer_than_it(self):
         # the 3 ms forward slot takes a frame 2 ms late, not one 1 ns later
-        cfg = gallop_cfg(slots=CUSTOM_3MS, slot_guard=2e-3)
+        cfg = gallop_cfg(slot_duration=3e-3, slot_guard=2e-3)
         outs = [transmit(cfg, ChannelProcess(LOSSLESS), FORWARD, ready,
                          np.random.default_rng(0)).deliver_ns
                 for ready in (2_000_000, 2_000_001)]
