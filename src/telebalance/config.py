@@ -17,7 +17,7 @@ Format example::
 SECTIONS gives the ScenarioConfig field each section fills; SCHEMA reads
 each key off that field's dataclass, one key per field, and the key's kind
 off the field's annotation: Seconds a duration, Radians an angle, int an
-integer, float a number, str text. Unknown sections,
+integer, float a number, str text, kept as written. Unknown sections,
 unknown or duplicate keys and malformed values are hard errors with a line
 diagnostic, never silently ignored. A quantity is a number, optional
 whitespace, then a unit of the key's kind: s, ms or us for a duration, rad
@@ -37,7 +37,7 @@ from pathlib import Path
 from .control import DEFAULT_FILTER_ALPHA, DEFAULT_GAINS, ControllerGains
 from .plant import (DEFAULT_FALL_THRESHOLD, PlantParams, Radians, Seconds, SensorNoise,
                     _ns, check_finite, check_range)
-from .wireless import BLE, GALLOP, IDEAL, ChannelModel, MacConfig, check_channels_used
+from .wireless import BLE, GALLOP, IDEAL, ChannelModel, MacConfig
 
 # default IMU noise for scenarios; roughly a consumer-grade gyro (0.11 deg/s)
 # and accelerometer-derived tilt (0.29 deg)
@@ -84,7 +84,6 @@ class ScenarioConfig:
             raise ValueError(f"fall_threshold must be positive, got {self.fall_threshold!r}")
         check_range(self, ("filter_alpha",), 0, 1)
         check_range(self, ("seed",), 0)
-        check_channels_used(self.mac, (ch for ch, _ in self.channel.per_channel))
         # compare names a file in --out, a CSV field and a quoted gnuplot
         # string after the label
         if not self.label or re.search(r"[/\\,'\"\x00-\x1f\x7f-\x9f]", self.label):
@@ -151,20 +150,6 @@ def parse_quantity(kind: str, text: str, bare_is_base: bool = False) -> float | 
     raise ValueError(f"expected {expected}, got {text!r}")
 
 
-def parse_per_channel(text: str) -> tuple:
-    """Static loss overrides: 'channel:prob, channel:prob'."""
-    out = []
-    for entry in text.split(","):
-        ch, _, p = entry.partition(":")
-        if not p:
-            raise ValueError(f"expected 'channel:probability', got {entry.strip()!r}")
-        out.append((int(ch.strip()), float(p.strip())))
-    return tuple(out)
-
-
-# kinds read by a parser of their own; every other kind is a UNITS quantity
-_PARSERS = {"text": str, "per_channel": parse_per_channel}
-
 # section -> the ScenarioConfig field it fills; [scenario] keys are
 # ScenarioConfig's own fields
 SECTIONS: dict[str, str | None] = {"scenario": None, "plant": "plant", "noise": "noise",
@@ -174,7 +159,7 @@ SECTIONS: dict[str, str | None] = {"scenario": None, "plant": "plant", "noise": 
 # a field's annotation, less any ' | None' -> its key's kind; an annotation
 # outside this table fails the import
 _ANNOTATION_KINDS = {"Seconds": "duration", "Radians": "angle", "int": "integer",
-                     "float": "number", "str": "text", "ChannelFloors": "per_channel"}
+                     "float": "number", "str": "text"}
 
 
 def _section_fields(field: str | None) -> tuple:
@@ -281,8 +266,8 @@ def _read_sections(path: Path) -> tuple[dict[str, dict[str, object]], dict]:
             written[key] = None if key in written else (lineno, value)
             kind = SCHEMA[current][key]
             try:
-                sections[current][key] = _PARSERS[kind](value) \
-                    if kind in _PARSERS else parse_quantity(kind, value)
+                sections[current][key] = value if kind == "text" \
+                    else parse_quantity(kind, value)
             except ValueError as exc:
                 raise ValueError(f"bad value for {key!r}: {exc}") from exc
     except ValueError as exc:

@@ -18,7 +18,7 @@ admit_ns before it is ready, and arrives at that slot's end.
                isolating the control loop from the network).
 
 Channel impairments are per-channel Gilbert-Elliott chains (good/bad
-burst states) composed with an optional static per-channel loss floor.
+burst states) composed with one static loss floor for every channel.
 ChannelProcess.lost is the one loss decision, for a BLE event and a gallop
 slot alike: it advances the chain lazily by the analytic n-step transition
 law (one uniform draw), then draws the loss; a channel that cannot lose a
@@ -51,9 +51,6 @@ BLE_MIN_INTERVAL_S = 0.0075
 # slots for each frame
 MAX_SLOTS = 1000
 
-# the one key a config file writes in a grammar of its own
-ChannelFloors = tuple  # ((channel, loss probability), ...)
-
 
 @dataclass(frozen=True)
 class MacConfig:
@@ -83,7 +80,7 @@ class MacConfig:
     def __post_init__(self) -> None:
         check_finite(self)
         if self.variant not in (GALLOP, BLE, IDEAL):
-            raise ValueError(f"unknown mac variant {self.variant!r}")
+            raise ValueError(f"variant must be one of {GALLOP}, {BLE}, {IDEAL}, got {self.variant!r}")
         # event times are whole ns: a shorter slot or sync period is 0 ns long
         if _ns(self.slot_duration) <= 0:
             raise ValueError(f"slot_duration must be at least 1 ns, got {self.slot_duration!r} s")
@@ -94,12 +91,14 @@ class MacConfig:
                 f"hop_increment {self.hop_increment} shares a factor with "
                 f"channel_count {self.channel_count}")
         if self.ble_connection_interval < BLE_MIN_INTERVAL_S:
-            raise ValueError("ble_connection_interval must be >= 7.5 ms")
+            raise ValueError("ble_connection_interval must be >= 7.5 ms, "
+                             f"got {self.ble_connection_interval!r} s")
         # gallop checks below that its slots outlast slot_guard
         check_range(self, ("ble_jitter_max", "extra_delay", "slot_guard",
                            "sync_error_bound"), 0)
         if _ns(self.sync_epoch_period) <= 0:
-            raise ValueError("sync_epoch_period must be at least 1 ns")
+            raise ValueError("sync_epoch_period must be at least 1 ns, "
+                             f"got {self.sync_epoch_period!r} s")
         # a stopped or reversed clock never samples, a racing one every few ns
         if not -1e6 < self.clock_drift_ppm < 1e6:
             raise ValueError(f"clock_drift_ppm must be in (-1e6, 1e6), got {self.clock_drift_ppm!r}")
@@ -148,14 +147,14 @@ class Superframe(NamedTuple):
 class ChannelModel:
     """Loss process parameters; probabilities all in [0, 1].
 
-    Per transmission the loss probability composes a static per-channel
-    floor with the Gilbert-Elliott state-dependent loss:
-        p = 1 - (1 - static) * (1 - ge_state_loss)
+    Per transmission the loss probability composes the static floor
+    default_loss, the same on every channel, with the Gilbert-Elliott
+    state-dependent loss of the channel's own chain:
+        p = 1 - (1 - default_loss) * (1 - ge_state_loss)
     Defaults are lossless (good state is perfect and never left).
     """
 
     default_loss: float = 0.0
-    per_channel: ChannelFloors = ()
     p_good_to_bad: float = 0.0
     p_bad_to_good: float = 1.0
     loss_good: float = 0.0
@@ -165,14 +164,6 @@ class ChannelModel:
         check_finite(self)
         check_range(self, ("default_loss", "p_good_to_bad", "p_bad_to_good",
                            "loss_good", "loss_bad"), 0, 1)
-        for ch, p in self.per_channel:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"per_channel must be in [0, 1], got {p!r} on channel {ch}")
-        channels = [ch for ch, _ in self.per_channel]
-        for i, ch in enumerate(channels):
-            if ch in channels[:i]:
-                raise ValueError("per_channel must list each channel once, "
-                                 f"got channel {ch} twice")
 
     def stationary_loss_rate(self) -> float:
         """Long-run Gilbert-Elliott loss rate (ignores the static floor)."""
@@ -196,15 +187,12 @@ class ChannelProcess:
         self.model = model
         # channel -> (in the bad state, slot index of its last use)
         self._chain: dict[int, tuple[bool, int]] = {}
-        # channel -> its static loss floor; default_loss for any other
-        self._static = dict(model.per_channel)
         # n-step law: P(state changes) = pi_other * (1 - (1 - s)^n)
         self._s = model.p_good_to_bad + model.p_bad_to_good
         self._pi_bad = model.p_good_to_bad / self._s if self._s else 0.0
         # no draw can lose a frame: every loss probability it could meet is 0
         self.lossless = not (
             model.default_loss or model.loss_good
-            or any(self._static.values())
             or (model.p_good_to_bad and model.loss_bad))
 
     def lost(self, channel: int, slot_index: int, rng: np.random.Generator) -> bool:
@@ -222,8 +210,7 @@ class ChannelProcess:
             bad = not bad
         self._chain[channel] = (bad, slot_index)
         ge = self.model.loss_bad if bad else self.model.loss_good
-        static = self._static.get(channel, self.model.default_loss)
-        return 1.0 - (1.0 - static) * (1.0 - ge) > rng.random()
+        return 1.0 - (1.0 - self.model.default_loss) * (1.0 - ge) > rng.random()
 
 
 class DeliveryOutcome(NamedTuple):
@@ -310,24 +297,6 @@ def latency_interval(mac: MacConfig, cycle: float) -> tuple[int, int]:
                 latencies.append(
                     transmit(mac, lossless, FEEDBACK, ready, None, jitter)[0] - sample)
     return min(latencies), max(latencies)
-
-
-def check_channels_used(cfg: MacConfig, channels) -> None:
-    """Reject a loss floor on a channel transmit never uses. By its channel
-    law, a direction at slot positions P of a count-slot table uses
-    base + j, 0 <= j < channel_count, exactly when j % g is in
-    {p * hop_increment % g for p in P}, with g = gcd(count, channel_count).
-    The ideal link has no channel base, so takes any floor."""
-    n, sf = cfg.channel_count, cfg.superframe
-    g = math.gcd(sf.count, n)
-    used = {base: {p * cfg.hop_increment % g for _, _, p in sf.by_direction[d]}
-            for d, base in cfg.channel_base.items()}
-    for ch in channels:
-        if used and not any(0 <= ch - b < n and (ch - b) % g in r for b, r in used.items()):
-            ranges = " and ".join(f"{b}-{b + n - 1}" + f" (offset % {g} in {sorted(r)})"
-                                  * (g > 1) for b, r in used.items() if r)
-            raise ValueError(f"per_channel channel {ch} is never used: "
-                             f"{cfg.variant} uses channels {ranges}")
 
 
 class RobotClock:

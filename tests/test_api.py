@@ -1,6 +1,7 @@
 """The documented library API: every name that an import line in README.md
-takes from telebalance must import, and every sweep path the README names
-must resolve, so the README's examples cannot break unnoticed. The names
+takes from telebalance must import, every sweep path the README names
+must resolve, and every config line it shows must parse, so the README's
+examples cannot break unnoticed. The names
 the benchmark's layer tracer wraps must stay module globals of the engine,
 and what the benchmark reads of an episode must stay readable."""
 
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from telebalance import plant, sim
-from telebalance.config import SCHEMA, load_scenario, set_by_path
+from telebalance.config import SCHEMA, _read_sections, load_scenario, set_by_path
 
 README = Path(__file__).parent.parent / "README.md"
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
@@ -27,6 +28,9 @@ SPANS = PERFBENCH / "spans.py"
 IMPORT_RE = re.compile(r"^\s*from (telebalance[\w.]*) import (.+)$", re.MULTILINE)
 # a config-file 'section.key' name, as --param takes it or quoted in backticks
 PARAM_RE = re.compile(r"(?:--param |`)((?:%s)\.\w+)" % "|".join(SCHEMA))
+FENCE_RE = re.compile(r"^```\w*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+# a config line quoted inline, such as `channel_count = 36`
+INLINE_SETTING_RE = re.compile(r"`(\w+) = ([^`]+)`")
 
 
 def documented_imports() -> list[tuple[str, str]]:
@@ -77,6 +81,42 @@ def test_readme_param_path_resolves(config_dir, path):
     cfg = load_scenario(config_dir / "gallop_default.cfg")
     value = 2 if set_by_path(cfg, path, 1) == cfg else 1
     assert set_by_path(cfg, path, value) != cfg
+
+
+def documented_settings() -> list[tuple[str | None, str, str]]:
+    """(section, key, value) of each 'key = value' line README.md shows: in
+    a fenced block under a [section] line, or inline in backticks, with the
+    section None."""
+    text = README.read_text(encoding="utf-8")
+    found = []
+    for block in FENCE_RE.findall(text):
+        section = None
+        for line in map(str.strip, block.splitlines()):
+            if re.fullmatch(r"\[\w+\]", line):
+                section = line[1:-1]
+            elif section and "=" in line and not line.startswith("#"):
+                key, _, value = (part.strip() for part in line.partition("="))
+                found.append((section, key, value))
+    return found + [(None, key, value.strip())
+                    for key, value in INLINE_SETTING_RE.findall(text)]
+
+
+def test_readme_shows_config_lines():
+    # the fenced example and an inline line both reach the check below
+    assert {("mac", "variant", "gallop"), (None, "channel_count", "36")} \
+        <= set(documented_settings())
+
+
+@pytest.mark.parametrize("section, key, value", documented_settings())
+def test_readme_config_line_parses(tmp_path, section, key, value):
+    # an inline line names no section: it goes in the one with its key
+    if section is None:
+        section = next((name for name, keys in SCHEMA.items() if key in keys), None)
+        assert section, f"{key!r} is no key of any section"
+    # the config reader checks the key and reads the value by its kind
+    path = tmp_path / "line.cfg"
+    path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+    assert key in _read_sections(path)[0][section]
 
 
 def test_every_traced_seam_is_an_engine_global():

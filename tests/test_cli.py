@@ -113,6 +113,9 @@ class TestConfigParsing:
         # so was the custom slot layout: gallop runs one layout
         ("[mac]\nvariant = gallop\nslots = forward, 0 ms, 1 ms; feedback, 1 ms, 1 ms\n", 3,
          "unknown key 'slots' in [mac]"),
+        # and the per-channel loss floor: every channel takes default_loss
+        ("[loss]\ndefault_loss = 0.1\nper_channel = 3:0.1\n", 3,
+         "unknown key 'per_channel' in [loss]"),
     ])
     def test_every_rejection_names_path_and_line(self, tmp_path, capsys, text, line,
                                                  message):
@@ -214,44 +217,6 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err == (f"error: {cfg}:10: slots_per_superframe must be in [1, 1000],"
                        " got 1001 (written: 1001)\n")
-
-    def test_channel_listed_twice_exit_2_names_it(self, tmp_path, capsys):
-        # one floor per channel: neither entry may win silently
-        cfg = write_cfg(tmp_path, GALLOP_SHORT + "\n[loss]\nper_channel = 3:0.1, 3:0.5\n")
-        out = tmp_path / "o"
-        assert main(["run", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        # a rule on the one key: its line, 12, and the value as written
-        assert err == (f"error: {cfg}:12: per_channel must list each channel"
-                       " once, got channel 3 twice (written: 3:0.1, 3:0.5)\n")
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("text, used", [
-        (GALLOP_SHORT, "gallop uses channels 0-36 and 37-73"),
-        (BLE_SHORT, "ble_baseline uses channels 0-36")])
-    def test_loss_floor_on_an_unused_channel_exit_2_names_the_range(
-            self, tmp_path, capsys, text, used):
-        cfg = write_cfg(tmp_path, text + "\n[loss]\nper_channel = 3:0.1, 500:1.0\n")
-        out = tmp_path / "o"
-        assert main(["run", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"per_channel channel 500 is never used: {used}" in err
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("channel", [1, 36])
-    def test_loss_floor_on_a_channel_the_hop_skips_exit_2_names_it(
-            self, tmp_path, capsys, channel):
-        # on 36 channels the 2-slot gallop link hops over every other one
-        cfg = write_cfg(tmp_path, GALLOP_SHORT + "channel_count = 36\n"
-                        f"\n[loss]\nper_channel = 0:0.1, {channel}:1.0\n")
-        out = tmp_path / "o"
-        assert main(["run", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"per_channel channel {channel} is never used" in err
-        assert "Traceback" not in err
-        assert not out.exists()
 
     def test_clock_a_million_times_fast_exit_2(self, tmp_path, capsys, monkeypatch):
         # rejected as the config loads: an episode at this drift would not finish
@@ -483,6 +448,15 @@ class TestCmdSweep:
         assert "unknown parameter path 'mac.slots'" in err
         assert "Traceback" not in err
 
+    def test_removed_loss_floor_is_no_parameter_path(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, GALLOP_SHORT)
+        assert main(["sweep", str(cfg), "--param", "loss.per_channel",
+                     "--values", "0.1", "--seeds", "3",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown parameter path 'loss.per_channel'" in err
+        assert "Traceback" not in err
+
     def test_removed_integrator_gain_is_no_parameter_path(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, GALLOP_SHORT)
         assert main(["sweep", str(cfg), "--param", "gains.ki_tilt",
@@ -660,16 +634,16 @@ class TestOutOfRangeValues:
     @pytest.mark.parametrize("section, entry, message", [
         ("scenario", "filter_alpha = 1.5", "filter_alpha must be in [0, 1], got 1.5"),
         ("scenario", "filter_alpha = -0.5", "filter_alpha must be in [0, 1], got -0.5"),
-        ("loss", "per_channel = 3 0.1",
-         "'per_channel': expected 'channel:probability', got '3 0.1'"),
-        ("loss", "per_channel = 0:0.1, 3:1.5",
-         "per_channel must be in [0, 1], got 1.5 on channel 3"),
         ("loss", "loss_bad = 1.5", "loss_bad must be in [0, 1], got 1.5"),
         ("noise", "accel_noise_std = -0.1", "accel_noise_std must be >= 0, got -0.1"),
         ("plant", "viscous_friction = -1e-5", "viscous_friction must be >= 0, got -1e-05"),
         ("mac", "channel_count = 0", "channel_count must be >= 1, got 0"),
         ("mac", "extra_delay = -1 ms", "extra_delay must be >= 0, got -0.001"),
         ("mac", "slot_guard = -1 us", "slot_guard must be >= 0, got -1e-06"),
+        ("mac", "variant = foo", "variant must be one of gallop, ble_baseline, ideal, got 'foo'"),
+        ("mac", "ble_connection_interval = 5 ms",
+         "ble_connection_interval must be >= 7.5 ms, got 0.005 s"),
+        ("mac", "sync_epoch_period = 0 s", "sync_epoch_period must be at least 1 ns, got 0.0 s"),
         # rules across keys: the default hop_increment is 7, the gallop cycle 2 ms
         ("mac", "channel_count = 14", "hop_increment 7 shares a factor with channel_count 14"),
         ("mac", "slot_guard = 1 ms",
@@ -679,7 +653,9 @@ class TestOutOfRangeValues:
     ])
     def test_config_value_exit_2_names_key_and_value(self, tmp_path, capsys,
                                                      section, entry, message):
-        text = "[mac]\nvariant = gallop\n"
+        # the gallop link, unless the row writes its own variant
+        text = "[mac]\n" if entry.startswith("variant ") else "[mac]\nvariant = gallop\n"
+        line = text.count("\n") + 1 if section == "mac" else 5
         text += f"{entry}\n" if section == "mac" else f"\n[{section}]\n{entry}\n"
         cfg = write_cfg(tmp_path, text)
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -688,7 +664,6 @@ class TestOutOfRangeValues:
         assert "Traceback" not in err
         # a rule on one key gives the key's line and the value as written, a
         # parse error its line, a FILE_ONLY row the file alone
-        line = 3 if section == "mac" else 5
         if entry in self.FILE_ONLY:
             assert err == f"error: {cfg}: {message}\n"
         elif message.startswith("'"):

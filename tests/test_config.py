@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from telebalance.config import (
     _ANNOTATION_KINDS,
-    _PARSERS,
     SCHEMA,
     SECTIONS,
     UNITS,
@@ -18,12 +17,11 @@ from telebalance.config import (
     ScenarioConfig,
     ble_scenario,
     gallop_scenario,
-    ideal_scenario,
     load_scenario,
     parse_sweep_values,
 )
 from telebalance.control import DEFAULT_GAINS
-from telebalance.wireless import ChannelModel, MacConfig
+from telebalance.wireless import MacConfig
 
 NUMERIC_ANNOTATIONS = ("int", "float", "float | None", "Seconds", "Seconds | None",
                        "Radians")
@@ -84,9 +82,6 @@ def quantity(draw, kind: str | None = None) -> str:
 def value_text(draw, kind: str) -> str:
     if kind == "text":
         return draw(st.sampled_from(["gallop", "ble_baseline", "ideal", "x"]))
-    if kind == "per_channel":
-        entries = draw(st.lists(st.tuples(NUMBER, NUMBER), min_size=1, max_size=3))
-        return ", ".join(f"{ch}:{p}" for ch, p in entries)
     return draw(quantity(kind))
 
 
@@ -145,55 +140,6 @@ def test_a_billion_cycles_rejected_at_construction_naming_both_keys():
                        mac=MacConfig(variant="ideal"))
 
 
-@pytest.mark.parametrize("make, channel, used", [
-    (gallop_scenario, 500, "gallop uses channels 0-36 and 37-73"),
-    (gallop_scenario, -1, "gallop uses channels 0-36 and 37-73"),
-    (ble_scenario, 40, "ble_baseline uses channels 0-36"),
-    (ble_scenario, 37, "ble_baseline uses channels 0-36")])
-def test_loss_floor_on_a_channel_the_link_never_uses_rejected(make, channel, used):
-    # the floor could not take effect: no frame is ever sent on that channel
-    with pytest.raises(ValueError, match=f"per_channel channel {channel} "
-                                         f"is never used: {used}"):
-        make(channel=ChannelModel(per_channel=((3, 0.1), (channel, 0.5))))
-
-
-@pytest.mark.parametrize("make, channel", [
-    (gallop_scenario, 0), (gallop_scenario, 40), (gallop_scenario, 73),
-    (ble_scenario, 0), (ble_scenario, 36), (ideal_scenario, 500)])
-def test_loss_floor_on_a_channel_the_link_uses_accepted(make, channel):
-    # the ideal link reads no [loss] key, like any key a variant does not read
-    floors = ((channel, 0.5),)
-    assert make(channel=ChannelModel(per_channel=floors)).channel.per_channel \
-        == floors
-
-
-@pytest.mark.parametrize("channel, used", [(0, True), (37, True), (1, False),
-                                           (36, False)])
-def test_loss_floor_on_a_channel_the_hop_skips_rejected(channel, used):
-    # 36 channels and a 2-slot superframe share the factor 2: forward frames
-    # hop over 0, 2, ..., 34 only, feedback frames over 37, 39, ..., 71
-    mac = MacConfig(channel_count=36, hop_increment=7)
-    floors = ChannelModel(per_channel=((channel, 0.5),))
-    if used:
-        assert gallop_scenario(mac=mac, channel=floors).channel == floors
-    else:
-        with pytest.raises(ValueError, match=(
-                f"per_channel channel {channel} is never used: gallop uses "
-                r"channels 0-35 \(offset % 2 in \[0\]\) and 36-71 \(offset % 2 in \[1\]\)")):
-            gallop_scenario(mac=mac, channel=floors)
-
-
-def test_loss_floor_follows_the_gallop_bands():
-    # FDD by construction: forward frames use channels 0 to channel_count - 1,
-    # feedback frames the next channel_count
-    mac = MacConfig(channel_count=5, hop_increment=2)
-    floors = tuple((ch, 0.5) for ch in range(10))
-    assert gallop_scenario(mac=mac, channel=ChannelModel(per_channel=floors))
-    with pytest.raises(ValueError, match="per_channel channel 10 is never used: "
-                                         "gallop uses channels 0-4 and 5-9"):
-        gallop_scenario(mac=mac, channel=ChannelModel(per_channel=((10, 0.5),)))
-
-
 @pytest.mark.parametrize("section", SECTIONS)
 def test_every_schema_key_is_its_field_name(section):
     # a key sets the field of its own name, and every field of a section's
@@ -206,12 +152,13 @@ def test_every_schema_key_is_its_field_name(section):
 
 
 def test_every_parser_and_annotation_kind_is_some_key_kind():
-    # SCHEMA reads each key's kind off _ANNOTATION_KINDS, and _PARSERS
-    # reads the values of a kind: an entry that no key uses is grammar a
-    # deleted key left behind
+    # SCHEMA reads each key's kind off _ANNOTATION_KINDS, and the reader
+    # keeps a text value as written and parses any other as a UNITS
+    # quantity: an entry that no key uses is grammar a deleted key left
+    # behind, and a kind outside UNITS but text has no parser
     kinds = {kind for keys in SCHEMA.values() for kind in keys.values()}
     assert set(_ANNOTATION_KINDS.values()) == kinds
-    assert set(_PARSERS) <= kinds
+    assert kinds - set(UNITS) == {"text"}
 
 
 def test_mac_without_clock_keys_loads_the_idealized_clock(tmp_path):
