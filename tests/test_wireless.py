@@ -314,6 +314,11 @@ class TestGallopSlotTable:
     @pytest.mark.parametrize("model, lossless", [
         (LOSSLESS, True),
         (ChannelModel(p_good_to_bad=0.3, loss_bad=0.0), True),
+        # a lossy bad state the chain never enters
+        (ChannelModel(p_bad_to_good=0.0, loss_bad=0.5), True),
+        # a partly lossy bad state the chain enters and never leaves
+        (ChannelModel(p_good_to_bad=0.5, p_bad_to_good=0.0, loss_bad=0.1),
+         False),
         (ChannelModel(default_loss=0.1), False),
         (ChannelModel(loss_good=0.1), False),
         (ChannelModel(p_good_to_bad=0.01), False),
