@@ -11,8 +11,8 @@ one row to the trace's columns and sends one forward frame. Its cycle is
 open exactly while its recv or apply event is pending, and the site that
 closes it fills in its command, latency and drops in place; the rows of
 the cycles still open at the episode's end are deleted. The trace is the
-closed cycles, in sample order. Frames and commands are ordered by their
-sample, that is their row.
+closed cycles, in sample order, one array column per field. Frames and
+commands are ordered by their sample, that is their row.
 
 Sensor sampling is scheduled on the robot's local clock (wireless.RobotClock),
 which drifts between sync epochs and is re-bounded at each epoch. The engine
@@ -37,7 +37,6 @@ import itertools
 import math
 import os
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from heapq import heappop, heappush
 from typing import Iterator, NamedTuple
@@ -86,7 +85,7 @@ class BlockStream:
 
 
 class CycleRecord(NamedTuple):
-    """One control cycle of a trace, one row of its columns."""
+    """One control cycle of a trace: one row of its columns, in their order."""
 
     t: float                 # s, sensor sample time (true simulation time)
     tilt: float              # deg
@@ -94,14 +93,15 @@ class CycleRecord(NamedTuple):
     wheel_rate: float        # deg/s
     command: float           # normalized, both wheels; nan if never computed
     cycle_latency: float     # ms, sample -> actuation; nan if dropped
-    forward_dropped: bool    # lost, or delivered too late to be used
-    feedback_dropped: bool   # lost, or delivered after a newer command
+    forward_dropped: int     # 1 if lost, or delivered too late to be used
+    feedback_dropped: int    # 1 if lost, or delivered after a newer command
 
 
 @dataclass
 class EpisodeTrace:
     """An episode's cycles in sample order, one array column per
-    CycleRecord field: the floats as 'd', the drop flags as 'b' (0 or 1)."""
+    CycleRecord field: the floats as 'd', the drop flags as 'b' (0 or 1).
+    The columns are the trace; records is a row iterator over them."""
     t: array = field(default_factory=lambda: array("d"))
     tilt: array = field(default_factory=lambda: array("d"))
     tilt_rate: array = field(default_factory=lambda: array("d"))
@@ -125,29 +125,19 @@ class EpisodeTrace:
     def feedback_delivered(self) -> int:
         return self.feedback_sent - self.feedback_lost
 
-    @classmethod
-    def from_records(cls, records, **counts) -> EpisodeTrace:
-        """A trace of these CycleRecords; counts are its other fields."""
-        trace = cls(**counts)
-        for column, values in zip(trace.columns(), zip(*records)):
-            column.extend(values)
-        return trace
-
     def columns(self) -> tuple[array, ...]:
         """The columns, in CycleRecord field order."""
         return tuple(getattr(self, name) for name in CycleRecord._fields)
 
     @property
     def records(self) -> RecordView:
-        """The cycles as CycleRecords, read from the columns in place."""
+        """The rows as CycleRecords, read from the columns in place."""
         return RecordView(self)
 
 
-class RecordView(Sequence):
-    """A trace's rows as CycleRecords, the flags as bool. len and an index
-    cost O(1), iteration builds one record a step, a slice is a tuple of
-    records, and == compares as a tuple. It reads the columns as they are
-    when used."""
+class RecordView:
+    """A trace's rows for perfbench's episode checks: len costs O(1), and
+    a pass builds one CycleRecord a step, its flags 0 or 1."""
 
     __slots__ = ("_trace",)
 
@@ -157,19 +147,8 @@ class RecordView(Sequence):
     def __len__(self) -> int:
         return len(self._trace.t)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
-        *floats, fwd, fbk = (column[i] for column in self._trace.columns())
-        return CycleRecord(*floats, bool(fwd), bool(fbk))
-
     def __iter__(self) -> Iterator[CycleRecord]:
-        *floats, fwd, fbk = self._trace.columns()
-        return map(CycleRecord._make, zip(
-            *floats, map(bool, fwd), map(bool, fbk)))
-
-    def __eq__(self, other) -> bool:
-        return tuple(self) == other
+        return map(CycleRecord._make, zip(*self._trace.columns()))
 
 
 @dataclass(frozen=True)

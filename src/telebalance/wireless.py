@@ -165,14 +165,6 @@ class ChannelModel:
         check_range(self, ("default_loss", "p_good_to_bad", "p_bad_to_good",
                            "loss_good", "loss_bad"), 0, 1)
 
-    def stationary_loss_rate(self) -> float:
-        """Long-run Gilbert-Elliott loss rate (ignores the static floor)."""
-        s = self.p_good_to_bad + self.p_bad_to_good
-        if s == 0.0:
-            return self.loss_good  # chain frozen in its initial (good) state
-        pi_bad = self.p_good_to_bad / s
-        return (1.0 - pi_bad) * self.loss_good + pi_bad * self.loss_bad
-
 
 class ChannelProcess:
     """Per-channel Gilbert-Elliott phase, advanced lazily per slot clock.

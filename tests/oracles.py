@@ -14,8 +14,10 @@ plant.linear_map, since it is the reference span_matrix is checked
 against); loop_matrix_rows writes the controller's update
 out as row algebra, so that the loop model built by running the
 controller can be required to match it; record_metrics aggregates a
-trace one CycleRecord at a time, so that sim.compute_metrics, which reads
-the trace's columns as arrays, can be required to give the same floats.
+trace one row at a time, zipped from its columns, so that
+sim.compute_metrics, which reads the columns as arrays, can be required
+to give the same floats. stationary_loss_rate is the Gilbert-Elliott
+chain's long-run loss, solved analytically.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import numpy as np
 
 from telebalance.plant import SUBSTEP_NS
-from telebalance.sim import EpisodeMetrics
+from telebalance.sim import CycleRecord, EpisodeMetrics
 
 
 def expm_taylor(M: np.ndarray, order: int = 40) -> np.ndarray:
@@ -232,11 +234,12 @@ def gallop_slot_search(layout, direction: str, ready_ns: int,
     return None, index, channel
 
 
-def record_metrics(records, fall_time: float | None, cfg) -> EpisodeMetrics:
-    """sim.compute_metrics of a trace with these CycleRecords and fall
-    time, one list per statistic built record by record."""
-    fell = fall_time is not None
-    balanced = fall_time if fell else cfg.episode_duration
+def record_metrics(trace, cfg) -> EpisodeMetrics:
+    """sim.compute_metrics of trace, one list per statistic built row by
+    row from the rows its columns zip to."""
+    records = [CycleRecord._make(row) for row in zip(*trace.columns())]
+    fell = trace.fall_time is not None
+    balanced = trace.fall_time if fell else cfg.episode_duration
     if not records:
         return EpisodeMetrics(balanced, fell, math.nan,
                               abs(cfg.initial_tilt) * (180.0 / math.pi),
@@ -263,3 +266,13 @@ def record_metrics(records, fall_time: float | None, cfg) -> EpisodeMetrics:
         latency_p99=lat_p99,
         drop_rate=float(dropped.mean()),
     )
+
+
+def stationary_loss_rate(model) -> float:
+    """Long-run loss rate of a ChannelModel's Gilbert-Elliott chain, from
+    its stationary distribution (the static floor left out)."""
+    s = model.p_good_to_bad + model.p_bad_to_good
+    if s == 0.0:
+        return model.loss_good  # chain frozen in its initial (good) state
+    pi_bad = model.p_good_to_bad / s
+    return (1.0 - pi_bad) * model.loss_good + pi_bad * model.loss_bad

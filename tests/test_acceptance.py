@@ -37,7 +37,12 @@ from telebalance.wireless import (
     transmit,
 )
 
-from oracles import expm_taylor, lagrangian_energy, wip_linear_system
+from oracles import (
+    expm_taylor,
+    lagrangian_energy,
+    stationary_loss_rate,
+    wip_linear_system,
+)
 
 
 @contextlib.contextmanager
@@ -55,9 +60,9 @@ def test_criterion_1_latency_anchors():
         start = time.perf_counter()
 
         # sample-to-actuation latency as the engine records it per cycle
-        records = run_episode(gallop_scenario(episode_duration=4.0))[0].records
-        assert len(records) == 2000
-        assert all(r.cycle_latency == 2.0 for r in records)
+        trace = run_episode(gallop_scenario(episode_duration=4.0))[0]
+        assert len(trace.t) == 2000
+        assert all(latency == 2.0 for latency in trace.cycle_latency)
 
         # BLE one-way latency floor on the scheduled sampling grid
         cfg = MacConfig(variant=BLE)
@@ -68,8 +73,8 @@ def test_criterion_1_latency_anchors():
             out = transmit(cfg, proc, FORWARD, k * interval_ns, rng, jit)
             assert out.deliver_ns - k * interval_ns >= interval_ns
         trace, _ = run_episode(ble_scenario(episode_duration=7.5))
-        latencies = [r.cycle_latency for r in trace.records
-                     if not math.isnan(r.cycle_latency)]
+        latencies = [latency for latency in trace.cycle_latency
+                     if not math.isnan(latency)]
         assert len(latencies) > 900
         assert min(latencies) >= 15.0  # two connection intervals
 
@@ -117,14 +122,15 @@ def test_criterion_3_loop_budget_sweep():
 def test_criterion_4_plant_oracle_equivalence():
     with criterion(4, "plant vs matrix-exponential and energy oracles"):
         # the plant as the engine advances it: zero gains on the ideal
-        # link, a fall threshold out of reach, state read from the records
+        # link, a fall threshold out of reach, state read from the trace
         def open_loop(plant, tilt0, duration):
-            records = run_episode(ideal_scenario(
+            trace = run_episode(ideal_scenario(
                 plant=plant, gains=ControllerGains(), initial_tilt=tilt0,
-                episode_duration=duration, fall_threshold=1e3))[0].records
-            assert len(records) == round(duration / 0.005)
-            return [(math.radians(r.tilt), math.radians(r.tilt_rate),
-                     math.radians(r.wheel_rate), r.t) for r in records]
+                episode_duration=duration, fall_threshold=1e3))[0]
+            assert len(trace.t) == round(duration / 0.005)
+            return [(math.radians(tilt), math.radians(rate), math.radians(wheel), t)
+                    for t, tilt, rate, wheel in zip(
+                        trace.t, trace.tilt, trace.tilt_rate, trace.wheel_rate)]
 
         params = PlantParams()
         A, _ = wip_linear_system(params)
@@ -188,7 +194,7 @@ def test_criterion_5_protocol_invariants():
         for i in range(n_slots):
             if proc.lost(0, i, rng):
                 lost += 1
-        analytic = model.stationary_loss_rate()
+        analytic = stationary_loss_rate(model)
         assert abs(lost / n_slots - analytic) / analytic < 0.01
 
         # clock offset bound at every sampled time, read through the

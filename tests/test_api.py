@@ -159,8 +159,9 @@ def test_benchmark_reads_every_seam_of_an_episode(config_dir, monkeypatch, confi
 
 
 # Bound fixed before measuring, 100 B a cycle: the lists of times and
-# latencies the check keeps take about 72 B a cycle, and one tuple of the
-# trace's records took 256 B a cycle (test_sim.TestTraceMemory)
+# latencies the check keeps take about 72 B a cycle, and a trace of
+# CycleRecord tuples took 256 B a cycle
+# (test_sim.TestTraceMemory.test_bytes_per_cycle)
 EPISODE_CHECK_PEAK_BYTES = 500_000
 
 

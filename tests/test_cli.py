@@ -330,9 +330,9 @@ class TestCmdCompare:
         # each label's .dat: its first seed's t and tilt_rate, one cycle a line
         for cfg_path, label in ((a, "gallop_s"), (b, "ble_s")):
             cfg = replace(load_scenario(cfg_path), seed=0)
-            records = sim.run_episode(cfg)[0].records
+            trace = sim.run_episode(cfg)[0]
             assert (out / f"{label}_trace.dat").read_text() == "".join(
-                f"{r.t!r} {r.tilt_rate!r}\n" for r in records)
+                f"{t!r} {rate!r}\n" for t, rate in zip(trace.t, trace.tilt_rate))
         plot = (out / "plot.gp").read_text()
         assert "gallop_s_trace.dat" in plot and "ble_s_trace.dat" in plot
         # gallop variance column is exactly zero, ble strictly positive

@@ -243,16 +243,15 @@ class TestTuning:
         # cycle: |tilt| < 0.2 deg within 3 s and never near the fall threshold
         trace, m = run_episode(ideal_scenario(noise=SensorNoise(),
                                               episode_duration=4.0))
-        records = trace.records
         assert not m.fell
-        assert len(records) == 800
+        assert len(trace.t) == 800
         assert m.max_abs_tilt < 4.0
         converged_at = None
-        for r in records:
-            if abs(r.tilt) >= 0.2:
+        for t, tilt in zip(trace.t, trace.tilt):
+            if abs(tilt) >= 0.2:
                 converged_at = None
             elif converged_at is None:
-                converged_at = r.t
+                converged_at = t
         assert converged_at is not None and converged_at <= 3.0
 
 
@@ -404,13 +403,13 @@ class TestLiftedLoop:
         # the tilt from start_s to the first clamped command, fitted as a
         # damped sinusoid x[k+2] = a1 x[k+1] + a2 x[k] by least squares:
         # its envelope changes by sqrt(-a2) per cycle
-        records = run_episode(cfg)[0].records
+        trace = run_episode(cfg)[0]
         tilt = []
-        for r in records:
-            if abs(r.command) >= 1.0:
+        for t, tilt_deg, command in zip(trace.t, trace.tilt, trace.command):
+            if abs(command) >= 1.0:
                 break
-            if r.t >= start_s:
-                tilt.append(r.tilt)
+            if t >= start_s:
+                tilt.append(tilt_deg)
         tilt = np.array(tilt)
         assert len(tilt) >= 20
         (a1, a2), *_ = np.linalg.lstsq(np.column_stack([tilt[1:-1], tilt[:-2]]),

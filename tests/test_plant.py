@@ -44,19 +44,19 @@ def open_loop_episode(initial_tilt, duration, plant=PlantParams(),
         episode_duration=duration, fall_threshold=fall_threshold))
 
 
-def recorded_state(r):
-    """(tilt, tilt_rate, wheel_rate) of a record, back in rad and rad/s."""
-    return math.radians(r.tilt), math.radians(r.tilt_rate), math.radians(r.wheel_rate)
+def recorded_states(trace):
+    """Each cycle's (tilt, tilt_rate, wheel_rate), back in rad and rad/s."""
+    return [tuple(map(math.radians, row))
+            for row in zip(trace.tilt, trace.tilt_rate, trace.wheel_rate)]
 
 
 class TestFixedPointAndValidation:
     def test_upright_rest_is_fixed_point(self):
         trace, m = open_loop_episode(0.0, 1.0)
-        records = trace.records
         assert not m.fell
-        assert len(records) == 200
-        assert all(r.tilt == 0.0 and r.tilt_rate == 0.0 and r.wheel_rate == 0.0
-                   for r in records)
+        assert len(trace.t) == 200
+        assert all(row == (0.0, 0.0, 0.0) for row in zip(
+            trace.tilt, trace.tilt_rate, trace.wheel_rate))
 
     def test_rejects_non_finite_state(self, params):
         rng = np.random.default_rng(0)
@@ -77,12 +77,12 @@ class TestLinearizedOracle:
         # 100 ms from 0.01 rad, zero torque, vs exp(A t) x0 at each record
         A, _ = wip_linear_system(params)
         x0 = np.array([0.01, 0.0, 0.0, 0.0])
-        records = open_loop_episode(0.01, 0.1)[0].records
-        assert len(records) == 20
+        trace = open_loop_episode(0.01, 0.1)[0]
+        assert len(trace.t) == 20
         worst = 0.0
-        for r in records:
-            x_lin = expm_taylor(A * r.t) @ x0
-            worst = max(worst, abs(recorded_state(r)[0] - x_lin[0]) / abs(x_lin[0]))
+        for t, (tilt, _, _) in zip(trace.t, recorded_states(trace)):
+            x_lin = expm_taylor(A * t) @ x0
+            worst = max(worst, abs(tilt - x_lin[0]) / abs(x_lin[0]))
         assert worst < 1e-4
 
     def test_one_step_error_shrinks_at_least_quadratically(self, params):
@@ -148,11 +148,11 @@ class TestLinearMap:
 class TestEnergyAndSymmetry:
     def test_energy_conserved_without_friction_and_torque(self):
         params = PlantParams(viscous_friction=0.0)
-        records = open_loop_episode(0.02, 1.0, plant=params)[0].records
-        assert len(records) == 200
+        trace = open_loop_episode(0.02, 1.0, plant=params)[0]
+        assert len(trace.t) == 200
         e0 = lagrangian_energy(0.02, 0.0, 0.0, params)
-        for r in records:
-            e = lagrangian_energy(*recorded_state(r), params)
+        for state in recorded_states(trace):
+            e = lagrangian_energy(*state, params)
             assert abs(e - e0) / e0 < 1e-6
 
     @settings(max_examples=100, deadline=None)
