@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .control import DEFAULT_FILTER_ALPHA, DEFAULT_GAINS, ControllerGains
+from .control import DEFAULT_GAINS, ControllerGains
 from .plant import (DEFAULT_FALL_THRESHOLD, PlantParams, Radians, Seconds, SensorNoise,
                     _ns, check_finite, check_range)
 from .wireless import BLE, GALLOP, IDEAL, ChannelModel, MacConfig
@@ -54,7 +54,6 @@ class ScenarioConfig:
     mac: MacConfig = MacConfig()
     channel: ChannelModel = ChannelModel()
     gains: ControllerGains | None = None   # None -> tuned for the cycle
-    filter_alpha: float = DEFAULT_FILTER_ALPHA
     initial_tilt: Radians = math.radians(2.0)
     episode_duration: Seconds = 60.0
     control_cycle: Seconds | None = None     # None -> derived from mac
@@ -82,7 +81,6 @@ class ScenarioConfig:
                                  f"{MAX_CYCLES} {unit}, got {count:.6g}")
         if not self.fall_threshold > 0:
             raise ValueError(f"fall_threshold must be positive, got {self.fall_threshold!r}")
-        check_range(self, ("filter_alpha",), 0, 1)
         check_range(self, ("seed",), 0)
         # compare names a file in --out, a CSV field and a quoted gnuplot
         # string after the label

@@ -7,8 +7,8 @@ the positive gap since the previous arrival. A complementary filter fuses
 integrated gyro rate with the accelerometer tilt; the command law is PD on
 tilt and PD on the wheel angle the frame carries, already quantized to
 encoder counts (station keeping). The planar robot takes one command for
-both wheels, normalized to [-1, 1]; the plant scales it by its maximum
-motor torque.
+both wheels, clamped to [-1, 1]; the plant scales it by its maximum motor
+torque. The four gains are the law's only keys; FILTER_ALPHA is a constant.
 
 Default gains were derived once for the default plant at a 5 ms control
 cycle (discrete LQR seed, then checked against the linear closed loop) and
@@ -19,14 +19,15 @@ upright, and rescales if needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .plant import PlantParams, SensorFrame, _ns, check_finite, linear_map, span_matrix
 
-DEFAULT_FILTER_ALPHA = 0.98
+# complementary-filter weight of the integrated gyro, per update
+FILTER_ALPHA = 0.98
 
 # one-pole smoothing on the encoder-differenced wheel rate; raw differences
 # are dominated by quantization at millisecond cycles
@@ -43,26 +44,21 @@ class ControllerGains:
     kd_tilt: float = 0.0        # command/(rad/s)
     kp_position: float = 0.0    # command/rad of wheel angle
     kd_position: float = 0.0    # command/(rad/s)
-    command_limit: float = 1.0    # command, in (0, 1]
 
     def __post_init__(self) -> None:
         check_finite(self)
-        # at most 1, so a command never asks for more than the motor's torque
-        if not 0 < self.command_limit <= 1:
-            raise ValueError(
-                f"command_limit must be in (0, 1], got {self.command_limit!r}")
 
 
 # Shipped defaults for the default PlantParams, derived from a discrete LQR
 # on the 5 ms zero-delay linearized loop and verified by eigenvalue check
-# (see tune_default_gains). The law is PD: a tilt integrator next to the
-# wheel-position feedback would add a neutral mode of radius 1.
+# (see tune_default_gains); these four gains are all the law's keys. The law
+# is PD: a tilt integrator next to the wheel-position feedback would add a
+# neutral mode of radius 1.
 DEFAULT_GAINS = ControllerGains(
     kp_tilt=20.0,
     kd_tilt=1.5,
     kp_position=0.45,
     kd_position=0.28,
-    command_limit=1.0,
 )
 
 
@@ -79,14 +75,13 @@ class ControllerState(NamedTuple):
     primed: bool = False             # False until the first frame arrives
 
 
-def estimate_tilt(cstate: ControllerState, frame: SensorFrame, dt: float,
-                  alpha: float = DEFAULT_FILTER_ALPHA) -> ControllerState:
+def estimate_tilt(cstate: ControllerState, frame: SensorFrame, dt: float) -> ControllerState:
     """Complementary-filter update; returns the new controller state.
 
-    estimate <- alpha*(estimate + gyro*dt) + (1-alpha)*accel_tilt
+    estimate <- FILTER_ALPHA*(estimate + gyro*dt) + (1-FILTER_ALPHA)*accel_tilt
     """
-    est = alpha * (cstate.tilt_estimate + frame.gyro_pitch_rate * dt) \
-        + (1.0 - alpha) * frame.accel_tilt
+    est = FILTER_ALPHA * (cstate.tilt_estimate + frame.gyro_pitch_rate * dt) \
+        + (1.0 - FILTER_ALPHA) * frame.accel_tilt
     return tuple.__new__(ControllerState, (
         est, cstate.last_wheel_angle,
         cstate.wheel_rate_estimate, cstate.primed))
@@ -112,9 +107,8 @@ def compute_command(cstate: ControllerState, gains: ControllerGains,
          + gains.kd_tilt * frame.gyro_pitch_rate
          + gains.kp_position * angle
          + gains.kd_position * wheel_rate)
-    # the clamp passes a nan and a -0.0 through, as min(max(u, -lim), lim) does
-    lim = gains.command_limit
-    u = -lim if u < -lim else lim if u > lim else u
+    # ±1 is the motor's maximum torque; nan and -0.0 pass, as in min(max(u, -1.0), 1.0)
+    u = -1.0 if u < -1.0 else 1.0 if u > 1.0 else u
 
     return tuple.__new__(ControllerState, (tilt, angle, wheel_rate, True)), u
 
@@ -123,24 +117,22 @@ def compute_command(cstate: ControllerState, gains: ControllerGains,
 _LOOP_MEMORY = ("tilt_estimate", "last_wheel_angle", "wheel_rate_estimate")
 
 
-def controller_map(gains: ControllerGains, dt: float,
-                   alpha: float = DEFAULT_FILTER_ALPHA) -> np.ndarray:
+def controller_map(gains: ControllerGains, dt: float) -> np.ndarray:
     """One controller update as a linear map, clamp left out: the 4x6
     matrix from (accel_tilt, gyro_pitch_rate, wheel_angle, _LOOP_MEMORY) to
     (command, _LOOP_MEMORY after the update), the linear_map of one
-    estimate_tilt and compute_command with no clamp to engage."""
-    unclamped = replace(gains, command_limit=1.0)
-
+    estimate_tilt and compute_command. check_finite bounds every gain, so
+    linear_map's probe never reaches the clamp."""
     def update(x: list) -> list:
         cstate = ControllerState(**dict(zip(_LOOP_MEMORY, x[3:])), primed=True)
         frame = SensorFrame(gyro_pitch_rate=x[1], accel_tilt=x[0], wheel_angle=x[2])
-        cstate = estimate_tilt(cstate, frame, dt, alpha)
-        cstate, command = compute_command(cstate, unclamped, frame, dt)
+        cstate = estimate_tilt(cstate, frame, dt)
+        cstate, command = compute_command(cstate, gains, frame, dt)
         return [command, *(getattr(cstate, name) for name in _LOOP_MEMORY)]
     return linear_map(update, 6)
 
 
-def _loop_model(params: PlantParams, cycle: float, alpha: float, latency_ns: int):
+def _loop_model(params: PlantParams, cycle: float, latency_ns: int):
     """closed_loop_matrix at this cycle and latency as a function of the
     gains, all on one pair of plant blocks."""
     if not 0 < cycle < float("inf"):
@@ -163,7 +155,7 @@ def _loop_model(params: PlantParams, cycle: float, alpha: float, latency_ns: int
     reads = [0, 1, 2, *range(n, mem)]
 
     def loop(gains: ControllerGains) -> np.ndarray:
-        K = controller_map(gains, cycle, alpha)
+        K = controller_map(gains, cycle)
         # row j gives u[k - j]: the command from the state, then the shift
         pending = np.vstack([np.zeros(m), np.eye(m)[mem:]])
         pending[0, reads] = K[0]
@@ -179,7 +171,7 @@ def _loop_model(params: PlantParams, cycle: float, alpha: float, latency_ns: int
 
 
 def closed_loop_matrix(params: PlantParams, gains: ControllerGains, cycle: float,
-                       alpha: float = DEFAULT_FILTER_ALPHA, latency_ns: int = 0) -> np.ndarray:
+                       latency_ns: int = 0) -> np.ndarray:
     """One-cycle transition matrix of the loop, linearized at upright, each
     command applied latency_ns after its sample (Cervin et al., IEEE Control
     Systems Magazine 2003).
@@ -191,37 +183,33 @@ def closed_loop_matrix(params: PlantParams, gains: ControllerGains, cycle: float
     holds for the first r of cycle k and u[k-q] for the rest, each over
     span_matrix, the engine's own RK4 advance. Sensors are noiseless and
     unquantized, clamp inactive."""
-    return _loop_model(params, cycle, alpha, latency_ns)(gains)
+    return _loop_model(params, cycle, latency_ns)(gains)
 
 
 def spectral_radius(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
-# the gains the search scales, together
-_SCALED_GAINS = ("kp_tilt", "kd_tilt", "kp_position", "kd_position")
 # scale factors tried, in order, when the shipped gains do not already
 # stabilize the requested cycle
 _SEARCH_SCALES = (1.0, 0.75, 0.5, 1.5, 0.35, 2.0, 0.25, 3.0, 0.15, 0.1)
 
 
-def tune_default_gains(params: PlantParams, cycle: float,
-                       alpha: float = DEFAULT_FILTER_ALPHA) -> ControllerGains:
+def tune_default_gains(params: PlantParams, cycle: float) -> ControllerGains:
     """Gains that stabilize the linearized zero-delay loop at this cycle.
 
     Starts from the shipped defaults and tries a fixed grid of uniform
-    scalings, returning the first set whose closed-loop spectral radius is
-    strictly inside the unit circle. Raises TuningFailureError when the
-    whole grid fails (long cycles: the loop cannot be stabilized).
+    scalings of all four gains, returning the first set whose closed-loop
+    spectral radius is strictly inside the unit circle. Raises
+    TuningFailureError when the whole grid fails (long cycles: the loop
+    cannot be stabilized).
     """
-    base = DEFAULT_GAINS
     # one plant block for every scale; a long cycle overflows it, and that
     # loop is not stable
     with np.errstate(over="ignore", invalid="ignore"):
-        loop = _loop_model(params, cycle, alpha, 0)
+        loop = _loop_model(params, cycle, 0)
         for scale in _SEARCH_SCALES:
-            cand = replace(base, **{name: getattr(base, name) * scale
-                                    for name in _SCALED_GAINS})
+            cand = ControllerGains(*(gain * scale for gain in astuple(DEFAULT_GAINS)))
             M = loop(cand)
             if np.isfinite(M).all() and spectral_radius(M) < 1.0:
                 return cand

@@ -169,7 +169,7 @@ def _resolve_gains(cfg: ScenarioConfig, tune=None) -> ControllerGains:
     given (TuningFailureError if none fit)."""
     if cfg.gains is not None:
         return cfg.gains
-    return (tune or tune_default_gains)(cfg.plant, cfg.resolved_cycle(), cfg.filter_alpha)
+    return (tune or tune_default_gains)(cfg.plant, cfg.resolved_cycle())
 
 
 def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
@@ -209,7 +209,6 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     next_seq = itertools.count().__next__
 
     mac = cfg.mac
-    alpha = cfg.filter_alpha
     trace = EpisodeTrace()
     (t_col, tilt_col, rate_col, wheel_col, cmd_col, lat_col, fwd_col,
      fbk_col) = columns = trace.columns()
@@ -283,7 +282,7 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             dt = (t_ns - last_arrival_ns) / 1e9 if last_arrival_ns is not None \
                 else cycle_s
             last_arrival_ns, last_used = t_ns, row
-            cstate = estimate_tilt(cstate, frame, dt, alpha)
+            cstate = estimate_tilt(cstate, frame, dt)
             cstate, command = compute_command(cstate, gains, frame, dt)
             fbk_sent += 1
             deliver_ns = transmit(mac, chan, FEEDBACK, t_ns, rng_loss, rng_jitter)[0]
@@ -402,7 +401,7 @@ def _run_batch(jobs: list[tuple[ScenarioConfig, bool]], workers: int
     """Run (config, keep_trace) jobs; results come back in job order.
 
     The gains of every job without its own are tuned here first, once per
-    distinct (plant, cycle, filter_alpha), so a grid that cannot be tuned
+    distinct (plant, cycle), so a grid that cannot be tuned
     raises TuningFailureError before any episode runs.
     The episodes run in a pool of min(workers, jobs, usable cores) when
     that exceeds one, else here in series through the module's run_episode;

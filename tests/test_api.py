@@ -1,7 +1,8 @@
 """The documented library API: every name that an import line in README.md
 takes from telebalance must import, every sweep path the README names
-must resolve, and every config line it shows must parse, so the README's
-examples cannot break unnoticed. The names
+must resolve, every config line it shows must parse, and every
+[scenario], [gains] and [mac] key must be named, so the README's
+examples cannot break, nor a key go undocumented, unnoticed. The names
 the benchmark's layer tracer wraps must stay module globals of the engine,
 and what the benchmark reads of an episode must stay readable."""
 
@@ -105,6 +106,19 @@ def test_readme_shows_config_lines():
     # the fenced example and an inline line both reach the check below
     assert {("mac", "variant", "gallop"), (None, "channel_count", "36")} \
         <= set(documented_settings())
+
+
+def documented_keys() -> set[str]:
+    """The keys README.md names: quoted in backticks, alone or as the last
+    part of a sweep path, or set by a config line it shows."""
+    text = README.read_text(encoding="utf-8")
+    return ({name.rpartition(".")[2] for name in re.findall(r"`([\w.]+)", text)}
+            | {key for _, key, _ in documented_settings()})
+
+
+@pytest.mark.parametrize("section", ["scenario", "gains", "mac"])
+def test_readme_documents_every_key(section):
+    assert set(SCHEMA[section]) - documented_keys() == set()
 
 
 @pytest.mark.parametrize("section, key, value", documented_settings())

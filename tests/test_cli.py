@@ -110,6 +110,9 @@ class TestConfigParsing:
         # the tilt integrator's keys were removed with it
         ("[gains]\nkp_tilt = 20\nki_tilt = 0.5\n", 3, "unknown key 'ki_tilt' in [gains]"),
         ("[gains]\nintegral_limit = 0.5\n", 2, "unknown key 'integral_limit' in [gains]"),
+        # the filter coefficient and the command clamp are constants of the law
+        ("[scenario]\nfilter_alpha = 0.9\n", 2, "unknown key 'filter_alpha' in [scenario]"),
+        ("[gains]\ncommand_limit = 0.5\n", 2, "unknown key 'command_limit' in [gains]"),
         # so was the custom slot layout: gallop runs one layout
         ("[mac]\nvariant = gallop\nslots = forward, 0 ms, 1 ms; feedback, 1 ms, 1 ms\n", 3,
          "unknown key 'slots' in [mac]"),
@@ -457,13 +460,15 @@ class TestCmdSweep:
         assert "unknown parameter path 'loss.per_channel'" in err
         assert "Traceback" not in err
 
-    def test_removed_integrator_gain_is_no_parameter_path(self, tmp_path, capsys):
+    @pytest.mark.parametrize("path", ["gains.ki_tilt", "scenario.filter_alpha",
+                                      "gains.command_limit"])
+    def test_removed_key_is_no_parameter_path(self, tmp_path, capsys, path):
         cfg = write_cfg(tmp_path, GALLOP_SHORT)
-        assert main(["sweep", str(cfg), "--param", "gains.ki_tilt",
+        assert main(["sweep", str(cfg), "--param", path,
                      "--values", "0,0.5", "--seeds", "3",
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "unknown parameter path 'gains.ki_tilt'" in err
+        assert f"unknown parameter path '{path}'" in err
         assert "Traceback" not in err
 
     def test_too_few_seeds_usage_error(self, tmp_path):
@@ -632,8 +637,7 @@ class TestOutOfRangeValues:
     FILE_ONLY = ("channel_count = 14", "slot_guard = 1 ms", "episode_duration = 10000 s")
 
     @pytest.mark.parametrize("section, entry, message", [
-        ("scenario", "filter_alpha = 1.5", "filter_alpha must be in [0, 1], got 1.5"),
-        ("scenario", "filter_alpha = -0.5", "filter_alpha must be in [0, 1], got -0.5"),
+        ("scenario", "seed = -1", "seed must be >= 0, got -1"),
         ("loss", "loss_bad = 1.5", "loss_bad must be in [0, 1], got 1.5"),
         ("noise", "accel_noise_std = -0.1", "accel_noise_std must be >= 0, got -0.1"),
         ("plant", "viscous_friction = -1e-5", "viscous_friction must be >= 0, got -1e-05"),

@@ -16,8 +16,8 @@ from oracles import (
     wip_linear_system,
 )
 from telebalance.control import (
-    DEFAULT_FILTER_ALPHA,
     DEFAULT_GAINS,
+    FILTER_ALPHA,
     WHEEL_RATE_SMOOTHING,
     ControllerGains,
     TuningFailureError,
@@ -67,16 +67,6 @@ def frame(gyro=0.0, accel=0.0, enc=0):
 
 
 class TestEstimateTilt:
-    def test_alpha_zero_is_pure_accelerometer(self):
-        cs = ControllerState()
-        cs = estimate_tilt(cs, frame(gyro=99.0, accel=0.07), dt=0.002, alpha=0.0)
-        assert cs.tilt_estimate == 0.07
-
-    def test_alpha_one_is_pure_gyro_integration(self):
-        cs = ControllerState()
-        cs = estimate_tilt(cs, frame(gyro=0.2, accel=123.0), dt=0.005, alpha=1.0)
-        assert cs.tilt_estimate == pytest.approx(0.001, rel=1e-12)
-
     def test_tracks_true_tilt_on_noiseless_trajectory(self, params):
         # closed loop against plant ground truth: estimate within 5 mrad after
         # 1 s; the plant takes the engine's RK4 substeps under each command
@@ -109,10 +99,20 @@ class TestComputeCommand:
         assert command == pytest.approx(0.1, rel=1e-12)
 
     def test_saturation_at_command_limit(self):
-        gains = ControllerGains(kp_tilt=20.0, command_limit=1.0)
-        cs = ControllerState(tilt_estimate=0.1)
-        cs, command = compute_command(cs, gains, frame(), dt=0.002)
-        assert command == 1.0
+        # the clamp is the motor's maximum torque, +-1 exactly (the trace
+        # prints repr(command))
+        gains = ControllerGains(kp_tilt=20.0)
+        for tilt, clamped in ((0.1, "1.0"), (-0.1, "-1.0")):
+            cs = ControllerState(tilt_estimate=tilt)
+            cs, command = compute_command(cs, gains, frame(), dt=0.002)
+            assert repr(command) == clamped
+        # a command of -0.0 or nan passes the clamp unchanged: every term of
+        # the law is -0.0 here, and nan in the tilt estimate
+        f = SensorFrame(gyro_pitch_rate=-0.0, accel_tilt=0.0, wheel_angle=-0.0)
+        cs = ControllerState(tilt_estimate=-0.0, wheel_rate_estimate=-0.0, primed=True)
+        assert repr(compute_command(cs, DEFAULT_GAINS, f, dt=0.002)[1]) == "-0.0"
+        cs = ControllerState(tilt_estimate=math.nan)
+        assert math.isnan(compute_command(cs, DEFAULT_GAINS, frame(), dt=0.002)[1])
 
     def test_one_float_drives_both_wheels(self):
         cs = ControllerState()
@@ -146,7 +146,7 @@ class TestComputeCommand:
                                 kp_position=2.0, kd_position=1.0)
         cs = ControllerState()
         f = frame(gyro=gyro, accel=accel, enc=enc)
-        cs = estimate_tilt(cs, f, dt=0.002, alpha=0.5)
+        cs = estimate_tilt(cs, f, dt=0.002)
         cs, command = compute_command(cs, gains, f, dt=0.002)
         assert -1.0 <= command <= 1.0
 
@@ -166,12 +166,9 @@ class TestComputeCommand:
             return out
 
         base = commands(DEFAULT_GAINS)
-        limit = DEFAULT_GAINS.command_limit
-        assert all(abs(u) < limit for u in base[:-1]) and abs(base[-1]) == limit
+        assert all(abs(u) < 1.0 for u in base[:-1]) and abs(base[-1]) == 1.0
         for name in [f.name for f in fields(ControllerGains)]:
-            value = getattr(DEFAULT_GAINS, name)
-            # a limit above 1 is invalid, so the limit halves
-            value = value / 2 if name == "command_limit" else value * 2
+            value = getattr(DEFAULT_GAINS, name) * 2
             assert commands(replace(DEFAULT_GAINS, **{name: value})) != base, name
 
 
@@ -297,12 +294,12 @@ class TestSpanMatrix:
             assert row_error(got, ref) <= 1e-6, span_ns
 
 
-def scaled(gains, scale, **fields):
-    """gains with every loop gain times scale, then fields set."""
+def scaled(gains, scale):
+    """gains with every loop gain times scale."""
     return replace(gains, kp_tilt=gains.kp_tilt * scale,
                    kd_tilt=gains.kd_tilt * scale,
                    kp_position=gains.kp_position * scale,
-                   kd_position=gains.kd_position * scale, **fields)
+                   kd_position=gains.kd_position * scale)
 
 
 class TestClosedLoopMatrix:
@@ -316,8 +313,7 @@ class TestClosedLoopMatrix:
         P = probed_span(rk4_span_closure, params, _ns(cycle))
         n = 5 if params.motor_time_constant > 0 else 4
         ref = loop_matrix_rows(P[:n, :n], P[:n, 5] * params.motor_max_torque,
-                               gains, cycle, DEFAULT_FILTER_ALPHA,
-                               WHEEL_RATE_SMOOTHING)
+                               gains, cycle, FILTER_ALPHA, WHEEL_RATE_SMOOTHING)
         got = closed_loop_matrix(params, gains, cycle)
         assert got.shape == ref.shape
         # row by row, relative to the row's largest entry
@@ -330,7 +326,7 @@ class TestClosedLoopMatrix:
         # state 0: the row algebra's rows 0 and 3-5 are then the update on
         # (accel_tilt, gyro_pitch_rate, wheel_angle, memory)
         ref = loop_matrix_rows(np.zeros((3, 3)), np.array([1.0, 0.0, 0.0]),
-                               DEFAULT_GAINS, cycle, DEFAULT_FILTER_ALPHA,
+                               DEFAULT_GAINS, cycle, FILTER_ALPHA,
                                WHEEL_RATE_SMOOTHING)[[0, 3, 4, 5]]
         got = controller_map(DEFAULT_GAINS, cycle)
         assert got.shape == (4, 6)
@@ -343,11 +339,8 @@ class TestClosedLoopMatrix:
 
     @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
     @pytest.mark.parametrize("cycle", [1e-9, 1e-6, 0.03])
-    @pytest.mark.parametrize("limit", [None, 1e-12])
-    def test_matches_row_algebra_at_extremes(self, params, scale, cycle, limit):
-        # the model leaves the clamp out whatever the command limit is
-        limits = {} if limit is None else {"command_limit": limit}
-        self.assert_matches_rows(params, scaled(DEFAULT_GAINS, scale, **limits), cycle)
+    def test_matches_row_algebra_at_extremes(self, params, scale, cycle):
+        self.assert_matches_rows(params, scaled(DEFAULT_GAINS, scale), cycle)
 
 
 class TestLiftedLoop:
@@ -362,14 +355,13 @@ class TestLiftedLoop:
     def test_radius_at_the_link_latency(self, params, cycle, latency_ns, scale,
                                         radius, tol):
         gains = scaled(DEFAULT_GAINS, scale)
-        M = closed_loop_matrix(params, gains, cycle, DEFAULT_FILTER_ALPHA,
-                               latency_ns)
+        M = closed_loop_matrix(params, gains, cycle, latency_ns)
         assert abs(spectral_radius(M) - radius) <= tol
 
     def test_stability_edge_on_the_gallop_cycle(self, params):
         def radius(latency_ns):
             return spectral_radius(closed_loop_matrix(
-                params, DEFAULT_GAINS, 0.002, DEFAULT_FILTER_ALPHA, latency_ns))
+                params, DEFAULT_GAINS, 0.002, latency_ns))
         assert radius(3_250_000) < 1.0 < radius(3_500_000)
 
     # start: where the fit begins, once the modes below the dominant pair
@@ -397,8 +389,7 @@ class TestLiftedLoop:
         low, high = latency_interval(mac, cycle)
         assert low == high
         radius = spectral_radius(closed_loop_matrix(
-            plant, tune_default_gains(plant, cycle), cycle,
-            DEFAULT_FILTER_ALPHA, low))
+            plant, tune_default_gains(plant, cycle), cycle, low))
 
         # the tilt from start_s to the first clamped command, fitted as a
         # damped sinusoid x[k+2] = a1 x[k+1] + a2 x[k] by least squares:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from telebalance.cli import main
 from telebalance.config import ideal_scenario
 from telebalance.control import ControllerGains
 from telebalance.plant import (
@@ -176,20 +175,6 @@ class TestMotor:
                                4 * SUBSTEP_NS)
         expected = tau_max * (1 - math.exp(-4 * SUBSTEP_NS / 1e9 / 0.01))
         assert tau == pytest.approx(expected, rel=1e-6)
-
-    def test_command_limit_beyond_the_motor_limit_rejected(self, tmp_path,
-                                                          capsys):
-        # a command is a fraction of the motor's torque, so a limit above 1
-        # would ask for torque the motor cannot give; the config is refused
-        with pytest.raises(ValueError, match="command_limit"):
-            ControllerGains(command_limit=10.0)
-        cfg = tmp_path / "limit.cfg"
-        cfg.write_text("[gains]\ncommand_limit = 10\n")
-        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "command_limit must be in (0, 1]" in err
-        assert "Traceback" not in err
-        assert ControllerGains(command_limit=1.0).command_limit == 1.0
 
     def test_zero_time_constant_is_instant(self):
         params = PlantParams(motor_time_constant=0.0)

@@ -880,8 +880,7 @@ class TestSweep:
         run_sweep(base, "scenario.control_cycle", cycles, 3)
         assert len(jobs) == 6
         for (cfg, _), cycle in zip(jobs, [c for c in cycles for _ in range(3)]):
-            assert cfg.gains == tune_default_gains(base.plant, cycle,
-                                                   base.filter_alpha)
+            assert cfg.gains == tune_default_gains(base.plant, cycle)
             assert replace(cfg, gains=None) == replace(
                 base, control_cycle=cycle, seed=cfg.seed)
 
@@ -990,8 +989,7 @@ class TestCompare:
         assert [cfg for cfg, _ in jobs[:2]] == \
             [replace(cfgs[0], seed=s) for s in (3, 4)]
         assert all(cfg.gains is gains for cfg, _ in jobs[:2])
-        tuned = tune_default_gains(cfgs[1].plant, cfgs[1].resolved_cycle(),
-                                   cfgs[1].filter_alpha)
+        tuned = tune_default_gains(cfgs[1].plant, cfgs[1].resolved_cycle())
         assert [cfg for cfg, _ in jobs[2:]] == \
             [replace(cfgs[1], seed=s, gains=tuned) for s in (3, 4)]
         # each result still carries the caller's own config
