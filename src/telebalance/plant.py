@@ -131,7 +131,6 @@ class PlantParams:
 @dataclass(frozen=True)
 class SensorNoise:
     gyro_noise_std: float = 0.0   # rad/s
-    gyro_bias: float = 0.0        # rad/s
     accel_noise_std: float = 0.0  # rad
 
     def __post_init__(self) -> None:
@@ -246,7 +245,7 @@ def sample_sensors(tilt: float, tilt_rate: float, wheel_angle: float,
         raise ValueError("plant state contains non-finite values")
     n_gyro = rng.normal()
     n_accel = rng.normal()
-    gyro = tilt_rate + noise.gyro_bias + noise.gyro_noise_std * n_gyro
+    gyro = tilt_rate + noise.gyro_noise_std * n_gyro
     accel = tilt + noise.accel_noise_std * n_accel
     cpr = params.encoder_counts_per_rev
     angle = math.floor(wheel_angle / TWO_PI * cpr) / cpr * TWO_PI

@@ -50,6 +50,9 @@ BLE_MIN_INTERVAL_S = 0.0075
 # MacConfig lays out every gallop slot, and transmit scans a direction's
 # slots for each frame
 MAX_SLOTS = 1000
+# the channels a hop steps each slot: prime, so on any channel_count it
+# does not divide, channel_count consecutive slots use every channel once
+HOP_INCREMENT = 7
 
 
 @dataclass(frozen=True)
@@ -59,16 +62,16 @@ class MacConfig:
     link's rules once, as attributes that are not keys: nominal_cycle, the
     cycle unless a scenario sets its own; channel_base, each direction's
     first channel (gallop's FDD bands: forward from 0, feedback from
-    channel_count); extra_delay_ns; and the link's slot table and
-    admission rule (module docstring), superframe and admit_ns. Gallop's
-    table is slots_per_superframe slots, each d = slot_duration in whole
-    ns long, slot k spanning [k d, (k + 1) d)."""
+    channel_count), which slot index i hops past by i * HOP_INCREMENT %
+    channel_count; extra_delay_ns; and the slot table and admission rule
+    (module docstring), superframe and admit_ns. Gallop's table is
+    slots_per_superframe slots, each d = slot_duration in whole ns long,
+    slot k spanning [k d, (k + 1) d)."""
 
     variant: str = GALLOP
     slot_duration: Seconds = 1e-3
     slots_per_superframe: int = 2        # forward, feedback, alternating
     channel_count: int = 37              # hop channels per band
-    hop_increment: int = 7               # coprime with channel_count
     sync_epoch_period: Seconds = 1.0
     sync_error_bound: Seconds = 0.0
     clock_drift_ppm: float = 0.0
@@ -85,11 +88,10 @@ class MacConfig:
         if _ns(self.slot_duration) <= 0:
             raise ValueError(f"slot_duration must be at least 1 ns, got {self.slot_duration!r} s")
         check_range(self, ("slots_per_superframe",), 1, MAX_SLOTS)
-        check_range(self, ("channel_count", "hop_increment"), 1)
-        if math.gcd(self.hop_increment, self.channel_count) != 1:
-            raise ValueError(
-                f"hop_increment {self.hop_increment} shares a factor with "
-                f"channel_count {self.channel_count}")
+        check_range(self, ("channel_count",), 1)
+        if self.channel_count % HOP_INCREMENT == 0:
+            raise ValueError(f"channel_count must not be a multiple of the hop "
+                             f"increment {HOP_INCREMENT}, got {self.channel_count}")
         if self.ble_connection_interval < BLE_MIN_INTERVAL_S:
             raise ValueError("ble_connection_interval must be >= 7.5 ms, "
                              f"got {self.ble_connection_interval!r} s")
@@ -148,22 +150,21 @@ class ChannelModel:
     """Loss process parameters; probabilities all in [0, 1].
 
     Per transmission the loss probability composes the static floor
-    default_loss, the same on every channel, with the Gilbert-Elliott
-    state-dependent loss of the channel's own chain:
+    default_loss, the same on every channel, with the loss of the state
+    of the channel's own Gilbert-Elliott chain (good 0, bad loss_bad):
         p = 1 - (1 - default_loss) * (1 - ge_state_loss)
-    Defaults are lossless (good state is perfect and never left).
+    Defaults are lossless (the good state is never left).
     """
 
     default_loss: float = 0.0
     p_good_to_bad: float = 0.0
     p_bad_to_good: float = 1.0
-    loss_good: float = 0.0
     loss_bad: float = 1.0
 
     def __post_init__(self) -> None:
         check_finite(self)
         check_range(self, ("default_loss", "p_good_to_bad", "p_bad_to_good",
-                           "loss_good", "loss_bad"), 0, 1)
+                           "loss_bad"), 0, 1)
 
 
 class ChannelProcess:
@@ -171,8 +172,8 @@ class ChannelProcess:
 
     Each channel's chain starts in the good state on first use and is
     brought forward by lost(), the one use, over the elapsed number of
-    slots with the analytic n-step transition probability. One process
-    instance is owned by exactly one link.
+    slots with the analytic n-step law, then loses the frame at its
+    state's ChannelModel probability. One process serves exactly one link.
     """
 
     def __init__(self, model: ChannelModel):
@@ -184,8 +185,7 @@ class ChannelProcess:
         self._pi_bad = model.p_good_to_bad / self._s if self._s else 0.0
         # no draw can lose a frame: every loss probability it could meet is 0
         self.lossless = not (
-            model.default_loss or model.loss_good
-            or (model.p_good_to_bad and model.loss_bad))
+            model.default_loss or (model.p_good_to_bad and model.loss_bad))
 
     def lost(self, channel: int, slot_index: int, rng: np.random.Generator) -> bool:
         """Whether a frame on channel in slot slot_index is lost. A lossless
@@ -201,7 +201,7 @@ class ChannelProcess:
         if rng.random() < p_other:
             bad = not bad
         self._chain[channel] = (bad, slot_index)
-        ge = self.model.loss_bad if bad else self.model.loss_good
+        ge = self.model.loss_bad if bad else 0.0
         return 1.0 - (1.0 - self.model.default_loss) * (1.0 - ge) > rng.random()
 
 
@@ -258,7 +258,7 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
             continue
         # the channel law: the direction's base plus the hop over the index
         index = base_idx + pos
-        ch = cfg.channel_base[direction] + index * cfg.hop_increment % cfg.channel_count
+        ch = cfg.channel_base[direction] + index * HOP_INCREMENT % cfg.channel_count
         if channel.lossless or not channel.lost(ch, index, loss_rng):
             return tuple.__new__(DeliveryOutcome, (base_ns + end + extra_ns, ch, index))
     return tuple.__new__(DeliveryOutcome, (None, ch, index))

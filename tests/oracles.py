@@ -269,10 +269,10 @@ def record_metrics(trace, cfg) -> EpisodeMetrics:
 
 
 def stationary_loss_rate(model) -> float:
-    """Long-run loss rate of a ChannelModel's Gilbert-Elliott chain, from
-    its stationary distribution (the static floor left out)."""
+    """Long-run loss rate of a ChannelModel: the static floor composed with
+    the loss of its Gilbert-Elliott chain's stationary distribution,
+    1 - (1 - default_loss) * (1 - pi_bad * loss_bad)."""
     s = model.p_good_to_bad + model.p_bad_to_good
-    if s == 0.0:
-        return model.loss_good  # chain frozen in its initial (good) state
-    pi_bad = model.p_good_to_bad / s
-    return (1.0 - pi_bad) * model.loss_good + pi_bad * model.loss_bad
+    # a frozen chain stays in its initial, good state
+    pi_bad = model.p_good_to_bad / s if s else 0.0
+    return 1.0 - (1.0 - model.default_loss) * (1.0 - pi_bad * model.loss_bad)

@@ -185,8 +185,7 @@ def test_criterion_5_protocol_invariants():
         assert channels(cfg, FEEDBACK, readies) == list(range(37, 74))
 
         # Gilbert-Elliott long-run loss rate within 1% of the analytic value
-        model = ChannelModel(p_good_to_bad=0.05, p_bad_to_good=0.2,
-                             loss_good=0.0, loss_bad=1.0)
+        model = ChannelModel(p_good_to_bad=0.05, p_bad_to_good=0.2, loss_bad=1.0)
         proc = ChannelProcess(model)
         rng = np.random.default_rng(2024)
         n_slots = 1_000_000

@@ -119,6 +119,11 @@ class TestConfigParsing:
         # and the per-channel loss floor: every channel takes default_loss
         ("[loss]\ndefault_loss = 0.1\nper_channel = 3:0.1\n", 3,
          "unknown key 'per_channel' in [loss]"),
+        # the hop increment is a constant, the good state loses at
+        # default_loss, and the gyro reads no bias
+        ("[mac]\nhop_increment = 5\n", 2, "unknown key 'hop_increment' in [mac]"),
+        ("[loss]\nloss_good = 0.1\n", 2, "unknown key 'loss_good' in [loss]"),
+        ("[noise]\ngyro_bias = 0.001\n", 2, "unknown key 'gyro_bias' in [noise]"),
     ])
     def test_every_rejection_names_path_and_line(self, tmp_path, capsys, text, line,
                                                  message):
@@ -442,26 +447,11 @@ class TestCmdSweep:
                      "--out", str(tmp_path / "o")]) == 2
         assert "parameter path" in capsys.readouterr().err
 
-    def test_removed_slot_layout_is_no_parameter_path(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, GALLOP_SHORT)
-        assert main(["sweep", str(cfg), "--param", "mac.slots",
-                     "--values", "0", "--seeds", "3",
-                     "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "unknown parameter path 'mac.slots'" in err
-        assert "Traceback" not in err
-
-    def test_removed_loss_floor_is_no_parameter_path(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, GALLOP_SHORT)
-        assert main(["sweep", str(cfg), "--param", "loss.per_channel",
-                     "--values", "0.1", "--seeds", "3",
-                     "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "unknown parameter path 'loss.per_channel'" in err
-        assert "Traceback" not in err
-
+    # the path is checked before any value is read
     @pytest.mark.parametrize("path", ["gains.ki_tilt", "scenario.filter_alpha",
-                                      "gains.command_limit"])
+                                      "gains.command_limit", "mac.slots",
+                                      "loss.per_channel", "mac.hop_increment",
+                                      "loss.loss_good", "noise.gyro_bias"])
     def test_removed_key_is_no_parameter_path(self, tmp_path, capsys, path):
         cfg = write_cfg(tmp_path, GALLOP_SHORT)
         assert main(["sweep", str(cfg), "--param", path,
@@ -634,7 +624,7 @@ class TestNonFiniteValues:
 
 class TestOutOfRangeValues:
     # the rows whose rule spans keys
-    FILE_ONLY = ("channel_count = 14", "slot_guard = 1 ms", "episode_duration = 10000 s")
+    FILE_ONLY = ("slot_guard = 1 ms", "episode_duration = 10000 s")
 
     @pytest.mark.parametrize("section, entry, message", [
         ("scenario", "seed = -1", "seed must be >= 0, got -1"),
@@ -648,8 +638,9 @@ class TestOutOfRangeValues:
         ("mac", "ble_connection_interval = 5 ms",
          "ble_connection_interval must be >= 7.5 ms, got 0.005 s"),
         ("mac", "sync_epoch_period = 0 s", "sync_epoch_period must be at least 1 ns, got 0.0 s"),
-        # rules across keys: the default hop_increment is 7, the gallop cycle 2 ms
-        ("mac", "channel_count = 14", "hop_increment 7 shares a factor with channel_count 14"),
+        ("mac", "channel_count = 14",
+         "channel_count must not be a multiple of the hop increment 7, got 14"),
+        # rules across keys: the default slot_duration is 1 ms, the gallop cycle 2 ms
         ("mac", "slot_guard = 1 ms",
          "slot_duration 0.001 s must exceed slot_guard 0.001 s"),
         ("scenario", "episode_duration = 10000 s",

@@ -170,7 +170,7 @@ class TestRunEpisode:
         with pytest.raises(ValueError):
             run_episode(gallop_scenario(episode_duration=-1.0))
         with pytest.raises(ValueError):
-            bad_mac = MacConfig(variant=GALLOP, channel_count=36, hop_increment=6)
+            bad_mac = MacConfig(variant=GALLOP, channel_count=14)
             run_episode(gallop_scenario(mac=bad_mac))
 
     def test_negative_seed_rejected_before_running(self):

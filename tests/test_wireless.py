@@ -14,6 +14,7 @@ from telebalance.wireless import (
     FEEDBACK,
     FORWARD,
     GALLOP,
+    HOP_INCREMENT,
     IDEAL,
     MAX_SLOTS,
     ChannelModel,
@@ -138,7 +139,7 @@ def hops(cfg, direction, readies):
 
 class TestHopping:
     def test_hop_examples(self):
-        # the direction's base plus (index * increment) mod channel_count
+        # the direction's base plus (index * HOP_INCREMENT) mod channel_count
         assert hops(gallop_cfg(), FORWARD, [0, 2_000_000]) == [(0, 0), (14, 2)]
         assert hops(gallop_cfg(), FEEDBACK, [0]) == [(37 + 7, 1)]
         # BLE numbers both directions from 0; ready at 0 goes out at event 1
@@ -153,11 +154,10 @@ class TestHopping:
             assert used == list(range(37))
 
     @settings(max_examples=60, deadline=None)
-    @given(count=st.integers(3, 101), start=st.integers(0, 10**6))
+    @given(count=st.integers(3, 101).filter(lambda c: c % HOP_INCREMENT),
+           start=st.integers(0, 10**6))
     def test_coverage_for_any_coprime_increment(self, count, start):
-        inc = next(i for i in range(7, 7 + count) if math.gcd(i, count) == 1)
-        cfg = gallop_cfg(channel_count=count, hop_increment=inc,
-                         slots_per_superframe=1)
+        cfg = gallop_cfg(channel_count=count, slots_per_superframe=1)
         readies = [(start + i) * 1_000_000 for i in range(count)]
         assert {ch for ch, _ in hops(cfg, FORWARD, readies)} == set(range(count))
 
@@ -177,9 +177,9 @@ class TestHopping:
         gallop_cfg(clock_drift_ppm=999_999.0)
 
     def test_non_coprime_increment_rejected(self):
-        with pytest.raises(ValueError, match="hop_increment 6 shares a factor "
-                                             "with channel_count 36"):
-            gallop_cfg(channel_count=36, hop_increment=6)
+        with pytest.raises(ValueError, match="channel_count must not be a multiple "
+                                             "of the hop increment 7, got 14"):
+            gallop_cfg(channel_count=14)
 
 
 class TestGallopTransmit:
@@ -238,8 +238,8 @@ class TestGallopTransmit:
 
     def test_deliveries_reproducible_for_equal_seeds(self):
         cfg = gallop_cfg()
-        model = ChannelModel(p_good_to_bad=0.1, p_bad_to_good=0.3,
-                             loss_good=0.05, loss_bad=0.9)
+        model = ChannelModel(default_loss=0.05, p_good_to_bad=0.1, p_bad_to_good=0.3,
+                             loss_bad=0.9)
 
         def run():
             proc = ChannelProcess(model)
@@ -276,20 +276,18 @@ class TestGallopSlotTable:
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 6), dur_us=st.integers(1, 1000),
            guard_frac=st.sampled_from([0.0, 0.001, 0.05, 0.1, 0.9, 0.999]),
-           hop=st.sampled_from([(37, 7), (5, 2), (1, 1)]),
+           count=st.sampled_from([37, 5, 1]),
            extra=st.sampled_from([0.0, 3e-3]),
            readies=st.lists(frame_readies, min_size=1, max_size=6),
            seed=st.integers(0, 2**16),
            model=st.sampled_from([LOSSY, LOSSLESS]))
     def test_transmit_matches_brute_force_slot_search(self, n, dur_us, guard_frac,
-                                                      hop, extra, readies, seed,
+                                                      count, extra, readies, seed,
                                                       model):
         # a guard below the slot, down to 0
         guard = math.floor(guard_frac * dur_us * 1000) * 1e-9
-        count, increment = hop
         cfg = gallop_cfg(slots_per_superframe=n, slot_duration=dur_us * 1e-6,
-                         slot_guard=guard, channel_count=count,
-                         hop_increment=increment, extra_delay=extra)
+                         slot_guard=guard, channel_count=count, extra_delay=extra)
         # gallop's layout as the oracle reads it: alternating from forward
         layout = [(FEEDBACK if i % 2 else FORWARD, i * dur_us * 1e-6, dur_us * 1e-6)
                   for i in range(n)]
@@ -304,7 +302,7 @@ class TestGallopSlotTable:
                         - (guard_ns if at_guard else 0))
             out = transmit(cfg, procs[0], direction, ready, rngs[0])
             ref = gallop_slot_search(layout, direction, ready, guard_ns,
-                                     count, increment, round(extra * 1e9),
+                                     count, HOP_INCREMENT, round(extra * 1e9),
                                      procs[1].lost, rngs[1])
             assert (out.deliver_ns, out.slot_index, out.channel_used) == ref
             assert out.delivered == (ref[0] is not None)
@@ -320,7 +318,8 @@ class TestGallopSlotTable:
         (ChannelModel(p_good_to_bad=0.5, p_bad_to_good=0.0, loss_bad=0.1),
          False),
         (ChannelModel(default_loss=0.1), False),
-        (ChannelModel(loss_good=0.1), False),
+        # a floor under a chain whose bad state loses nothing
+        (ChannelModel(default_loss=0.1, p_good_to_bad=0.3, loss_bad=0.0), False),
         (ChannelModel(p_good_to_bad=0.01), False),
     ])
     def test_lossless_when_no_draw_can_lose(self, model, lossless):
@@ -463,7 +462,6 @@ IGNORED_KEYS = [
     (dict(variant=IDEAL), "ble_connection_interval", 20e-3),
     (dict(variant=IDEAL), "ble_jitter_max", 5e-3),
     (dict(variant=IDEAL), "channel_count", 5),
-    (dict(variant=IDEAL), "hop_increment", 2),
 ]
 
 
@@ -502,24 +500,34 @@ class TestIgnoredKeys:
 
 class TestGilbertElliott:
     def test_stationary_loss_rate_formula(self):
-        m = ChannelModel(p_good_to_bad=0.05, p_bad_to_good=0.2,
-                         loss_good=0.0, loss_bad=1.0)
+        m = ChannelModel(p_good_to_bad=0.05, p_bad_to_good=0.2, loss_bad=1.0)
         assert stationary_loss_rate(m) == pytest.approx(0.2)
         # a chain that never moves stays in its initial, good state
-        frozen = ChannelModel(p_good_to_bad=0.0, p_bad_to_good=0.0, loss_good=0.1)
-        assert stationary_loss_rate(frozen) == frozen.loss_good
+        frozen = ChannelModel(default_loss=0.1, p_good_to_bad=0.0, p_bad_to_good=0.0)
+        assert stationary_loss_rate(frozen) == pytest.approx(frozen.default_loss)
 
     def test_lazy_advance_matches_stepwise_statistics(self):
         # revisiting a channel every 37 slots uses the analytic n-step law;
         # the visit-to-visit bad-state frequency must match stationary pi_bad
-        m = ChannelModel(p_good_to_bad=0.02, p_bad_to_good=0.05,
-                         loss_good=0.0, loss_bad=1.0)
+        m = ChannelModel(p_good_to_bad=0.02, p_bad_to_good=0.05, loss_bad=1.0)
         proc = ChannelProcess(m)
         rng = np.random.default_rng(7)
-        # loss_bad = 1 and loss_good = 0: a frame is lost just in the bad state
+        # loss_bad = 1 and no floor: a frame is lost just in the bad state
         bad = sum(proc.lost(3, 37 * i, rng) for i in range(200_000))
         pi_bad = 0.02 / 0.07
         assert abs(bad / 200_000 - pi_bad) / pi_bad < 0.02
+
+    def test_floored_burst_channel_matches_stationary_rate(self):
+        # the floor loses in both states; visits 37 slots apart are all but
+        # independent (0.75^37 of the chain's memory is left), so 200 000 of
+        # them read the long-run rate within 2%
+        m = ChannelModel(default_loss=0.05, p_good_to_bad=0.05,
+                         p_bad_to_good=0.2, loss_bad=1.0)
+        proc = ChannelProcess(m)
+        rng = np.random.default_rng(11)
+        lost = sum(proc.lost(3, 37 * i, rng) for i in range(200_000))
+        rate = stationary_loss_rate(m)
+        assert abs(lost / 200_000 - rate) / rate < 0.02
 
     def test_probabilities_validated(self):
         with pytest.raises(ValueError):
