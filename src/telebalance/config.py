@@ -111,11 +111,10 @@ def ideal_scenario(**overrides) -> ScenarioConfig:
 
 
 class ConfigError(ValueError):
-    def __init__(self, message: str, path: str | None = None, line: int | None = None):
+    def __init__(self, message: str, path: str, line: int | None = None):
         self.path = path
         self.line = line
-        where = f"{path}:{line}: " if path and line else (f"{path}: " if path else "")
-        super().__init__(where + message)
+        super().__init__(f"{path}:{line}: {message}" if line else f"{path}: {message}")
 
 
 # quantity kind -> unit -> factor to the kind's base unit (s, rad)
@@ -228,9 +227,10 @@ def set_by_path(cfg: ScenarioConfig, path: str, value) -> ScenarioConfig:
 
 def _read_sections(path: Path) -> tuple[dict[str, dict[str, object]], dict]:
     """Parse and type-check the file into {section: {field: value}}, and
-    {key: (line, value as written)}, None for a key written twice."""
+    {key: (line, value as written)}; SCHEMA's key names are distinct
+    across sections, so a bare key names one line."""
     sections: dict[str, dict[str, object]] = {}
-    written: dict[str, tuple[int, str] | None] = {}
+    written: dict[str, tuple[int, str]] = {}
     current: str | None = None
     try:
         # the BOM goes after decoding, so a bad byte's position is its file offset
@@ -261,7 +261,7 @@ def _read_sections(path: Path) -> tuple[dict[str, dict[str, object]], dict]:
                 raise ValueError(f"unknown key {key!r} in [{current}]")
             if key in sections[current]:
                 raise ValueError(f"duplicate key {key!r} in [{current}]")
-            written[key] = None if key in written else (lineno, value)
+            written[key] = lineno, value
             kind = SCHEMA[current][key]
             try:
                 sections[current][key] = value if kind == "text" \

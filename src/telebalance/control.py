@@ -140,8 +140,7 @@ def _loop_model(params: PlantParams, cycle: float, latency_ns: int):
     h = _ns(cycle)
     q, r = divmod(latency_ns, h)
     d = q + (r > 0)  # the commands still pending at a sample
-    # the lagged torque is a plant state unless the motor is instant
-    n = 5 if params.motor_time_constant > 0 else 4
+    n = 5  # plant states: tilt, tilt_rate, wheel_angle, wheel_rate, torque
     late, torque = span_matrix(params, h - r), params.motor_max_torque
     Ad, gamma0 = late[:n, :n], late[:n, 5] * torque
     if r:
@@ -176,9 +175,9 @@ def closed_loop_matrix(params: PlantParams, gains: ControllerGains, cycle: float
     command applied latency_ns after its sample (Cervin et al., IEEE Control
     Systems Magazine 2003).
 
-    State: [tilt, tilt_rate, wheel_angle, wheel_rate, motor_torque] (no
-    motor_torque for an instant motor), the controller memory named as in
-    _LOOP_MEMORY, then the pending commands u[k-1] ... u[k-d]: with
+    State: [tilt, tilt_rate, wheel_angle, wheel_rate, motor_torque], the
+    controller memory named as in _LOOP_MEMORY, then the pending commands
+    u[k-1] ... u[k-d]: with
     latency_ns = q h + r, 0 <= r < h = cycle, d = q + (r > 0), u[k-q-1]
     holds for the first r of cycle k and u[k-q] for the rest, each over
     span_matrix, the engine's own RK4 advance. Sensors are noiseless and

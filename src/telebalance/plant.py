@@ -86,7 +86,8 @@ class PlantParams:
 
     Only the wheel radius (80 mm wheels -> 0.04 m) is tied to the target
     hardware; the remaining defaults are plausible stand-ins for a ~300 g
-    balancing robot and are fully overridable.
+    balancing robot and are fully overridable. motor_time_constant is at
+    least one SUBSTEP_NS: explicit RK4 cannot follow a shorter lag.
     """
 
     body_mass: float = 0.3            # kg
@@ -109,23 +110,17 @@ class PlantParams:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
-        check_range(self, ("motor_time_constant", "viscous_friction"), 0)
-        # explicit RK4 at SUBSTEP_NS cannot follow a lag far shorter than that
-        if 0 < self.motor_time_constant < SUBSTEP_NS * 1e-9:
-            raise ValueError(
-                f"motor_time_constant must be 0 (an instant motor) or at least "
-                f"{SUBSTEP_NS / 1e6:g} ms, got {self.motor_time_constant!r} s")
-        # (m11, m12c, m22, m_b g L, m11 m22, b, 1 / tm or 0 for an instant
-        # motor), cached for the RK4 hot path; the mass matrix's m12 is
-        # m12c cos(tilt)
+        check_range(self, ("viscous_friction",), 0)
+        check_range(self, ("motor_time_constant",), SUBSTEP_NS * 1e-9)
+        # (m11, m12c, m22, m_b g L, m11 m22, b, 1 / tm), cached for the RK4
+        # hot path; the mass matrix's m12 is m12c cos(tilt)
         m11 = (self.body_mass + self.wheel_mass_total) * self.wheel_radius ** 2 \
             + self.wheel_inertia
         m12c = self.body_mass * self.wheel_radius * self.com_distance
         m22 = self.body_mass * self.com_distance ** 2 + self.body_inertia
-        tm = self.motor_time_constant
         object.__setattr__(self, "_rk4_terms", (
             m11, m12c, m22, self.body_mass * self.gravity * self.com_distance,
-            m11 * m22, self.viscous_friction, 1.0 / tm if tm > 0 else 0.0))
+            m11 * m22, self.viscous_friction, 1.0 / self.motor_time_constant))
 
 
 @dataclass(frozen=True)
@@ -152,8 +147,6 @@ def _rk4_span(th: float, w: float, phi: float, v: float, tau: float,
               fall_threshold: float = math.inf) -> tuple[float, float, float, float, float, int]:
     """The advance rule above over span_ns: the state, then the substeps taken."""
     m11, m12c, m22, g_l, m11_m22, b, inv_tm = params._rk4_terms
-    if not inv_tm:  # an instant motor
-        tau = tau_cmd
     sin, cos = math.sin, math.cos
     n_full, rem = divmod(span_ns, SUBSTEP_NS)
 

@@ -116,10 +116,7 @@ def rk4_span_closure(th, w, phi, v, tau, tau_cmd, params, span_ns,
     first."""
     m11, m12c, m22, g_l = params._rk4_terms[:4]
     b = params.viscous_friction
-    tm = params.motor_time_constant
-    inv_tm = 1.0 / tm if tm > 0 else 0.0
-    if tm <= 0:
-        tau = tau_cmd
+    inv_tm = 1.0 / params.motor_time_constant
 
     def deriv(th_, w_, v_, tau_):
         s = math.sin(th_)

@@ -238,16 +238,16 @@ class TestCmdRun:
         assert "clock_drift_ppm must be in (-1e6, 1e6)" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("lag", ["1e-9 s", "1e-300 s"])
+    @pytest.mark.parametrize("lag", ["1e-9 s", "1e-300 s", "0 s"])
     def test_motor_lag_below_the_substep_exit_2_names_key(self, tmp_path, capsys,
                                                           lag):
-        # RK4 at 0.5 ms cannot follow these lags: 1e-9 s fell at 0.5 ms, and
-        # 1e-300 s left the plant state non-finite
+        # RK4 at 0.5 ms cannot follow these lags: 1e-9 s fell at 0.5 ms,
+        # 1e-300 s left the plant state non-finite, and 0 s has no 1 / tm
         cfg = write_cfg(tmp_path, f"[plant]\nmotor_time_constant = {lag}\n\n"
                                   "[mac]\nvariant = ideal\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "motor_time_constant must be 0 (an instant motor)" in err
+        assert "motor_time_constant must be >= 0.0005, got " in err
         assert "Traceback" not in err
 
     def test_billion_cycle_episode_exit_2_before_any_episode(self, tmp_path, capsys,
@@ -631,6 +631,8 @@ class TestOutOfRangeValues:
         ("loss", "loss_bad = 1.5", "loss_bad must be in [0, 1], got 1.5"),
         ("noise", "accel_noise_std = -0.1", "accel_noise_std must be >= 0, got -0.1"),
         ("plant", "viscous_friction = -1e-5", "viscous_friction must be >= 0, got -1e-05"),
+        ("plant", "motor_time_constant = 0 s", "motor_time_constant must be >= 0.0005, got 0.0"),
+        ("scenario", "fall_threshold = 0 rad", "fall_threshold must be positive, got 0.0"),
         ("mac", "channel_count = 0", "channel_count must be >= 1, got 0"),
         ("mac", "extra_delay = -1 ms", "extra_delay must be >= 0, got -0.001"),
         ("mac", "slot_guard = -1 us", "slot_guard must be >= 0, got -1e-06"),

@@ -151,6 +151,12 @@ def test_every_schema_key_is_its_field_name(section):
     assert list(SCHEMA[section]) == names
 
 
+def test_schema_key_names_are_distinct_across_sections():
+    # load_scenario finds the line of a rule's key by its bare name
+    names = [key for keys in SCHEMA.values() for key in keys]
+    assert len(names) == len(set(names))
+
+
 def test_every_parser_and_annotation_kind_is_some_key_kind():
     # SCHEMA reads each key's kind off _ANNOTATION_KINDS, and the reader
     # keeps a text value as written and parses any other as a UNITS

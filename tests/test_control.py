@@ -48,14 +48,12 @@ from telebalance.wireless import BLE, MacConfig, latency_interval
 GRID_CYCLES_MS = (0.5, 1, 2, 3, 4, 5, 7.5, 10, 12.5, 15, 20, 25, 30)
 GRID_PLANTS = {
     "default": PlantParams(),
-    "no_motor_lag": PlantParams(motor_time_constant=0.0),
     "heavy": PlantParams(body_mass=0.6, com_distance=0.08),
 }
 # the DEFAULT_GAINS scale tune_default_gains picked at each of those cycles
 # while closed_loop_matrix still called scipy.linalg.expm
 SCIPY_EXPM_SCALES = {
     "default": (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.75, 0.5, 0.5, 0.35, 0.35, 0.25),
-    "no_motor_lag": (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.75, 0.5, 0.5, 0.35, 0.25, 0.25, 0.15),
     "heavy": (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.75, 0.5, 0.5, 0.35, 0.35, 0.25, 0.25),
 }
 
@@ -281,16 +279,14 @@ class TestSpanMatrix:
         params = GRID_PLANTS[plant]
         A4, B4 = wip_linear_system(params)
         tm = params.motor_time_constant
-        # (state..., tau_cmd): the lagged torque is a state unless tm is 0
-        keep = [0, 1, 2, 3, 4, 5] if tm > 0 else [0, 1, 2, 3, 5]
-        blk = np.zeros((len(keep), len(keep)))
+        # on (state..., motor_torque, tau_cmd)
+        blk = np.zeros((6, 6))
         blk[:4, :4] = A4
-        blk[:4, 4] = B4[:, 0]  # from the lagged torque, or from tau_cmd
-        if tm > 0:
-            blk[4, 4:] = -1.0 / tm, 1.0 / tm
+        blk[:4, 4] = B4[:, 0]
+        blk[4, 4:] = -1.0 / tm, 1.0 / tm
         for span_ns in SPANS_NS:
             ref = expm_taylor(blk * span_ns * 1e-9)
-            got = span_matrix(params, span_ns)[np.ix_(keep, keep)]
+            got = span_matrix(params, span_ns)
             assert row_error(got, ref) <= 1e-6, span_ns
 
 
@@ -311,7 +307,7 @@ class TestClosedLoopMatrix:
         # the plant's one-cycle map from stepping the closure-form kernel
         # over the whole cycle, independent of span_matrix's squaring
         P = probed_span(rk4_span_closure, params, _ns(cycle))
-        n = 5 if params.motor_time_constant > 0 else 4
+        n = 5
         ref = loop_matrix_rows(P[:n, :n], P[:n, 5] * params.motor_max_torque,
                                gains, cycle, FILTER_ALPHA, WHEEL_RATE_SMOOTHING)
         got = closed_loop_matrix(params, gains, cycle)

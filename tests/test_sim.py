@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import math
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -850,6 +851,24 @@ class TestSweep:
         base = gallop_scenario(episode_duration=0.5)
         with pytest.raises(ValueError, match="slot_guard"):
             run_sweep(base, "mac.slot_guard", [0.002], 3, workers=2)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only a forked worker inherits the patched run_episode")
+    def test_episode_error_in_a_pool_worker_reaches_caller_with_its_type(
+            self, monkeypatch):
+        # the config is valid and tuned in the caller; seed 2's episode
+        # raises inside a worker of a two-process pool
+        run = sim.run_episode
+
+        def episode(cfg):
+            if cfg.seed == 2:
+                raise ArithmeticError("seed 2")
+            return run(cfg)
+        monkeypatch.setattr(sim, "run_episode", episode)
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1})
+        base = gallop_scenario(episode_duration=0.05)
+        with pytest.raises(ArithmeticError, match="seed 2"):
+            run_sweep(base, "mac.extra_delay", [0.0], 3, workers=2)
 
     def test_worker_tuning_failure_reaches_caller_with_its_type(self):
         # the config is valid; gain tuning fails in the caller, before the
