@@ -19,14 +19,14 @@ Equations of motion come from the Lagrangian of the two-body system:
 with M11 = (m_b + m_w) r^2 + I_w, M12 = m_b r L cos(tilt),
 M22 = m_b L^2 + I_b, and Q_w = -Q_t = tau - b * (wheel_rate - tilt_rate)
 the net axle torque on the wheel (equal and opposite on the body).
-Integration is fixed-step RK4 on raw floats: the four state variables
-plus the lagged motor torque. The advance rule: _rk4_span takes the plant
-over the span to the next event in whole SUBSTEP_NS (0.5 ms) substeps,
-then one remainder substep, and stops at the first substep that ends past
-the fall threshold, skipping the rest. span_matrix is the linear map that
-rule applies near upright, probed from _rk4_span itself, which is how the
-tuner's loop model sees the plant. sample_sensors reads a noisy IMU and
-the one wheel angle, floored to whole encoder counts.
+Integration is fixed-step RK4 on raw floats: the four state variables plus
+the lagged motor torque. The span rule: _rk4_span takes the plant over a
+span in whole SUBSTEP_NS (0.5 ms) substeps, then one remainder substep, and
+stops at the first substep that ends past the fall threshold, skipping the
+rest (sim.py's advance rule says which events end a span). span_matrix is
+the linear map that rule applies near upright, probed from _rk4_span
+itself, which is how the tuner's loop model sees the plant. sample_sensors
+reads a noisy IMU and the one wheel angle, floored to whole encoder counts.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class SensorFrame(NamedTuple):
 def _rk4_span(th: float, w: float, phi: float, v: float, tau: float,
               tau_cmd: float, params: PlantParams, span_ns: int,
               fall_threshold: float = math.inf) -> tuple[float, float, float, float, float, int]:
-    """The advance rule above over span_ns: the state, then the substeps taken."""
+    """The span rule above over span_ns: the state, then the substeps taken."""
     m11, m12c, m22, g_l, m11_m22, b, inv_tm = params._rk4_terms
     sin, cos = math.sin, math.cos
     n_full, rem = divmod(span_ns, SUBSTEP_NS)
@@ -262,7 +262,7 @@ def span_matrix(params: PlantParams, span_ns: int) -> np.ndarray:
 
     One whole substep's map, and the remainder's, is the linear_map of
     _rk4_span over it. The whole substeps compose by repeated squaring,
-    then the remainder follows, as in the advance rule; a long span costs
+    then the remainder follows, as in the span rule; a long span costs
     a few dozen 6x6 products.
     """
     def probed(ns: int) -> np.ndarray:

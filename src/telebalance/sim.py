@@ -4,15 +4,21 @@ controller -> feedback link -> plant, with stability and latency metrics.
 One episode is a strictly sequential event loop over a single heap of
 (time_ns, insertion_seq) ordered events; ties resolve by insertion order,
 and the episode's end comes last at its time, so a (config, seed) pair
-fully determines the run. Event timestamps are integer nanoseconds; the
-plant advances to each event by one plant._rk4_span call (the advance rule
-is in plant.py), under a zero-order-hold torque. Every sample appends
-one row to the trace's columns and sends one forward frame. Its cycle is
-open exactly while its recv or apply event is pending, and the site that
-closes it fills in its command, latency and drops in place; the rows of
-the cycles still open at the episode's end are deleted. The trace is the
-closed cycles, in sample order, one array column per field. Frames and
-commands are ordered by their sample, that is their row.
+fully determines the run. Event timestamps are integer nanoseconds. The
+advance rule: a sample, an apply or the end takes the plant to its time by
+one plant._rk4_span call (the span rule is in plant.py) under a
+zero-order-hold torque; a recv or a sync, which neither reads nor drives
+the plant, does so only off the plant's SUBSTEP_NS grid, where BLE and
+ideal recvs fall: on it, one span takes the substeps of two. So a sample
+is scheduled no earlier than the latest event time reached, and a skipped
+recv counts as never handled if the next advance finds a fall at or before
+its time: its cycle stays open, its feedback frame uncounted. Every sample
+appends one row to the trace's columns and sends one forward frame. Its
+cycle is open exactly while its recv or apply event is pending, and the
+site that closes it fills in its command, latency and drops in place; the
+rows of the cycles still open at the episode's end are deleted. The trace
+is the closed cycles, in sample order, one array column per field. Frames
+and commands are ordered by their sample, that is their row.
 
 Sensor sampling is scheduled on the robot's local clock (wireless.RobotClock),
 which drifts between sync epochs and is re-bounded at each epoch. The engine
@@ -189,7 +195,8 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
     th, w, phi, v, tau = cfg.initial_tilt, 0.0, 0.0, 0.0, 0.0
     cstate = ControllerState()
     torque = 0.0
-    plant_ns = 0
+    plant_ns = now_ns = 0  # the plant's time, and the latest event time reached
+    held: list[tuple] = []  # recvs handled since the plant's last advance
     fall_ns: int | None = None
     thr = cfg.fall_threshold
     tau_max = params.motor_max_torque
@@ -220,8 +227,8 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
 
     def schedule_sample(k: int) -> None:
         """Push period k's sample: at k cycles on the local clock, no
-        earlier than the plant time."""
-        heappush(heap, (max(local_to_true_ns(k * cycle_ns), plant_ns), next_seq(),
+        earlier than the latest event time reached."""
+        heappush(heap, (max(local_to_true_ns(k * cycle_ns), now_ns), next_seq(),
                         "sample", (k, synced)))
 
     heappush(heap, (sync_period_ns, next_seq(), "sync", ()))
@@ -242,14 +249,26 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             if t_ns == end_ns:
                 continue  # its cycle could not close within the episode
         if t_ns > plant_ns:
-            th, w, phi, v, tau, done = _rk4_span(
-                th, w, phi, v, tau, torque, params, t_ns - plant_ns, thr)
-            if abs(th) > thr:
-                # a fall in the remainder substep lands at the span's end
-                fall_ns = min(plant_ns + done * SUBSTEP_NS, t_ns)
-                heap.append(event)  # never handled: its cycle stays open
-                break
-            plant_ns = t_ns
+            if kind in ("recv", "sync") and not (t_ns - plant_ns) % SUBSTEP_NS:
+                now_ns = t_ns  # the plant catches up at the next advance
+                if kind == "recv":
+                    held.append(event)
+            else:
+                th, w, phi, v, tau, done = _rk4_span(
+                    th, w, phi, v, tau, torque, params, t_ns - plant_ns, thr)
+                if abs(th) > thr:
+                    # a fall in the remainder substep lands at the span's end
+                    fall_ns = min(plant_ns + done * SUBSTEP_NS, t_ns)
+                    heap.append(event)  # never handled: its cycle stays open
+                    for late in held:
+                        if late[0] >= fall_ns:  # handled ahead of the plant's fall
+                            heap.append(late)
+                            if not fwd_col[row := late[3][1]]:
+                                fbk_sent -= 1  # its feedback was never sent
+                                fbk_lost -= fbk_col[row]
+                    break
+                plant_ns = now_ns = t_ns
+                held.clear()
 
         if kind == "sample":
             last_sample_ns = t_ns
@@ -314,7 +333,7 @@ def run_episode(cfg: ScenarioConfig) -> tuple[EpisodeTrace, EpisodeMetrics]:
             break
 
     sent = len(t_col)  # one row and one forward frame per sample
-    open_rows = [payload[1] for _, _, kind, payload in heap if kind in ("recv", "apply")]
+    open_rows = {payload[1] for _, _, kind, payload in heap if kind in ("recv", "apply")}
     for row in sorted(open_rows, reverse=True):  # last first: the others keep place
         for column in columns:
             del column[row]

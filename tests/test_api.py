@@ -198,7 +198,7 @@ def test_benchmark_episode_check_reads_records_in_place(config_dir, monkeypatch)
 
 # per seam: calls in one traced 1 s episode, then substeps and closed cycles
 LAYER_COUNTS = {
-    "gallop_default.cfg": ({"_rk4_span": 1000, "transmit": 1000,
+    "gallop_default.cfg": ({"_rk4_span": 500, "transmit": 1000,
                             "sample_sensors": 500, "estimate_tilt": 500,
                             "compute_command": 500}, 2000, 500),
     "ble_default.cfg": ({"_rk4_span": 399, "transmit": 267,

@@ -40,13 +40,21 @@ GOLDEN = {
         "c2368a576fa7d98549437b464709287f61294560162e83515f9de521fe7ad8ca",
     "ble_overtaken_command":
         "09cf5a9ca86b2245315d552fe3940ae7b8180e2c4c9ad33ad2da07a15e45d6b9",
+    "delay_sweep_16ms_lossy_fall":
+        "883af62a308f06098fb93b817b22161fbc44dd1185b929eff0a3acc95f79341d",
 }
 
-# The 16 ms case falls. Events after the fall must not be handled, and the
-# CSV alone does not show an extra one, so its fall time and counters
+# The 16 ms cases fall. Events after the fall must not be handled, and the
+# CSV alone does not show an extra one, so their fall times and counters
 # (forward sent/delivered/lost, feedback sent/delivered/lost) are pinned too.
+# On the lossy link a frame received after the fall lost its feedback, which
+# must not be counted either.
 FALL_TIME = 0.4085
 FALL_COUNTERS = (205, 205, 0, 196, 196, 0)
+FALLS = {
+    "delay_sweep_16ms_fall": (FALL_TIME, FALL_COUNTERS),
+    "delay_sweep_16ms_lossy_fall": (0.4065, (204, 166, 38, 160, 129, 31)),
+}
 
 # The BLE link's jitter can deliver a frame or a command after a newer one;
 # the engine drops it. The CSV shows the drop flags but not which message
@@ -77,10 +85,14 @@ def _scenario(config_dir, case):
     elif case == "delay_sweep_16ms_fall":
         cfg = load_scenario(config_dir / "delay_sweep.cfg")
         cfg = replace(cfg, mac=replace(cfg.mac, extra_delay=0.016), seed=1)
+    elif case == "delay_sweep_16ms_lossy_fall":
+        cfg = load_scenario(config_dir / "delay_sweep.cfg")
+        cfg = replace(cfg, mac=replace(cfg.mac, extra_delay=0.016),
+                      channel=ChannelModel(default_loss=0.2), seed=13)
     elif case == "gallop_sample_floor":
-        # a 1 us sync offset puts 2 of the sample times before the plant
-        # time an earlier event reached; run_episode's
-        # max(local_to_true_ns(...), plant_ns) floor lifts them to it
+        # a 1 us sync offset puts 2 of the sample times before the latest
+        # event time reached; run_episode's max(local_to_true_ns(...), now_ns)
+        # floor (the advance rule in sim.py) lifts them to it
         cfg = load_scenario(config_dir / "gallop_default.cfg")
         cfg = replace(cfg, mac=replace(cfg.mac, sync_error_bound=1e-6,
                                        extra_delay=0.001))
@@ -110,12 +122,14 @@ def test_trace_digest_pinned(config_dir, case):
     assert digest == GOLDEN[case]
 
 
-def test_falling_episode_pins_fall_time_and_counters(config_dir):
-    trace, _ = run_episode(_scenario(config_dir, "delay_sweep_16ms_fall"))
-    assert trace.fall_time == FALL_TIME
+@pytest.mark.parametrize("case", sorted(FALLS))
+def test_falling_episode_pins_fall_time_and_counters(config_dir, case):
+    trace, _ = run_episode(_scenario(config_dir, case))
+    fall_time, counters = FALLS[case]
+    assert trace.fall_time == fall_time
     assert (trace.forward_sent, trace.forward_delivered, trace.forward_lost,
             trace.feedback_sent, trace.feedback_delivered,
-            trace.feedback_lost) == FALL_COUNTERS
+            trace.feedback_lost) == counters
 
 
 @pytest.mark.parametrize("case", sorted(OVERTAKEN))
