@@ -66,7 +66,9 @@ class MacConfig:
     channel_count; extra_delay_ns; and the slot table and admission rule
     (module docstring), superframe and admit_ns. Gallop's table is
     slots_per_superframe slots, each d = slot_duration in whole ns long,
-    slot k spanning [k d, (k + 1) d)."""
+    slot k spanning [k d, (k + 1) d). slots_per_superframe is in [2, 1000],
+    so every superframe carries both directions: a control cycle needs a
+    forward slot and a feedback slot."""
 
     variant: str = GALLOP
     slot_duration: Seconds = 1e-3
@@ -87,7 +89,7 @@ class MacConfig:
         # event times are whole ns: a shorter slot or sync period is 0 ns long
         if _ns(self.slot_duration) <= 0:
             raise ValueError(f"slot_duration must be at least 1 ns, got {self.slot_duration!r} s")
-        check_range(self, ("slots_per_superframe",), 1, MAX_SLOTS)
+        check_range(self, ("slots_per_superframe",), 2, MAX_SLOTS)
         check_range(self, ("channel_count",), 1)
         if self.channel_count % HOP_INCREMENT == 0:
             raise ValueError(f"channel_count must not be a multiple of the hop "
@@ -134,9 +136,8 @@ class MacConfig:
 class Superframe(NamedTuple):
     """A link's slot table in whole ns, repeated every span_ns: gallop's
     TDMA cycle of slots_per_superframe equal slots, alternating forward and
-    feedback from forward (no feedback slot when there is one slot), or one
-    event at the start of each BLE connection interval (each ns on the
-    ideal link)."""
+    feedback from forward, or one event at the start of each BLE connection
+    interval (each ns on the ideal link)."""
 
     count: int               # slots a period; slot k of period p is index p * count + k
     span_ns: int             # the period: gallop's last slot end
@@ -208,11 +209,11 @@ class ChannelProcess:
 class DeliveryOutcome(NamedTuple):
     """One transmit's result, built by tuple.__new__ for every frame. A
     field that does not apply is None: deliver_ns exactly when the frame is
-    lost, channel_used and slot_index when no slot was tried (ideal link)."""
+    lost, channel_used and slot_index on the ideal link."""
 
     deliver_ns: int | None
-    channel_used: int | None = None
-    slot_index: int | None = None
+    channel_used: int | None
+    slot_index: int | None
 
     @property
     def delivered(self) -> bool:
@@ -240,10 +241,6 @@ def transmit(cfg: MacConfig, channel: ChannelProcess, direction: str,
 
     superframe = cfg.superframe
     slots = superframe.by_direction[direction]
-    if not slots:
-        # degenerate layout without this direction: the frame can never
-        # be carried (e.g. forward-only frames starve the controller)
-        return DeliveryOutcome(None)
     span = superframe.span_ns
     sf, phase = divmod(ready_ns - cfg.admit_ns, span)
     if phase > slots[-1][0]:
@@ -273,9 +270,6 @@ def latency_interval(mac: MacConfig, cycle: float) -> tuple[int, int]:
     start plus admit_ns) the latency falls as the sample moves later, so its
     extremes lie at the phases either side of a change."""
     sf = mac.superframe
-    for direction, slots in sf.by_direction.items():
-        if not slots:
-            raise ValueError(f"the slot layout has no {direction} slot")
     changes = [start + mac.admit_ns + 1 for start, _, _ in sf.by_direction[FORWARD]]
     g = math.gcd(_ns(cycle), sf.span_ns)
     lossless = ChannelProcess(ChannelModel())

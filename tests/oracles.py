@@ -206,13 +206,11 @@ def gallop_slot_search(layout, direction: str, ready_ns: int,
     frame tries the earliest admissible one of its direction and every
     later one of that direction in the same superframe, with one
     lost(channel, slot_index, rng) call per try. Returns
-    (deliver_ns, slot_index, channel_used), with None for what the outcome
-    lacks.
+    (deliver_ns, slot_index, channel_used) of the last try, deliver_ns None
+    when every try is lost.
     """
     slots = sorted(((round(start * 1e9), round(start * 1e9) + round(dur * 1e9), d)
                     for d, start, dur in layout), key=lambda s: s[0])
-    if all(d != direction for _, _, d in slots):
-        return None, None, None
     span = max(end for _, end, _ in slots)
     n = len(slots)
     earliest = ready_ns - guard_ns

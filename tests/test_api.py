@@ -78,9 +78,13 @@ def test_readme_documents_section_paths():
 @pytest.mark.parametrize("path", documented_param_paths())
 def test_readme_param_path_resolves(config_dir, path):
     # 1 moves any key but one the config already holds at 1 (seed = 1),
-    # which 2 moves; a path that moves nothing fails on either
+    # which 2 moves, and the slot count, at least 2 and held at 2, which 3
+    # moves; a path that moves nothing fails on either
     cfg = load_scenario(config_dir / "gallop_default.cfg")
-    value = 2 if set_by_path(cfg, path, 1) == cfg else 1
+    if path == "mac.slots_per_superframe":
+        value = 3
+    else:
+        value = 2 if set_by_path(cfg, path, 1) == cfg else 1
     assert set_by_path(cfg, path, value) != cfg
 
 

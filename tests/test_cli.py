@@ -223,8 +223,29 @@ class TestCmdRun:
         cfg = write_cfg(tmp_path, GALLOP_SHORT + "slots_per_superframe = 1001\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err == (f"error: {cfg}:10: slots_per_superframe must be in [1, 1000],"
+        assert err == (f"error: {cfg}:10: slots_per_superframe must be in [2, 1000],"
                        " got 1001 (written: 1001)\n")
+
+    def test_one_slot_superframe_exit_2_before_any_episode(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # a superframe needs a forward and a feedback slot
+        def no_episode(cfg):
+            raise AssertionError("episode started")
+        monkeypatch.setattr(cli, "run_episode", no_episode)
+        monkeypatch.setattr(sim, "run_episode", no_episode)
+        cfg = write_cfg(tmp_path, GALLOP_SHORT + "slots_per_superframe = 1\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:10: slots_per_superframe must be in [2, 1000],"
+            " got 1 (written: 1)\n")
+        ok = write_cfg(tmp_path, GALLOP_SHORT, "ok.cfg")
+        assert main(["sweep", str(ok), "--param", "mac.slots_per_superframe",
+                     "--values", "1,2", "--seeds", "3",
+                     "--out", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert "slots_per_superframe must be in [2, 1000], got 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "s").exists()
 
     def test_clock_a_million_times_fast_exit_2(self, tmp_path, capsys, monkeypatch):
         # rejected as the config loads: an episode at this drift would not finish

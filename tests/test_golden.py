@@ -42,18 +42,23 @@ GOLDEN = {
         "09cf5a9ca86b2245315d552fe3940ae7b8180e2c4c9ad33ad2da07a15e45d6b9",
     "delay_sweep_16ms_lossy_fall":
         "883af62a308f06098fb93b817b22161fbc44dd1185b929eff0a3acc95f79341d",
+    "delay_sweep_16ms_fast_clock_fall":
+        "d7e2826c9f8f220dbedcec5ed60299cac422d9bb7a6881ec3bde8e0aa28503a3",
 }
 
 # The 16 ms cases fall. Events after the fall must not be handled, and the
 # CSV alone does not show an extra one, so their fall times and counters
 # (forward sent/delivered/lost, feedback sent/delivered/lost) are pinned too.
 # On the lossy link a frame received after the fall lost its feedback, which
-# must not be counted either.
+# must not be counted either. On the fast clock two recvs share the slot that
+# ends exactly at the fall time, and the second is dropped as sharing it: the
+# first one's feedback is uncounted, and the dropped one sent none.
 FALL_TIME = 0.4085
 FALL_COUNTERS = (205, 205, 0, 196, 196, 0)
 FALLS = {
     "delay_sweep_16ms_fall": (FALL_TIME, FALL_COUNTERS),
     "delay_sweep_16ms_lossy_fall": (0.4065, (204, 166, 38, 160, 129, 31)),
+    "delay_sweep_16ms_fast_clock_fall": (0.413, (211, 211, 0, 198, 198, 0)),
 }
 
 # The BLE link's jitter can deliver a frame or a command after a newer one;
@@ -89,6 +94,12 @@ def _scenario(config_dir, case):
         cfg = load_scenario(config_dir / "delay_sweep.cfg")
         cfg = replace(cfg, mac=replace(cfg.mac, extra_delay=0.016),
                       channel=ChannelModel(default_loss=0.2), seed=13)
+    elif case == "delay_sweep_16ms_fast_clock_fall":
+        # a 2% fast clock, not resynced before the fall, puts two samples
+        # in one forward slot
+        cfg = load_scenario(config_dir / "delay_sweep.cfg")
+        cfg = replace(cfg, mac=replace(cfg.mac, extra_delay=0.016,
+                                       clock_drift_ppm=20000.0), seed=8)
     elif case == "gallop_sample_floor":
         # a 1 us sync offset puts 2 of the sample times before the latest
         # event time reached; run_episode's max(local_to_true_ns(...), now_ns)

@@ -385,12 +385,6 @@ class TestLatencyInterval:
         assert {1_900_005, 3_899_396} <= recorded
         assert (min(recorded), max(recorded)) == (1_900_005, 3_899_998)
 
-    def test_a_layout_without_a_direction_is_rejected_by_name(self):
-        # one slot a superframe: forward only
-        mac = MacConfig(slots_per_superframe=1)
-        with pytest.raises(ValueError, match="no feedback slot"):
-            latency_interval(mac, mac.nominal_cycle)
-
     def test_ble_records_inside_the_interval(self):
         cfg = ble_scenario(episode_duration=7.5)
         low, high = latency_interval(cfg.mac, cfg.resolved_cycle())

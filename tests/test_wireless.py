@@ -53,15 +53,14 @@ class TestSuperframe:
                                    FEEDBACK: ((1_000_000, 2_000_000, 1),)}
         assert gallop_cfg().channel_base == {FORWARD: 0, FEEDBACK: 37}
 
-    def test_forward_only_degenerate_layout(self):
-        sf = gallop_cfg(slots_per_superframe=1).superframe
-        assert sf.count == 1
-        assert sf.span_ns == 1_000_000
-        # feedback frames starve instead of erroring
-        out = transmit(gallop_cfg(slots_per_superframe=1),
-                       ChannelProcess(LOSSLESS), FEEDBACK, 0,
-                       np.random.default_rng(0))
-        assert not out.delivered
+    def test_fewer_than_two_slots_rejected_naming_slots(self):
+        # a superframe carries a forward and a feedback slot: one slot would
+        # never deliver a command. Every variant checks the key
+        for variant in (GALLOP, BLE, IDEAL):
+            for n in (0, 1):
+                with pytest.raises(ValueError, match=r"slots_per_superframe must be in "
+                                                     rf"\[2, {MAX_SLOTS}\], got {n}$"):
+                    MacConfig(variant=variant, slots_per_superframe=n)
 
     def test_slot_not_longer_than_the_guard_rejected_naming_it(self):
         # a frame admitted slot_guard late would be delivered at or before
@@ -78,7 +77,7 @@ class TestSuperframe:
         # a valid layout
         for n in (MAX_SLOTS + 1, 1500):
             with pytest.raises(ValueError, match=r"slots_per_superframe must be in "
-                                                 rf"\[1, {MAX_SLOTS}\], got {n}"):
+                                                 rf"\[2, {MAX_SLOTS}\], got {n}"):
                 gallop_cfg(slots_per_superframe=n)
         assert gallop_cfg(slots_per_superframe=MAX_SLOTS).superframe.count == MAX_SLOTS
 
@@ -103,7 +102,7 @@ class TestSuperframe:
             gallop_cfg(**{key: value})
 
     def test_tdma_slots_pairwise_disjoint(self):
-        for n in (1, 2, 4, 6):
+        for n in (2, 3, 4, 6):
             table = slot_table(gallop_cfg(slots_per_superframe=n).superframe)
             assert len(table) == n
             for i in range(len(table)):
@@ -137,6 +136,19 @@ def hops(cfg, direction, readies):
     return [transmit(cfg, proc, direction, t, rng, jit)[1:] for t in readies]
 
 
+def band_offsets(cfg, indices):
+    """Sorted channel less its band's base of a lossless transmit in each of
+    the 2-slot layout's slot indices: even ones forward, odd ones feedback,
+    each from a frame ready at its superframe's start."""
+    offsets = []
+    for i in indices:
+        direction = FEEDBACK if i % 2 else FORWARD
+        [(ch, index)] = hops(cfg, direction, [i // 2 * cfg.superframe.span_ns])
+        assert index == i
+        offsets.append(ch - cfg.channel_base[direction])
+    return sorted(offsets)
+
+
 class TestHopping:
     def test_hop_examples(self):
         # the direction's base plus (index * HOP_INCREMENT) mod channel_count
@@ -146,20 +158,29 @@ class TestHopping:
         assert hops(ble_cfg(), FEEDBACK, [0]) == [(7, 1)]
 
     def test_consecutive_slots_cover_all_channels(self):
-        # one slot a superframe: frames in 37 consecutive slots, or events
-        for cfg, period in ((gallop_cfg(slots_per_superframe=1), 1_000_000),
-                            (ble_cfg(), 7_500_000)):
-            used = sorted(ch for ch, _ in hops(cfg, FORWARD,
-                                               [k * period for k in range(37)]))
-            assert used == list(range(37))
+        # the 2-slot layout's forward and feedback frames together take slot
+        # indices 0-36, whose channels less their band's base cover the band;
+        # BLE takes 37 consecutive events
+        assert band_offsets(gallop_cfg(), range(37)) == list(range(37))
+        used = sorted(ch for ch, _ in hops(ble_cfg(), FORWARD,
+                                           [k * 7_500_000 for k in range(37)]))
+        assert used == list(range(37))
 
     @settings(max_examples=60, deadline=None)
     @given(count=st.integers(3, 101).filter(lambda c: c % HOP_INCREMENT),
            start=st.integers(0, 10**6))
     def test_coverage_for_any_coprime_increment(self, count, start):
-        cfg = gallop_cfg(channel_count=count, slots_per_superframe=1)
-        readies = [(start + i) * 1_000_000 for i in range(count)]
-        assert {ch for ch, _ in hops(cfg, FORWARD, readies)} == set(range(count))
+        cfg = gallop_cfg(channel_count=count)
+        assert band_offsets(cfg, range(start, start + count)) == list(range(count))
+
+    def test_a_shared_factor_leaves_half_of_each_band_unused(self):
+        # README: with channel_count = 36 on the 2-slot layout, forward frames
+        # use only the even channels of their band and feedback frames only
+        # the odd ones, over any number of superframes
+        cfg = gallop_cfg(channel_count=36)
+        readies = [k * 2_000_000 for k in range(36)]
+        assert {ch for ch, _ in hops(cfg, FORWARD, readies)} == set(range(0, 35, 2))
+        assert {ch for ch, _ in hops(cfg, FEEDBACK, readies)} == set(range(37, 72, 2))
 
     def test_clock_that_stops_or_runs_backwards_rejected(self):
         for drift_ppm in (-1e6, -2e6):
@@ -274,7 +295,7 @@ class TestGallopSlotTable:
                          p_bad_to_good=0.4, loss_bad=0.9)
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(1, 6), dur_us=st.integers(1, 1000),
+    @given(n=st.integers(2, 6), dur_us=st.integers(1, 1000),
            guard_frac=st.sampled_from([0.0, 0.001, 0.05, 0.1, 0.9, 0.999]),
            count=st.sampled_from([37, 5, 1]),
            extra=st.sampled_from([0.0, 3e-3]),
@@ -332,7 +353,7 @@ def free_links(draw) -> dict:
     duration (which may be no longer than the guard), guard, delay and
     jitter; construction may reject them."""
     return dict(variant=draw(st.sampled_from([GALLOP, BLE, IDEAL])),
-                slots_per_superframe=draw(st.integers(1, 6)),
+                slots_per_superframe=draw(st.integers(2, 6)),
                 slot_duration=draw(st.integers(1, 1000)) * 1e-6,
                 slot_guard=draw(st.sampled_from([0.0, 1e-6, 5e-5, 1e-4, 9e-4])),
                 extra_delay=draw(st.sampled_from([0.0, 1e-9, 3e-3])),
