@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import load_scenario, parse_sweep_values
@@ -30,8 +29,6 @@ def _write(path: Path, text: str) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_scenario(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     trace, metrics = run_episode(cfg)
     out = Path(args.out)
     _write(out / "trace.csv", trace_to_csv(trace))
@@ -118,7 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one episode from a config file")
     p_run.add_argument("config")
-    p_run.add_argument("--seed", type=_at_least(0), default=None)
     p_run.add_argument("--out", default="out")
     p_run.set_defaults(func=cmd_run)
 

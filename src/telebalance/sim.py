@@ -161,7 +161,7 @@ class RecordView:
 class EpisodeMetrics:
     balanced_duration: float   # s
     fell: bool
-    rms_tilt_rate: float       # deg/s over the balanced portion
+    rms_tilt_rate: float       # deg/s over the trace's rows, all sampled pre-fall
     max_abs_tilt: float        # deg
     latency_mean: float        # ms
     latency_variance: float    # ms^2
@@ -359,7 +359,7 @@ def _p99(x: np.ndarray) -> float:
 
 
 def compute_metrics(trace: EpisodeTrace, cfg: ScenarioConfig) -> EpisodeMetrics:
-    """Aggregate one episode's trace; rms is over the balanced portion.
+    """Aggregate one episode's trace; rms covers its rows, all sampled pre-fall.
 
     An empty trace (a fall before the first sample) reports the initial
     tilt as its peak, nan rms and latencies, and no drops.
@@ -370,10 +370,9 @@ def compute_metrics(trace: EpisodeTrace, cfg: ScenarioConfig) -> EpisodeMetrics:
         return EpisodeMetrics(balanced, fell, NAN, abs(cfg.initial_tilt) * DEG,
                               NAN, NAN, NAN, 0.0)
 
-    t, tilt, tilt_rate, _, _, latency, fwd, fbk = (
+    _, tilt, tilt_rate, _, _, latency, fwd, fbk = (
         np.frombuffer(column, dtype=column.typecode)
         for column in trace.columns())
-    rates = tilt_rate[t <= balanced]
     tilts = np.abs(tilt)
     lat = latency[~np.isnan(latency)]
     dropped = fwd | fbk
@@ -388,8 +387,7 @@ def compute_metrics(trace: EpisodeTrace, cfg: ScenarioConfig) -> EpisodeMetrics:
     return EpisodeMetrics(
         balanced_duration=balanced,
         fell=fell,
-        rms_tilt_rate=float(np.sqrt(np.mean(rates ** 2))) if rates.size
-        else float("nan"),
+        rms_tilt_rate=float(np.sqrt(np.mean(tilt_rate ** 2))),
         max_abs_tilt=float(tilts.max()),
         latency_mean=lat_mean,
         latency_variance=lat_var,

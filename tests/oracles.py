@@ -231,7 +231,7 @@ def gallop_slot_search(layout, direction: str, ready_ns: int,
 
 def record_metrics(trace, cfg) -> EpisodeMetrics:
     """sim.compute_metrics of trace, one list per statistic built row by
-    row from the rows its columns zip to."""
+    row from the rows its columns zip to; the rms covers every row."""
     records = [CycleRecord._make(row) for row in zip(*trace.columns())]
     fell = trace.fall_time is not None
     balanced = trace.fall_time if fell else cfg.episode_duration
@@ -239,7 +239,7 @@ def record_metrics(trace, cfg) -> EpisodeMetrics:
         return EpisodeMetrics(balanced, fell, math.nan,
                               abs(cfg.initial_tilt) * (180.0 / math.pi),
                               math.nan, math.nan, math.nan, 0.0)
-    rates = np.array([r.tilt_rate for r in records if r.t <= balanced])
+    rates = np.array([r.tilt_rate for r in records])
     tilts = np.array([abs(r.tilt) for r in records])
     lat = np.array([r.cycle_latency for r in records
                     if not math.isnan(r.cycle_latency)])
@@ -253,8 +253,7 @@ def record_metrics(trace, cfg) -> EpisodeMetrics:
     return EpisodeMetrics(
         balanced_duration=balanced,
         fell=fell,
-        rms_tilt_rate=float(np.sqrt(np.mean(rates ** 2))) if rates.size
-        else math.nan,
+        rms_tilt_rate=float(np.sqrt(np.mean(rates ** 2))),
         max_abs_tilt=float(tilts.max()),
         latency_mean=lat_mean,
         latency_variance=lat_var,

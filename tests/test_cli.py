@@ -203,13 +203,6 @@ class TestCmdRun:
         assert trace.count("\n") == 1 + 500  # header + one row per 2 ms cycle
         assert "latency_variance_ms2=0.0" in metrics
 
-    def test_seed_flag_overrides_config(self, tmp_path):
-        cfg = write_cfg(tmp_path, GALLOP_SHORT)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        main(["run", str(cfg), "--out", str(out_a), "--seed", "42"])
-        main(["run", str(cfg), "--out", str(out_b)])
-        assert (out_a / "trace.csv").read_bytes() != (out_b / "trace.csv").read_bytes()
-
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, GALLOP_SHORT)
         out = tmp_path / "out"
@@ -329,11 +322,12 @@ class TestCmdRun:
         assert (out / "trace.csv").exists()
         assert "fell=true" in (out / "metrics.txt").read_text()
 
-    def test_negative_seed_flag_exit_2_names_flag(self, tmp_path, capsys):
+    def test_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        # run takes its seed from the config's [scenario] seed alone
         cfg = write_cfg(tmp_path, GALLOP_SHORT)
         out = tmp_path / "out"
-        assert main(["run", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
-        assert "--seed" in capsys.readouterr().err
+        assert main(["run", str(cfg), "--out", str(out), "--seed", "3"]) == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
@@ -748,7 +742,7 @@ def cli_argv(draw, base: Path) -> list[str]:
     command = draw(st.sampled_from(["run", "compare", "sweep"]))
     argv = [command]
     if command == "run":
-        argv += [draw(configs), "--seed", draw(st.sampled_from(["0", "3"]))]
+        argv.append(draw(configs))
     elif command == "compare":
         for _ in range(draw(st.integers(2, 3))):
             argv += ["--scenario", draw(configs)]

@@ -138,6 +138,8 @@ def test_falling_episode_pins_fall_time_and_counters(config_dir, case):
     trace, _ = run_episode(_scenario(config_dir, case))
     fall_time, counters = FALLS[case]
     assert trace.fall_time == fall_time
+    # every kept row was sampled before the fall: the rms covers them all
+    assert max(trace.t) < fall_time
     assert (trace.forward_sent, trace.forward_delivered, trace.forward_lost,
             trace.feedback_sent, trace.feedback_delivered,
             trace.feedback_lost) == counters

@@ -61,6 +61,7 @@ from oracles import (
     record_metrics,
     wip_linear_system,
 )
+from test_golden import GOLDEN
 
 
 class TestRunEpisode:
@@ -505,6 +506,11 @@ class TestPipelineProperties:
         assert trace.feedback_sent == trace.feedback_delivered + trace.feedback_lost
         times = list(trace.t)
         assert all(a < b for a, b in zip(times, times[1:]))
+        # every kept row was sampled before the fall, or else the episode's
+        # end: compute_metrics takes the rms over all of them
+        horizon = cfg.episode_duration if trace.fall_time is None \
+            else trace.fall_time
+        assert all(t < horizon for t in times)
         # commands take effect in cycle order: a reordered one is dropped
         applied = [round(t * 1e9) + round(lat * 1e6)
                    for t, lat in zip(trace.t, trace.cycle_latency)
@@ -661,9 +667,10 @@ class TestTraceRows:
         assert sum(trace.feedback_dropped) == 9
         assert all(a < b for a, b in zip(trace.t, trace.t[1:]))
         assert_rows_closed(trace)
-        # the bytes this episode wrote when each cycle was a CycleRecord
-        assert hashlib.sha256(trace_to_csv(trace).encode()).hexdigest() == (
-            "09cf5a9ca86b2245315d552fe3940ae7b8180e2c4c9ad33ad2da07a15e45d6b9")
+        # the bytes this episode wrote when each cycle was a CycleRecord:
+        # it falls at 0.446 s, so it is the golden 5 s case's episode
+        assert hashlib.sha256(trace_to_csv(trace).encode()).hexdigest() \
+            == GOLDEN["ble_overtaken_command"]
 
     def test_fall_deletes_the_rows_in_flight(self):
         # a 34 ms loop on the 2 ms cycle: 17 cycles are in flight at the fall
