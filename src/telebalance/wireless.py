@@ -189,11 +189,10 @@ class ChannelProcess:
             model.default_loss or (model.p_good_to_bad and model.loss_bad))
 
     def lost(self, channel: int, slot_index: int, rng: np.random.Generator) -> bool:
-        """Whether a frame on channel in slot slot_index is lost. A lossless
-        process draws nothing; any other advances the channel's chain to
-        slot_index (one uniform), then draws the loss (one more)."""
-        if self.lossless:
-            return False
+        """Whether a frame on channel in slot slot_index is lost: advances
+        the channel's chain to slot_index (one uniform), then draws the loss
+        (one more). Asked only of a lossy process; transmit draws nothing
+        on a lossless one."""
         bad, last_slot = self._chain.get(channel, (False, slot_index))
         n = slot_index - last_slot
         s = self._s

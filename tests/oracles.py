@@ -17,7 +17,9 @@ controller can be required to match it; record_metrics aggregates a
 trace one row at a time, zipped from its columns, so that
 sim.compute_metrics, which reads the columns as arrays, can be required
 to give the same floats. stationary_loss_rate is the Gilbert-Elliott
-chain's long-run loss, solved analytically.
+chain's long-run loss, solved analytically. spectral_radius takes the
+eigenvalues from LAPACK, the reference for control._is_stable, which
+decides stability by squaring instead.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ def expm_taylor(M: np.ndarray, order: int = 40) -> np.ndarray:
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def spectral_radius(M: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
 def wip_linear_system(params) -> tuple[np.ndarray, np.ndarray]:

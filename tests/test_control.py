@@ -4,18 +4,22 @@ import warnings
 from dataclasses import fields, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import (
     expm_taylor,
     loop_matrix_rows,
     probed_span,
     rk4_span_closure,
+    spectral_radius,
     wip_linear_system,
 )
 from telebalance.control import (
+    _SEARCH_SCALES,
     DEFAULT_GAINS,
     FILTER_ALPHA,
     WHEEL_RATE_SMOOTHING,
@@ -26,11 +30,10 @@ from telebalance.control import (
     controller_map,
     ControllerState,
     estimate_tilt,
-    spectral_radius,
     tune_default_gains,
 )
 from telebalance import control
-from telebalance.config import ScenarioConfig, ideal_scenario
+from telebalance.config import ScenarioConfig, ideal_scenario, load_scenario
 from telebalance.plant import (
     TWO_PI,
     PlantParams,
@@ -41,7 +44,7 @@ from telebalance.plant import (
     sample_sensors,
     span_matrix,
 )
-from telebalance.sim import run_episode
+from telebalance.sim import compare_scenarios, run_episode, run_sweep
 from telebalance.wireless import BLE, MacConfig, latency_interval
 
 # the cycles and plants over which the loop model and the tuner are checked
@@ -402,3 +405,95 @@ class TestLiftedLoop:
         (a1, a2), *_ = np.linalg.lstsq(np.column_stack([tilt[1:-1], tilt[:-2]]),
                                        tilt[2:], rcond=None)
         assert abs(math.sqrt(-a2) - radius) <= 1e-3, (math.sqrt(-a2), radius)
+
+
+def is_stable(M: np.ndarray) -> bool:
+    """control._is_stable under the np.errstate tune_default_gains calls it
+    in: the powers of an unstable M may overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return control._is_stable(M)
+
+
+class TestIsStable:
+    """_is_stable decides rho(M) < 1 by squaring; the eigenvalues
+    (oracles.spectral_radius) are its reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(M=st.integers(2, 10).flatmap(
+               lambda n: arrays(np.float64, (n, n), elements=st.floats(-10, 10))),
+           radius=st.one_of(st.floats(0.5, 1 - 1e-6), st.floats(1 + 1e-6, 2.0)))
+    def test_agrees_with_the_eigenvalues(self, M, radius):
+        w, V = np.linalg.eig(M)
+        rho = float(np.abs(w).max())
+        # a radius to rescale by, and eigenvalues both sides resolve to well
+        # inside the 1e-6 margin: an eigenvector basis of condition number
+        # below 1e3 (Bauer-Fike); near-defective draws are out of reach of
+        # the oracle and of the squaring alike
+        sv = np.linalg.svd(V, compute_uv=False)
+        assume(rho > 0 and math.isfinite(radius / rho) and sv[-1] * 1e3 > sv[0])
+        M = M * (radius / rho)
+        assert is_stable(M) == (spectral_radius(M) < 1.0)
+
+    @pytest.mark.parametrize("M, stable", [
+        (np.zeros((3, 3)), True),
+        (np.eye(3), False),
+        # a quarter turn, exact in floats: cos 0.3 and sin 0.3 round to a
+        # matrix of radius 1 - 5e-17, which is stable
+        (np.array([[0.0, -1.0], [1.0, 0.0]]), False),
+        # nilpotent: M^4 = 0 however large the block
+        (np.diag([10.0, 10.0, 10.0], k=1), True),
+        (np.array([[0.5, math.nan], [0.0, 0.5]]), False),
+        (np.array([[0.5, 0.0], [math.inf, 0.5]]), False),
+    ], ids=["zero", "identity", "rotation", "nilpotent", "nan", "inf"])
+    def test_edge_cases(self, M, stable):
+        assert is_stable(M) is stable
+
+    @pytest.mark.parametrize("plant", sorted(GRID_PLANTS))
+    def test_agrees_with_the_eigenvalues_on_the_tuning_grid(self, plant):
+        for ms in GRID_CYCLES_MS:
+            for scale in _SEARCH_SCALES:
+                M = closed_loop_matrix(GRID_PLANTS[plant],
+                                       scaled(DEFAULT_GAINS, scale), ms * 1e-3)
+                assert is_stable(M) == (spectral_radius(M) < 1.0), (ms, scale)
+
+    @pytest.mark.parametrize("latency_ns, stable", [(3_250_000, True),
+                                                    (3_500_000, False)])
+    def test_agrees_on_both_sides_of_the_gallop_edge(self, params, latency_ns,
+                                                     stable):
+        M = closed_loop_matrix(params, DEFAULT_GAINS, 0.002, latency_ns)
+        assert is_stable(M) is stable
+        assert (spectral_radius(M) < 1.0) is stable
+
+
+def test_a_run_calls_no_lapack_routine(monkeypatch, config_dir):
+    # LAPACK's code, paged in at its first call, stays in the process's
+    # resident memory; matrix_power only multiplies. Every numpy.linalg
+    # routine that reaches LAPACK does so through a _umath_linalg gufunc,
+    # so refusing those catches calls from inside numpy too
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"numpy.linalg.{name} called")
+        return call
+    for name in np.linalg.__all__:
+        routine = getattr(np.linalg, name)
+        if name != "matrix_power" and callable(routine) and not isinstance(routine, type):
+            monkeypatch.setattr(np.linalg, name, refuse(name))
+    for name, gufunc in vars(_umath_linalg).items():
+        if isinstance(gufunc, np.ufunc):
+            monkeypatch.setattr(_umath_linalg, name, refuse(f"_umath_linalg.{name}"))
+    with pytest.raises(AssertionError, match="eigvals"):
+        spectral_radius(np.eye(2))
+    with pytest.raises(AssertionError, match="_umath_linalg.solve"):
+        np.linalg._linalg.solve(np.eye(2), np.ones(2))
+
+    for plant in GRID_PLANTS.values():
+        for ms in GRID_CYCLES_MS:
+            tune_default_gains(plant, ms * 1e-3)
+    cfgs = {name: replace(load_scenario(config_dir / name), episode_duration=1.0)
+            for name in ("gallop_default.cfg", "ble_default.cfg", "delay_sweep.cfg")}
+    for cfg in cfgs.values():
+        run_episode(cfg)
+    run_sweep(cfgs["delay_sweep.cfg"], "mac.extra_delay", [0.0, 0.016],
+              seeds_per_point=3, workers=1)
+    compare_scenarios([cfgs["gallop_default.cfg"], cfgs["ble_default.cfg"]],
+                      [1, 2], workers=1)
