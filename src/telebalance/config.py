@@ -34,14 +34,10 @@ import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .control import DEFAULT_GAINS, ControllerGains
+from .control import ControllerGains
 from .plant import (DEFAULT_FALL_THRESHOLD, PlantParams, Radians, Seconds, SensorNoise,
                     _ns, check_finite, check_range)
 from .wireless import BLE, GALLOP, IDEAL, ChannelModel, MacConfig
-
-# default IMU noise for scenarios; roughly a consumer-grade gyro (0.11 deg/s)
-# and accelerometer-derived tilt (0.29 deg)
-DEFAULT_NOISE = SensorNoise(gyro_noise_std=0.002, accel_noise_std=0.005)
 
 # the engine keeps one trace row per cycle (10**6 are about 50 MB), one event per sync
 MAX_CYCLES = 10**6
@@ -50,7 +46,7 @@ MAX_CYCLES = 10**6
 @dataclass(frozen=True)
 class ScenarioConfig:
     plant: PlantParams = PlantParams()
-    noise: SensorNoise = DEFAULT_NOISE
+    noise: SensorNoise = SensorNoise()
     mac: MacConfig = MacConfig()
     channel: ChannelModel = ChannelModel()
     gains: ControllerGains | None = None   # None -> tuned for the cycle
@@ -165,7 +161,7 @@ def _section_fields(field: str | None) -> tuple:
     if field is None:
         return tuple(f for f in fields(ScenarioConfig) if f.name not in SECTIONS.values())
     default = getattr(ScenarioConfig, field)
-    return fields(DEFAULT_GAINS if default is None else default)
+    return fields(ControllerGains if default is None else default)
 
 
 # section -> key -> kind, from the fields each section sets, each by its name
@@ -176,9 +172,9 @@ SCHEMA: dict[str, dict[str, str]] = {
 
 
 def _extend(value, keys: dict):
-    """value with keys set, or DEFAULT_GAINS with them where value is None
+    """value with keys set, or ControllerGains() with them where value is None
     (gains tuned at run time): what a partial section or a sweep path sets."""
-    return replace(DEFAULT_GAINS if value is None else value, **keys)
+    return replace(ControllerGains() if value is None else value, **keys)
 
 
 def _numeric_key(path: str) -> tuple[str, str, str]:

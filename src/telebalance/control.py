@@ -10,9 +10,9 @@ encoder counts (station keeping). The planar robot takes one command for
 both wheels, clamped to [-1, 1]; the plant scales it by its maximum motor
 torque. The four gains are the law's only keys; FILTER_ALPHA is a constant.
 
-Default gains were derived once for the default plant at a 5 ms control
-cycle (discrete LQR seed, then checked against the linear closed loop) and
-are shipped as constants; tune_default_gains() verifies a requested cycle
+The shipped gains, ControllerGains(), were derived once for the default
+plant at a 5 ms control cycle (discrete LQR seed, then checked against the
+linear closed loop); tune_default_gains() verifies a requested cycle
 against the closed loop of the engine's own RK4 plant, linearized at
 upright, and rescales if needed. Stability is decided by _is_stable, which
 squares the loop matrix until its norm proves the spectral radius below 1,
@@ -42,26 +42,19 @@ class TuningFailureError(ValueError):
 
 @dataclass(frozen=True)
 class ControllerGains:
-    kp_tilt: float = 0.0        # command/rad
-    kd_tilt: float = 0.0        # command/(rad/s)
-    kp_position: float = 0.0    # command/rad of wheel angle
-    kd_position: float = 0.0    # command/(rad/s)
+    """The law's four keys. The defaults are the shipped gains for the
+    default PlantParams, derived from a discrete LQR on the 5 ms zero-delay
+    linearized loop and verified stable by _is_stable (see
+    tune_default_gains). The law is PD: a tilt integrator next to the
+    wheel-position feedback would add a neutral mode of radius 1."""
+
+    kp_tilt: float = 20.0       # command/rad
+    kd_tilt: float = 1.5        # command/(rad/s)
+    kp_position: float = 0.45   # command/rad of wheel angle
+    kd_position: float = 0.28   # command/(rad/s)
 
     def __post_init__(self) -> None:
         check_finite(self)
-
-
-# Shipped defaults for the default PlantParams, derived from a discrete LQR
-# on the 5 ms zero-delay linearized loop and verified stable by _is_stable
-# (see tune_default_gains); these four gains are all the law's keys. The law
-# is PD: a tilt integrator next to the wheel-position feedback would add a
-# neutral mode of radius 1.
-DEFAULT_GAINS = ControllerGains(
-    kp_tilt=20.0,
-    kd_tilt=1.5,
-    kp_position=0.45,
-    kd_position=0.28,
-)
 
 
 class ControllerState(NamedTuple):
@@ -213,18 +206,17 @@ _SEARCH_SCALES = (1.0, 0.75, 0.5, 1.5, 0.35, 2.0, 0.25, 3.0, 0.15, 0.1)
 def tune_default_gains(params: PlantParams, cycle: float) -> ControllerGains:
     """Gains that stabilize the linearized zero-delay loop at this cycle.
 
-    Starts from the shipped defaults and tries a fixed grid of uniform
-    scalings of all four gains, returning the first set whose closed loop
-    _is_stable proves stable. Raises
-    TuningFailureError when the whole grid fails (long cycles: the loop
-    cannot be stabilized).
+    Starts from the shipped gains, ControllerGains(), and tries a fixed
+    grid of uniform scalings of all four gains, returning the first set
+    whose closed loop _is_stable proves stable. Raises TuningFailureError
+    when the whole grid fails (long cycles: the loop cannot be stabilized).
     """
     # one plant block for every scale; a long cycle overflows it, and that
     # loop is not stable
     with np.errstate(over="ignore", invalid="ignore"):
         loop = _loop_model(params, cycle, 0)
         for scale in _SEARCH_SCALES:
-            cand = ControllerGains(*(gain * scale for gain in astuple(DEFAULT_GAINS)))
+            cand = ControllerGains(*(gain * scale for gain in astuple(ControllerGains())))
             M = loop(cand)
             if _is_stable(M):
                 return cand

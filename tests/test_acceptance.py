@@ -125,7 +125,8 @@ def test_criterion_4_plant_oracle_equivalence():
         # link, a fall threshold out of reach, state read from the trace
         def open_loop(plant, tilt0, duration):
             trace = run_episode(ideal_scenario(
-                plant=plant, gains=ControllerGains(), initial_tilt=tilt0,
+                plant=plant, gains=ControllerGains(0.0, 0.0, 0.0, 0.0),
+                initial_tilt=tilt0,
                 episode_duration=duration, fall_threshold=1e3))[0]
             assert len(trace.t) == round(duration / 0.005)
             return [(math.radians(tilt), math.radians(rate), math.radians(wheel), t)

@@ -15,13 +15,13 @@ import telebalance
 from telebalance import cli, sim
 from telebalance.cli import main
 from telebalance.config import (
-    DEFAULT_NOISE,
     ConfigError,
     load_scenario,
     parse_quantity,
     parse_sweep_values,
     set_by_path,
 )
+from telebalance.plant import SensorNoise
 
 GALLOP_SHORT = """\
 [scenario]
@@ -190,7 +190,7 @@ class TestConfigParsing:
         swept = set_by_path(load_scenario(write_cfg(tmp_path, GALLOP_SHORT, "b.cfg")),
                             "noise.gyro_noise_std", 0.01)
         assert partial.noise == swept.noise
-        assert partial.noise.accel_noise_std == DEFAULT_NOISE.accel_noise_std
+        assert partial.noise.accel_noise_std == SensorNoise().accel_noise_std
 
 
 class TestCmdRun:

@@ -20,8 +20,9 @@ from telebalance.config import (
     load_scenario,
     parse_sweep_values,
 )
-from telebalance.control import DEFAULT_GAINS
-from telebalance.wireless import MacConfig
+from telebalance.control import ControllerGains
+from telebalance.plant import PlantParams, SensorNoise
+from telebalance.wireless import ChannelModel, MacConfig
 
 NUMERIC_ANNOTATIONS = ("int", "float", "float | None", "Seconds", "Seconds | None",
                        "Radians")
@@ -32,7 +33,7 @@ def section_fields(section: str) -> tuple:
     for the field it fills, or the shipped gains."""
     field = SECTIONS[section]
     default = ScenarioConfig() if field is None else getattr(ScenarioConfig, field)
-    return fields(DEFAULT_GAINS if default is None else default)
+    return fields(ControllerGains if default is None else default)
 
 
 @pytest.mark.parametrize("section", SECTIONS)
@@ -174,6 +175,25 @@ def test_mac_without_clock_keys_loads_the_idealized_clock(tmp_path):
     mac = load_scenario(path).mac
     assert (mac.clock_drift_ppm, mac.sync_error_bound) == (0.0, 0.0)
     assert mac == MacConfig() == gallop_scenario().mac
+
+
+@pytest.mark.parametrize("make, field", [(PlantParams, "plant"), (SensorNoise, "noise"),
+                                         (MacConfig, "mac"), (ChannelModel, "channel")])
+def test_each_config_object_defaults_to_the_scenarios_value(make, field):
+    # one default per key: an object built in code holds what
+    # ScenarioConfig(), and so a file that omits the key, holds
+    assert make() == getattr(ScenarioConfig(), field)
+
+
+@pytest.mark.parametrize("text, field, built", [
+    ("[noise]\ngyro_noise_std = 0.001\n", "noise", SensorNoise(gyro_noise_std=0.001)),
+    ("[gains]\nkp_tilt = 10\n", "gains", ControllerGains(kp_tilt=10.0))],
+    ids=["noise", "gains"])
+def test_partial_section_loads_as_the_object_built_with_its_keys(tmp_path, text,
+                                                                 field, built):
+    path = tmp_path / "partial.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert getattr(load_scenario(path), field) == built
 
 
 @pytest.mark.parametrize("make, name", [(gallop_scenario, "gallop_default.cfg"),

@@ -20,7 +20,6 @@ from oracles import (
 )
 from telebalance.control import (
     _SEARCH_SCALES,
-    DEFAULT_GAINS,
     FILTER_ALPHA,
     WHEEL_RATE_SMOOTHING,
     ControllerGains,
@@ -53,7 +52,7 @@ GRID_PLANTS = {
     "default": PlantParams(),
     "heavy": PlantParams(body_mass=0.6, com_distance=0.08),
 }
-# the DEFAULT_GAINS scale tune_default_gains picked at each of those cycles
+# the ControllerGains() scale tune_default_gains picked at each of those cycles
 # while closed_loop_matrix still called scipy.linalg.expm
 SCIPY_EXPM_SCALES = {
     "default": (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.75, 0.5, 0.5, 0.35, 0.35, 0.25),
@@ -76,9 +75,9 @@ class TestEstimateTilt:
         rng = np.random.default_rng(0)
         cycle = 0.005
         for k in range(400):
-            f = sample_sensors(th, w, phi, SensorNoise(), params, rng)
+            f = sample_sensors(th, w, phi, SensorNoise(0.0, 0.0), params, rng)
             cs = estimate_tilt(cs, f, cycle)
-            cs, command = compute_command(cs, DEFAULT_GAINS, f, cycle)
+            cs, command = compute_command(cs, ControllerGains(), f, cycle)
             torque = command * params.motor_max_torque
             th, w, phi, v, tau, _ = _rk4_span(th, w, phi, v, tau, torque, params,
                                               round(cycle * 1e9))
@@ -90,11 +89,13 @@ class TestComputeCommand:
     def test_all_zero_gives_zero_command(self):
         cs = ControllerState()
         cs = estimate_tilt(cs, frame(), dt=0.002)
-        cs, command = compute_command(cs, ControllerGains(), frame(), dt=0.002)
+        zero = ControllerGains(0.0, 0.0, 0.0, 0.0)
+        cs, command = compute_command(cs, zero, frame(), dt=0.002)
         assert command == 0.0
 
     def test_p_only_tilt_term(self):
-        gains = ControllerGains(kp_tilt=1.0)
+        gains = ControllerGains(kp_tilt=1.0, kd_tilt=0.0, kp_position=0.0,
+                                kd_position=0.0)
         cs = ControllerState(tilt_estimate=0.1)
         cs, command = compute_command(cs, gains, frame(), dt=0.002)
         assert command == pytest.approx(0.1, rel=1e-12)
@@ -111,15 +112,15 @@ class TestComputeCommand:
         # the law is -0.0 here, and nan in the tilt estimate
         f = SensorFrame(gyro_pitch_rate=-0.0, accel_tilt=0.0, wheel_angle=-0.0)
         cs = ControllerState(tilt_estimate=-0.0, wheel_rate_estimate=-0.0, primed=True)
-        assert repr(compute_command(cs, DEFAULT_GAINS, f, dt=0.002)[1]) == "-0.0"
+        assert repr(compute_command(cs, ControllerGains(), f, dt=0.002)[1]) == "-0.0"
         cs = ControllerState(tilt_estimate=math.nan)
-        assert math.isnan(compute_command(cs, DEFAULT_GAINS, frame(), dt=0.002)[1])
+        assert math.isnan(compute_command(cs, ControllerGains(), frame(), dt=0.002)[1])
 
     def test_one_float_drives_both_wheels(self):
         cs = ControllerState()
         f = frame(accel=0.05)
         cs = estimate_tilt(cs, f, dt=0.002)
-        cs, command = compute_command(cs, DEFAULT_GAINS, f, dt=0.002)
+        cs, command = compute_command(cs, ControllerGains(), f, dt=0.002)
         # one command, which the planar model applies to both wheels
         assert type(command) is float
 
@@ -132,7 +133,7 @@ class TestComputeCommand:
                 f = frame(gyro=rng.normal(), accel=rng.normal() * 0.1,
                           enc=int(rng.integers(-500, 500)))
                 cs2 = estimate_tilt(cs, f, 0.002)
-                cs, command = compute_command(cs2, DEFAULT_GAINS, f, 0.002)
+                cs, command = compute_command(cs2, ControllerGains(), f, 0.002)
                 out.append(command)
             return out
 
@@ -166,17 +167,17 @@ class TestComputeCommand:
                 out.append(command)
             return out
 
-        base = commands(DEFAULT_GAINS)
+        base = commands(ControllerGains())
         assert all(abs(u) < 1.0 for u in base[:-1]) and abs(base[-1]) == 1.0
         for name in [f.name for f in fields(ControllerGains)]:
-            value = getattr(DEFAULT_GAINS, name) * 2
-            assert commands(replace(DEFAULT_GAINS, **{name: value})) != base, name
+            value = getattr(ControllerGains(), name) * 2
+            assert commands(replace(ControllerGains(), **{name: value})) != base, name
 
 
 class TestTuning:
     def test_default_gains_stabilize_default_cycle(self, params):
         gains = tune_default_gains(params, 0.005)
-        assert gains == DEFAULT_GAINS
+        assert gains == ControllerGains()
         assert spectral_radius(closed_loop_matrix(params, gains, 0.005)) < 1.0
 
     def test_gallop_and_ble_cycles_are_stable(self, params):
@@ -197,7 +198,7 @@ class TestTuning:
         monkeypatch.setattr(control, "span_matrix",
                             lambda *args: calls.append(args) or build(*args))
         if cycle < 0.1:
-            assert tune_default_gains(PlantParams(), cycle) == DEFAULT_GAINS
+            assert tune_default_gains(PlantParams(), cycle) == ControllerGains()
         else:
             with pytest.raises(TuningFailureError):
                 tune_default_gains(PlantParams(), cycle)
@@ -215,7 +216,7 @@ class TestTuning:
         assert time.perf_counter() - start < 1.0
 
     def test_zero_gains_leave_loop_unstable(self, params):
-        zero = ControllerGains()
+        zero = ControllerGains(0.0, 0.0, 0.0, 0.0)
         assert spectral_radius(closed_loop_matrix(params, zero, 0.005)) >= 1.0
 
     def test_cycle_must_be_positive(self, params):
@@ -228,18 +229,18 @@ class TestTuning:
         with pytest.raises(ValueError, match="cycle must be positive and finite"):
             tune_default_gains(params, cycle)
         with pytest.raises(ValueError, match="cycle must be positive and finite"):
-            closed_loop_matrix(params, DEFAULT_GAINS, cycle)
+            closed_loop_matrix(params, ControllerGains(), cycle)
 
     @pytest.mark.parametrize("plant", sorted(GRID_PLANTS))
     def test_picks_the_scales_scipy_expm_picked(self, plant):
         for ms, scale in zip(GRID_CYCLES_MS, SCIPY_EXPM_SCALES[plant]):
             gains = tune_default_gains(GRID_PLANTS[plant], ms * 1e-3)
-            assert gains.kp_tilt == DEFAULT_GAINS.kp_tilt * scale, ms
+            assert gains.kp_tilt == ControllerGains().kp_tilt * scale, ms
 
     def test_shipped_gains_converge_in_time_domain(self):
         # 2 deg initial tilt, noiseless, on the ideal link at the tuning
         # cycle: |tilt| < 0.2 deg within 3 s and never near the fall threshold
-        trace, m = run_episode(ideal_scenario(noise=SensorNoise(),
+        trace, m = run_episode(ideal_scenario(noise=SensorNoise(0.0, 0.0),
                                               episode_duration=4.0))
         assert not m.fell
         assert len(trace.t) == 800
@@ -325,21 +326,21 @@ class TestClosedLoopMatrix:
         # state 0: the row algebra's rows 0 and 3-5 are then the update on
         # (accel_tilt, gyro_pitch_rate, wheel_angle, memory)
         ref = loop_matrix_rows(np.zeros((3, 3)), np.array([1.0, 0.0, 0.0]),
-                               DEFAULT_GAINS, cycle, FILTER_ALPHA,
+                               ControllerGains(), cycle, FILTER_ALPHA,
                                WHEEL_RATE_SMOOTHING)[[0, 3, 4, 5]]
-        got = controller_map(DEFAULT_GAINS, cycle)
+        got = controller_map(ControllerGains(), cycle)
         assert got.shape == (4, 6)
         assert row_error(got, ref) <= 1e-13
 
     @pytest.mark.parametrize("plant", sorted(GRID_PLANTS))
     def test_matches_row_algebra_on_grid(self, plant):
         for ms in GRID_CYCLES_MS:
-            self.assert_matches_rows(GRID_PLANTS[plant], DEFAULT_GAINS, ms * 1e-3)
+            self.assert_matches_rows(GRID_PLANTS[plant], ControllerGains(), ms * 1e-3)
 
     @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
     @pytest.mark.parametrize("cycle", [1e-9, 1e-6, 0.03])
     def test_matches_row_algebra_at_extremes(self, params, scale, cycle):
-        self.assert_matches_rows(params, scaled(DEFAULT_GAINS, scale), cycle)
+        self.assert_matches_rows(params, scaled(ControllerGains(), scale), cycle)
 
 
 class TestLiftedLoop:
@@ -353,14 +354,14 @@ class TestLiftedLoop:
     ])
     def test_radius_at_the_link_latency(self, params, cycle, latency_ns, scale,
                                         radius, tol):
-        gains = scaled(DEFAULT_GAINS, scale)
+        gains = scaled(ControllerGains(), scale)
         M = closed_loop_matrix(params, gains, cycle, latency_ns)
         assert abs(spectral_radius(M) - radius) <= tol
 
     def test_stability_edge_on_the_gallop_cycle(self, params):
         def radius(latency_ns):
             return spectral_radius(closed_loop_matrix(
-                params, DEFAULT_GAINS, 0.002, latency_ns))
+                params, ControllerGains(), 0.002, latency_ns))
         assert radius(3_250_000) < 1.0 < radius(3_500_000)
 
     # start: where the fit begins, once the modes below the dominant pair
@@ -381,7 +382,7 @@ class TestLiftedLoop:
         # a noise-free episode from a tilt small enough for the linear model,
         # with an encoder fine enough to leave its quantization out
         plant = PlantParams(encoder_counts_per_rev=10**12)
-        cfg = ScenarioConfig(mac=mac, plant=plant, noise=SensorNoise(),
+        cfg = ScenarioConfig(mac=mac, plant=plant, noise=SensorNoise(0.0, 0.0),
                              initial_tilt=1e-7, episode_duration=3.0,
                              control_cycle=control_cycle)
         cycle = cfg.resolved_cycle()
@@ -453,14 +454,14 @@ class TestIsStable:
         for ms in GRID_CYCLES_MS:
             for scale in _SEARCH_SCALES:
                 M = closed_loop_matrix(GRID_PLANTS[plant],
-                                       scaled(DEFAULT_GAINS, scale), ms * 1e-3)
+                                       scaled(ControllerGains(), scale), ms * 1e-3)
                 assert is_stable(M) == (spectral_radius(M) < 1.0), (ms, scale)
 
     @pytest.mark.parametrize("latency_ns, stable", [(3_250_000, True),
                                                     (3_500_000, False)])
     def test_agrees_on_both_sides_of_the_gallop_edge(self, params, latency_ns,
                                                      stable):
-        M = closed_loop_matrix(params, DEFAULT_GAINS, 0.002, latency_ns)
+        M = closed_loop_matrix(params, ControllerGains(), 0.002, latency_ns)
         assert is_stable(M) is stable
         assert (spectral_radius(M) < 1.0) is stable
 

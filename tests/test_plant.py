@@ -39,7 +39,8 @@ def open_loop_episode(initial_tilt, duration, plant=PlantParams(),
     0.5 ms substeps plus remainders up to the 1 ns link events.
     """
     return run_episode(ideal_scenario(
-        plant=plant, gains=ControllerGains(), initial_tilt=initial_tilt,
+        plant=plant, gains=ControllerGains(0.0, 0.0, 0.0, 0.0),
+        initial_tilt=initial_tilt,
         episode_duration=duration, fall_threshold=fall_threshold))
 
 
@@ -62,7 +63,7 @@ class TestFixedPointAndValidation:
         for state in ((math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
                       (0.0, 0.0, -math.inf)):
             with pytest.raises(ValueError, match="non-finite"):
-                sample_sensors(*state, SensorNoise(), params, rng)
+                sample_sensors(*state, SensorNoise(0.0, 0.0), params, rng)
 
     def test_params_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -179,16 +180,16 @@ class TestMotor:
 
 class TestSensors:
     def test_noiseless_sensors_are_exact(self, params):
-        f = sample_sensors(0.1, 0.2, 0.0, SensorNoise(), params,
+        f = sample_sensors(0.1, 0.2, 0.0, SensorNoise(0.0, 0.0), params,
                            np.random.default_rng(0))
         assert f.gyro_pitch_rate == 0.2
         assert f.accel_tilt == 0.1
 
     def test_encoder_quantization(self, params):
         rng = np.random.default_rng(0)
-        f = sample_sensors(0.0, 0.0, math.pi, SensorNoise(), params, rng)
+        f = sample_sensors(0.0, 0.0, math.pi, SensorNoise(0.0, 0.0), params, rng)
         assert f.wheel_angle == 660 / 1320 * TWO_PI
-        f = sample_sensors(0.0, 0.0, -0.001, SensorNoise(), params, rng)
+        f = sample_sensors(0.0, 0.0, -0.001, SensorNoise(0.0, 0.0), params, rng)
         assert f.wheel_angle == -1 / 1320 * TWO_PI  # floor, not truncation
 
     def test_golden_trace_seed_42(self, params):

@@ -81,7 +81,8 @@ class TestRunEpisode:
         assert m.drop_rate == 0.0
 
     def test_zero_gains_fall_matches_open_loop_oracle(self, params):
-        cfg = gallop_scenario(episode_duration=5.0, gains=ControllerGains())
+        cfg = gallop_scenario(episode_duration=5.0,
+                              gains=ControllerGains(0.0, 0.0, 0.0, 0.0))
         _, m = run_episode(cfg)
         assert m.fell
         A, _ = wip_linear_system(params)
@@ -209,7 +210,8 @@ class TestRunEpisode:
         # on the ideal link the command lands 2 ns after each 5 ms sample,
         # so the span up to the next sample ends in a 0.5 ms - 2 ns
         # remainder: only a fall caught there lands on the cycle grid
-        cfg = ideal_scenario(gains=ControllerGains(), noise=SensorNoise(),
+        cfg = ideal_scenario(gains=ControllerGains(0.0, 0.0, 0.0, 0.0),
+                             noise=SensorNoise(0.0, 0.0),
                              control_cycle=0.005, initial_tilt=0.055,
                              episode_duration=2.0)
         trace, m = run_episode(cfg)
@@ -229,7 +231,8 @@ class TestRunEpisode:
                                              counters):
         trace, _ = run_episode(ble_scenario(
             initial_tilt=math.radians(1), episode_duration=3.0,
-            gains=ControllerGains(kp_tilt=0.5, kd_tilt=0.05), seed=seed))
+            gains=ControllerGains(kp_tilt=0.5, kd_tilt=0.05,
+                                  kp_position=0.0, kd_position=0.0), seed=seed))
         assert trace.fall_time == fall_time
         assert len(trace.t) == records
         assert (trace.forward_sent, trace.forward_delivered, trace.forward_lost,
