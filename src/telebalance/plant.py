@@ -27,11 +27,24 @@ rest (sim.py's advance rule says which events end a span). span_matrix is
 the linear map that rule applies near upright, probed from _rk4_span
 itself, which is how the tuner's loop model sees the plant. sample_sensors
 reads a noisy IMU and the one wheel angle, floored to whole encoder counts.
+
+_rk4_span runs a compiled kernel where one loads, else _rk4_span_py, the
+Python kernel; the traces are identical either way. The compiled kernel is
+_rk4.c, a transcription of _rk4_span_py that rounds as it does. It is built
+once per process, at the first plant advance, by `cc` into a private
+temporary directory that is removed once the library is loaded (about
+0.1 s), and kept only if it reproduces _rk4_span_py bit for bit on a fixed
+probe set. Where there is no `cc`, the build fails or the probe differs,
+the Python kernel runs. Forked batch workers inherit the parent's kernel;
+spawned ones (macOS, Windows) build their own.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import struct
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -118,9 +131,11 @@ class PlantParams:
             + self.wheel_inertia
         m12c = self.body_mass * self.wheel_radius * self.com_distance
         m22 = self.body_mass * self.com_distance ** 2 + self.body_inertia
-        object.__setattr__(self, "_rk4_terms", (
-            m11, m12c, m22, self.body_mass * self.gravity * self.com_distance,
-            m11 * m22, self.viscous_friction, 1.0 / self.motor_time_constant))
+        terms = (m11, m12c, m22, self.body_mass * self.gravity * self.com_distance,
+                 m11 * m22, self.viscous_friction, 1.0 / self.motor_time_constant)
+        object.__setattr__(self, "_rk4_terms", terms)
+        # the same seven for the compiled kernel; bytes, so params pickle
+        object.__setattr__(self, "_rk4_packed", struct.pack("7d", *terms))
 
 
 @dataclass(frozen=True)
@@ -148,7 +163,90 @@ class SensorFrame(NamedTuple):
 def _rk4_span(th: float, w: float, phi: float, v: float, tau: float,
               tau_cmd: float, params: PlantParams, span_ns: int,
               fall_threshold: float = math.inf) -> tuple[float, float, float, float, float, int]:
-    """The span rule above over span_ns: the state, then the substeps taken."""
+    """The span rule above over span_ns: the state, then the substeps taken.
+
+    On the compiled kernel once it has loaded, else on _rk4_span_py, which
+    also reruns a span the compiled kernel hands back: one where the Python
+    kernel raises, so the same exception propagates, and one whose span_ns
+    is outside int64.
+    """
+    kernel = _compiled or _rk4_kernel()
+    if kernel and -2 ** 63 <= span_ns < 2 ** 63:
+        x = _State(th, w, phi, v, tau)
+        done = kernel(x, tau_cmd, params._rk4_packed, span_ns, fall_threshold)
+        if done >= 0:
+            return x[0], x[1], x[2], x[3], x[4], done
+    return _rk4_span_py(th, w, phi, v, tau, tau_cmd, params, span_ns,
+                        fall_threshold)
+
+
+# The compiled kernel of this process: None until the first plant advance
+# chooses, then the loaded rk4_span or False for the Python kernel. A cache
+# of one library per process, like an import, so it lives at module level.
+_compiled = None
+_State = ctypes.c_double * 5  # the state the compiled kernel advances in place
+
+_CC = ("cc", "-O2", "-ffp-contract=off", "-fno-builtin-sin", "-fno-builtin-cos",
+       "-shared", "-fPIC", f"-DSUBSTEP_NS={SUBSTEP_NS}")
+
+
+def _build_kernel():
+    """_rk4.c built by cc in a private temporary directory and loaded, as a
+    ctypes function; None where there is no cc or the build fails."""
+    import subprocess
+    import tempfile
+
+    source = os.path.join(os.path.dirname(__file__), "_rk4.c")
+    with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
+        library = os.path.join(tmp, "_rk4.so")
+        try:
+            subprocess.run([*_CC, "-o", library, source, "-lm"], check=True,
+                           capture_output=True, timeout=60)
+            kernel = ctypes.CDLL(library).rk4_span
+        except (OSError, subprocess.SubprocessError):
+            return None
+    kernel.argtypes = (_State, ctypes.c_double, ctypes.c_char_p,
+                       ctypes.c_longlong, ctypes.c_double)
+    kernel.restype = ctypes.c_longlong
+    return kernel
+
+
+def _probe_spans():
+    """The spans a compiled kernel must reproduce before it runs: random
+    states over the model's range, for two plants, spans below, at and
+    across whole substeps, with and without a fall."""
+    rng = np.random.default_rng(45)
+    scale = np.array([0.7, 20.0, 100.0, 200.0, 0.1, 0.1])
+    for params in (PlantParams(), PlantParams(motor_time_constant=SUBSTEP_NS * 1e-9,
+                                              viscous_friction=1e-3)):
+        for span_ns in (1, SUBSTEP_NS - 1, SUBSTEP_NS, 7 * SUBSTEP_NS + 12_345,
+                        100 * SUBSTEP_NS):
+            for fall_threshold in (0.1, math.inf):
+                for x in rng.uniform(-1.0, 1.0, (2, 6)) * scale:
+                    yield (*x.tolist(), params, span_ns, fall_threshold)
+
+
+def _rk4_kernel():
+    """The kernel _rk4_span runs in this process, chosen at the first call:
+    the compiled one if it builds and matches _rk4_span_py bit for bit on
+    every probe span, else False, for the Python kernel."""
+    global _compiled
+    if _compiled is None:
+        _compiled = _build_kernel() or False
+        if _compiled and not all(
+                struct.pack("5dq", *_rk4_span(*probe))
+                == struct.pack("5dq", *_rk4_span_py(*probe))
+                for probe in _probe_spans()):
+            _compiled = False
+    return _compiled
+
+
+def _rk4_span_py(th: float, w: float, phi: float, v: float, tau: float,
+                 tau_cmd: float, params: PlantParams, span_ns: int,
+                 fall_threshold: float = math.inf
+                 ) -> tuple[float, float, float, float, float, int]:
+    """The span rule above over span_ns, in Python: the reference the
+    compiled kernel is checked against, and the kernel where none loads."""
     m11, m12c, m22, g_l, m11_m22, b, inv_tm = params._rk4_terms
     sin, cos = math.sin, math.cos
     n_full, rem = divmod(span_ns, SUBSTEP_NS)

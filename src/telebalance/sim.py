@@ -57,7 +57,7 @@ from .control import (
     estimate_tilt,
     tune_default_gains,
 )
-from .plant import SUBSTEP_NS, _ns, _rk4_span, sample_sensors
+from .plant import SUBSTEP_NS, _ns, _rk4_kernel, _rk4_span, sample_sensors
 from .wireless import FEEDBACK, FORWARD, ChannelProcess, RobotClock, transmit
 
 DEG = 180.0 / math.pi
@@ -422,7 +422,9 @@ def _run_batch(jobs: list[tuple[ScenarioConfig, bool]], workers: int
     raises TuningFailureError before any episode runs.
     The episodes run in a pool of min(workers, jobs, usable cores) when
     that exceeds one, else here in series through the module's run_episode;
-    a worker's exception reaches the caller with its type.
+    a worker's exception reaches the caller with its type. The plant's
+    compiled kernel is chosen before the pool starts, so no worker runs
+    the compiler.
     """
     tune = functools.cache(tune_default_gains)
     jobs = [(cfg if cfg.gains is not None
@@ -433,6 +435,7 @@ def _run_batch(jobs: list[tuple[ScenarioConfig, bool]], workers: int
     if workers > 1:
         import concurrent.futures  # the serial path never pays for it
 
+        _rk4_kernel()  # built here once, so the forked workers inherit it
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 return list(pool.map(_run_job, jobs))

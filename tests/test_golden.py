@@ -6,10 +6,12 @@ alter them must say why and update the digests in the same commit.
 """
 
 import hashlib
+import sys
 from dataclasses import replace
 
 import pytest
 
+from telebalance import plant
 from telebalance.config import load_scenario
 from telebalance.sim import run_episode, trace_to_csv
 from telebalance.wireless import ChannelModel
@@ -129,6 +131,18 @@ def _scenario(config_dir, case):
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_trace_digest_pinned(config_dir, case):
     trace, _ = run_episode(_scenario(config_dir, case))
+    digest = hashlib.sha256(trace_to_csv(trace).encode("utf-8")).hexdigest()
+    assert digest == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", ["gallop_default", "ble_default",
+                                  "delay_sweep_16ms_fall"])
+def test_python_kernel_writes_the_same_bytes(config_dir, monkeypatch, case):
+    # a build that fails leaves the plant on the Python kernel
+    monkeypatch.setattr(plant, "_CC", (sys.executable, "-c", "raise SystemExit(1)"))
+    monkeypatch.setattr(plant, "_compiled", None)
+    trace, _ = run_episode(_scenario(config_dir, case))
+    assert plant._compiled is False
     digest = hashlib.sha256(trace_to_csv(trace).encode("utf-8")).hexdigest()
     assert digest == GOLDEN[case]
 

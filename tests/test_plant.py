@@ -1,4 +1,6 @@
 import math
+import pickle
+import shutil
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from telebalance import plant
 from telebalance.config import ideal_scenario
 from telebalance.control import ControllerGains
 from telebalance.plant import (
@@ -16,6 +19,7 @@ from telebalance.plant import (
     linear_map,
     sample_sensors,
     _rk4_span,
+    _rk4_span_py,
 )
 from telebalance.sim import run_episode
 
@@ -29,6 +33,12 @@ from oracles import (
 
 # rad; a fall threshold the open-loop plant never reaches in these episodes
 OUT_OF_REACH = 1e3
+
+NO_CC = shutil.which("cc") is None
+# the engine's kernel, compiled where cc is on PATH, and the Python one
+KERNELS = [pytest.param(_rk4_span, id="compiled",
+                        marks=pytest.mark.skipif(NO_CC, reason="no cc on PATH")),
+           pytest.param(_rk4_span_py, id="python")]
 
 
 def open_loop_episode(initial_tilt, duration, plant=PlantParams(),
@@ -64,6 +74,12 @@ class TestFixedPointAndValidation:
                       (0.0, 0.0, -math.inf)):
             with pytest.raises(ValueError, match="non-finite"):
                 sample_sensors(*state, SensorNoise(0.0, 0.0), params, rng)
+
+    def test_params_pickle_with_the_kernel_terms(self, params):
+        # batch jobs carry their plant to the workers
+        copy = pickle.loads(pickle.dumps(params))
+        assert copy == params
+        assert copy._rk4_packed == params._rk4_packed
 
     def test_params_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -116,6 +132,7 @@ class TestLinearizedOracle:
 
 
 class TestRk4Kernel:
+    @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=300, deadline=None)
     @given(x=st.tuples(st.floats(-0.7, 0.7), st.floats(-20.0, 20.0),
                        st.floats(-100.0, 100.0), st.floats(-200.0, 200.0),
@@ -128,10 +145,51 @@ class TestRk4Kernel:
            tm=st.sampled_from([0.0005, 0.01]), friction=st.sampled_from([0.0, 1e-5, 1e-3]),
            fall_threshold=st.sampled_from([0.1, 0.6, math.inf]))
     def test_unrolled_kernel_gives_the_closure_forms_floats(
-            self, x, tau_cmd, span_ns, tm, friction, fall_threshold):
+            self, kernel, x, tau_cmd, span_ns, tm, friction, fall_threshold):
         params = PlantParams(motor_time_constant=tm, viscous_friction=friction)
         args = (*x, tau_cmd, params, span_ns, fall_threshold)
-        assert _rk4_span(*args) == rk4_span_closure(*args)
+        assert kernel(*args) == rk4_span_closure(*args)
+
+    @pytest.mark.skipif(NO_CC, reason="no cc on PATH")
+    def test_the_compiled_kernel_loads_where_cc_is_on_path(self):
+        assert plant._rk4_kernel()
+
+    # where the Python kernel raises, the compiled one hands the span back,
+    # so the same exception comes out: math.sin of an infinite tilt, at the
+    # first stage or a later one, and a mass matrix that rounds singular
+    # (m11 m22 == m12c^2 at upright)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("x, params, error", [
+        ((math.inf, 0.0), PlantParams(), ValueError),
+        ((0.0, math.inf), PlantParams(), ValueError),
+        ((0.0, 0.0), PlantParams(body_mass=1.0, wheel_mass_total=1e-300,
+                                 com_distance=1.0, wheel_radius=1.0,
+                                 body_inertia=1e-300, wheel_inertia=1e-300),
+         ZeroDivisionError),
+    ], ids=["infinite tilt", "infinite tilt rate", "singular mass matrix"])
+    def test_raises_as_the_python_kernel_does(self, kernel, x, params, error):
+        with pytest.raises(error) as raised:
+            kernel(*x, 0.0, 0.0, 0.0, 0.0, params, SUBSTEP_NS)
+        with pytest.raises(error) as reference:
+            rk4_span_closure(*x, 0.0, 0.0, 0.0, 0.0, params, SUBSTEP_NS)
+        assert str(raised.value) == str(reference.value)
+
+    @pytest.mark.parametrize("fault", ["stands still", "one ulp off"])
+    def test_a_kernel_that_fails_the_probe_is_discarded(self, monkeypatch, fault):
+        compiled = plant._rk4_kernel()
+        if fault == "one ulp off" and not compiled:
+            pytest.skip("no compiled kernel to perturb")
+
+        def faulty(x, *args):
+            if fault == "stands still":
+                return 0
+            done = compiled(x, *args)
+            x[2] = math.nextafter(x[2], math.inf)
+            return done
+
+        monkeypatch.setattr(plant, "_compiled", None)
+        monkeypatch.setattr(plant, "_build_kernel", lambda: faulty)
+        assert plant._rk4_kernel() is False
 
 
 class TestLinearMap:
@@ -155,15 +213,16 @@ class TestEnergyAndSymmetry:
             e = lagrangian_energy(*state, params)
             assert abs(e - e0) / e0 < 1e-6
 
+    @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=100, deadline=None)
     @given(x=st.tuples(st.floats(-0.5, 0.5), st.floats(-5.0, 5.0),
                        st.floats(-10.0, 10.0), st.floats(-50.0, 50.0),
                        st.floats(-0.1, 0.1)),
            tau_cmd=st.floats(-0.1, 0.1), n_steps=st.integers(1, 400))
-    def test_trajectory_is_odd_symmetric(self, x, tau_cmd, n_steps):
+    def test_trajectory_is_odd_symmetric(self, kernel, x, tau_cmd, n_steps):
         params = PlantParams()
-        pos = _rk4_span(*x, tau_cmd, params, n_steps * SUBSTEP_NS)
-        neg = _rk4_span(*(-c for c in x), -tau_cmd, params, n_steps * SUBSTEP_NS)
+        pos = kernel(*x, tau_cmd, params, n_steps * SUBSTEP_NS)
+        neg = kernel(*(-c for c in x), -tau_cmd, params, n_steps * SUBSTEP_NS)
         assert neg[:5] == tuple(-c for c in pos[:5])
         assert neg[5] == pos[5] == n_steps
 

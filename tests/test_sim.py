@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from telebalance import sim
+from telebalance import plant, sim
 from telebalance.config import (
     ScenarioConfig,
     ble_scenario,
@@ -962,6 +962,29 @@ class TestSweep:
         # an unknown core count runs in series
         assert sizes == ([] if pool_size is None else [pool_size])
         assert points == run_sweep(base, "mac.extra_delay", [0.0, 0.004], 4)
+
+    def test_kernel_is_chosen_before_the_pool_starts(self, monkeypatch):
+        # jobs that carry their gains are never tuned, so nothing here has
+        # advanced the plant; the caller still chooses the plant's kernel
+        # before any worker forks, so no worker runs the compiler
+        chosen = []
+
+        class PoolStarted(Exception):
+            pass
+
+        def pool(max_workers):
+            chosen.append(plant._compiled)
+            raise PoolStarted
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(plant, "_compiled", None)
+        monkeypatch.setattr(plant, "_build_kernel", lambda: None)
+        base = gallop_scenario(episode_duration=0.02, gains=ControllerGains())
+        with pytest.raises(PoolStarted):
+            run_sweep(base, "mac.extra_delay", [0.0, 0.004], 3, workers=2)
+        assert chosen == [False]
 
     def test_failure_threshold_helper(self):
         from telebalance.sim import SweepPoint
