@@ -30,13 +30,14 @@ reads a noisy IMU and the one wheel angle, floored to whole encoder counts.
 
 _rk4_span runs a compiled kernel where one loads, else _rk4_span_py, the
 Python kernel; the traces are identical either way. The compiled kernel is
-_rk4.c, a transcription of _rk4_span_py that rounds as it does. It is built
-once per process, at the first plant advance, by `cc` into a private
-temporary directory that is removed once the library is loaded (about
-0.1 s), and kept only if it reproduces _rk4_span_py bit for bit on a fixed
-probe set. Where there is no `cc`, the build fails or the probe differs,
-the Python kernel runs. Forked batch workers inherit the parent's kernel;
-spawned ones (macOS, Windows) build their own.
+_rk4.c: the same stages in the same operation order, with the stage that
+the Python kernel unrolls for speed written once. It is built once per
+process, at the first plant advance, by `cc` into a private temporary
+directory that is removed once the library is loaded (about 0.1 s), and
+kept only if it reproduces _rk4_span_py bit for bit on a fixed probe set.
+Where there is no `cc`, the build fails or the probe differs, the Python
+kernel runs. Forked batch workers inherit the parent's kernel; spawned ones
+(macOS, Windows) build their own.
 """
 
 from __future__ import annotations
@@ -166,12 +167,12 @@ def _rk4_span(th: float, w: float, phi: float, v: float, tau: float,
     """The span rule above over span_ns: the state, then the substeps taken.
 
     On the compiled kernel once it has loaded, else on _rk4_span_py, which
-    also reruns a span the compiled kernel hands back: one where the Python
-    kernel raises, so the same exception propagates, and one whose span_ns
-    is outside int64.
+    also runs the spans the compiled kernel does not take: one whose span_ns
+    is negative or past int64, and one where the Python kernel raises, which
+    the compiled kernel hands back so the same exception propagates.
     """
     kernel = _compiled or _rk4_kernel()
-    if kernel and -2 ** 63 <= span_ns < 2 ** 63:
+    if kernel and 0 <= span_ns < 2 ** 63:
         x = _State(th, w, phi, v, tau)
         done = kernel(x, tau_cmd, params._rk4_packed, span_ns, fall_threshold)
         if done >= 0:

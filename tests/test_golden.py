@@ -3,9 +3,13 @@
 Any change to the random draw order, the float operation order, the slot
 search or the record layout changes these bytes. A change that means to
 alter them must say why and update the digests in the same commit.
+
+Both kernels call the platform's sin and cos, so the digests also assume
+the libm they were pinned with; assert_pinned's failure message names it.
 """
 
 import hashlib
+import platform
 import sys
 from dataclasses import replace
 
@@ -74,6 +78,17 @@ OVERTAKEN = {
 }
 
 
+def assert_pinned(case, trace):
+    """The sha256 of trace_to_csv(trace) is GOLDEN[case]."""
+    digest = hashlib.sha256(trace_to_csv(trace).encode("utf-8")).hexdigest()
+    libc = " ".join(platform.libc_ver()) or "an unknown libc"
+    assert digest == GOLDEN[case], (
+        f"{case}: trace digest {digest} is not the pinned {GOLDEN[case]}. "
+        "The digests were pinned with glibc 2.36's sin and cos on x86-64; "
+        f"this run has {libc} on {platform.machine()}. Where the libm "
+        "differs, a changed digest need not mean a fault.")
+
+
 def _scenario(config_dir, case):
     if case == "gallop_default":
         cfg = load_scenario(config_dir / "gallop_default.cfg")
@@ -131,8 +146,7 @@ def _scenario(config_dir, case):
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_trace_digest_pinned(config_dir, case):
     trace, _ = run_episode(_scenario(config_dir, case))
-    digest = hashlib.sha256(trace_to_csv(trace).encode("utf-8")).hexdigest()
-    assert digest == GOLDEN[case]
+    assert_pinned(case, trace)
 
 
 @pytest.mark.parametrize("case", ["gallop_default", "ble_default",
@@ -143,8 +157,7 @@ def test_python_kernel_writes_the_same_bytes(config_dir, monkeypatch, case):
     monkeypatch.setattr(plant, "_compiled", None)
     trace, _ = run_episode(_scenario(config_dir, case))
     assert plant._compiled is False
-    digest = hashlib.sha256(trace_to_csv(trace).encode("utf-8")).hexdigest()
-    assert digest == GOLDEN[case]
+    assert_pinned(case, trace)
 
 
 @pytest.mark.parametrize("case", sorted(FALLS))

@@ -1,6 +1,9 @@
 import math
 import pickle
 import shutil
+import subprocess
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from telebalance import plant
-from telebalance.config import ideal_scenario
-from telebalance.control import ControllerGains
+from telebalance import plant, sim
+from telebalance.cli import main
+from telebalance.config import ideal_scenario, load_scenario
+from telebalance.control import ControllerGains, tune_default_gains
 from telebalance.plant import (
     SUBSTEP_NS,
     TWO_PI,
@@ -154,6 +158,44 @@ class TestRk4Kernel:
     def test_the_compiled_kernel_loads_where_cc_is_on_path(self):
         assert plant._rk4_kernel()
 
+    @pytest.mark.skipif(NO_CC, reason="no cc on PATH")
+    def test_the_kernel_source_compiles_without_a_warning(self, tmp_path):
+        # the plant's own build is silent: a leftover stage variable or an
+        # implicit conversion would compile, and only fail here
+        source = Path(plant.__file__).with_name("_rk4.c")
+        proc = subprocess.run([*plant._CC, "-Wall", "-Wextra", "-Werror", "-o",
+                               str(tmp_path / "_rk4.so"), str(source), "-lm"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_a_span_past_int64_runs_on_the_python_kernel(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # a valid config whose one cycle spans about 1e20 ns, past the
+        # compiled kernel's long long: _rk4_span hands it to _rk4_span_py
+        spans = []
+
+        def spy(*args):
+            spans.append(args[7])
+            return _rk4_span_py(*args)
+
+        monkeypatch.setattr(plant, "_rk4_span_py", spy)
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("[scenario]\nepisode_duration = 100000000000 s\n"
+                       "control_cycle = 100000000000 s\n\n"
+                       "[mac]\nvariant = gallop\n"
+                       "sync_epoch_period = 100000000000 s\n\n"
+                       "[gains]\nkp_tilt = 10\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert "fell=True balanced=0.0885 s" in capsys.readouterr().out
+        assert any(span >= 2 ** 63 for span in spans)
+
+    @pytest.mark.parametrize("span_ns", [-1, -7 * SUBSTEP_NS - 12_345])
+    def test_a_negative_span_runs_on_the_python_kernel(self, span_ns):
+        # divmod floors a negative span and the compiled kernel does not,
+        # so it never sees one
+        args = (0.1, -0.4, 2.0, 3.0, 0.02, -0.05, PlantParams(), span_ns)
+        assert _rk4_span(*args) == _rk4_span_py(*args)
+
     # where the Python kernel raises, the compiled one hands the span back,
     # so the same exception comes out: math.sin of an infinite tilt, at the
     # first stage or a later one, and a mass matrix that rounds singular
@@ -190,6 +232,26 @@ class TestRk4Kernel:
         monkeypatch.setattr(plant, "_compiled", None)
         monkeypatch.setattr(plant, "_build_kernel", lambda: faulty)
         assert plant._rk4_kernel() is False
+
+
+class TestConvergence:
+    def test_a_16x_finer_substep_moves_the_tilt_by_at_most_1e_5_deg(
+            self, config_dir, monkeypatch):
+        # the shipped gallop loop for 2 s, its gains tuned once, on the
+        # Python kernel at SUBSTEP_NS and at SUBSTEP_NS / 16 (31 250 ns);
+        # gallop, since shipped BLE is chaotic. The gap measured 1.9e-8 deg.
+        cfg = load_scenario(config_dir / "gallop_default.cfg")
+        cfg = replace(cfg, episode_duration=2.0, seed=1,
+                      gains=tune_default_gains(cfg.plant, cfg.resolved_cycle()))
+        monkeypatch.setattr(plant, "_compiled", False)
+        coarse, _ = run_episode(cfg)
+        for module in (plant, sim):
+            monkeypatch.setattr(module, "SUBSTEP_NS", SUBSTEP_NS // 16)
+        fine, _ = run_episode(cfg)
+        assert coarse.fall_time is None and fine.fall_time is None
+        assert len(coarse.tilt) == len(fine.tilt) == 1000
+        gap = max(abs(a - b) for a, b in zip(coarse.tilt, fine.tilt))
+        assert 0 < gap <= 1e-5
 
 
 class TestLinearMap:

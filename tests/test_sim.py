@@ -1,5 +1,4 @@
 import concurrent.futures
-import hashlib
 import math
 import multiprocessing
 import os
@@ -61,7 +60,7 @@ from oracles import (
     record_metrics,
     wip_linear_system,
 )
-from test_golden import GOLDEN
+from test_golden import assert_pinned
 
 
 class TestRunEpisode:
@@ -672,8 +671,7 @@ class TestTraceRows:
         assert_rows_closed(trace)
         # the bytes this episode wrote when each cycle was a CycleRecord:
         # it falls at 0.446 s, so it is the golden 5 s case's episode
-        assert hashlib.sha256(trace_to_csv(trace).encode()).hexdigest() \
-            == GOLDEN["ble_overtaken_command"]
+        assert_pinned("ble_overtaken_command", trace)
 
     def test_fall_deletes_the_rows_in_flight(self):
         # a 34 ms loop on the 2 ms cycle: 17 cycles are in flight at the fall
